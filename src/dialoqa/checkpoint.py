@@ -4,12 +4,17 @@ Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the tensor payloads as little-endian float64 in header
 directory order. Tensor names are sorted, offsets are derived, and the rng
 state round-trips through the header, so save -> load -> save is
-byte-identical.
+byte-identical. A save goes to a temporary file in the target directory that
+then replaces the target, so an interrupted save leaves the old file whole;
+a load checks the payload length against the directory and raises
+``CheckpointError`` for any file it cannot read.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,19 +103,31 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "tensors": directory,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for name in sorted(tensors):
-            f.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for name in sorted(tensors):
+                f.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e}") from e
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:8]!r}")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated before the header length")
     (hlen,) = struct.unpack("<Q", raw[8:16])
+    if len(raw) < 16 + hlen:
+        raise CheckpointError(f"{path}: truncated inside the {hlen}-byte header")
     try:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -124,13 +141,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     stage = header["stage"]
     vocab = Vocab.from_tokens(header["vocab"])
     payload = raw[16 + hlen :]
-    arrays: dict[str, np.ndarray] = {}
-    for ent in header["tensors"]:
-        shape = tuple(ent["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = ent["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        arrays[ent["name"]] = arr.reshape(shape).astype(np.float64)
+    entries = header["tensors"]
+    counts = [math.prod(ent["shape"]) for ent in entries]
+    ends = np.cumsum([0] + counts) * 8
+    if [ent["offset"] for ent in entries] != ends[:-1].tolist() or len(payload) != ends[-1]:
+        raise CheckpointError(
+            f"{path}: payload of {len(payload)} bytes does not match the tensor "
+            f"directory, which describes {ends[-1]} bytes"
+        )
+    arrays: dict[str, np.ndarray] = {
+        ent["name"]: np.frombuffer(payload, dtype="<f8", count=count, offset=ent["offset"])
+        .reshape(ent["shape"])
+        .astype(np.float64)
+        for ent, count in zip(entries, counts)
+    }
 
     expected = stage_tensor_names(config, stage)
     params: dict[str, Tensor] = {}

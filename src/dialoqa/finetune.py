@@ -6,6 +6,18 @@ selection.
 Label spaces: uid_label 0 means "no answer", i means utterance U_i (1-based).
 Span slots are shifted by one: slot 0 is the null slot (the speaker position
 of E'_i), slot k >= 1 addresses token w_ik.
+
+A batch of B questions is one graph. TE runs once over the distinct id
+sequences of the batch, so the questions of one dialogue share its
+utterance encodings (and, in training, their dropout draws). With M the
+most utterances and S the widest head (speaker plus words) in the batch:
+  - TL runs over (B, M+1) CLS rows, question first, with padding keys masked;
+  - MHA takes question keys (B, Q, h), padding masked by ``question_mask``,
+    and every utterance token as a query, flattened to (B, M*S, h);
+  - the UID head gives (B, M+1) logits and the span heads (B, M, S).
+Every logit slot past a question's utterances or past an utterance's width
+holds MASK_SCORE, so softmax gives it exactly zero probability and the
+per-question results equal those of a batch of one.
 """
 
 from __future__ import annotations
@@ -18,16 +30,16 @@ import numpy as np
 from .corpus import Dialogue, QAExample
 from .encoder import EncoderWeights, ModelConfig, mha_forward, te_forward, tl_forward
 from .errors import CapacityError, ShapeError
-from .pretrain import _gather_rows, _group_rows, pad_batch
+from .pretrain import _gather_rows, pad_batch
 from .tensor import (
+    MASK_SCORE,
     Tensor,
-    cross_entropy,
-    index_select,
+    cross_entropy_rows,
     matmul,
     mean,
     reshape,
     softmax,
-    stack,
+    tsum,
 )
 from .vocab import Vocab, encode_utterance
 
@@ -82,111 +94,94 @@ def encode_for_qa(
     return QAEncoding(question_ids, utterance_ids, uid_label, tuple(span_labels))
 
 
-def _qa_forward(
+def qa_batch_logits(
     weights: EncoderWeights,
     config: ModelConfig,
-    encoding: QAEncoding,
+    encodings: Sequence[QAEncoding],
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
-):
-    """Shared forward: returns (uid_logits (m+1,), left logits (m, S),
-    right logits (m, S), per-utterance head widths n_i+1)."""
-    m = encoding.num_utterances
-    seqs = [encoding.question_ids, *encoding.utterance_ids]
-    ids, mask = pad_batch(seqs, 0)
+) -> tuple[Tensor, Tensor, Tensor]:
+    """(uid (B, M+1), left (B, M, S), right (B, M, S)) logits of a batch of
+    questions, laid out and masked as the module docstring describes."""
+    if min(len(enc.question_ids) for enc in encodings) < 2:
+        raise ShapeError("every question needs at least one token after [CLS]")
+    row_of: dict[tuple[int, ...], int] = {}
+    for enc in encodings:
+        for seq in (enc.question_ids, *enc.utterance_ids):
+            row_of.setdefault(seq, len(row_of))
+    ids, mask = pad_batch(list(row_of), 0)
     out = te_forward(weights, config, ids, mask, training=training, rng=rng)
     width = ids.shape[1]
+    b = len(encodings)
+    m_max = max(enc.num_utterances for enc in encodings)
+    q_max = max(len(enc.question_ids) for enc in encodings) - 1
+    s_max = max(len(u) for enc in encodings for u in enc.utterance_ids) - 1
+    # Flat indices into TE's (rows * width) outputs; padding slots point at
+    # row 0 and are masked downstream.
+    cls_idx = np.zeros((b, m_max + 1), dtype=np.intp)
+    cls_mask = np.zeros((b, m_max + 1), dtype=bool)
+    q_idx = np.zeros((b, q_max), dtype=np.intp)
+    q_mask = np.zeros((b, q_max), dtype=bool)
+    tok_idx = np.zeros((b, m_max, s_max), dtype=np.intp)
+    tok_mask = np.zeros((b, m_max, s_max), dtype=bool)
+    for i, enc in enumerate(encodings):
+        starts = [row_of[seq] * width for seq in (enc.question_ids, *enc.utterance_ids)]
+        cls_idx[i, : len(starts)] = starts
+        cls_mask[i, : len(starts)] = True
+        n_q = len(enc.question_ids) - 1
+        q_idx[i, :n_q] = starts[0] + 1 + np.arange(n_q)
+        q_mask[i, :n_q] = True
+        for k, u in enumerate(enc.utterance_ids):
+            tok_idx[i, k, : len(u) - 1] = starts[k + 1] + 1 + np.arange(len(u) - 1)
+            tok_mask[i, k, : len(u) - 1] = True
 
-    cls_rows = _gather_rows(out, [i * width for i in range(m + 1)])
+    def gather(idx: np.ndarray) -> Tensor:
+        return reshape(_gather_rows(out, idx.reshape(-1)), idx.shape + (config.hidden_size,))
+
     tc = tl_forward(
-        weights, config, cls_rows, position_offset=0, training=training, rng=rng
+        weights, config, gather(cls_idx),
+        attention_mask=cls_mask, training=training, rng=rng,
     )
-    uid_logits = reshape(matmul(tc, weights["uid_w"]) + weights["uid_b"], (m + 1,))
-
-    q_len = len(encoding.question_ids)
-    question_tokens = _gather_rows(out, list(range(1, q_len)))  # E'_q, no CLS
-    utt_rows = _gather_rows(
-        out,
-        [i * width + j for i in range(1, m + 1) for j in range(1, len(seqs[i]))],
-    )
-    head_widths = [len(u) - 1 for u in encoding.utterance_ids]  # speaker + n_i
-    grouped, valid = _group_rows(utt_rows, head_widths)
+    uid = reshape(matmul(tc, weights["uid_w"]) + weights["uid_b"], (b, m_max + 1))
     attended = mha_forward(
-        weights, config, question_tokens, grouped, training=training, rng=rng
+        weights, config, gather(q_idx), gather(tok_idx.reshape(b, m_max * s_max)),
+        question_mask=q_mask, training=training, rng=rng,
     )
-    s_max = grouped.shape[1]
-    left = reshape(matmul(attended, weights["sl_w"]) + weights["sl_b"], (m, s_max))
-    right = reshape(matmul(attended, weights["sr_w"]) + weights["sr_b"], (m, s_max))
-    return uid_logits, left, right, head_widths
+    left = reshape(matmul(attended, weights["sl_w"]) + weights["sl_b"], tok_mask.shape)
+    right = reshape(matmul(attended, weights["sr_w"]) + weights["sr_b"], tok_mask.shape)
+    uid_mask = Tensor(np.where(cls_mask, 0.0, MASK_SCORE))
+    span_mask = Tensor(np.where(tok_mask, 0.0, MASK_SCORE))
+    return uid + uid_mask, left + span_mask, right + span_mask
 
 
-def _row_slice(t: Tensor, row: int, length: int) -> Tensor:
-    picked = reshape(index_select(t, [row], axis=0), (t.shape[1],))
-    return index_select(picked, np.arange(length))
-
-
-def uid_forward(
+def qa_batch_loss(
     weights: EncoderWeights,
     config: ModelConfig,
-    encoding: QAEncoding,
+    encodings: Sequence[QAEncoding],
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Softmax scores over m+1 labels; index 0 ("no answer") comes from the
-    question position of T^c, index i from utterance U_i."""
-    uid_logits, _, _, _ = _qa_forward(weights, config, encoding, training=training, rng=rng)
-    return softmax(uid_logits, axis=-1)
-
-
-def span_forward(
-    weights: EncoderWeights,
-    config: ModelConfig,
-    encoding: QAEncoding,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[Tensor, Tensor]]:
-    """Per utterance, (left, right) softmax score vectors of width n_i+1;
-    slot 0 (the speaker position) is the null slot."""
-    _, left, right, widths = _qa_forward(weights, config, encoding, training=training, rng=rng)
-    out = []
-    for i, n_plus_1 in enumerate(widths):
-        out.append(
-            (
-                softmax(_row_slice(left, i, n_plus_1), axis=-1),
-                softmax(_row_slice(right, i, n_plus_1), axis=-1),
-            )
-        )
-    return out
-
-
-def qa_loss_from_logits(
-    uid_logits: Tensor,
-    left: Tensor,
-    right: Tensor,
-    head_widths: Sequence[int],
-    encoding: QAEncoding,
-) -> Tensor:
-    """Sum of the task cross-entropies. Answerable: UID CE plus left/right CE
-    on the gold utterance. Unanswerable: UID CE plus the per-utterance
-    null-slot CEs averaged over utterances."""
-    loss = cross_entropy(uid_logits, encoding.uid_label)
-    if encoding.uid_label > 0:
-        g = encoding.uid_label - 1
-        l_lab, r_lab = encoding.span_labels[g]
-        loss = loss + cross_entropy(_row_slice(left, g, head_widths[g]), l_lab)
-        loss = loss + cross_entropy(_row_slice(right, g, head_widths[g]), r_lab)
-    else:
-        l_terms = [
-            cross_entropy(_row_slice(left, i, w), 0) for i, w in enumerate(head_widths)
-        ]
-        r_terms = [
-            cross_entropy(_row_slice(right, i, w), 0) for i, w in enumerate(head_widths)
-        ]
-        loss = loss + mean(stack(l_terms)) + mean(stack(r_terms))
-    return loss
+    """Mean over the questions of the joint loss: UID cross-entropy plus the
+    left and right span cross-entropies, on the gold utterance for an
+    answerable question and averaged over every utterance's null slot for an
+    unanswerable one."""
+    uid, left, right = qa_batch_logits(weights, config, encodings, training=training, rng=rng)
+    b, m, s = left.shape
+    row_weight = np.zeros((b, m))
+    span_targets = np.zeros((b, m, 2), dtype=np.intp)
+    for i, enc in enumerate(encodings):
+        if enc.uid_label > 0:
+            row_weight[i, enc.uid_label - 1] = 1.0
+        else:
+            row_weight[i, : enc.num_utterances] = 1.0 / enc.num_utterances
+        span_targets[i, : enc.num_utterances] = enc.span_labels
+    span_ce = cross_entropy_rows(
+        reshape(left, (b * m, s)), span_targets[:, :, 0].ravel()
+    ) + cross_entropy_rows(reshape(right, (b * m, s)), span_targets[:, :, 1].ravel())
+    uid_ce = cross_entropy_rows(uid, [enc.uid_label for enc in encodings])
+    return mean(uid_ce) + tsum(span_ce * Tensor(row_weight.ravel() / b))
 
 
 def joint_loss(
@@ -197,25 +192,24 @@ def joint_loss(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    uid_logits, left, right, widths = _qa_forward(
-        weights, config, encoding, training=training, rng=rng
-    )
-    return qa_loss_from_logits(uid_logits, left, right, widths, encoding)
+    """The joint loss of one question: ``qa_batch_loss`` on a batch of one."""
+    return qa_batch_loss(weights, config, [encoding], training=training, rng=rng)
 
 
 def predict(
     weights: EncoderWeights, config: ModelConfig, encoding: QAEncoding
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Inference scores: (uid softmax (m+1,), per-utterance (left, right)
-    softmax arrays). Deterministic; dropout off."""
-    uid_logits, left, right, widths = _qa_forward(weights, config, encoding)
-    uid = softmax(uid_logits, axis=-1).array
-    spans = []
-    for i, n_plus_1 in enumerate(widths):
-        ls = softmax(_row_slice(left, i, n_plus_1), axis=-1).array
-        rs = softmax(_row_slice(right, i, n_plus_1), axis=-1).array
-        spans.append((ls, rs))
-    return uid, spans
+    softmax arrays of width n_i+1, slot 0 the null slot). Deterministic;
+    dropout off."""
+    uid, left, right = qa_batch_logits(weights, config, [encoding])
+    ls = softmax(left, axis=-1).array[0]
+    rs = softmax(right, axis=-1).array[0]
+    spans = [
+        (ls[i, : len(u) - 1], rs[i, : len(u) - 1])
+        for i, u in enumerate(encoding.utterance_ids)
+    ]
+    return softmax(uid, axis=-1).array[0], spans
 
 
 def select_answer(uid_scores, span_scores) -> Prediction:
@@ -236,24 +230,20 @@ def select_answer(uid_scores, span_scores) -> Prediction:
         rs = np.asarray(rs, dtype=np.float64)
         if ls.shape != rs.shape or ls.ndim != 1 or ls.shape[0] < 1:
             raise ShapeError(f"bad span score shapes for utterance {i}")
-        n = ls.shape[0] - 1
-        best = None
-        for l in range(1, n + 1):
-            for r in range(l, n + 1):
-                s = ls[l] + rs[r]
-                if best is None or s > best[0]:
-                    best = (s, l, r)
-        if best is not None and best[0] > ls[0] + rs[0]:
-            candidates.append((i, best[1], best[2]))
-    top = 0
-    for i in range(1, uid.shape[0]):
-        if uid[i] > uid[top]:
-            top = i
+        if ls.shape[0] == 1:
+            continue
+        # Over the word slots, sums[r] is the best score of a span ending at
+        # r. The first l reaching best_left[r] never moves left as r grows,
+        # so the first best r and its first l are the lowest tied (l, r).
+        left, right = ls[1:], rs[1:]
+        best_left = np.maximum.accumulate(left)
+        sums = best_left + right
+        r = int(np.argmax(sums))
+        if sums[r] > ls[0] + rs[0]:
+            l = int(np.argmax(left[: r + 1] == best_left[r]))
+            candidates.append((i, l + 1, r + 1))
+    top = int(np.argmax(uid))
     if top == 0 or not candidates:
         return Prediction(0, None, None, tuple(float(x) for x in uid))
-    pick = candidates[0]
-    for cand in candidates[1:]:
-        if uid[cand[0] + 1] > uid[pick[0] + 1]:
-            pick = cand
-    i, l, r = pick
+    i, l, r = max(candidates, key=lambda c: uid[c[0] + 1])
     return Prediction(i + 1, l - 1, r - 1, tuple(float(x) for x in uid))

@@ -5,6 +5,12 @@ closure on the result node. Calling ``backward()`` on a scalar loss walks the
 graph in reverse topological order and accumulates gradients into every node
 that requires them. All randomness (dropout) comes from an explicit
 ``numpy.random.Generator`` so runs are bit-reproducible.
+
+Closure contract: an op's backward is called as ``bw(dout)`` with the
+gradient of its output, and accumulates into its inputs. It must never
+reference its output ``Tensor``. Nodes then point only at their parents, so
+every graph is acyclic and is freed by reference counting as soon as the
+loss is dropped, with no work left for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- spec-facing views ---------------------------------------------------
 
@@ -111,7 +117,7 @@ class Tensor:
         self._grad = np.ones_like(self.array)
         for node in reversed(topo):
             if node._backward is not None and node._grad is not None:
-                node._backward()
+                node._backward(node._grad)
 
     # -- operator sugar --------------------------------------------------
 
@@ -149,7 +155,7 @@ def _make(out: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     if any(p.requires_grad for p in parents):
         t.requires_grad = True
         t._parents = tuple(parents)
-        t._backward = backward(t)
+        t._backward = backward
     return t
 
 
@@ -171,12 +177,9 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.array + b.array
 
-    def bw(t):
-        def run():
-            a._accumulate(_unbroadcast(t._grad, a.shape))
-            b._accumulate(_unbroadcast(t._grad, b.shape))
-
-        return run
+    def bw(dout):
+        a._accumulate(_unbroadcast(dout, a.shape))
+        b._accumulate(_unbroadcast(dout, b.shape))
 
     return _make(out, (a, b), bw)
 
@@ -185,12 +188,9 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.array * b.array
 
-    def bw(t):
-        def run():
-            a._accumulate(_unbroadcast(t._grad * b.array, a.shape))
-            b._accumulate(_unbroadcast(t._grad * a.array, b.shape))
-
-        return run
+    def bw(dout):
+        a._accumulate(_unbroadcast(dout * b.array, a.shape))
+        b._accumulate(_unbroadcast(dout * a.array, b.shape))
 
     return _make(out, (a, b), bw)
 
@@ -208,14 +208,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from e
     out = a.array @ b.array
 
-    def bw(t):
-        def run():
-            ga = t._grad @ b.array.swapaxes(-1, -2)
-            gb = a.array.swapaxes(-1, -2) @ t._grad
-            a._accumulate(_unbroadcast(ga, a.shape))
-            b._accumulate(_unbroadcast(gb, b.shape))
-
-        return run
+    def bw(dout):
+        ga = dout @ b.array.swapaxes(-1, -2)
+        gb = a.array.swapaxes(-1, -2) @ dout
+        a._accumulate(_unbroadcast(ga, a.shape))
+        b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out, (a, b), bw)
 
@@ -227,11 +224,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
     out = a.array.reshape(shape)
 
-    def bw(t):
-        def run():
-            a._accumulate(t._grad.reshape(a.shape))
-
-        return run
+    def bw(dout):
+        a._accumulate(dout.reshape(a.shape))
 
     return _make(out, (a,), bw)
 
@@ -242,11 +236,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     inv = tuple(np.argsort(axes))
     out = a.array.transpose(axes)
 
-    def bw(t):
-        def run():
-            a._accumulate(t._grad.transpose(inv))
-
-        return run
+    def bw(dout):
+        a._accumulate(dout.transpose(inv))
 
     return _make(out, (a,), bw)
 
@@ -257,14 +248,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bw(t):
-        def run():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * out.ndim
-                idx[axis] = slice(lo, hi)
-                p._accumulate(t._grad[tuple(idx)])
-
-        return run
+    def bw(dout):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * dout.ndim
+            idx[axis] = slice(lo, hi)
+            p._accumulate(dout[tuple(idx)])
 
     return _make(out, parts, bw)
 
@@ -273,13 +261,10 @@ def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = np.stack([p.array for p in parts], axis=axis)
 
-    def bw(t):
-        def run():
-            slabs = np.moveaxis(t._grad, axis, 0)
-            for p, g in zip(parts, slabs):
-                p._accumulate(g)
-
-        return run
+    def bw(dout):
+        slabs = np.moveaxis(dout, axis, 0)
+        for p, g in zip(parts, slabs):
+            p._accumulate(g)
 
     return _make(out, parts, bw)
 
@@ -294,13 +279,10 @@ def index_select(a: Tensor, indices, axis: int = 0) -> Tensor:
         )
     out = np.take(a.array, idx, axis=axis)
 
-    def bw(t):
-        def run():
-            g = np.zeros_like(a.array)
-            np.add.at(g, (slice(None),) * axis + (idx,), t._grad)
-            a._accumulate(g)
-
-        return run
+    def bw(dout):
+        g = np.zeros_like(a.array)
+        np.add.at(g, (slice(None),) * axis + (idx,), dout)
+        a._accumulate(g)
 
     return _make(out, (a,), bw)
 
@@ -312,14 +294,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.array.sum(axis=axis, keepdims=keepdims)
 
-    def bw(t):
-        def run():
-            g = t._grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-        return run
+    def bw(dout):
+        g = dout
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape).copy())
 
     return _make(out, (a,), bw)
 
@@ -329,14 +308,11 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.array.mean(axis=axis, keepdims=keepdims)
     denom = a.size if axis is None else a.shape[axis]
 
-    def bw(t):
-        def run():
-            g = t._grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape) / denom)
-
-        return run
+    def bw(dout):
+        g = dout
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape) / denom)
 
     return _make(out, (a,), bw)
 
@@ -354,13 +330,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum(axis=ax, keepdims=True)
 
-    def bw(t):
-        def run():
-            g = t._grad
-            dot = (g * p).sum(axis=ax, keepdims=True)
-            x._accumulate(p * (g - dot))
-
-        return run
+    def bw(dout):
+        g = dout
+        dot = (g * p).sum(axis=ax, keepdims=True)
+        x._accumulate(p * (g - dot))
 
     return _make(p, (x,), bw)
 
@@ -381,18 +354,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     xhat = (x.array - mu) * inv
     out = xhat * gain.array + bias.array
 
-    def bw(t):
-        def run():
-            g = t._grad
-            gy = g * gain.array
-            gdot = gy.mean(axis=-1, keepdims=True)
-            xdot = (gy * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (gy - gdot - xhat * xdot))
-            axes = tuple(range(g.ndim - 1))
-            gain._accumulate((g * xhat).sum(axis=axes))
-            bias._accumulate(g.sum(axis=axes))
-
-        return run
+    def bw(dout):
+        g = dout
+        gy = g * gain.array
+        gdot = gy.mean(axis=-1, keepdims=True)
+        xdot = (gy * xhat).mean(axis=-1, keepdims=True)
+        x._accumulate(inv * (gy - gdot - xhat * xdot))
+        axes = tuple(range(g.ndim - 1))
+        gain._accumulate((g * xhat).sum(axis=axes))
+        bias._accumulate(g.sum(axis=axes))
 
     return _make(out, (x, gain, bias), bw)
 
@@ -403,12 +373,9 @@ def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x.array * _INV_SQRT2))
     out = x.array * cdf
 
-    def bw(t):
-        def run():
-            pdf = np.exp(-0.5 * x.array * x.array) * _INV_SQRT2PI
-            x._accumulate(t._grad * (cdf + x.array * pdf))
-
-        return run
+    def bw(dout):
+        pdf = np.exp(-0.5 * x.array * x.array) * _INV_SQRT2PI
+        x._accumulate(dout * (cdf + x.array * pdf))
 
     return _make(out, (x,), bw)
 
@@ -418,52 +385,40 @@ def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-d logit vector."""
-    logits = as_tensor(logits)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-d logits, got {logits.shape}")
-    k = logits.shape[0]
-    if not 0 <= target_index < k:
-        raise IndexError(f"cross_entropy target {target_index} out of range [0, {k})")
-    logp = _log_softmax_np(logits.array)
-    out = np.asarray(-logp[target_index])
-
-    def bw(t):
-        def run():
-            g = np.exp(logp)
-            g[target_index] -= 1.0
-            logits._accumulate(g * t._grad)
-
-        return run
-
-    return _make(out, (logits,), bw)
-
-
-def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean of per-row -log softmax(row)[target] over 2-d logits."""
+def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
+    """Per-row -log softmax(row)[target] of 2-d logits, shape (N,)."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
-        raise ShapeError(f"mean_cross_entropy expects 2-d logits, got {logits.shape}")
+        raise ShapeError(f"cross_entropy_rows expects 2-d logits, got {logits.shape}")
     targets = np.asarray(targets, dtype=np.intp)
     n, k = logits.shape
     if targets.shape != (n,):
         raise ShapeError(f"targets shape {targets.shape} must be ({n},)")
     if targets.size and (targets.min() < 0 or targets.max() >= k):
-        raise IndexError(f"mean_cross_entropy target out of range [0, {k})")
+        raise IndexError(f"cross-entropy target out of range [0, {k})")
     logp = _log_softmax_np(logits.array)
     rows = np.arange(n)
-    out = np.asarray(-logp[rows, targets].mean())
 
-    def bw(t):
-        def run():
-            g = np.exp(logp)
-            g[rows, targets] -= 1.0
-            logits._accumulate(g * (t._grad / n))
+    def bw(dout):
+        g = np.exp(logp)
+        g[rows, targets] -= 1.0
+        logits._accumulate(g * dout[:, None])
 
-        return run
+    return _make(-logp[rows, targets], (logits,), bw)
 
-    return _make(out, (logits,), bw)
+
+def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
+    """-log softmax(logits)[target] for a 1-d logit vector."""
+    logits = as_tensor(logits)
+    if logits.ndim != 1:
+        raise ShapeError(f"cross_entropy expects 1-d logits, got {logits.shape}")
+    rows = cross_entropy_rows(reshape(logits, (1, logits.shape[0])), [target_index])
+    return reshape(rows, ())
+
+
+def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean of per-row -log softmax(row)[target] over 2-d logits."""
+    return mean(cross_entropy_rows(logits, targets))
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
@@ -478,10 +433,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     out = x.array * keep
 
-    def bw(t):
-        def run():
-            x._accumulate(t._grad * keep)
-
-        return run
+    def bw(dout):
+        x._accumulate(dout * keep)
 
     return _make(out, (x,), bw)

@@ -11,9 +11,9 @@ generator.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
+import typing
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +41,7 @@ from .encoder import (
     init_encoder_weights,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, SequencingError
-from .finetune import QAEncoding, encode_for_qa, joint_loss, predict, select_answer
+from .finetune import QAEncoding, encode_for_qa, predict, qa_batch_loss, select_answer
 from .metrics import MetricReport, PredictionRecord, evaluate
 from .optim import AdamState, LRSchedule, adam_step, lr_at_step
 from .pretrain import (
@@ -57,7 +57,7 @@ from .pretrain import (
     uop_batch_logits,
     uop_batch_loss,
 )
-from .tensor import Tensor, mean, stack
+from .tensor import Tensor
 from .vocab import Vocab, build_vocab
 
 logger = logging.getLogger("dialoqa")
@@ -161,17 +161,22 @@ def _coerce(raw: str, typ) -> object:
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return raw
+    if typ not in (int, float):
+        return raw
+    try:
+        return typ(raw)
+    except ValueError as e:
+        raise ConfigError(f"expected {typ.__name__}, got {raw!r}") from e
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; values may be quoted."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read config file: {e}") from e
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -186,12 +191,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def load_run_config(path: str | Path | None = None, **overrides) -> RunConfig:
-    hints = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    types = {
-        name: (int if "int" in str(t) else float if "float" in str(t) else
-               bool if "bool" in str(t) else str)
-        for name, t in hints.items()
-    }
+    types = typing.get_type_hints(RunConfig)
     data: dict[str, object] = {}
     if path is not None:
         for key, raw in parse_config_file(path).items():
@@ -747,8 +747,7 @@ def run_finetune(
         return encoded
 
     def batch_loss(w, batch, training, rng):
-        terms = [joint_loss(w, model_cfg, enc, training=training, rng=rng) for enc in batch]
-        return mean(stack(terms))
+        return qa_batch_loss(w, model_cfg, batch, training=training, rng=rng)
 
     def dev_eval(w):
         report = evaluate_entries(w, model_cfg, vocab, dev_entries)

@@ -27,8 +27,8 @@ def vocab():
     return build_vocab([d])
 
 
-def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True):
-    cfg = ModelConfig(**{**CFG.to_dict(), "vocab_size": len(vocab)})
+def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
+    cfg = ModelConfig(**{**CFG.to_dict(), "vocab_size": len(vocab), **model})
     weights = init_encoder_weights(cfg, stage, np.random.default_rng(seed))
     adam = None
     rng_state = None
@@ -86,6 +86,31 @@ class TestRoundTrip:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_raises_checkpoint_error(self, vocab, tmp_path):
+        tiny = dict(hidden_size=2, num_heads=1, intermediate_size=2, max_tokens=2, max_utterances=1)
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(_checkpoint(vocab, **tiny), full)
+        raw = full.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for length in range(len(raw)):
+            cut.write_bytes(raw[:length])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
+    def test_save_replaces_atomically(self, vocab, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(_checkpoint(vocab, seed=0), path)
+        save_checkpoint(_checkpoint(vocab, seed=1), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+        assert np.array_equal(
+            load_checkpoint(path).weights["token_emb"].array,
+            _checkpoint(vocab, seed=1).weights["token_emb"].array,
+        )
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(tmp_path / "absent.ckpt")
 
     def test_restored_rng_continues_identically(self, vocab, tmp_path):
         rng = np.random.default_rng(5)

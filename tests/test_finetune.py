@@ -1,5 +1,6 @@
-"""QA encoding and labels, UID/span forwards, the joint loss, and answer
-selection against the brute-force oracle."""
+"""QA encoding and labels, the batched QA forward and loss against the
+batch-of-one path, the joint loss, and answer selection against the
+brute-force oracle."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import brute_force_select, random_score_grids
 
+from dialoqa import finetune
 from dialoqa import tensor as T
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
 from dialoqa.encoder import STAGE_FINETUNED, ModelConfig, init_encoder_weights
@@ -16,10 +18,9 @@ from dialoqa.finetune import (
     encode_for_qa,
     joint_loss,
     predict,
-    qa_loss_from_logits,
+    qa_batch_logits,
+    qa_batch_loss,
     select_answer,
-    span_forward,
-    uid_forward,
 )
 from dialoqa.optim import grad_check
 from dialoqa.vocab import build_vocab
@@ -95,7 +96,7 @@ class TestEncodeForQA:
 class TestUidForward:
     def test_shape_and_normalization(self, vocab, cfg, weights):
         enc = encode_for_qa(vocab, cfg, make_example("q", "what", ()), _dialogue())
-        scores = uid_forward(weights, cfg, enc).array
+        scores, _ = predict(weights, cfg, enc)
         assert scores.shape == (4,)  # m + 1
         assert abs(scores.sum() - 1.0) < 1e-9
 
@@ -106,7 +107,7 @@ class TestUidForward:
         saved = weights["utt_pos_emb"].array.copy()
         weights["utt_pos_emb"].array[:] = 0.0
         try:
-            scores = uid_forward(weights, cfg, enc).array
+            scores, _ = predict(weights, cfg, enc)
         finally:
             weights["utt_pos_emb"].array[:] = saved
         assert abs(scores[1] - scores[2]) < 1e-9
@@ -123,13 +124,13 @@ class TestSpanForward:
     def test_widths_and_normalization(self, vocab, cfg, weights):
         d = _dialogue(3, 4)
         enc = encode_for_qa(vocab, cfg, make_example("q", "what is it", ()), d)
-        outs = span_forward(weights, cfg, enc)
+        _, outs = predict(weights, cfg, enc)
         assert len(outs) == 3
         for (ls, rs), utt in zip(outs, d.utterances):
             assert ls.shape == (len(utt.tokens) + 1,)
             assert rs.shape == (len(utt.tokens) + 1,)
-            assert abs(ls.array.sum() - 1.0) < 1e-9
-            assert abs(rs.array.sum() - 1.0) < 1e-9
+            assert abs(ls.sum() - 1.0) < 1e-9
+            assert abs(rs.sum() - 1.0) < 1e-9
 
 
 class TestJointLoss:
@@ -145,22 +146,22 @@ class TestJointLoss:
         expected = math.log(4) + 2 * math.log(5)
         assert abs(np.mean(losses) - expected) / expected < 0.20
 
-    def test_perfect_logits_near_zero(self, vocab, cfg):
+    def test_perfect_logits_near_zero(self, vocab, cfg, weights, monkeypatch):
         d = _dialogue(2, 3)
         q = make_example("q", "what", (AnswerSpan(1, 0, 1, "tok10 tok11"),))
         enc = encode_for_qa(vocab, cfg, q, d)
         big = 30.0
-        uid = np.full(3, -big)
-        uid[enc.uid_label] = big
+        uid = np.full((1, 3), -big)
+        uid[0, enc.uid_label] = big
         widths = [len(u) - 1 for u in enc.utterance_ids]
-        left = np.full((2, max(widths)), -big)
-        right = np.full((2, max(widths)), -big)
+        left = np.full((1, 2, max(widths)), -big)
+        right = np.full((1, 2, max(widths)), -big)
         g = enc.uid_label - 1
-        left[g, enc.span_labels[g][0]] = big
-        right[g, enc.span_labels[g][1]] = big
-        loss = qa_loss_from_logits(
-            T.Tensor(uid), T.Tensor(left), T.Tensor(right), widths, enc
-        )
+        left[0, g, enc.span_labels[g][0]] = big
+        right[0, g, enc.span_labels[g][1]] = big
+        perfect = (T.Tensor(uid), T.Tensor(left), T.Tensor(right))
+        monkeypatch.setattr(finetune, "qa_batch_logits", lambda *a, **k: perfect)
+        loss = qa_batch_loss(weights, cfg, [enc])
         assert loss.item() < 1e-6
 
     def test_unanswerable_null_policy(self, vocab, cfg, weights):
@@ -188,6 +189,68 @@ class TestJointLoss:
         report = grad_check(
             lambda: joint_loss(w, cfg, enc),
             {n: w[n] for n in ("mha.wo", "sl_w", "sr_w", "uid_w", "uid_b")},
+        )
+        assert report.max_rel_err < 1e-4, report
+
+
+def _mixed_batch(vocab, cfg):
+    """Five questions over two dialogues of different shapes: answerable
+    ones in different utterances and an unanswerable one per dialogue."""
+    big, small = _dialogue(3, 4), _dialogue(2, 3)
+    questions = [
+        (make_example("a1", "what tok10", (AnswerSpan(1, 1, 2, "tok11 tok12"),)), big),
+        (make_example("a2", "who said it", ()), big),
+        (make_example("a3", "what", (AnswerSpan(2, 0, 3, "tok20 tok21 tok22 tok23"),)), big),
+        (make_example("b1", "where", (AnswerSpan(0, 2, 2, "tok02"),)), small),
+        (make_example("b2", "why is tok11 here", ()), small),
+    ]
+    return [encode_for_qa(vocab, cfg, q, d) for q, d in questions]
+
+
+class TestBatchedQA:
+    def test_batch_equals_mean_of_batches_of_one(self, vocab, cfg, weights):
+        encs = _mixed_batch(vocab, cfg)
+        weights.zero_grads()
+        batched = qa_batch_loss(weights, cfg, encs)
+        batched.backward()
+        batched_grads = {n: g.copy() for n, g in weights.grads().items()}
+        singles = []
+        grad_sum = {n: np.zeros_like(g) for n, g in batched_grads.items()}
+        for enc in encs:
+            weights.zero_grads()
+            loss = joint_loss(weights, cfg, enc)
+            loss.backward()
+            singles.append(loss.item())
+            for n, g in weights.grads().items():
+                grad_sum[n] += g
+        weights.zero_grads()
+        assert abs(batched.item() - np.mean(singles)) < 1e-10
+        for n, g in batched_grads.items():
+            np.testing.assert_allclose(g, grad_sum[n] / len(encs), rtol=0, atol=1e-10, err_msg=n)
+
+    def test_batched_scores_match_predict(self, vocab, cfg, weights):
+        encs = _mixed_batch(vocab, cfg)
+        uid, left, right = qa_batch_logits(weights, cfg, encs)
+        uid_p = T.softmax(uid, axis=-1).array
+        left_p = T.softmax(left, axis=-1).array
+        right_p = T.softmax(right, axis=-1).array
+        for b, enc in enumerate(encs):
+            m = enc.num_utterances
+            assert np.all(uid_p[b, m + 1 :] == 0.0)
+            want_uid, want_spans = predict(weights, cfg, enc)
+            np.testing.assert_allclose(uid_p[b, : m + 1], want_uid, rtol=0, atol=1e-10)
+            for i, (ls, rs) in enumerate(want_spans):
+                width = ls.shape[0]
+                assert np.all(left_p[b, i, width:] == 0.0)
+                np.testing.assert_allclose(left_p[b, i, :width], ls, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(right_p[b, i, :width], rs, rtol=0, atol=1e-10)
+
+    def test_gradcheck_batch_of_three(self, vocab, cfg):
+        w = init_encoder_weights(cfg, STAGE_FINETUNED, np.random.default_rng(11))
+        encs = _mixed_batch(vocab, cfg)[2:]
+        report = grad_check(
+            lambda: qa_batch_loss(w, cfg, encs), dict(w.named()),
+            rng=np.random.default_rng(12), max_coords_per_param=3,
         )
         assert report.max_rel_err < 1e-4, report
 

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from dialoqa.checkpoint import load_checkpoint
+from dialoqa import cli
+from dialoqa.checkpoint import load_checkpoint, save_checkpoint
 from dialoqa.corpus import load_corpus, save_corpus
 from dialoqa.errors import CheckpointError, ConfigError, SequencingError
 from dialoqa.synth import generate_corpus
@@ -285,3 +286,31 @@ class TestCli:
         cfg_file.write_text(f"corpus = {tmp_path / 'missing.json'}\n")
         out = self._run("finetune", "--config", str(cfg_file))
         assert out.returncode == 2  # missing --init is a usage error
+
+    def _main_error(self, capsys, *args):
+        """Runs the CLI in-process; returns (exit code, parsed JSON error)."""
+        code = cli.main(list(args))
+        return code, json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    def test_missing_init_is_json_error(self, tmp_path, capsys):
+        code, err = self._main_error(
+            capsys, "evaluate", "--init", str(tmp_path / "absent.ckpt")
+        )
+        assert (code, err["error"]) == (1, "CheckpointError")
+
+    def test_truncated_init_is_json_error(self, tmp_path, capsys, tmlm_ckpt):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(tmlm_ckpt, path)
+        path.write_bytes(path.read_bytes()[:-100])
+        code, err = self._main_error(capsys, "evaluate", "--init", str(path))
+        assert (code, err["error"]) == (1, "CheckpointError")
+
+    @pytest.mark.parametrize("content", [None, "seed = twelve\n"])
+    def test_bad_config_file_is_json_error(self, tmp_path, capsys, content):
+        path = tmp_path / "run.cfg"
+        if content is not None:
+            path.write_text(content)
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "tmlm", "--config", str(path)
+        )
+        assert (code, err["error"]) == (1, "ConfigError")

@@ -1,14 +1,20 @@
 """Tensor ops: frozen-oracle values, autodiff vs finite differences,
-invariants, and determinism."""
+invariants, determinism, and acyclic training graphs."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from dialoqa import tensor as T
+from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
+from dialoqa.encoder import STAGE_FINETUNED, STAGE_TMLM, ModelConfig, init_encoder_weights
 from dialoqa.errors import ConfigError, ShapeError
+from dialoqa.finetune import encode_for_qa, qa_batch_loss
 from dialoqa.optim import grad_check
+from dialoqa.pretrain import build_tmlm_instance, tmlm_batch_loss
+from dialoqa.vocab import build_vocab
 
 # High-precision reference values (50-digit erf/exp evaluation, frozen).
 SOFTMAX_123 = [0.090030573170380458, 0.24472847105479765, 0.66524095577482189]
@@ -262,3 +268,30 @@ def test_operation_determinism():
     a = T.matmul(T.softmax(T.Tensor(x), -1), T.gelu(T.Tensor(x))).array
     b = T.matmul(T.softmax(T.Tensor(x), -1), T.gelu(T.Tensor(x))).array
     assert np.array_equal(a, b)
+
+
+def test_training_graphs_are_freed_by_reference_counting():
+    """Backward closures never reference their output node, so a dropped
+    graph leaves nothing for the cyclic collector."""
+    d = Dialogue(1, "s", tuple(
+        Utterance(f"spk{i}", tuple(f"w{i}{j}" for j in range(3))) for i in range(3)
+    ))
+    vocab = build_vocab([d])
+    cfg = ModelConfig(vocab_size=len(vocab), hidden_size=8, intermediate_size=16)
+    rng = np.random.default_rng(0)
+    qa_w = init_encoder_weights(cfg, STAGE_FINETUNED, rng)
+    mlm_w = init_encoder_weights(cfg, STAGE_TMLM, rng)
+    answerable = make_example("a", "what w01", (AnswerSpan(0, 1, 2, "w01 w02"),))
+    encodings = [encode_for_qa(vocab, cfg, q, d) for q in (answerable, make_example("b", "who", ()))]
+    tmlm = [build_tmlm_instance(vocab, cfg, d, rng) for _ in range(2)]
+    gc.collect()
+    gc.disable()
+    try:
+        loss = qa_batch_loss(qa_w, cfg, encodings, training=True, rng=rng)
+        loss.backward()
+        loss = tmlm_batch_loss(mlm_w, cfg, tmlm, training=True, rng=rng)
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
