@@ -6,8 +6,9 @@ directory order. Tensor names are sorted, offsets are derived, and the rng
 state round-trips through the header, so save -> load -> save is
 byte-identical. A save goes to a temporary file in the target directory that
 then replaces the target, so an interrupted save leaves the old file whole;
-a load checks the payload length against the directory and raises
-``CheckpointError`` for any file it cannot read.
+a load checks the header's fields and their types and the payload length
+against the directory, and raises ``CheckpointError`` for any file it cannot
+read.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .encoder import (
     stage_tensor_names,
     tensor_shape,
 )
-from .errors import CheckpointError, SequencingError
+from .errors import CheckpointError, ConfigError, CorpusError, SequencingError
 from .optim import AdamState
 from .tensor import Tensor
 from .vocab import Vocab
@@ -116,6 +117,67 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+_NUMBER = (int, float)
+_OPTIONAL_OBJECT = (dict, type(None))
+# JSON type of each header field; a bool is no number here.
+_HEADER_FIELDS = {
+    "stage": str, "global_step": int, "model_config": dict, "vocab": list,
+    "adam": _OPTIONAL_OBJECT, "rng_state": _OPTIONAL_OBJECT, "train_state": dict,
+    "tensors": list,
+}
+_ADAM_FIELDS = {
+    "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "weight_decay": _NUMBER,
+    "step": int,
+}
+_TENSOR_FIELDS = {"name": str, "shape": list, "offset": int}
+
+
+def _is(value, types) -> bool:
+    types = types if isinstance(types, tuple) else (types,)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def _check_fields(obj, fields: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{where} is not a JSON object")
+    for key, types in fields.items():
+        if key not in obj:
+            raise CheckpointError(f"{where} lacks the field {key!r}")
+        if not _is(obj[key], types):
+            raise CheckpointError(
+                f"{where} field {key!r} has the wrong type {type(obj[key]).__name__}"
+            )
+
+
+def _check_header(header, path) -> None:
+    """Raises CheckpointError unless the header has the format version and
+    every field with its JSON type; the model config and vocabulary are
+    checked by their own constructors."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: format_version {header.get('format_version')} "
+            f"unsupported (expected {FORMAT_VERSION})"
+        )
+    _check_fields(header, _HEADER_FIELDS, f"{path}: header")
+    if header["stage"] not in STAGES:
+        raise CheckpointError(f"{path}: unknown stage {header['stage']!r}")
+    if not all(isinstance(tok, str) for tok in header["vocab"]):
+        raise CheckpointError(f"{path}: vocabulary holds a non-string token")
+    if header["adam"] is not None:
+        _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
+    for i, ent in enumerate(header["tensors"]):
+        _check_fields(ent, _TENSOR_FIELDS, f"{path}: header tensors[{i}]")
+        if not all(_is(n, int) and n >= 0 for n in ent["shape"]):
+            raise CheckpointError(f"{path}: tensor {ent['name']!r} has a bad shape")
+    if header["rng_state"] is not None:
+        try:
+            np.random.PCG64(0).state = header["rng_state"]
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise CheckpointError(f"{path}: bad rng_state: {e!r}") from e
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         raw = Path(path).read_bytes()
@@ -132,14 +194,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
-    if header.get("format_version") != FORMAT_VERSION:
+    _check_header(header, path)
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+        vocab = Vocab.from_tokens(header["vocab"])
+    except (TypeError, ConfigError, CorpusError) as e:
+        raise CheckpointError(f"{path}: bad header: {e}") from e
+    if len(vocab) != config.vocab_size:
         raise CheckpointError(
-            f"{path}: format_version {header.get('format_version')} "
-            f"unsupported (expected {FORMAT_VERSION})"
+            f"{path}: vocabulary of {len(vocab)} tokens, config says {config.vocab_size}"
         )
-    config = ModelConfig.from_dict(header["model_config"])
     stage = header["stage"]
-    vocab = Vocab.from_tokens(header["vocab"])
     payload = raw[16 + hlen :]
     entries = header["tensors"]
     counts = [math.prod(ent["shape"]) for ent in entries]

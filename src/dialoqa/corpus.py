@@ -109,16 +109,20 @@ def _validate_span(span: AnswerSpan, dialogue: Dialogue, qid: str) -> None:
 
 
 def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
-    """Parse and validate a corpus file; rejects violating records with their
-    location."""
-    raw = Path(path).read_text(encoding="utf-8")
+    """Parse and validate a corpus file; rejects violating records, and a
+    qid used twice, with their location."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise CorpusError(f"{path}: cannot read corpus file: {e}") from e
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise CorpusError(f"{path}: malformed JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(doc, dict) or "dialogues" not in doc:
-        raise CorpusError(f"{path}: expected a top-level object with 'dialogues'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("dialogues"), list):
+        raise CorpusError(f"{path}: expected a top-level object with a 'dialogues' list")
     out: list[tuple[Dialogue, list[QAExample]]] = []
+    first_seen: dict[str, str] = {}
     for di, dd in enumerate(doc["dialogues"]):
         where = f"{path}: dialogues[{di}]"
         try:
@@ -130,7 +134,7 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
                 if not toks:
                     raise CorpusError(f"{where}: utterance with empty text")
                 utterances.append(Utterance(str(ud["speaker"]), toks))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CorpusError(f"{where}: {e}") from e
         if episode_id < 1:
             raise CorpusError(f"{where}: episode_id must be positive")
@@ -138,7 +142,10 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
             raise CorpusError(f"{where}: dialogue has no utterances")
         dialogue = Dialogue(episode_id, scene_id, tuple(utterances))
         questions = []
-        for qd in dd.get("questions", ()):
+        records = dd.get("questions", [])
+        if not isinstance(records, list):
+            raise CorpusError(f"{where}: 'questions' is not a list")
+        for qi, qd in enumerate(records):
             try:
                 qid = str(qd["qid"])
                 spans = tuple(
@@ -151,10 +158,16 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
                     for ad in qd.get("answers", ())
                 )
                 ex = make_example(qid, str(qd["question"]), spans)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CorpusError(f"{where}: bad question record: {e}") from e
             for span in ex.answers:
                 _validate_span(span, dialogue, ex.qid)
+            if ex.qid in first_seen:
+                raise CorpusError(
+                    f"{where}.questions[{qi}]: duplicate qid {ex.qid!r}, "
+                    f"first used at {first_seen[ex.qid]}"
+                )
+            first_seen[ex.qid] = f"{where}.questions[{qi}]"
             questions.append(ex)
         out.append((dialogue, questions))
     return out

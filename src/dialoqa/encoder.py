@@ -10,7 +10,8 @@ Attention masks are boolean, True marking real (attendable) positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -39,6 +40,10 @@ STAGE_UOP = "uop"
 STAGE_FINETUNED = "finetuned"
 STAGES = (STAGE_TMLM, STAGE_UMLM, STAGE_UOP, STAGE_FINETUNED)
 
+# Accepted value types by annotation (a string under postponed evaluation);
+# a bool is no number here.
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -53,6 +58,11 @@ class ModelConfig:
     use_utterance_positions: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = _FIELD_KINDS[f.type]
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         for name in (
             "vocab_size",
             "num_layers",
@@ -233,10 +243,13 @@ def _as_batched(x, ndim_single: int):
 
 
 def _additive_key_mask(mask: np.ndarray | None, batch: int, length: int) -> Tensor | None:
-    """(B, 1, 1, S) additive scores: 0 on real keys, MASK_SCORE on padding."""
+    """(B, 1, 1, S) additive scores: 0 on real keys, MASK_SCORE on padding.
+    A 1-d mask is one sequence's and gets the batch axis of one."""
     if mask is None:
         return None
     m = np.asarray(mask, dtype=bool)
+    if m.ndim == 1:
+        m = m[None, :]
     if m.shape != (batch, length):
         raise ShapeError(f"attention mask shape {m.shape} != {(batch, length)}")
     add = np.where(m, 0.0, MASK_SCORE)[:, None, None, :]
@@ -253,6 +266,31 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(transpose(x, (0, 2, 1, 3)), (b, s, nh * d))
 
 
+def _attention(
+    w: EncoderWeights,
+    prefix: str,
+    x_q: Tensor,
+    x_kv: Tensor,
+    add_mask: Tensor | None,
+    training: bool,
+    rng,
+) -> Tensor:
+    """Multi-head attention of ``x_q`` over ``x_kv`` with the weights
+    ``{prefix}wq`` .. ``{prefix}bo``; dropout on the attention
+    probabilities. Returns the output projection, before any residual."""
+    cfg = w.config
+    q = _split_heads(matmul(x_q, w[f"{prefix}wq"]) + w[f"{prefix}bq"], cfg.num_heads)
+    k = _split_heads(matmul(x_kv, w[f"{prefix}wk"]) + w[f"{prefix}bk"], cfg.num_heads)
+    v = _split_heads(matmul(x_kv, w[f"{prefix}wv"]) + w[f"{prefix}bv"], cfg.num_heads)
+    scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
+    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
+    if add_mask is not None:
+        scores = scores + add_mask
+    probs = dropout(softmax(scores, axis=-1), cfg.dropout_p, training, rng)
+    ctx = _merge_heads(matmul(probs, v))
+    return matmul(ctx, w[f"{prefix}wo"]) + w[f"{prefix}bo"]
+
+
 def _self_attention_block(
     w: EncoderWeights,
     prefix: str,
@@ -261,18 +299,8 @@ def _self_attention_block(
     training: bool,
     rng,
 ) -> Tensor:
-    cfg = w.config
-    p = cfg.dropout_p
-    q = _split_heads(matmul(x, w[f"{prefix}.attn_wq"]) + w[f"{prefix}.attn_bq"], cfg.num_heads)
-    k = _split_heads(matmul(x, w[f"{prefix}.attn_wk"]) + w[f"{prefix}.attn_bk"], cfg.num_heads)
-    v = _split_heads(matmul(x, w[f"{prefix}.attn_wv"]) + w[f"{prefix}.attn_bv"], cfg.num_heads)
-    scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
-    if add_mask is not None:
-        scores = scores + add_mask
-    probs = dropout(softmax(scores, axis=-1), p, training, rng)
-    ctx = _merge_heads(matmul(probs, v))
-    attn_out = matmul(ctx, w[f"{prefix}.attn_wo"]) + w[f"{prefix}.attn_bo"]
+    p = w.config.dropout_p
+    attn_out = _attention(w, f"{prefix}.attn_", x, x, add_mask, training, rng)
     x = layer_norm(
         x + dropout(attn_out, p, training, rng),
         w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], LN_EPS,
@@ -309,8 +337,6 @@ def te_forward(
             f"sequence length {s} exceeds positional capacity "
             f"{config.token_position_capacity}"
         )
-    if attention_mask is not None and single:
-        attention_mask = np.asarray(attention_mask, dtype=bool)[None, :]
     add_mask = _additive_key_mask(attention_mask, b, s)
     tok = index_select(weights["token_emb"], ids.reshape(-1))
     x = reshape(tok, (b, s, config.hidden_size))
@@ -344,8 +370,6 @@ def tl_forward(
             f"utterance sequence of {s} at offset {position_offset} exceeds "
             f"capacity {config.max_utterances + 1}"
         )
-    if attention_mask is not None and single:
-        attention_mask = np.asarray(attention_mask, dtype=bool)[None, :]
     add_mask = _additive_key_mask(attention_mask, b, s)
     if config.use_utterance_positions:
         pos = index_select(
@@ -380,25 +404,8 @@ def mha_forward(
     xu, single = _as_batched(utterance_embeddings, 2)
     if xq.shape[1] == 0 or xu.shape[1] == 0:
         raise ShapeError("mha_forward requires non-empty question and utterance inputs")
-    cfg = config
-    p = cfg.dropout_p
-    if question_mask is not None:
-        qm = np.asarray(question_mask, dtype=bool)
-        if qm.ndim == 1:
-            qm = qm[None, :]
-        add_mask = Tensor(np.where(qm, 0.0, MASK_SCORE)[:, None, None, :])
-    else:
-        add_mask = None
+    add_mask = _additive_key_mask(question_mask, xq.shape[0], xq.shape[1])
     normed = layer_norm(xu, weights["mha.ln_g"], weights["mha.ln_b"], LN_EPS)
-    q = _split_heads(matmul(normed, weights["mha.wq"]) + weights["mha.bq"], cfg.num_heads)
-    k = _split_heads(matmul(xq, weights["mha.wk"]) + weights["mha.bk"], cfg.num_heads)
-    v = _split_heads(matmul(xq, weights["mha.wv"]) + weights["mha.bv"], cfg.num_heads)
-    scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
-    if add_mask is not None:
-        scores = scores + add_mask
-    probs = dropout(softmax(scores, axis=-1), p, training, rng)
-    ctx = _merge_heads(matmul(probs, v))
-    out = matmul(ctx, weights["mha.wo"]) + weights["mha.bo"]
-    result = xu + dropout(out, p, training, rng)
+    out = _attention(weights, "mha.", normed, xq, add_mask, training, rng)
+    result = xu + dropout(out, config.dropout_p, training, rng)
     return reshape(result, result.shape[1:]) if single else result

@@ -35,3 +35,7 @@ class DeterminismError(DialoQAError):
 
 class AlignmentError(DialoQAError):
     """Prediction and gold question ids do not line up one-to-one."""
+
+
+class DivergenceError(DialoQAError):
+    """A training loss stopped being finite."""

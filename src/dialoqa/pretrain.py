@@ -259,17 +259,6 @@ def tmlm_batch_loss(
     return mean_cross_entropy(logits, labels)
 
 
-def tmlm_loss(
-    weights: EncoderWeights,
-    config: ModelConfig,
-    instance: TmlmInstance,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    return tmlm_batch_loss(weights, config, [instance], training=training, rng=rng)
-
-
 def umlm_batch_loss(
     weights: EncoderWeights,
     config: ModelConfig,
@@ -286,17 +275,6 @@ def umlm_batch_loss(
     cls_rows = _gather_rows(out, [b * width for b in range(len(instances))])
     logits = vocab_logits(weights, cls_rows)
     return mean_cross_entropy(logits, [inst.mask_label for inst in instances])
-
-
-def umlm_loss(
-    weights: EncoderWeights,
-    config: ModelConfig,
-    instance: UmlmInstance,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    return umlm_batch_loss(weights, config, [instance], training=training, rng=rng)
 
 
 def uop_batch_logits(
@@ -339,20 +317,13 @@ def uop_batch_loss(
     return mean_cross_entropy(logits, [inst.label for inst in instances])
 
 
-def uop_loss(
-    weights: EncoderWeights,
-    config: ModelConfig,
-    instance: UopInstance,
-    *,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    return uop_batch_loss(weights, config, [instance], training=training, rng=rng)
-
-
 def mlm_perplexity(losses_and_counts: Sequence[tuple[float, int]]) -> float:
-    """exp of the position-weighted mean cross-entropy."""
+    """exp of the position-weighted mean cross-entropy; inf when that
+    overflows."""
     total = sum(c for _, c in losses_and_counts)
     if total == 0:
         return math.nan
-    return math.exp(sum(l * c for l, c in losses_and_counts) / total)
+    try:
+        return math.exp(sum(l * c for l, c in losses_and_counts) / total)
+    except OverflowError:
+        return math.inf

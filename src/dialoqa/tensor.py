@@ -84,9 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.array.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

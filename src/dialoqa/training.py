@@ -2,6 +2,14 @@
 transfer, multi-task fine-tuning, evaluation, configuration, seeding, and
 checkpoint management.
 
+The four training stages (tmlm, umlm, uop, finetuned) run one recipe. The
+table ``_STAGES`` holds what sets them apart: the stages whose checkpoint
+may start each one, the ``RunConfig`` field with its step budget, how its
+train/dev data comes from the corpus split, and a task builder returning
+``fit``'s instance builder, batch loss, dev evaluation and improve rule.
+``_run`` does the rest the same way for every stage; ``run_stage`` and
+``run_finetune`` are its public entry points.
+
 Determinism contract: every random draw comes either from namespaced
 generators derived from (seed, stage, purpose) or from the single training
 generator whose state is checkpointed, so a resumed run replays the
@@ -11,11 +19,11 @@ generator.
 
 from __future__ import annotations
 
+import functools
 import logging
-import math
 import typing
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -40,7 +48,7 @@ from .encoder import (
     ModelConfig,
     init_encoder_weights,
 )
-from .errors import CheckpointError, ConfigError, CorpusError, SequencingError
+from .errors import CheckpointError, ConfigError, CorpusError, DivergenceError, SequencingError
 from .finetune import QAEncoding, encode_for_qa, predict, qa_batch_loss, select_answer
 from .metrics import MetricReport, PredictionRecord, evaluate
 from .optim import AdamState, LRSchedule, adam_step, lr_at_step
@@ -57,13 +65,12 @@ from .pretrain import (
     uop_batch_logits,
     uop_batch_loss,
 )
-from .tensor import Tensor
+from .tensor import Tensor, _log_softmax_np
 from .vocab import Vocab, build_vocab
 
 logger = logging.getLogger("dialoqa")
 
 PRETRAIN_STAGES = (STAGE_TMLM, STAGE_UMLM, STAGE_UOP)
-_REQUIRED_PREDECESSOR = {STAGE_UMLM: STAGE_TMLM, STAGE_UOP: STAGE_UMLM}
 
 
 # -- configuration -----------------------------------------------------------
@@ -294,8 +301,7 @@ def uop_dev_metrics(
     correct = 0
     for chunk in _chunks(instances, batch_size):
         logits = uop_batch_logits(weights, config, chunk).array
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        logp = _log_softmax_np(logits)
         for row, inst in enumerate(chunk):
             total_ce -= logp[row, inst.label]
             correct += int(np.argmax(logits[row]) == inst.label)
@@ -344,7 +350,7 @@ def fit(
     rng: np.random.Generator,
     global_step: int,
     train_state: dict,
-    build_epoch: Callable[[np.random.Generator, int], list],
+    build_epoch: Callable[[np.random.Generator], list],
     batch_loss: Callable[..., Tensor],
     dev_eval: Callable[[EncoderWeights], dict],
     improve: Callable[[dict, dict | None], tuple[bool, dict]],
@@ -354,8 +360,11 @@ def fit(
     halt_after_epochs: int | None = None,
 ) -> FitResult:
     """Epoch loop with per-epoch dev evaluation, patience-based early
-    stopping, and best/last checkpointing. ``improve`` returns whether the
-    new metrics improve on the running best and the merged running best.
+    stopping, and best/last checkpointing. ``batch_loss`` is called as
+    ``batch_loss(weights, weights.config, batch, training=True, rng=rng)``;
+    a loss that is not finite raises ``DivergenceError`` before the update.
+    ``improve`` returns whether the new metrics improve on the running best
+    and the merged running best.
     ``halt_after_epochs`` simulates an interruption after that many epochs
     of this call; training resumes bit-exactly from the written last
     checkpoint."""
@@ -391,7 +400,7 @@ def fit(
     last_ckpt = None
     epochs_this_call = 0
     while global_step < max_steps and bad < run_config.patience:
-        instances = build_epoch(rng, epoch)
+        instances = build_epoch(rng)
         if not instances:
             raise CorpusError(f"stage {stage}: no training instances")
         order = rng.permutation(len(instances))
@@ -400,7 +409,12 @@ def fit(
                 break
             batch = [instances[i] for i in chunk]
             weights.zero_grads()
-            loss = batch_loss(weights, batch, training=True, rng=rng)
+            loss = batch_loss(weights, weights.config, batch, training=True, rng=rng)
+            if not np.isfinite(loss.item()):
+                raise DivergenceError(
+                    f"stage {stage!r} diverged at step {global_step + 1}: "
+                    f"training loss is {loss.item()}"
+                )
             loss.backward()
             global_step += 1
             adam_step(params, weights.grads(), adam, lr_at_step(schedule, global_step))
@@ -469,15 +483,6 @@ def _sm_improve(metrics: dict, best: dict | None) -> tuple[bool, dict]:
 # -- stage wiring ---------------------------------------------------------
 
 
-def _stage_budget(config: RunConfig, stage: str) -> int:
-    return {
-        STAGE_TMLM: config.tmlm_steps,
-        STAGE_UMLM: config.umlm_steps,
-        STAGE_UOP: config.uop_steps,
-        STAGE_FINETUNED: config.finetune_steps,
-    }[stage]
-
-
 def _init_stage_state(
     config: RunConfig,
     stage: str,
@@ -486,21 +491,10 @@ def _init_stage_state(
     fallback_vocab: Callable[[], Vocab],
     out_dir: str | Path | None,
 ):
-    """Shared gating: fresh start, same-stage resume, or transfer from an
-    allowed predecessor. Returns (vocab, model_cfg, weights, adam, rng,
-    global_step, train_state, initial_best)."""
-    if init_checkpoint is None:
-        if stage != STAGE_TMLM:
-            raise SequencingError(
-                f"stage {stage!r} requires an initial checkpoint from one of "
-                f"{list(allowed_sources)}"
-            )
-        vocab = fallback_vocab()
-        model_cfg = config.model_config(len(vocab))
-        weights = init_encoder_weights(model_cfg, stage, derive_rng(config.seed, stage, "init"))
-        return (vocab, model_cfg, weights, config.adam_state(),
-                derive_rng(config.seed, stage, "train"), 0, {}, None)
-    if init_checkpoint.stage == stage:
+    """Shared gating: same-stage resume, transfer from an allowed source, or
+    a fresh start (only for a stage with no allowed sources). Returns
+    (vocab, weights, adam, rng, global_step, train_state, initial_best)."""
+    if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
                 f"checkpoint for stage {stage!r} lacks optimizer/rng state; "
@@ -513,7 +507,6 @@ def _init_stage_state(
                 initial_best = load_checkpoint(best_path)
         return (
             init_checkpoint.vocab,
-            init_checkpoint.config,
             init_checkpoint.weights,
             init_checkpoint.adam,
             restore_rng(init_checkpoint.rng_state),
@@ -521,17 +514,164 @@ def _init_stage_state(
             dict(init_checkpoint.train_state),
             initial_best,
         )
-    if init_checkpoint.stage in allowed_sources:
+    init_rng = derive_rng(config.seed, stage, "init")
+    if init_checkpoint is None:
+        if allowed_sources:
+            raise SequencingError(
+                f"stage {stage!r} requires an initial checkpoint from one of "
+                f"{list(allowed_sources)}"
+            )
+        vocab = fallback_vocab()
+        weights = init_encoder_weights(config.model_config(len(vocab)), stage, init_rng)
+    elif init_checkpoint.stage in allowed_sources:
         vocab = init_checkpoint.vocab
-        model_cfg = config.model_config(len(vocab))
         weights = transfer_weights(
-            init_checkpoint, stage, model_cfg, derive_rng(config.seed, stage, "init")
+            init_checkpoint, stage, config.model_config(len(vocab)), init_rng
         )
-        return (vocab, model_cfg, weights, config.adam_state(),
-                derive_rng(config.seed, stage, "train"), 0, {}, None)
-    raise SequencingError(
-        f"stage {stage!r} cannot start from a {init_checkpoint.stage!r} "
-        f"checkpoint; expected one of {[stage, *allowed_sources]}"
+    else:
+        raise SequencingError(
+            f"stage {stage!r} cannot start from a {init_checkpoint.stage!r} "
+            f"checkpoint; expected one of {[stage, *allowed_sources]}"
+        )
+    return (vocab, weights, config.adam_state(),
+            derive_rng(config.seed, stage, "train"), 0, {}, None)
+
+
+# Each task builder takes (config, vocab, model_cfg, train, dev) and returns
+# fit's (build_epoch, batch_loss, dev_eval, improve). The batch losses and
+# dev evaluators are looked up when a builder runs, not when this module is
+# imported, so a wrapper set on the module binding (as the benchmark's
+# tracer does) sees every call.
+
+
+def _perplexity_dev_eval(config: RunConfig, model_cfg: ModelConfig, instances):
+    def dev_eval(w):
+        return {
+            "perplexity": mlm_dev_perplexity(w, model_cfg, instances, config.batch_size)
+        }
+
+    return dev_eval
+
+
+def _tmlm_task(config, vocab, model_cfg, train, dev):
+    def instances(dialogues, rng_):
+        return [
+            build_tmlm_instance(vocab, model_cfg, d, rng_, config.mlm_ratio)
+            for d in dialogues
+        ]
+
+    dev_instances = instances(dev, derive_rng(config.seed, STAGE_TMLM, "dev"))
+    build_epoch = functools.partial(instances, train)
+    if config.mlm_mode == "static":
+        cached = instances(train, derive_rng(config.seed, STAGE_TMLM, "static-masks"))
+        build_epoch = lambda rng_: cached
+    return (build_epoch, tmlm_batch_loss,
+            _perplexity_dev_eval(config, model_cfg, dev_instances), _perplexity_improve)
+
+
+def _umlm_task(config, vocab, model_cfg, train, dev):
+    def instances(dialogues, rng_):
+        return [
+            inst
+            for d in dialogues
+            for inst in build_umlm_instances(
+                vocab, d, rng_, config.umlm_samples_per_utterance
+            )
+        ]
+
+    dev_instances = instances(dev, derive_rng(config.seed, STAGE_UMLM, "dev"))
+    return (functools.partial(instances, train), umlm_batch_loss,
+            _perplexity_dev_eval(config, model_cfg, dev_instances), _perplexity_improve)
+
+
+def _uop_task(config, vocab, model_cfg, train, dev):
+    dev_instances = build_uop_dev_instances(
+        vocab, dev, derive_rng(config.seed, STAGE_UOP, "dev")
+    )
+    if not dev_instances:
+        raise CorpusError("no dev dialogues are long enough for order prediction")
+
+    def build_epoch(rng_):
+        built = (build_uop_instance(vocab, d, rng_, config.uop_shuffle_prob) for d in train)
+        return [inst for inst in built if inst is not None]
+
+    def dev_eval(w):
+        loss, acc = uop_dev_metrics(w, model_cfg, dev_instances, config.batch_size)
+        return {"loss": loss, "accuracy": acc}
+
+    return build_epoch, uop_batch_loss, dev_eval, _uop_improve
+
+
+def _qa_task(config, vocab, model_cfg, train, dev):
+    encoded = [enc for enc, _, _ in _encode_entries(vocab, model_cfg, train)]
+
+    def dev_eval(w):
+        report = evaluate_entries(w, model_cfg, vocab, dev)
+        return {"em": report.em, "sm": report.sm, "um": report.um}
+
+    return (lambda rng_: encoded), qa_batch_loss, dev_eval, _sm_improve
+
+
+def _qa_data(config: RunConfig, split: CorpusSplit):
+    return qa_entries(config, split.training), qa_entries(config, split.development)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    sources: tuple[str, ...]  # stages whose checkpoint may start this one
+    budget: str  # the RunConfig field holding the step budget
+    data: Callable[[RunConfig, CorpusSplit], tuple[list, list]]  # (train, dev)
+    task: Callable[..., tuple]
+
+
+_STAGES = {
+    STAGE_TMLM: _Stage((), "tmlm_steps", pretrain_dialogues, _tmlm_task),
+    STAGE_UMLM: _Stage((STAGE_TMLM,), "umlm_steps", pretrain_dialogues, _umlm_task),
+    STAGE_UOP: _Stage((STAGE_UMLM,), "uop_steps", pretrain_dialogues, _uop_task),
+    # the tmlm source is the no-utterance-pretraining baseline
+    STAGE_FINETUNED: _Stage(
+        (STAGE_UOP, STAGE_TMLM), "finetune_steps", _qa_data, _qa_task
+    ),
+}
+
+
+def _run(
+    stage: str,
+    config: RunConfig,
+    init_checkpoint: Checkpoint | None,
+    out_dir: str | Path | None,
+    halt_after_epochs: int | None,
+) -> FitResult:
+    spec = _STAGES[stage]
+    train, dev = spec.data(config, load_split(config))
+    if not train or not dev:
+        raise CorpusError(f"stage {stage!r} needs non-empty training and dev data")
+    vocab, weights, adam, rng, step, train_state, initial_best = _init_stage_state(
+        config, stage, init_checkpoint, spec.sources,
+        lambda: build_vocab(train, config.min_freq), out_dir,
+    )
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        vocab.save(Path(out_dir) / "vocab.txt")
+    build_epoch, batch_loss, dev_eval, improve = spec.task(
+        config, vocab, weights.config, train, dev
+    )
+    return fit(
+        run_config=config,
+        weights=weights,
+        vocab=vocab,
+        adam=adam,
+        rng=rng,
+        global_step=step,
+        train_state=train_state,
+        build_epoch=build_epoch,
+        batch_loss=batch_loss,
+        dev_eval=dev_eval,
+        improve=improve,
+        max_steps=getattr(config, spec.budget),
+        out_dir=out_dir,
+        initial_best=initial_best,
+        halt_after_epochs=halt_after_epochs,
     )
 
 
@@ -548,126 +688,7 @@ def run_stage(
         raise SequencingError(
             f"run_stage handles {list(PRETRAIN_STAGES)}, got {stage!r}"
         )
-    split = load_split(config)
-    train_dialogues, dev_dialogues = pretrain_dialogues(config, split)
-    if not train_dialogues or not dev_dialogues:
-        raise CorpusError("pre-training needs non-empty training and dev splits")
-    allowed = () if stage == STAGE_TMLM else (_REQUIRED_PREDECESSOR[stage],)
-    vocab, model_cfg, weights, adam, rng, step, train_state, initial_best = (
-        _init_stage_state(
-            config, stage, init_checkpoint, allowed,
-            lambda: build_vocab(train_dialogues, config.min_freq), out_dir,
-        )
-    )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        vocab.save(Path(out_dir) / "vocab.txt")
-
-    if stage == STAGE_TMLM:
-        dev_rng = derive_rng(config.seed, stage, "dev")
-        dev_instances = [
-            build_tmlm_instance(vocab, model_cfg, d, dev_rng, config.mlm_ratio)
-            for d in dev_dialogues
-        ]
-        static_instances: list[TmlmInstance] | None = None
-        if config.mlm_mode == "static":
-            static_rng = derive_rng(config.seed, stage, "static-masks")
-            static_instances = [
-                build_tmlm_instance(vocab, model_cfg, d, static_rng, config.mlm_ratio)
-                for d in train_dialogues
-            ]
-
-        def build_epoch(rng_, epoch_):
-            if static_instances is not None:
-                return static_instances
-            return [
-                build_tmlm_instance(vocab, model_cfg, d, rng_, config.mlm_ratio)
-                for d in train_dialogues
-            ]
-
-        def batch_loss(w, batch, training, rng):
-            return tmlm_batch_loss(w, model_cfg, batch, training=training, rng=rng)
-
-        def dev_eval(w):
-            return {
-                "perplexity": mlm_dev_perplexity(
-                    w, model_cfg, dev_instances, config.batch_size
-                )
-            }
-
-        improve = _perplexity_improve
-    elif stage == STAGE_UMLM:
-        dev_rng = derive_rng(config.seed, stage, "dev")
-        dev_instances = [
-            inst
-            for d in dev_dialogues
-            for inst in build_umlm_instances(
-                vocab, d, dev_rng, config.umlm_samples_per_utterance
-            )
-        ]
-
-        def build_epoch(rng_, epoch_):
-            return [
-                inst
-                for d in train_dialogues
-                for inst in build_umlm_instances(
-                    vocab, d, rng_, config.umlm_samples_per_utterance
-                )
-            ]
-
-        def batch_loss(w, batch, training, rng):
-            return umlm_batch_loss(w, model_cfg, batch, training=training, rng=rng)
-
-        def dev_eval(w):
-            return {
-                "perplexity": mlm_dev_perplexity(
-                    w, model_cfg, dev_instances, config.batch_size
-                )
-            }
-
-        improve = _perplexity_improve
-    else:  # uop
-        dev_instances = build_uop_dev_instances(
-            vocab, dev_dialogues, derive_rng(config.seed, stage, "dev")
-        )
-        if not dev_instances:
-            raise CorpusError("no dev dialogues are long enough for order prediction")
-
-        def build_epoch(rng_, epoch_):
-            out = []
-            for d in train_dialogues:
-                inst = build_uop_instance(vocab, d, rng_, config.uop_shuffle_prob)
-                if inst is not None:
-                    out.append(inst)
-            return out
-
-        def batch_loss(w, batch, training, rng):
-            return uop_batch_loss(w, model_cfg, batch, training=training, rng=rng)
-
-        def dev_eval(w):
-            loss, acc = uop_dev_metrics(w, model_cfg, dev_instances, config.batch_size)
-            return {"loss": loss, "accuracy": acc}
-
-        improve = _uop_improve
-
-    result = fit(
-        run_config=config,
-        weights=weights,
-        vocab=vocab,
-        adam=adam,
-        rng=rng,
-        global_step=step,
-        train_state=train_state,
-        build_epoch=build_epoch,
-        batch_loss=batch_loss,
-        dev_eval=dev_eval,
-        improve=improve,
-        max_steps=_stage_budget(config, stage),
-        out_dir=out_dir,
-        initial_best=initial_best,
-        halt_after_epochs=halt_after_epochs,
-    )
-    return result.best
+    return _run(stage, config, init_checkpoint, out_dir, halt_after_epochs).best
 
 
 # -- fine-tuning ----------------------------------------------------------
@@ -727,49 +748,7 @@ def run_finetune(
 ) -> tuple[Checkpoint, list[dict]]:
     """Joint UID+span fine-tuning; keeps the best dev-SM checkpoint. The
     tmlm-only source path covers the no-utterance-pretraining baseline."""
-    split = load_split(config)
-    train_entries = qa_entries(config, split.training)
-    dev_entries = qa_entries(config, split.development)
-    if not train_entries or not dev_entries:
-        raise CorpusError("fine-tuning needs non-empty training and dev questions")
-    vocab, model_cfg, weights, adam, rng, step, train_state, initial_best = (
-        _init_stage_state(
-            config, STAGE_FINETUNED, init_checkpoint, (STAGE_UOP, STAGE_TMLM),
-            lambda: None, out_dir,
-        )
-    )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        vocab.save(Path(out_dir) / "vocab.txt")
-    encoded = [enc for enc, _, _ in _encode_entries(vocab, model_cfg, train_entries)]
-
-    def build_epoch(rng_, epoch_):
-        return encoded
-
-    def batch_loss(w, batch, training, rng):
-        return qa_batch_loss(w, model_cfg, batch, training=training, rng=rng)
-
-    def dev_eval(w):
-        report = evaluate_entries(w, model_cfg, vocab, dev_entries)
-        return {"em": report.em, "sm": report.sm, "um": report.um}
-
-    result = fit(
-        run_config=config,
-        weights=weights,
-        vocab=vocab,
-        adam=adam,
-        rng=rng,
-        global_step=step,
-        train_state=train_state,
-        build_epoch=build_epoch,
-        batch_loss=batch_loss,
-        dev_eval=dev_eval,
-        improve=_sm_improve,
-        max_steps=_stage_budget(config, STAGE_FINETUNED),
-        out_dir=out_dir,
-        initial_best=initial_best,
-        halt_after_epochs=halt_after_epochs,
-    )
+    result = _run(STAGE_FINETUNED, config, init_checkpoint, out_dir, halt_after_epochs)
     return result.best, result.history
 
 

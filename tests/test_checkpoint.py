@@ -1,9 +1,16 @@
-"""Checkpoint byte-identity, shape validation, and staged weight transfer."""
+"""Checkpoint byte-identity, shape and header validation, and staged weight
+transfer."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialoqa.checkpoint import (
+    MAGIC,
     Checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -123,6 +130,73 @@ class TestRoundTrip:
         restored = np.random.default_rng()
         restored.bit_generator.state = load_checkpoint(path).rng_state
         assert np.array_equal(restored.random(5), expected)
+
+
+def _split_file(raw: bytes) -> tuple[dict, bytes]:
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+
+
+def _with_header(header, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+TINY = dict(hidden_size=2, num_heads=1, intermediate_size=2, max_tokens=2, max_utterances=1)
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: {"format_version": 1},
+            lambda h: [1],
+            lambda h: {**h, "model_config": {**h["model_config"], "vocab_size": "x"}},
+            lambda h: {**h, "model_config": {**h["model_config"], "vocab_size": 9.0}},
+            lambda h: {**h, "global_step": "7"},
+            lambda h: {**h, "stage": "pretrain"},
+            lambda h: {**h, "vocab": h["vocab"][1:]},
+            lambda h: {**h, "adam": {"beta1": 0.9}},
+            lambda h: {**h, "rng_state": {"bit_generator": "PCG64"}},
+            lambda h: {
+                **h,
+                "tensors": [
+                    {**t, "shape": [float(n) for n in t["shape"]]} for t in h["tensors"]
+                ],
+            },
+        ],
+        ids=[
+            "only-version", "list", "vocab-size-str", "vocab-size-float", "step-str",
+            "unknown-stage", "vocab-short", "adam-fields", "rng-state", "shape-float",
+        ],
+    )
+    def test_bad_header_raises_checkpoint_error(self, vocab, tmp_path, mutate):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        path.write_bytes(_with_header(mutate(header), payload))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_loads_or_raises_checkpoint_error(
+        self, vocab, tmp_path, data
+    ):
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        raw = bytearray(path.read_bytes())
+        raw = raw[: data.draw(st.integers(len(raw) // 2, len(raw)), label="length")]
+        for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=4), label="flips"):
+            raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 class TestTransfer:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialoqa.corpus import (
     AnswerSpan,
@@ -49,6 +51,23 @@ def _write(tmp_path, doc, name="c.json"):
     return p
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Key paths of every value below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
 class TestLoad:
     def test_minimal_file(self, tmp_path):
         corpus = load_corpus(_write(tmp_path, MINIMAL))
@@ -84,6 +103,48 @@ class TestLoad:
         doc["dialogues"][0]["utterances"].append({"speaker": "x", "text": "  "})
         with pytest.raises(CorpusError, match="empty"):
             load_corpus(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"\xff\xfe not utf-8", b'{"dialogues": 5}', b'{"dialogues": [{"episode_id": 1e999}]}'],
+        ids=["missing", "not-utf8", "dialogues-int", "episode-inf"],
+    )
+    def test_unreadable_file_raises_corpus_error(self, tmp_path, content):
+        p = tmp_path / "c.json"
+        if content is not None:
+            p.write_bytes(content)
+        with pytest.raises(CorpusError):
+            load_corpus(p)
+
+    def test_duplicate_qid_rejected_with_location(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["dialogues"].append(json.loads(json.dumps(MINIMAL["dialogues"][0])))
+        with pytest.raises(CorpusError, match=r"dialogues\[1\].*'q1'.*dialogues\[0\]"):
+            load_corpus(_write(tmp_path, doc))
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_json_loads_or_raises_corpus_error(self, tmp_path, data):
+        doc = json.loads(json.dumps(MINIMAL))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            paths = list(_paths(doc))
+            if not paths:
+                break
+            *parent_keys, key = data.draw(st.sampled_from(paths), label="path")
+            parent = doc
+            for k in parent_keys:
+                parent = parent[k]
+            if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+                del parent[key]
+            else:
+                parent[key] = data.draw(JSON_VALUES, label="value")
+        try:
+            load_corpus(_write(tmp_path, doc))
+        except CorpusError:
+            pass
 
     def test_save_load_round_trip(self, tmp_path):
         fixture = []

@@ -2,17 +2,20 @@
 config file format, and the CLI surface."""
 
 import json
+import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dialoqa import cli
-from dialoqa.checkpoint import load_checkpoint, save_checkpoint
+from dialoqa import cli, training
+from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dialoqa.corpus import load_corpus, save_corpus
-from dialoqa.errors import CheckpointError, ConfigError, SequencingError
+from dialoqa.errors import CheckpointError, ConfigError, DivergenceError, SequencingError
 from dialoqa.synth import generate_corpus
+from dialoqa.tensor import Tensor
 from dialoqa.training import (
     RunConfig,
     derive_rng,
@@ -107,11 +110,22 @@ class TestTrainingProgress:
         assert len(history) >= 2
 
 
+class TestDivergence:
+    def test_nan_training_loss_raises_divergence_error(self, corpus_path, monkeypatch):
+        monkeypatch.setattr(
+            training, "tmlm_batch_loss", lambda *a, **k: Tensor(np.array(np.nan))
+        )
+        with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1"):
+            run_stage("tmlm", _config(corpus_path))
+
+
 class TestResumeReplay:
-    @pytest.mark.parametrize("stage", ["tmlm", "uop"])
+    @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop"])
     def test_pretrain_stage_resume_bit_exact(self, corpus_path, tmlm_ckpt, tmp_path, stage):
         cfg = _config(corpus_path)
-        init = None if stage == "tmlm" else run_stage("umlm", cfg, tmlm_ckpt)
+        init = None if stage == "tmlm" else tmlm_ckpt
+        if stage == "uop":
+            init = run_stage("umlm", cfg, init)
         # uninterrupted run
         dir_a = tmp_path / "a"
         run_stage(stage, cfg, init, out_dir=dir_a)
@@ -304,6 +318,26 @@ class TestCli:
         path.write_bytes(path.read_bytes()[:-100])
         code, err = self._main_error(capsys, "evaluate", "--init", str(path))
         assert (code, err["error"]) == (1, "CheckpointError")
+
+    def test_bad_init_header_is_json_error(self, tmp_path, capsys):
+        path = tmp_path / "h.ckpt"
+        blob = json.dumps({"format_version": 1}).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+        code, err = self._main_error(capsys, "evaluate", "--init", str(path))
+        assert (code, err["error"]) == (1, "CheckpointError")
+
+    def test_diverging_pretrain_exits_cleanly(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\nbase_lr = 1e6\ntmlm_steps = 4\nseed = 1\n"
+        )
+        out = tmp_path / "run"
+        code = cli.main(["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        history = load_checkpoint(out / "tmlm-last.ckpt").train_state["history"]
+        assert history[-1]["perplexity"] == math.inf  # the dev loss overflows exp
 
     @pytest.mark.parametrize("content", [None, "seed = twelve\n"])
     def test_bad_config_file_is_json_error(self, tmp_path, capsys, content):

@@ -18,9 +18,9 @@ from dialoqa.pretrain import (
     build_uop_instance,
     encode_dialogue_concat,
     mask_tokens,
-    tmlm_loss,
-    umlm_loss,
-    uop_loss,
+    tmlm_batch_loss,
+    umlm_batch_loss,
+    uop_batch_loss,
 )
 from dialoqa.vocab import build_vocab, decode
 
@@ -228,7 +228,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(seed))
             inst = build_tmlm_instance(vocab, cfg, d, np.random.default_rng(seed))
-            losses.append(tmlm_loss(w, cfg, inst).item())
+            losses.append(tmlm_batch_loss(w, cfg, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
 
@@ -239,7 +239,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "umlm", np.random.default_rng(seed))
             insts = build_umlm_instances(vocab, d, np.random.default_rng(seed), 1)
-            losses.append(umlm_loss(w, cfg, insts[0]).item())
+            losses.append(umlm_batch_loss(w, cfg, [insts[0]]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
 
@@ -250,7 +250,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "uop", np.random.default_rng(seed))
             inst = build_uop_instance(vocab, d, np.random.default_rng(seed), 0.5)
-            losses.append(uop_loss(w, cfg, inst).item())
+            losses.append(uop_batch_loss(w, cfg, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(2)) / math.log(2) < 0.15
 
@@ -272,14 +272,14 @@ class TestMemorization:
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
         inst = build_tmlm_instance(vocab, cfg, _dialogue(2, 3), np.random.default_rng(1))
-        final = self._overfit(vocab, lambda: tmlm_loss(w, cfg, inst), w)
+        final = self._overfit(vocab, lambda: tmlm_batch_loss(w, cfg, [inst]), w)
         assert final < 0.01
 
     def test_umlm_overfits_single_instance(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(0))
         inst = build_umlm_instances(vocab, _dialogue(1, 4), np.random.default_rng(1), 1)[0]
-        final = self._overfit(vocab, lambda: umlm_loss(w, cfg, inst), w)
+        final = self._overfit(vocab, lambda: umlm_batch_loss(w, cfg, [inst]), w)
         assert final < 0.01
 
 
@@ -289,7 +289,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(3))
         inst = build_tmlm_instance(vocab, cfg, _dialogue(2, 3), np.random.default_rng(4))
         report = grad_check(
-            lambda: tmlm_loss(w, cfg, inst), dict(w.named()),
+            lambda: tmlm_batch_loss(w, cfg, [inst]), dict(w.named()),
             rng=np.random.default_rng(5), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -299,7 +299,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(6))
         inst = build_umlm_instances(vocab, _dialogue(1, 4), np.random.default_rng(7), 1)[0]
         report = grad_check(
-            lambda: umlm_loss(w, cfg, inst), dict(w.named()),
+            lambda: umlm_batch_loss(w, cfg, [inst]), dict(w.named()),
             rng=np.random.default_rng(8), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -309,7 +309,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "uop", np.random.default_rng(9))
         inst = build_uop_instance(vocab, _dialogue(4, 3), np.random.default_rng(10), 1.0)
         report = grad_check(
-            lambda: uop_loss(w, cfg, inst), dict(w.named()),
+            lambda: uop_batch_loss(w, cfg, [inst]), dict(w.named()),
             rng=np.random.default_rng(11), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
