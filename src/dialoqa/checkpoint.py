@@ -6,9 +6,9 @@ directory order. Tensor names are sorted, offsets are derived, and the rng
 state round-trips through the header, so save -> load -> save is
 byte-identical. A save goes to a temporary file in the target directory that
 then replaces the target, so an interrupted save leaves the old file whole;
-a load checks the header's fields and their types and the payload length
-against the directory, and raises ``CheckpointError`` for any file it cannot
-read.
+a load checks the header's fields and their types, the payload length
+against the directory and every payload value for finiteness, and raises
+``CheckpointError`` for any file it cannot read.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ _ADAM_FIELDS = {
     "step": int,
 }
 _TENSOR_FIELDS = {"name": str, "shape": list, "offset": int}
+# Optional train_state fields that resuming reads.
+_TRAIN_STATE_FIELDS = {
+    "epoch": int, "bad_evals": int, "history": list, "best_metrics": _OPTIONAL_OBJECT,
+}
 
 
 def _is(value, types) -> bool:
@@ -167,6 +171,15 @@ def _check_header(header, path) -> None:
         raise CheckpointError(f"{path}: vocabulary holds a non-string token")
     if header["adam"] is not None:
         _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
+    state = header["train_state"]
+    for key, types in _TRAIN_STATE_FIELDS.items():
+        if key in state and not _is(state[key], types):
+            raise CheckpointError(
+                f"{path}: train_state field {key!r} has the wrong type "
+                f"{type(state[key]).__name__}"
+            )
+    if not all(isinstance(rec, dict) for rec in state.get("history", [])):
+        raise CheckpointError(f"{path}: train_state history holds a non-object")
     for i, ent in enumerate(header["tensors"]):
         _check_fields(ent, _TENSOR_FIELDS, f"{path}: header tensors[{i}]")
         if not all(_is(n, int) and n >= 0 for n in ent["shape"]):
@@ -220,6 +233,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         .astype(np.float64)
         for ent, count in zip(entries, counts)
     }
+    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+        name = next(n for n, arr in arrays.items() if not np.isfinite(arr).all())
+        raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
 
     expected = stage_tensor_names(config, stage)
     params: dict[str, Tensor] = {}

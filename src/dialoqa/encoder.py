@@ -25,6 +25,7 @@ from .tensor import (
     gelu,
     index_select,
     layer_norm,
+    linear,
     matmul,
     reshape,
     softmax,
@@ -213,6 +214,12 @@ class EncoderWeights:
         for p in self.params.values():
             p.zero_grad()
 
+    def frozen(self) -> "EncoderWeights":
+        """The same arrays (not copies) as constants, for inference: a
+        forward over them records no autodiff graph."""
+        params = {name: Tensor(p.array) for name, p in self.params.items()}
+        return EncoderWeights(self.config, self.stage, params)
+
     def grads(self) -> dict[str, np.ndarray]:
         out = {}
         for name, p in self.params.items():
@@ -279,16 +286,16 @@ def _attention(
     ``{prefix}wq`` .. ``{prefix}bo``; dropout on the attention
     probabilities. Returns the output projection, before any residual."""
     cfg = w.config
-    q = _split_heads(matmul(x_q, w[f"{prefix}wq"]) + w[f"{prefix}bq"], cfg.num_heads)
-    k = _split_heads(matmul(x_kv, w[f"{prefix}wk"]) + w[f"{prefix}bk"], cfg.num_heads)
-    v = _split_heads(matmul(x_kv, w[f"{prefix}wv"]) + w[f"{prefix}bv"], cfg.num_heads)
+    q = _split_heads(linear(x_q, w[f"{prefix}wq"], w[f"{prefix}bq"]), cfg.num_heads)
+    k = _split_heads(linear(x_kv, w[f"{prefix}wk"], w[f"{prefix}bk"]), cfg.num_heads)
+    v = _split_heads(linear(x_kv, w[f"{prefix}wv"], w[f"{prefix}bv"]), cfg.num_heads)
     scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
     if add_mask is not None:
         scores = scores + add_mask
     probs = dropout(softmax(scores, axis=-1), cfg.dropout_p, training, rng)
     ctx = _merge_heads(matmul(probs, v))
-    return matmul(ctx, w[f"{prefix}wo"]) + w[f"{prefix}bo"]
+    return linear(ctx, w[f"{prefix}wo"], w[f"{prefix}bo"])
 
 
 def _self_attention_block(
@@ -305,8 +312,8 @@ def _self_attention_block(
         x + dropout(attn_out, p, training, rng),
         w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], LN_EPS,
     )
-    hidden = gelu(matmul(x, w[f"{prefix}.ff_w1"]) + w[f"{prefix}.ff_b1"])
-    ff = matmul(hidden, w[f"{prefix}.ff_w2"]) + w[f"{prefix}.ff_b2"]
+    hidden = gelu(linear(x, w[f"{prefix}.ff_w1"], w[f"{prefix}.ff_b1"]))
+    ff = linear(hidden, w[f"{prefix}.ff_w2"], w[f"{prefix}.ff_b2"])
     return layer_norm(
         x + dropout(ff, p, training, rng),
         w[f"{prefix}.ln2_g"], w[f"{prefix}.ln2_b"], LN_EPS,

@@ -35,7 +35,7 @@ from .tensor import (
     MASK_SCORE,
     Tensor,
     cross_entropy_rows,
-    matmul,
+    linear,
     mean,
     reshape,
     softmax,
@@ -143,13 +143,13 @@ def qa_batch_logits(
         weights, config, gather(cls_idx),
         attention_mask=cls_mask, training=training, rng=rng,
     )
-    uid = reshape(matmul(tc, weights["uid_w"]) + weights["uid_b"], (b, m_max + 1))
+    uid = reshape(linear(tc, weights["uid_w"], weights["uid_b"]), (b, m_max + 1))
     attended = mha_forward(
         weights, config, gather(q_idx), gather(tok_idx.reshape(b, m_max * s_max)),
         question_mask=q_mask, training=training, rng=rng,
     )
-    left = reshape(matmul(attended, weights["sl_w"]) + weights["sl_b"], tok_mask.shape)
-    right = reshape(matmul(attended, weights["sr_w"]) + weights["sr_b"], tok_mask.shape)
+    left = reshape(linear(attended, weights["sl_w"], weights["sl_b"]), tok_mask.shape)
+    right = reshape(linear(attended, weights["sr_w"], weights["sr_b"]), tok_mask.shape)
     uid_mask = Tensor(np.where(cls_mask, 0.0, MASK_SCORE))
     span_mask = Tensor(np.where(tok_mask, 0.0, MASK_SCORE))
     return uid + uid_mask, left + span_mask, right + span_mask

@@ -23,7 +23,7 @@ from .tensor import (
     Tensor,
     concat,
     index_select,
-    matmul,
+    linear,
     mean_cross_entropy,
     reshape,
     transpose,
@@ -208,7 +208,7 @@ def pad_batch(
 
 def vocab_logits(weights: EncoderWeights, rows: Tensor) -> Tensor:
     """Tied projection: rows (N, h) -> (N, |V|) through token_emb^T + bias."""
-    return matmul(rows, transpose(weights["token_emb"], (1, 0))) + weights["vocab_bias"]
+    return linear(rows, transpose(weights["token_emb"], (1, 0)), weights["vocab_bias"])
 
 
 def _gather_rows(out: Tensor, flat_indices) -> Tensor:
@@ -302,7 +302,7 @@ def uop_batch_logits(
     weights_mask = utt_mask[:, :, None].astype(np.float64)
     pooled = tsum(tc * Tensor(weights_mask), axis=1)
     pooled = pooled * Tensor(1.0 / utt_mask.sum(axis=1, keepdims=True))
-    return matmul(pooled, weights["uop_w"]) + weights["uop_b"]
+    return linear(pooled, weights["uop_w"], weights["uop_b"])
 
 
 def uop_batch_loss(

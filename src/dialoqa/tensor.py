@@ -11,6 +11,16 @@ gradient of its output, and accumulates into its inputs. It must never
 reference its output ``Tensor``. Nodes then point only at their parents, so
 every graph is acyclic and is freed by reference counting as soon as the
 loss is dropped, with no work left for the cyclic garbage collector.
+
+Gradient buffers: a node's first incoming gradient is stored as a copy and
+later ones are added into it in place. No two nodes share a gradient
+buffer, although a backward may hand one array to several inputs (``add``
+gives both the same ``dout``).
+
+An op records parents and a backward only when an input requires a
+gradient, so a forward over ``EncoderWeights.frozen()`` weights records no
+graph. ``add`` and ``mul`` compute no gradient for a constant operand (a
+mask, a scale). ``linear`` is the affine projection ``x @ w + b`` as one node.
 """
 
 from __future__ import annotations
@@ -91,8 +101,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = np.zeros_like(self.array)
-        self._grad += g
+            self._grad = np.array(g)  # a copy: g may be shared
+        else:
+            self._grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from this node; seeds with ones."""
@@ -149,15 +160,19 @@ def as_tensor(x) -> Tensor:
 
 def _make(out: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     t = Tensor(out)
-    if any(p.requires_grad for p in parents):
-        t.requires_grad = True
-        t._parents = tuple(parents)
-        t._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            t.requires_grad = True
+            t._parents = tuple(parents)
+            t._backward = backward
+            break
     return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -175,8 +190,10 @@ def add(a, b) -> Tensor:
     out = a.array + b.array
 
     def bw(dout):
-        a._accumulate(_unbroadcast(dout, a.shape))
-        b._accumulate(_unbroadcast(dout, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(dout, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(dout, b.shape))
 
     return _make(out, (a, b), bw)
 
@@ -186,8 +203,10 @@ def mul(a, b) -> Tensor:
     out = a.array * b.array
 
     def bw(dout):
-        a._accumulate(_unbroadcast(dout * b.array, a.shape))
-        b._accumulate(_unbroadcast(dout * a.array, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(dout * b.array, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(dout * a.array, b.shape))
 
     return _make(out, (a, b), bw)
 
@@ -200,10 +219,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as e:
+        out = a.array @ b.array
+    except ValueError as e:  # only the batch dimensions are left to disagree
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from e
-    out = a.array @ b.array
 
     def bw(dout):
         ga = dout @ b.array.swapaxes(-1, -2)
@@ -212,6 +230,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` (any leading shape), with
+    ``w`` (d_in, d_out) and ``b`` (d_out,): one GEMM over the rows of ``x``
+    forward, and one each for the ``x`` and ``w`` gradients backward."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    rows = x.array.reshape(-1, w.shape[0])
+    out = rows @ w.array
+    out += b.array
+
+    def bw(dout):
+        g = dout.reshape(len(rows), w.shape[1])
+        x._accumulate((g @ w.array.T).reshape(x.shape))
+        w._accumulate(rows.T @ g)
+        b._accumulate(g.sum(axis=0))
+
+    return _make(out.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bw)
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -229,12 +267,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     out = a.array.transpose(axes)
 
     def bw(dout):
-        a._accumulate(dout.transpose(inv))
+        a._accumulate(dout.transpose(np.argsort(axes)))
 
     return _make(out, (a,), bw)
 
@@ -345,17 +381,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} must match last dim {d}"
         )
-    mu = x.array.mean(axis=-1, keepdims=True)
-    var = x.array.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.array - mu) * inv
+    # mean and var spelled out as numpy computes them, sharing x - mu
+    xc = x.array - x.array.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
     out = xhat * gain.array + bias.array
 
     def bw(dout):
         g = dout
         gy = g * gain.array
-        gdot = gy.mean(axis=-1, keepdims=True)
-        xdot = (gy * xhat).mean(axis=-1, keepdims=True)
+        gdot = gy.sum(axis=-1, keepdims=True) / d
+        xdot = (gy * xhat).sum(axis=-1, keepdims=True) / d
         x._accumulate(inv * (gy - gdot - xhat * xdot))
         axes = tuple(range(g.ndim - 1))
         gain._accumulate((g * xhat).sum(axis=axes))

@@ -278,6 +278,7 @@ def mlm_dev_perplexity(
     instances: Sequence[TmlmInstance] | Sequence[UmlmInstance],
     batch_size: int,
 ) -> float:
+    weights = weights.frozen()
     pairs = []
     for chunk in _chunks(instances, batch_size):
         if isinstance(chunk[0], TmlmInstance):
@@ -297,6 +298,7 @@ def uop_dev_metrics(
     batch_size: int,
 ) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) with dropout off."""
+    weights = weights.frozen()
     total_ce = 0.0
     correct = 0
     for chunk in _chunks(instances, batch_size):
@@ -362,7 +364,8 @@ def fit(
     """Epoch loop with per-epoch dev evaluation, patience-based early
     stopping, and best/last checkpointing. ``batch_loss`` is called as
     ``batch_loss(weights, weights.config, batch, training=True, rng=rng)``;
-    a loss that is not finite raises ``DivergenceError`` before the update.
+    a loss or gradient that is not finite raises ``DivergenceError`` before
+    the update.
     ``improve`` returns whether the new metrics improve on the running best
     and the merged running best.
     ``halt_after_epochs`` simulates an interruption after that many epochs
@@ -416,8 +419,15 @@ def fit(
                     f"training loss is {loss.item()}"
                 )
             loss.backward()
+            grads = weights.grads()
+            nonfinite = [name for name, g in grads.items() if not np.isfinite(g).all()]
+            if nonfinite:
+                raise DivergenceError(
+                    f"stage {stage!r} diverged at step {global_step + 1}: "
+                    f"non-finite gradient of {', '.join(nonfinite)}"
+                )
             global_step += 1
-            adam_step(params, weights.grads(), adam, lr_at_step(schedule, global_step))
+            adam_step(params, grads, adam, lr_at_step(schedule, global_step))
         metrics = dev_eval(weights)
         history.append({"epoch": epoch, "step": global_step, **metrics})
         improved, best_metrics = improve(metrics, best_metrics)
@@ -712,6 +722,7 @@ def predict_entries(
     vocab: Vocab,
     entries: Sequence[tuple[Dialogue, Sequence[QAExample]]],
 ) -> tuple[list[PredictionRecord], list[QAExample]]:
+    weights = weights.frozen()
     records: list[PredictionRecord] = []
     golds: list[QAExample] = []
     for encoding, q, d in _encode_entries(vocab, model_cfg, entries):

@@ -164,10 +164,17 @@ class TestHeaderValidation:
                     {**t, "shape": [float(n) for n in t["shape"]]} for t in h["tensors"]
                 ],
             },
+            lambda h: {**h, "train_state": {**h["train_state"], "epoch": "x"}},
+            lambda h: {**h, "train_state": {**h["train_state"], "bad_evals": True}},
+            lambda h: {**h, "train_state": {**h["train_state"], "history": {}}},
+            lambda h: {**h, "train_state": {**h["train_state"], "history": [[-1, 0]]}},
+            lambda h: {**h, "train_state": {**h["train_state"], "best_metrics": 3.25}},
         ],
         ids=[
             "only-version", "list", "vocab-size-str", "vocab-size-float", "step-str",
             "unknown-stage", "vocab-short", "adam-fields", "rng-state", "shape-float",
+            "epoch-str", "bad-evals-bool", "history-object", "history-record-list",
+            "best-metrics-number",
         ],
     )
     def test_bad_header_raises_checkpoint_error(self, vocab, tmp_path, mutate):
@@ -176,6 +183,19 @@ class TestHeaderValidation:
         header, payload = _split_file(path.read_bytes())
         path.write_bytes(_with_header(mutate(header), payload))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb"])
+    def test_non_finite_payload_names_the_tensor(self, vocab, tmp_path, bad, name):
+        ckpt = _checkpoint(vocab, **TINY)
+        if name.startswith("adam.v."):
+            ckpt.adam.second_moment[name[len("adam.v."):]].flat[0] = bad
+        else:
+            ckpt.weights[name].array.flat[0] = bad
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
 
     @settings(

@@ -255,6 +255,25 @@ class TestBatchedQA:
         assert report.max_rel_err < 1e-4, report
 
 
+class TestFrozenWeights:
+    def test_predict_matches_and_records_no_graph(self, vocab, cfg):
+        w = init_encoder_weights(cfg, STAGE_FINETUNED, np.random.default_rng(3))
+        frozen = w.frozen()
+        assert all(frozen[name].array is p.array for name, p in w.named())
+        for enc in _mixed_batch(vocab, cfg):
+            want_uid, want_spans = predict(w, cfg, enc)
+            got_uid, got_spans = predict(frozen, cfg, enc)
+            np.testing.assert_allclose(got_uid, want_uid, rtol=0, atol=1e-12)
+            for (gl, gr), (wl, wr) in zip(got_spans, want_spans):
+                np.testing.assert_allclose(gl, wl, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(gr, wr, rtol=0, atol=1e-12)
+        outputs = qa_batch_logits(frozen, cfg, _mixed_batch(vocab, cfg))
+        assert all(t._parents == () and t._backward is None for t in outputs)
+        T.tsum(outputs[0]).backward()
+        assert all(p.grad is None for _, p in w.named())
+        assert all(p.grad is None for _, p in frozen.named())
+
+
 class TestSelectAnswer:
     def test_all_null_dominant(self):
         uid = [0.1, 0.5, 0.4]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dialoqa import cli, training
+from dialoqa import tensor as T
 from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dialoqa.corpus import load_corpus, save_corpus
 from dialoqa.errors import CheckpointError, ConfigError, DivergenceError, SequencingError
@@ -116,6 +117,27 @@ class TestDivergence:
             training, "tmlm_batch_loss", lambda *a, **k: Tensor(np.array(np.nan))
         )
         with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1"):
+            run_stage("tmlm", _config(corpus_path))
+
+    def test_non_finite_gradient_raises_before_the_update(self, corpus_path, monkeypatch):
+        """A finite loss whose backward puts NaN into vocab_bias's gradient
+        stops the stage before Adam touches a weight."""
+        real_loss = training.tmlm_batch_loss
+
+        def loss_with_nan_gradient(weights, *args, **kwargs):
+            bias = weights["vocab_bias"]
+            poison = T._make(
+                np.zeros(()), (bias,),
+                lambda dout: bias._accumulate(np.full(bias.shape, np.nan)),
+            )
+            return real_loss(weights, *args, **kwargs) + poison
+
+        def no_update(*args, **kwargs):
+            raise AssertionError("adam_step ran on a non-finite gradient")
+
+        monkeypatch.setattr(training, "tmlm_batch_loss", loss_with_nan_gradient)
+        monkeypatch.setattr(training, "adam_step", no_update)
+        with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1.*vocab_bias"):
             run_stage("tmlm", _config(corpus_path))
 
 
@@ -324,6 +346,28 @@ class TestCli:
         blob = json.dumps({"format_version": 1}).encode()
         path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
         code, err = self._main_error(capsys, "evaluate", "--init", str(path))
+        assert (code, err["error"]) == (1, "CheckpointError")
+
+    def test_mistyped_train_state_on_resume_is_json_error(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 2\nseed = 1\n"
+        )
+        out = tmp_path / "run"
+        assert cli.main(["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]) == 0
+        last = out / "tmlm-last.ckpt"
+        raw = last.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        header["train_state"]["epoch"] = "x"
+        blob = json.dumps(header).encode()
+        last.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        capsys.readouterr()
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "tmlm", "--config", str(path), "--init", str(last)
+        )
         assert (code, err["error"]) == (1, "CheckpointError")
 
     def test_diverging_pretrain_exits_cleanly(self, corpus_path, tmp_path, capsys):

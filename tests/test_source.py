@@ -36,3 +36,28 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def projections_outside_linear(source: str) -> list[str]:
+    """Binary additions with a ``matmul(...)`` call as an operand: an affine
+    projection that should be one ``linear`` node."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            for side in (node.left, node.right):
+                if isinstance(side, ast.Call):
+                    func = side.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "matmul":
+                        found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_matmul_plus_bias():
+    source = "y = matmul(x, w) + b\nz = b + T.matmul(x, w)\nv = matmul(x, w) * s\n"
+    assert projections_outside_linear(source) == ["line 1", "line 2"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_affine_projections_use_linear(path):
+    assert projections_outside_linear(path.read_text(encoding="utf-8")) == []

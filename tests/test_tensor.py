@@ -57,6 +57,10 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))))
 
+    def test_batch_dimension_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"batch.*\(2, 3, 4\).*\(5, 4, 6\)"):
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((5, 4, 6))))
+
     def test_batch_broadcast_gradients(self):
         rng = np.random.default_rng(0)
         a = T.Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
@@ -67,6 +71,30 @@ class TestMatmul:
         # oracle: d(sum(A@B))/dB[k,j] = sum over batch and rows of A[..,k]
         expected_b = np.einsum("xypk->k", a.array)[:, None].repeat(6, axis=1)
         np.testing.assert_allclose(b.grad_array(), expected_b, atol=1e-12)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_equals_matmul_plus_bias(self, x_shape):
+        rng = np.random.default_rng(7)
+        values = [rng.normal(size=s) for s in (x_shape, (4, 3), (3,))]
+        probe = T.Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+        fused = [T.Tensor(v, requires_grad=True) for v in values]
+        split = [T.Tensor(v, requires_grad=True) for v in values]
+        out = T.linear(*fused)
+        ref = T.matmul(split[0], split[1]) + split[2]
+        np.testing.assert_allclose(out.array, ref.array, rtol=0, atol=1e-12)
+        T.tsum(out * probe).backward()
+        T.tsum(ref * probe).backward()
+        for f, r in zip(fused, split):
+            assert f.grad_array().shape == r.grad_array().shape
+            np.testing.assert_allclose(f.grad_array(), r.grad_array(), rtol=0, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 5))), T.Tensor(np.zeros(4)))
 
 
 class TestSoftmax:
@@ -199,6 +227,8 @@ class TestAutodiff:
             ("reshape", lambda a: T.reshape(a, (4, 3)), [(3, 4)]),
             ("transpose", lambda a: T.transpose(a, (1, 0)), [(3, 4)]),
             ("mean", lambda a: T.mean(a, axis=1), [(3, 4)]),
+            ("linear", T.linear, [(3, 4), (4, 2), (2,)]),
+            ("linear-3d", T.linear, [(2, 3, 4), (4, 2), (2,)]),
         ],
     )
     def test_op_gradients(self, name, fn, shapes):
@@ -249,6 +279,23 @@ class TestAutodiff:
         x = T.Tensor([3.0], requires_grad=True)
         (x * x).backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_no_two_nodes_share_a_gradient_buffer(self):
+        # add's backward hands one dout to a and b; a's later gradient from
+        # a * a must not reach b's buffer
+        rng = np.random.default_rng(13)
+        a, b, c = (T.Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3))
+        loss = T.tsum((a + b) * c) + T.tsum(a * a)
+        loss.backward()
+        np.testing.assert_array_equal(b.grad_array(), c.array)
+        np.testing.assert_allclose(a.grad_array(), c.array + 2 * a.array, rtol=0, atol=1e-15)
+
+    def test_constant_operands_get_no_gradient(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        mask, scale = T.Tensor(np.zeros((1, 3))), T.Tensor(2.0)
+        T.tsum((x + mask) * scale).backward()
+        assert mask.grad is None and scale.grad is None
+        np.testing.assert_array_equal(x.grad_array(), np.full((2, 3), 2.0))
 
 
 def test_finite_outputs_on_finite_inputs():
