@@ -209,7 +209,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
     _check_header(header, path)
     try:
-        config = ModelConfig.from_dict(header["model_config"])
+        config = ModelConfig(**header["model_config"])
         vocab = Vocab.from_tokens(header["vocab"])
     except (TypeError, ConfigError, CorpusError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e

@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": "UsageError", "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except DialoQAError as e:
+    except (DialoQAError, OSError) as e:  # loads map OSError to DialoQAError: a write
         json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

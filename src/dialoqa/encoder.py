@@ -2,17 +2,20 @@
 over utterance embeddings (TL1, TL2), and the cross attention between
 question and utterance tokens (MHA).
 
-All forwards accept a single sequence (S, ...) or a batch (B, S, ...), are
-read-only over the weights, and draw dropout noise from an explicit rng.
-Attention masks are boolean, True marking real (attendable) positions.
+Every forward takes a batch only: token ids (B, S), embeddings (B, S, h)
+and boolean masks (B, S), True marking real (attendable) positions; a
+single sequence is a batch of one. Forwards are read-only over the weights
+and draw dropout noise from an explicit rng. ``pad_batch`` builds the id
+rectangle and ``gather_rows`` reads TE output rows by flat index, the one
+way the pre-training losses and the QA heads read TE's outputs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
-from typing import Iterable
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,21 +91,7 @@ class ModelConfig:
         return self.max_tokens * self.max_utterances + 1
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "hidden_size": self.hidden_size,
-            "intermediate_size": self.intermediate_size,
-            "max_tokens": self.max_tokens,
-            "max_utterances": self.max_utterances,
-            "dropout_p": self.dropout_p,
-            "use_utterance_positions": self.use_utterance_positions,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 def _layer_names(prefix: str) -> list[str]:
@@ -241,22 +230,41 @@ def init_encoder_weights(
 # -- forward passes -----------------------------------------------------------
 
 
-def _as_batched(x, ndim_single: int):
-    """Coerce to a Tensor with a leading batch axis; report if one was added."""
+def pad_batch(
+    sequences: Sequence[Sequence[int]], pad_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences to a rectangle; mask True on real positions."""
+    n = len(sequences)
+    width = max(len(s) for s in sequences)
+    ids = np.full((n, width), pad_id, dtype=np.intp)
+    mask = np.zeros((n, width), dtype=bool)
+    for i, s in enumerate(sequences):
+        ids[i, : len(s)] = s
+        mask[i, : len(s)] = True
+    return ids, mask
+
+
+def gather_rows(out: Tensor, idx) -> Tensor:
+    """Rows of a (B, L, h) output picked by flat index b*L + position; an
+    index array of any shape gives ``idx.shape + (h,)``."""
+    b, l, h = out.shape
+    idx = np.asarray(idx, dtype=np.intp)
+    rows = index_select(reshape(out, (b * l, h)), idx.reshape(-1))
+    return reshape(rows, idx.shape + (h,))
+
+
+def _batched(x, name: str) -> Tensor:
     x = as_tensor(x)
-    if x.ndim == ndim_single:
-        return reshape(x, (1,) + x.shape), True
-    return x, False
+    if x.ndim != 3:
+        raise ShapeError(f"{name} must be (B, S, h), got shape {x.shape}")
+    return x
 
 
 def _additive_key_mask(mask: np.ndarray | None, batch: int, length: int) -> Tensor | None:
-    """(B, 1, 1, S) additive scores: 0 on real keys, MASK_SCORE on padding.
-    A 1-d mask is one sequence's and gets the batch axis of one."""
+    """(B, 1, 1, S) additive scores: 0 on real keys, MASK_SCORE on padding."""
     if mask is None:
         return None
     m = np.asarray(mask, dtype=bool)
-    if m.ndim == 1:
-        m = m[None, :]
     if m.shape != (batch, length):
         raise ShapeError(f"attention mask shape {m.shape} != {(batch, length)}")
     add = np.where(m, 0.0, MASK_SCORE)[:, None, None, :]
@@ -329,15 +337,14 @@ def te_forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Token ids (S,) or (B, S) -> contextual embeddings (S, h) or (B, S, h).
+    """Token ids (B, S) -> contextual embeddings (B, S, h).
 
     Padding keys are excluded from every softmax so appended PAD tokens
     leave real positions unchanged.
     """
     ids = np.asarray(token_ids, dtype=np.intp)
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None, :]
+    if ids.ndim != 2:
+        raise ShapeError(f"token_ids must be (B, S), got shape {ids.shape}")
     b, s = ids.shape
     if s > config.token_position_capacity:
         raise CapacityError(
@@ -351,7 +358,7 @@ def te_forward(
     x = dropout(x + pos, config.dropout_p, training, rng)
     for i in range(config.num_layers):
         x = _self_attention_block(weights, f"te.{i}", x, add_mask, training, rng)
-    return reshape(x, (s, config.hidden_size)) if single else x
+    return x
 
 
 def tl_forward(
@@ -364,14 +371,14 @@ def tl_forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Utterance embedding sequence (S, h) or (B, S, h) -> T^c of same shape.
+    """Utterance embeddings (B, S, h) -> T^c of the same shape.
 
     Learned utterance-position embeddings (row ``position_offset + j`` for
     element j) are added before TL1 unless disabled in the config; without
     them the two layers are permutation-equivariant.
     """
-    x, single = _as_batched(utterance_embeddings, 2)
-    b, s, h = x.shape
+    x = _batched(utterance_embeddings, "utterance_embeddings")
+    b, s, _ = x.shape
     if position_offset + s > config.max_utterances + 1:
         raise CapacityError(
             f"utterance sequence of {s} at offset {position_offset} exceeds "
@@ -386,7 +393,7 @@ def tl_forward(
     x = dropout(x, config.dropout_p, training, rng)
     for i in range(2):
         x = _self_attention_block(weights, f"tl.{i}", x, add_mask, training, rng)
-    return reshape(x, (s, h)) if single else x
+    return x
 
 
 def mha_forward(
@@ -401,18 +408,16 @@ def mha_forward(
 ) -> Tensor:
     """Cross attention: utterance token positions attend over the question.
 
-    ``utterance_embeddings`` (queries) may be (S_u, h) or batched
-    (B, S_u, h); ``question_embeddings`` (keys/values) may be (S_q, h) or
-    (B, S_q, h) and broadcasts over the utterance batch when 2-d. The output
-    adds a residual of the utterance input, so zeroing the output projection
+    ``utterance_embeddings`` (B, S_u, h) are the queries and
+    ``question_embeddings`` (B, S_q, h) the keys and values. The output adds
+    a residual of the utterance input, so zeroing the output projection
     (weight and bias) returns the input exactly.
     """
-    xq, _ = _as_batched(question_embeddings, 2)
-    xu, single = _as_batched(utterance_embeddings, 2)
+    xq = _batched(question_embeddings, "question_embeddings")
+    xu = _batched(utterance_embeddings, "utterance_embeddings")
     if xq.shape[1] == 0 or xu.shape[1] == 0:
         raise ShapeError("mha_forward requires non-empty question and utterance inputs")
     add_mask = _additive_key_mask(question_mask, xq.shape[0], xq.shape[1])
     normed = layer_norm(xu, weights["mha.ln_g"], weights["mha.ln_b"], LN_EPS)
     out = _attention(weights, "mha.", normed, xq, add_mask, training, rng)
-    result = xu + dropout(out, config.dropout_p, training, rng)
-    return reshape(result, result.shape[1:]) if single else result
+    return xu + dropout(out, config.dropout_p, training, rng)

@@ -28,9 +28,16 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dialogue, QAExample
-from .encoder import EncoderWeights, ModelConfig, mha_forward, te_forward, tl_forward
+from .encoder import (
+    EncoderWeights,
+    ModelConfig,
+    gather_rows,
+    mha_forward,
+    pad_batch,
+    te_forward,
+    tl_forward,
+)
 from .errors import CapacityError, ShapeError
-from .pretrain import _gather_rows, pad_batch
 from .tensor import (
     MASK_SCORE,
     Tensor,
@@ -136,16 +143,14 @@ def qa_batch_logits(
             tok_idx[i, k, : len(u) - 1] = starts[k + 1] + 1 + np.arange(len(u) - 1)
             tok_mask[i, k, : len(u) - 1] = True
 
-    def gather(idx: np.ndarray) -> Tensor:
-        return reshape(_gather_rows(out, idx.reshape(-1)), idx.shape + (config.hidden_size,))
-
     tc = tl_forward(
-        weights, config, gather(cls_idx),
+        weights, config, gather_rows(out, cls_idx),
         attention_mask=cls_mask, training=training, rng=rng,
     )
     uid = reshape(linear(tc, weights["uid_w"], weights["uid_b"]), (b, m_max + 1))
+    tokens = gather_rows(out, tok_idx.reshape(b, m_max * s_max))
     attended = mha_forward(
-        weights, config, gather(q_idx), gather(tok_idx.reshape(b, m_max * s_max)),
+        weights, config, gather_rows(out, q_idx), tokens,
         question_mask=q_mask, training=training, rng=rng,
     )
     left = reshape(linear(attended, weights["sl_w"], weights["sl_b"]), tok_mask.shape)

@@ -17,18 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dialogue
-from .encoder import EncoderWeights, ModelConfig, te_forward, tl_forward
-from .errors import CapacityError, CorpusError
-from .tensor import (
-    Tensor,
-    concat,
-    index_select,
-    linear,
-    mean_cross_entropy,
-    reshape,
-    transpose,
-    tsum,
+from .encoder import (
+    EncoderWeights,
+    ModelConfig,
+    gather_rows,
+    pad_batch,
+    te_forward,
+    tl_forward,
 )
+from .errors import CapacityError, CorpusError
+from .tensor import Tensor, linear, mean_cross_entropy, transpose, tsum
 from .vocab import SPECIAL_TOKENS, Vocab, encode_utterance
 
 UOP_SHUFFLED = 0
@@ -189,53 +187,12 @@ def build_uop_instance(
     return UopInstance(seqs, label)
 
 
-# -- batching helpers -----------------------------------------------------
-
-
-def pad_batch(
-    sequences: Sequence[Sequence[int]], pad_id: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id sequences to a rectangle; mask True on real positions."""
-    n = len(sequences)
-    width = max(len(s) for s in sequences)
-    ids = np.full((n, width), pad_id, dtype=np.intp)
-    mask = np.zeros((n, width), dtype=bool)
-    for i, s in enumerate(sequences):
-        ids[i, : len(s)] = s
-        mask[i, : len(s)] = True
-    return ids, mask
+# -- losses -----------------------------------------------------------------
 
 
 def vocab_logits(weights: EncoderWeights, rows: Tensor) -> Tensor:
     """Tied projection: rows (N, h) -> (N, |V|) through token_emb^T + bias."""
     return linear(rows, transpose(weights["token_emb"], (1, 0)), weights["vocab_bias"])
-
-
-def _gather_rows(out: Tensor, flat_indices) -> Tensor:
-    """Pick rows of a (B, L, h) tensor by flat index b*L + position."""
-    b, l, h = out.shape
-    return index_select(reshape(out, (b * l, h)), np.asarray(flat_indices, dtype=np.intp))
-
-
-def _group_rows(rows: Tensor, counts: Sequence[int]) -> tuple[Tensor, np.ndarray]:
-    """Regroup (N, h) rows into (B, S_max, h) with zero padding; also returns
-    the (B, S_max) validity mask. Row order must follow the counts."""
-    n, h = rows.shape
-    b = len(counts)
-    s_max = max(counts)
-    padded = concat([rows, Tensor(np.zeros((1, h)))], axis=0)
-    idx = np.full((b, s_max), n, dtype=np.intp)
-    mask = np.zeros((b, s_max), dtype=bool)
-    off = 0
-    for i, c in enumerate(counts):
-        idx[i, :c] = off + np.arange(c)
-        mask[i, :c] = True
-        off += c
-    grouped = reshape(index_select(padded, idx.reshape(-1)), (b, s_max, h))
-    return grouped, mask
-
-
-# -- losses -----------------------------------------------------------------
 
 
 def tmlm_batch_loss(
@@ -255,7 +212,7 @@ def tmlm_batch_loss(
         b * width + p for b, inst in enumerate(instances) for p in inst.mask_positions
     ]
     labels = [lab for inst in instances for lab in inst.mask_labels]
-    logits = vocab_logits(weights, _gather_rows(out, flat_idx))
+    logits = vocab_logits(weights, gather_rows(out, flat_idx))
     return mean_cross_entropy(logits, labels)
 
 
@@ -272,7 +229,7 @@ def umlm_batch_loss(
     ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
     out = te_forward(weights, config, ids, mask, training=training, rng=rng)
     width = ids.shape[1]
-    cls_rows = _gather_rows(out, [b * width for b in range(len(instances))])
+    cls_rows = gather_rows(out, [b * width for b in range(len(instances))])
     logits = vocab_logits(weights, cls_rows)
     return mean_cross_entropy(logits, [inst.mask_label for inst in instances])
 
@@ -287,16 +244,22 @@ def uop_batch_logits(
 ) -> Tensor:
     """(B, 2) order logits: every utterance runs through TE independently,
     the CLS embeddings go through TL1/TL2 with utterance positions, and the
-    mean-pooled sequence is projected to two classes."""
+    mean-pooled sequence is projected to two classes. CLS slots past an
+    instance's utterances read row 0 and are masked."""
     seqs = [seq for inst in instances for seq in inst.utterance_token_ids]
-    counts = [len(inst.utterance_token_ids) for inst in instances]
     ids, mask = pad_batch(seqs, 0)
     out = te_forward(weights, config, ids, mask, training=training, rng=rng)
-    width = ids.shape[1]
-    cls_rows = _gather_rows(out, [i * width for i in range(len(seqs))])
-    grouped, utt_mask = _group_rows(cls_rows, counts)
+    m_max = max(len(inst.utterance_token_ids) for inst in instances)
+    cls_idx = np.zeros((len(instances), m_max), dtype=np.intp)
+    utt_mask = np.zeros((len(instances), m_max), dtype=bool)
+    row = 0
+    for i, inst in enumerate(instances):
+        n = len(inst.utterance_token_ids)
+        cls_idx[i, :n] = (row + np.arange(n)) * ids.shape[1]
+        utt_mask[i, :n] = True
+        row += n
     tc = tl_forward(
-        weights, config, grouped,
+        weights, config, gather_rows(out, cls_idx),
         position_offset=1, attention_mask=utt_mask, training=training, rng=rng,
     )
     weights_mask = utt_mask[:, :, None].astype(np.float64)

@@ -135,23 +135,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def as_tensor(x) -> Tensor:
@@ -273,33 +261,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         a._accumulate(dout.transpose(np.argsort(axes)))
 
     return _make(out, (a,), bw)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.concatenate([p.array for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(dout):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * dout.ndim
-            idx[axis] = slice(lo, hi)
-            p._accumulate(dout[tuple(idx)])
-
-    return _make(out, parts, bw)
-
-
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.stack([p.array for p in parts], axis=axis)
-
-    def bw(dout):
-        slabs = np.moveaxis(dout, axis, 0)
-        for p, g in zip(parts, slabs):
-            p._accumulate(g)
-
-    return _make(out, parts, bw)
 
 
 def index_select(a: Tensor, indices, axis: int = 0) -> Tensor:
@@ -438,15 +399,6 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         logits._accumulate(g * dout[:, None])
 
     return _make(-logp[rows, targets], (logits,), bw)
-
-
-def cross_entropy(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-d logit vector."""
-    logits = as_tensor(logits)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-d logits, got {logits.shape}")
-    rows = cross_entropy_rows(reshape(logits, (1, logits.shape[0])), [target_index])
-    return reshape(rows, ())
 
 
 def mean_cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -16,7 +16,7 @@ from dialoqa.encoder import (
     tensor_shape,
     tl_forward,
 )
-from dialoqa.errors import CapacityError, ConfigError
+from dialoqa.errors import CapacityError, ConfigError, ShapeError
 from dialoqa.optim import grad_check
 
 TOY = ModelConfig(
@@ -63,11 +63,11 @@ class TestTeForward:
                           intermediate_size=64, max_tokens=8, max_utterances=4,
                           dropout_p=0.0)
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
-        out = te_forward(w, cfg, np.arange(16))
-        assert out.shape == (16, 32)
+        out = te_forward(w, cfg, np.arange(16)[None])
+        assert out.shape == (1, 16, 32)
 
     def test_capacity_error(self, uop_weights):
-        too_long = np.zeros(TOY.token_position_capacity + 1, dtype=int)
+        too_long = np.zeros((1, TOY.token_position_capacity + 1), dtype=int)
         with pytest.raises(CapacityError):
             te_forward(uop_weights, TOY, too_long)
 
@@ -88,10 +88,10 @@ class TestTeForward:
             length = int(rng.integers(3, 10))
             pad = int(rng.integers(1, 6))
             ids = rng.integers(0, TOY.vocab_size, size=length)
-            padded = np.concatenate([ids, np.zeros(pad, dtype=np.intp)])
-            mask = np.concatenate([np.ones(length, bool), np.zeros(pad, bool)])
-            base = te_forward(uop_weights, TOY, ids).array
-            with_pad = te_forward(uop_weights, TOY, padded, mask).array
+            padded = np.concatenate([ids, np.zeros(pad, dtype=np.intp)])[None]
+            mask = np.concatenate([np.ones(length, bool), np.zeros(pad, bool)])[None]
+            base = te_forward(uop_weights, TOY, ids[None]).array[0]
+            with_pad = te_forward(uop_weights, TOY, padded, mask).array[0]
             np.testing.assert_allclose(with_pad[:length], base, atol=1e-9)
 
     def test_batched_matches_single(self, uop_weights):
@@ -99,12 +99,12 @@ class TestTeForward:
         ids = rng.integers(0, TOY.vocab_size, size=(3, 7))
         batched = te_forward(uop_weights, TOY, ids).array
         for b in range(3):
-            single = te_forward(uop_weights, TOY, ids[b]).array
+            single = te_forward(uop_weights, TOY, ids[b : b + 1]).array[0]
             np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
     def test_dropout_deterministic_given_seed(self, uop_weights):
         cfg = ModelConfig(**{**TOY.to_dict(), "dropout_p": 0.2})
-        ids = np.arange(6)
+        ids = np.arange(6)[None]
         a = te_forward(uop_weights, cfg, ids, training=True,
                        rng=np.random.default_rng(9)).array
         b = te_forward(uop_weights, cfg, ids, training=True,
@@ -114,12 +114,12 @@ class TestTeForward:
 
 class TestTlForward:
     def test_shape_preserved(self, uop_weights):
-        x = np.random.default_rng(0).normal(size=(5, 8))
+        x = np.random.default_rng(0).normal(size=(1, 5, 8))
         out = tl_forward(uop_weights, TOY, x, position_offset=0)
-        assert out.shape == (5, 8)
+        assert out.shape == (1, 5, 8)
 
     def test_capacity(self, uop_weights):
-        x = np.zeros((TOY.max_utterances + 2, 8))
+        x = np.zeros((1, TOY.max_utterances + 2, 8))
         with pytest.raises(CapacityError):
             tl_forward(uop_weights, TOY, x)
 
@@ -130,8 +130,8 @@ class TestTlForward:
         saved = uop_weights["utt_pos_emb"].array.copy()
         uop_weights["utt_pos_emb"].array[:] = 0.0
         try:
-            out = tl_forward(uop_weights, TOY, x).array
-            out_perm = tl_forward(uop_weights, TOY, x[perm]).array
+            out = tl_forward(uop_weights, TOY, x[None]).array[0]
+            out_perm = tl_forward(uop_weights, TOY, x[perm][None]).array[0]
         finally:
             uop_weights["utt_pos_emb"].array[:] = saved
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
@@ -140,8 +140,8 @@ class TestTlForward:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 8))
         perm = np.array([2, 0, 3, 1])
-        out = tl_forward(uop_weights, TOY, x).array
-        out_perm = tl_forward(uop_weights, TOY, x[perm]).array
+        out = tl_forward(uop_weights, TOY, x[None]).array[0]
+        out_perm = tl_forward(uop_weights, TOY, x[perm][None]).array[0]
         assert np.abs(out_perm - out[perm]).max() > 1e-4
 
     def test_positions_disabled_by_config(self):
@@ -150,17 +150,17 @@ class TestTlForward:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 8))
         perm = np.array([1, 3, 0, 2])
-        out = tl_forward(w, cfg, x).array
-        out_perm = tl_forward(w, cfg, x[perm]).array
+        out = tl_forward(w, cfg, x[None]).array[0]
+        out_perm = tl_forward(w, cfg, x[perm][None]).array[0]
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
 
 class TestMhaForward:
     def test_output_length_is_utterance_length(self, ft_weights):
         rng = np.random.default_rng(0)
-        q = rng.normal(size=(5, 8))
-        u = rng.normal(size=(7, 8))
-        assert mha_forward(ft_weights, TOY, q, u).shape == (7, 8)
+        q = rng.normal(size=(1, 5, 8))
+        u = rng.normal(size=(1, 7, 8))
+        assert mha_forward(ft_weights, TOY, q, u).shape == (1, 7, 8)
 
     def test_attention_rows_sum_to_one(self, ft_weights):
         # with zeroed value/output paths the probabilities are inspectable
@@ -172,8 +172,8 @@ class TestMhaForward:
 
     def test_residual_identity_with_zeroed_output_projection(self, ft_weights):
         rng = np.random.default_rng(2)
-        q = rng.normal(size=(4, 8))
-        u = rng.normal(size=(6, 8))
+        q = rng.normal(size=(1, 4, 8))
+        u = rng.normal(size=(1, 6, 8))
         saved_w = ft_weights["mha.wo"].array.copy()
         saved_b = ft_weights["mha.bo"].array.copy()
         ft_weights["mha.wo"].array[:] = 0.0
@@ -186,13 +186,22 @@ class TestMhaForward:
         np.testing.assert_array_equal(out, u)  # exact
 
 
+def test_wrong_rank_input_is_shape_error(ft_weights):
+    with pytest.raises(ShapeError, match=r"\(6,\)"):
+        te_forward(ft_weights, TOY, np.arange(6))
+    with pytest.raises(ShapeError, match=r"\(4, 8\)"):
+        tl_forward(ft_weights, TOY, np.zeros((4, 8)))
+    with pytest.raises(ShapeError, match=r"\(5, 8\)"):
+        mha_forward(ft_weights, TOY, np.zeros((5, 8)), np.zeros((1, 7, 8)))
+
+
 def test_te_gradcheck_toy_scale(uop_weights):
     rng = np.random.default_rng(12)
     w = init_encoder_weights(TOY, "tmlm", rng)
     ids = rng.integers(0, TOY.vocab_size, size=9)
 
     def loss():
-        out = te_forward(w, TOY, ids)
+        out = T.reshape(te_forward(w, TOY, ids[None]), (9, TOY.hidden_size))
         logits = T.matmul(out, T.transpose(w["token_emb"], (1, 0))) + w["vocab_bias"]
         return T.mean_cross_entropy(logits, ids)
 

@@ -392,3 +392,23 @@ class TestCli:
             capsys, "pretrain", "--stage", "tmlm", "--config", str(path)
         )
         assert (code, err["error"]) == (1, "ConfigError")
+
+    @pytest.mark.parametrize(
+        "command", [["pretrain", "--stage", "tmlm"], ["synth-corpus"]], ids=["pretrain", "synth"]
+    )
+    @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+    def test_output_path_blocked_by_a_file_is_json_error(
+        self, corpus_path, tmp_path, capsys, command, beneath
+    ):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "tmlm_steps = 2\nsynth_episodes = 2\n"
+        )
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if beneath else blocker
+        code, err = self._main_error(capsys, *command, "--config", str(path), "--out", str(out))
+        assert code == 1
+        assert str(blocker) in err["message"]

@@ -20,6 +20,7 @@ from dialoqa.pretrain import (
     mask_tokens,
     tmlm_batch_loss,
     umlm_batch_loss,
+    uop_batch_logits,
     uop_batch_loss,
 )
 from dialoqa.vocab import build_vocab, decode
@@ -313,3 +314,36 @@ class TestGradChecks:
             rng=np.random.default_rng(11), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
+
+
+class TestUopBatch:
+    def test_ragged_batch_equals_batches_of_one(self, vocab):
+        cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
+        w = init_encoder_weights(cfg, "uop", np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        insts = [
+            build_uop_instance(vocab, _dialogue(n, k), rng, 0.5)
+            for n, k in ((4, 3), (6, 2), (5, 4))
+        ]
+        assert [len(i.utterance_token_ids) for i in insts] == [4, 6, 5]
+        logits = uop_batch_logits(w, cfg, insts).array
+        for b, inst in enumerate(insts):
+            single = uop_batch_logits(w, cfg, [inst]).array[0]
+            np.testing.assert_allclose(logits[b], single, rtol=0, atol=1e-12)
+        w.zero_grads()
+        batched = uop_batch_loss(w, cfg, insts)
+        batched.backward()
+        batched_grads = {n: g.copy() for n, g in w.grads().items()}
+        losses = []
+        grad_sum = {n: np.zeros_like(g) for n, g in batched_grads.items()}
+        for inst in insts:
+            w.zero_grads()
+            loss = uop_batch_loss(w, cfg, [inst])
+            loss.backward()
+            losses.append(loss.item())
+            for n, g in w.grads().items():
+                grad_sum[n] += g
+        w.zero_grads()
+        assert abs(batched.item() - np.mean(losses)) < 1e-12
+        for n, g in batched_grads.items():
+            np.testing.assert_allclose(g, grad_sum[n] / len(insts), rtol=0, atol=1e-12, err_msg=n)

@@ -61,3 +61,38 @@ def test_checker_flags_matmul_plus_bias():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_affine_projections_use_linear(path):
     assert projections_outside_linear(path.read_text(encoding="utf-8")) == []
+
+
+def unused_tensor_functions(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions of ``tensor.py`` that no other module
+    imports and ``tensor.py`` never calls by name. Only calls count, so a
+    local variable that shares a function's name does not hide it."""
+    tree = ast.parse(sources["tensor.py"])
+    called = {
+        n.func.id for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+    imported = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "dialoqa.tensor"):
+                imported.update(alias.name for alias in node.names)
+    return [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in called | imported
+    ]
+
+
+def test_checker_flags_an_unused_tensor_function():
+    tensor = (
+        "def used(): pass\ndef helper(): pass\ndef stack(): pass\n"
+        "def _f():\n    stack = [1]\n    stack.pop()\n    return helper()\n"
+    )
+    sources = {"tensor.py": tensor, "model.py": "from .tensor import used\n"}
+    assert unused_tensor_functions(sources) == ["stack"]
+
+
+def test_every_tensor_function_is_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unused_tensor_functions(sources) == []
