@@ -3,8 +3,11 @@
 Subcommands: ``pretrain --stage {tmlm|umlm|uop}``, ``finetune``,
 ``evaluate --split {train|dev|test}``, and ``synth-corpus``, each taking
 ``--config`` (key = value file), ``--seed``, ``--init <checkpoint>`` and
-``--out <dir>``. Exit code 0 on success; on failure a machine-readable JSON
-error goes to stderr. DIALOQA_LOG controls log verbosity.
+``--out <dir>``. ``pretrain`` and ``finetune`` always leave the best-dev
+checkpoint at ``<dir>/<stage>-best.ckpt`` (the working directory without
+``--out``), the ``--init`` of the next stage. Exit code 0 on success; on
+failure a machine-readable JSON error goes to stderr. DIALOQA_LOG controls
+log verbosity.
 """
 
 from __future__ import annotations
@@ -82,15 +85,13 @@ def main(argv: list[str] | None = None) -> int:
         init = load_checkpoint(args.init) if args.init is not None else None
         if args.command == "pretrain":
             best = run_stage(args.stage, config, init, args.out)
-            if args.out is None:
-                save_checkpoint(best, f"{args.stage}-best.ckpt")
+            save_checkpoint(best, (args.out or Path(".")) / f"{args.stage}-best.ckpt")
             print(f"{args.stage}: best dev {best.train_state.get('metrics')}")
         elif args.command == "finetune":
             if init is None:
                 raise _UsageError("finetune requires --init <checkpoint>")
             best, history = run_finetune(config, init, args.out)
-            if args.out is None:
-                save_checkpoint(best, "finetuned-best.ckpt")
+            save_checkpoint(best, (args.out or Path(".")) / "finetuned-best.ckpt")
             print(f"finetuned: best dev {best.train_state.get('metrics')}")
         elif args.command == "evaluate":
             if init is None:

@@ -8,11 +8,15 @@ single sequence is a batch of one. Forwards are read-only over the weights
 and draw dropout noise from an explicit rng. ``pad_batch`` builds the id
 rectangle and ``gather_rows`` reads TE output rows by flat index, the one
 way the pre-training losses and the QA heads read TE's outputs.
+
+All three attentions (TE and TL self-attention, MHA cross-attention) go
+through ``_attention``: the q/k/v/o ``linear`` projections around one
+``tensor.attention`` node, with padding keys masked by an additive (B, S)
+score array.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
@@ -24,15 +28,13 @@ from .tensor import (
     MASK_SCORE,
     Tensor,
     as_tensor,
+    attention,
     dropout,
     gelu,
     index_select,
     layer_norm,
     linear,
-    matmul,
     reshape,
-    softmax,
-    transpose,
 )
 
 LN_EPS = 1e-12
@@ -260,25 +262,14 @@ def _batched(x, name: str) -> Tensor:
     return x
 
 
-def _additive_key_mask(mask: np.ndarray | None, batch: int, length: int) -> Tensor | None:
-    """(B, 1, 1, S) additive scores: 0 on real keys, MASK_SCORE on padding."""
+def _additive_key_mask(mask: np.ndarray | None, batch: int, length: int) -> np.ndarray | None:
+    """(B, S) additive key scores: 0 on real keys, MASK_SCORE on padding."""
     if mask is None:
         return None
     m = np.asarray(mask, dtype=bool)
     if m.shape != (batch, length):
         raise ShapeError(f"attention mask shape {m.shape} != {(batch, length)}")
-    add = np.where(m, 0.0, MASK_SCORE)[:, None, None, :]
-    return Tensor(add)
-
-
-def _split_heads(x: Tensor, num_heads: int) -> Tensor:
-    b, s, h = x.shape
-    return transpose(reshape(x, (b, s, num_heads, h // num_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, nh, s, d = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, s, nh * d))
+    return np.where(m, 0.0, MASK_SCORE)
 
 
 def _attention(
@@ -286,23 +277,21 @@ def _attention(
     prefix: str,
     x_q: Tensor,
     x_kv: Tensor,
-    add_mask: Tensor | None,
+    add_mask: np.ndarray | None,
     training: bool,
     rng,
 ) -> Tensor:
     """Multi-head attention of ``x_q`` over ``x_kv`` with the weights
-    ``{prefix}wq`` .. ``{prefix}bo``; dropout on the attention
+    ``{prefix}wq`` .. ``{prefix}bo``: the four projections around one
+    ``attention`` node, which applies dropout to the attention
     probabilities. Returns the output projection, before any residual."""
     cfg = w.config
-    q = _split_heads(linear(x_q, w[f"{prefix}wq"], w[f"{prefix}bq"]), cfg.num_heads)
-    k = _split_heads(linear(x_kv, w[f"{prefix}wk"], w[f"{prefix}bk"]), cfg.num_heads)
-    v = _split_heads(linear(x_kv, w[f"{prefix}wv"], w[f"{prefix}bv"]), cfg.num_heads)
-    scale = 1.0 / math.sqrt(cfg.hidden_size // cfg.num_heads)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
-    if add_mask is not None:
-        scores = scores + add_mask
-    probs = dropout(softmax(scores, axis=-1), cfg.dropout_p, training, rng)
-    ctx = _merge_heads(matmul(probs, v))
+    ctx = attention(
+        linear(x_q, w[f"{prefix}wq"], w[f"{prefix}bq"]),
+        linear(x_kv, w[f"{prefix}wk"], w[f"{prefix}bk"]),
+        linear(x_kv, w[f"{prefix}wv"], w[f"{prefix}bv"]),
+        add_mask, cfg.num_heads, cfg.dropout_p, training, rng,
+    )
     return linear(ctx, w[f"{prefix}wo"], w[f"{prefix}bo"])
 
 
@@ -310,7 +299,7 @@ def _self_attention_block(
     w: EncoderWeights,
     prefix: str,
     x: Tensor,
-    add_mask: Tensor | None,
+    add_mask: np.ndarray | None,
     training: bool,
     rng,
 ) -> Tensor:

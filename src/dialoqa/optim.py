@@ -51,8 +51,12 @@ def adam_step(
                 f"gradient shape {g.shape} does not match parameter "
                 f"'{name}' shape {p.array.shape}"
             )
-        m = state.first_moment.setdefault(name, np.zeros_like(p.array))
-        v = state.second_moment.setdefault(name, np.zeros_like(p.array))
+        m = state.first_moment.get(name)
+        if m is None:
+            m = state.first_moment[name] = np.zeros_like(p.array)
+        v = state.second_moment.get(name)
+        if v is None:
+            v = state.second_moment[name] = np.zeros_like(p.array)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

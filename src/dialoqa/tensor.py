@@ -12,15 +12,19 @@ reference its output ``Tensor``. Nodes then point only at their parents, so
 every graph is acyclic and is freed by reference counting as soon as the
 loss is dropped, with no work left for the cyclic garbage collector.
 
-Gradient buffers: a node's first incoming gradient is stored as a copy and
-later ones are added into it in place. No two nodes share a gradient
-buffer, although a backward may hand one array to several inputs (``add``
-gives both the same ``dout``).
+Gradient buffers: a node stores its first incoming gradient as given and
+adds later ones out of place (``grad = grad + g``), so no stored gradient
+array is ever written after it is stored. A backward may therefore hand one
+array to several inputs (``add`` gives both the same ``dout``) or pass on a
+view of its own ``dout`` without copying; closures never write into
+``dout`` or into an array they have handed on.
 
 An op records parents and a backward only when an input requires a
 gradient, so a forward over ``EncoderWeights.frozen()`` weights records no
 graph. ``add`` and ``mul`` compute no gradient for a constant operand (a
-mask, a scale). ``linear`` is the affine projection ``x @ w + b`` as one node.
+mask, a scale). ``linear`` is the affine projection ``x @ w + b`` as one node,
+and ``attention`` is the one attention node: head split, scaled and masked
+scores, softmax, dropout on the probabilities, context and head merge.
 """
 
 from __future__ import annotations
@@ -101,9 +105,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = np.array(g)  # a copy: g may be shared
+            self._grad = g
         else:
-            self._grad += g
+            self._grad = self._grad + g  # out of place: g or _grad may be shared
 
     def backward(self) -> None:
         """Reverse-mode sweep from this node; seeds with ones."""
@@ -199,27 +203,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes with broadcastable batch dims."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    try:
-        out = a.array @ b.array
-    except ValueError as e:  # only the batch dimensions are left to disagree
-        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from e
-
-    def bw(dout):
-        ga = dout @ b.array.swapaxes(-1, -2)
-        gb = a.array.swapaxes(-1, -2) @ dout
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
-
-    return _make(out, (a, b), bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` (any leading shape), with
     ``w`` (d_in, d_out) and ``b`` (d_out,): one GEMM over the rows of ``x``
@@ -263,20 +246,21 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def index_select(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along ``axis``; gradient scatter-adds (duplicates sum)."""
+def index_select(a: Tensor, indices) -> Tensor:
+    """Gather rows (slices along axis 0); gradient scatter-adds (duplicates sum)."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
-        raise IndexError(
-            f"index_select out of range for axis {axis} of shape {a.shape}"
-        )
-    out = np.take(a.array, idx, axis=axis)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError(f"index_select out of range for axis 0 of shape {a.shape}")
+    out = np.take(a.array, idx, axis=0)
 
     def bw(dout):
-        g = np.zeros_like(a.array)
-        np.add.at(g, (slice(None),) * axis + (idx,), dout)
-        a._accumulate(g)
+        # one weighted bincount over flat cell indices sums each cell's
+        # contributions in index order, as np.add.at would, but buffered
+        row = math.prod(a.shape[1:])
+        cells = (idx.reshape(-1, 1) * row + np.arange(row)).reshape(-1)
+        g = np.bincount(cells, weights=dout.reshape(-1), minlength=a.size)
+        a._accumulate(g.reshape(a.shape))
 
     return _make(out, (a,), bw)
 
@@ -422,3 +406,81 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         x._accumulate(dout * keep)
 
     return _make(out, (x,), bw)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    add_mask: np.ndarray | None,
+    num_heads: int,
+    p: float,
+    training: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` (B, Sq, h) are projected queries and ``k``, ``v`` (B, Sk, h)
+    projected keys and values; the last axis splits into ``num_heads``
+    heads of width d. Scores ``q kᵀ / sqrt(d)`` plus ``add_mask`` (B, Sk)
+    (0 on real keys, MASK_SCORE on padding; None for no mask) go through a
+    max-shifted softmax over the keys; in training the probabilities get
+    inverted dropout of rate ``p`` from one ``rng.random`` draw. Returns the
+    heads' contexts merged back to (B, Sq, h).
+    """
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (
+        q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+        or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]
+        or num_heads < 1 or q.shape[2] % num_heads
+        or (add_mask is not None and add_mask.shape != k.shape[:2])
+    ):
+        raise ShapeError(
+            f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, "
+            f"mask {None if add_mask is None else add_mask.shape}, {num_heads} heads"
+        )
+    b, sq, h = q.shape
+    sk = k.shape[1]
+    d = h // num_heads
+    qh = q.array.reshape(b, sq, num_heads, d).transpose(0, 2, 1, 3)
+    kh = k.array.reshape(b, sk, num_heads, d).transpose(0, 2, 1, 3)
+    vh = v.array.reshape(b, sk, num_heads, d).transpose(0, 2, 1, 3)
+    scale = 1.0 / math.sqrt(d)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    if add_mask is not None:
+        probs += add_mask[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = None
+    dropped = probs
+    if training and p > 0.0:
+        if rng is None:
+            raise ConfigError("dropout in training mode requires an rng")
+        keep = (rng.random(probs.shape) >= p).astype(np.float64) / (1.0 - p)
+        dropped = probs * keep
+    out = (dropped @ vh).transpose(0, 2, 1, 3).reshape(b, sq, h)
+
+    def bw(dout):
+        dctx = dout.reshape(b, sq, num_heads, d).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            dv = dropped.swapaxes(-1, -2) @ dctx
+            v._accumulate(dv.transpose(0, 2, 1, 3).reshape(b, sk, h))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = dctx @ vh.swapaxes(-1, -2)
+        if keep is not None:
+            ds *= keep
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        if q.requires_grad:
+            q._accumulate((ds @ kh).transpose(0, 2, 1, 3).reshape(b, sq, h))
+        if k.requires_grad:
+            dk = qh.swapaxes(-1, -2) @ ds
+            k._accumulate(dk.transpose(0, 3, 1, 2).reshape(b, sk, h))
+
+    return _make(out, (q, k, v), bw)

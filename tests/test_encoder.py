@@ -202,7 +202,7 @@ def test_te_gradcheck_toy_scale(uop_weights):
 
     def loss():
         out = T.reshape(te_forward(w, TOY, ids[None]), (9, TOY.hidden_size))
-        logits = T.matmul(out, T.transpose(w["token_emb"], (1, 0))) + w["vocab_bias"]
+        logits = T.linear(out, T.transpose(w["token_emb"], (1, 0)), w["vocab_bias"])
         return T.mean_cross_entropy(logits, ids)
 
     report = grad_check(

@@ -53,6 +53,31 @@ class TestAdam:
         with pytest.raises(ShapeError, match="w"):
             adam_step(params, {"w": np.zeros(3)}, AdamState(), lr=0.1)
 
+    def test_moments_allocated_once(self, monkeypatch):
+        params = _params(w=[1.0, -2.0])
+        state = AdamState()
+        adam_step(params, {"w": np.array([0.5, 0.25])}, state, lr=0.1)
+        first, second = state.first_moment["w"], state.second_moment["w"]
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("moments re-allocated on a later step")
+
+        monkeypatch.setattr(np, "zeros_like", no_allocation)
+        adam_step(params, {"w": np.array([0.5, 0.25])}, state, lr=0.1)
+        assert state.first_moment["w"] is first and state.second_moment["w"] is second
+
+    def test_two_step_values(self):
+        params = _params(w=[1.0, -2.0])
+        state = AdamState(weight_decay=0.01)
+        w, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
+        for t, g in enumerate((np.array([0.5, -1.5]), np.array([-0.25, 2.0])), start=1):
+            adam_step(params, {"w": g}, state, lr=0.1)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            update = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            w = w - 0.1 * (update + 0.01 * w)
+        np.testing.assert_allclose(params["w"].array, w, rtol=0, atol=1e-15)
+
     def test_step_strictly_increments(self):
         params = _params(w=[1.0])
         state = AdamState()

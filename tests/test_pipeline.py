@@ -383,6 +383,24 @@ class TestCli:
         history = load_checkpoint(out / "tmlm-last.ckpt").train_state["history"]
         assert history[-1]["perplexity"] == math.inf  # the dev loss overflows exp
 
+    def test_best_checkpoint_written_when_no_epoch_improves(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\nbase_lr = 0\ntmlm_steps = 2\numlm_steps = 2\nseed = 1\n"
+        )
+        out = tmp_path / "run"
+        args = ["--config", str(path), "--out", str(out)]
+        assert cli.main(["pretrain", "--stage", "tmlm", *args]) == 0, capsys.readouterr().err
+        history = load_checkpoint(out / "tmlm-last.ckpt").train_state["history"]
+        assert [h["perplexity"] for h in history[1:]] == [history[0]["perplexity"]] * (len(history) - 1)
+        best = out / "tmlm-best.ckpt"
+        assert best.exists()
+        code = cli.main(["pretrain", "--stage", "umlm", "--init", str(best), *args])
+        assert code == 0, capsys.readouterr().err
+        assert (out / "umlm-best.ckpt").exists()
+
     @pytest.mark.parametrize("content", [None, "seed = twelve\n"])
     def test_bad_config_file_is_json_error(self, tmp_path, capsys, content):
         path = tmp_path / "run.cfg"

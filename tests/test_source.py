@@ -96,3 +96,24 @@ def test_checker_flags_an_unused_tensor_function():
 def test_every_tensor_function_is_used():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unused_tensor_functions(sources) == []
+
+
+def called_names(source: str) -> set[str]:
+    """Names of the functions a module calls, plain or as an attribute."""
+    return {
+        n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_checker_lists_called_names():
+    assert called_names("y = T.softmax(x)\nz = attention(q, k, v)\n") == {"softmax", "attention"}
+
+
+def test_encoder_attends_through_the_fused_op():
+    """All three attentions go through one ``attention`` node; a softmax
+    spelled out in the encoder would be a second, unfused copy."""
+    names = called_names((SOURCES[0].parent / "encoder.py").read_text(encoding="utf-8"))
+    assert "attention" in names
+    assert "softmax" not in names

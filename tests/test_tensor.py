@@ -21,6 +21,11 @@ SOFTMAX_123 = [0.090030573170380458, 0.24472847105479765, 0.66524095577482189]
 GELU_1 = 0.84134474606854295
 CE_123_TARGET2 = 0.40760596444438030
 
+# (2, 5) additive key mask: the second sequence's last two keys are padding
+PAD_LAST_TWO = np.where(
+    np.array([[True] * 5, [True, True, True, False, False]]), 0.0, T.MASK_SCORE
+)
+
 
 def test_tensor_views_and_invariants():
     t = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -32,14 +37,20 @@ def test_tensor_views_and_invariants():
     assert np.all(np.isfinite(t.data))
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(out.array, [[3.0, 4.0], [5.0, 6.0]])
-
-    def test_dot_product(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out.array, [[11.0]])
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_equals_matmul_plus_bias(self, x_shape):
+        rng = np.random.default_rng(7)
+        x, w, b = (rng.normal(size=s) for s in (x_shape, (4, 3), (3,)))
+        probe = rng.normal(size=x_shape[:-1] + (3,))
+        params = [T.Tensor(v, requires_grad=True) for v in (x, w, b)]
+        out = T.linear(*params)
+        np.testing.assert_allclose(out.array, x @ w + b, rtol=0, atol=1e-12)
+        T.tsum(out * T.Tensor(probe)).backward()
+        rows, g = x.reshape(-1, 4), probe.reshape(-1, 3)
+        for param, ref in zip(params, (probe @ w.T, rows.T @ g, g.sum(axis=0))):
+            assert param.grad_array().shape == ref.shape
+            np.testing.assert_allclose(param.grad_array(), ref, rtol=0, atol=1e-12)
 
     def test_against_triple_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -50,45 +61,20 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = T.matmul(T.Tensor(a), T.Tensor(b))
+        out = T.linear(T.Tensor(a), T.Tensor(b), T.Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.array, expected, rtol=0, atol=1e-12)
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2))))
-
-    def test_batch_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"batch.*\(2, 3, 4\).*\(5, 4, 6\)"):
-            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((5, 4, 6))))
-
-    def test_batch_broadcast_gradients(self):
+    def test_leading_axes_gradients(self):
         rng = np.random.default_rng(0)
-        a = T.Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
-        b = T.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        T.tsum(T.matmul(a, b)).backward()
-        assert a.grad_array().shape == (3, 2, 4, 5)
-        assert b.grad_array().shape == (5, 6)
-        # oracle: d(sum(A@B))/dB[k,j] = sum over batch and rows of A[..,k]
-        expected_b = np.einsum("xypk->k", a.array)[:, None].repeat(6, axis=1)
-        np.testing.assert_allclose(b.grad_array(), expected_b, atol=1e-12)
-
-
-class TestLinear:
-    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
-    def test_equals_matmul_plus_bias(self, x_shape):
-        rng = np.random.default_rng(7)
-        values = [rng.normal(size=s) for s in (x_shape, (4, 3), (3,))]
-        probe = T.Tensor(rng.normal(size=x_shape[:-1] + (3,)))
-        fused = [T.Tensor(v, requires_grad=True) for v in values]
-        split = [T.Tensor(v, requires_grad=True) for v in values]
-        out = T.linear(*fused)
-        ref = T.matmul(split[0], split[1]) + split[2]
-        np.testing.assert_allclose(out.array, ref.array, rtol=0, atol=1e-12)
-        T.tsum(out * probe).backward()
-        T.tsum(ref * probe).backward()
-        for f, r in zip(fused, split):
-            assert f.grad_array().shape == r.grad_array().shape
-            np.testing.assert_allclose(f.grad_array(), r.grad_array(), rtol=0, atol=1e-12)
+        x = T.Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        b = T.Tensor(np.zeros(6), requires_grad=True)
+        T.tsum(T.linear(x, w, b)).backward()
+        assert x.grad_array().shape == (3, 2, 4, 5)
+        # oracle: d(sum(X@W))/dW[k,j] = sum over every leading axis of X[..,k]
+        expected_w = np.einsum("xypk->k", x.array)[:, None].repeat(6, axis=1)
+        np.testing.assert_allclose(w.grad_array(), expected_w, atol=1e-12)
+        np.testing.assert_array_equal(b.grad_array(), np.full(6, 24.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -213,6 +199,105 @@ class TestDropout:
         assert np.array_equal(a, b)
 
 
+def _attention_reference(q, k, v, add_mask, num_heads, keep=None):
+    """Plain numpy multi-head attention, one head and one sequence at a time."""
+    b, sq, h = q.shape
+    d = h // num_heads
+    out = np.zeros((b, sq, h))
+    for i in range(b):
+        for j in range(num_heads):
+            cols = slice(j * d, (j + 1) * d)
+            scores = q[i, :, cols] @ k[i, :, cols].T / math.sqrt(d)
+            if add_mask is not None:
+                scores = scores + add_mask[i]
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            probs = e / e.sum(axis=-1, keepdims=True)
+            if keep is not None:
+                probs = probs * keep[i, j]
+            out[i, :, cols] = probs @ v[i, :, cols]
+    return out
+
+
+class TestAttention:
+    def _inputs(self, seed, sq=5, sk=5, requires_grad=False):
+        rng = np.random.default_rng(seed)
+        return [
+            T.Tensor(rng.normal(size=(2, s, 4)), requires_grad=requires_grad)
+            for s in (sq, sk, sk)
+        ]
+
+    @pytest.mark.parametrize("sq,mask", [(5, PAD_LAST_TWO), (3, None)])
+    def test_matches_numpy_reference(self, sq, mask):
+        q, k, v = self._inputs(0, sq=sq)
+        out = T.attention(q, k, v, mask, 2, 0.1, False, None)
+        ref = _attention_reference(q.array, k.array, v.array, mask, 2)
+        assert out.shape == (2, sq, 4)
+        np.testing.assert_allclose(out.array, ref, rtol=0, atol=1e-12)
+
+    def test_padding_keys_get_no_weight(self):
+        q, k, v = self._inputs(1)
+        out = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None).array
+        v.array[1, 3:] = 1e6
+        k.array[1, 3:] = -7.0
+        again = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None).array
+        np.testing.assert_array_equal(again, out)
+
+    def test_training_draws_one_dropout_mask(self):
+        q, k, v = self._inputs(2)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        out = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.3, True, rng)
+        keep = (twin.random((2, 2, 5, 5)) >= 0.3) / 0.7
+        assert rng.bit_generator.state == twin.bit_generator.state
+        ref = _attention_reference(q.array, k.array, v.array, PAD_LAST_TWO, 2, keep)
+        np.testing.assert_allclose(out.array, ref, rtol=0, atol=1e-12)
+
+    def test_training_without_rng_is_config_error(self):
+        with pytest.raises(ConfigError):
+            T.attention(*self._inputs(3), None, 2, 0.1, True, None)
+
+    @pytest.mark.parametrize(
+        "shapes,mask_shape,heads",
+        [
+            (((5, 4), (2, 5, 4), (2, 5, 4)), None, 2),  # q rank
+            (((2, 5, 4), (2, 5, 4), (2, 6, 4)), None, 2),  # k/v lengths
+            (((3, 5, 4), (2, 5, 4), (2, 5, 4)), None, 2),  # batch sizes
+            (((2, 5, 6), (2, 5, 4), (2, 5, 4)), None, 2),  # widths
+            (((2, 5, 4), (2, 5, 4), (2, 5, 4)), None, 3),  # h % num_heads
+            (((2, 5, 4), (2, 5, 4), (2, 5, 4)), (2, 4), 2),  # mask
+        ],
+    )
+    def test_shape_errors(self, shapes, mask_shape, heads):
+        q, k, v = (T.Tensor(np.zeros(s)) for s in shapes)
+        mask = None if mask_shape is None else np.zeros(mask_shape)
+        with pytest.raises(ShapeError):
+            T.attention(q, k, v, mask, heads, 0.0, False, None)
+
+    def test_constant_inputs_get_no_gradient(self):
+        q, k, v = self._inputs(4)
+        for trainable in (q, v):
+            for t in (q, k, v):
+                t.requires_grad = t is trainable
+                t.zero_grad()
+            T.tsum(T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None)).backward()
+            for t in (q, k, v):
+                assert (t.grad is not None) == (t is trainable)
+
+    def test_frozen_inputs_record_no_graph(self):
+        out = T.attention(*self._inputs(5), PAD_LAST_TWO, 2, 0.0, False, None)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_dropout_gradients_match_finite_differences(self):
+        q, k, v = self._inputs(6, sq=3, requires_grad=True)
+        probe = T.Tensor(np.random.default_rng(7).normal(size=(2, 3, 4)))
+
+        def loss():  # a fresh rng each call: the same dropout mask every time
+            out = T.attention(q, k, v, None, 2, 0.4, True, np.random.default_rng(8))
+            return T.tsum(out * probe)
+
+        assert grad_check(loss, [q, k, v], h=1e-4).max_rel_err < 1e-4
+
+
 class TestAutodiff:
     """Analytic gradients match central finite differences on random inputs."""
 
@@ -221,7 +306,11 @@ class TestAutodiff:
         [
             ("add", lambda a, b: a + b, [(3, 4), (4,)]),
             ("mul", lambda a, b: a * b, [(3, 4), (3, 4)]),
-            ("matmul", T.matmul, [(3, 4), (4, 2)]),
+            (
+                "attention-self",
+                lambda q, k, v: T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None),
+                [(2, 5, 4)] * 3,
+            ),
             ("softmax", lambda a: T.softmax(a, -1), [(3, 5)]),
             ("gelu", T.gelu, [(3, 4)]),
             ("reshape", lambda a: T.reshape(a, (4, 3)), [(3, 4)]),
@@ -229,6 +318,11 @@ class TestAutodiff:
             ("mean", lambda a: T.mean(a, axis=1), [(3, 4)]),
             ("linear", T.linear, [(3, 4), (4, 2), (2,)]),
             ("linear-3d", T.linear, [(2, 3, 4), (4, 2), (2,)]),
+            (
+                "attention-cross",
+                lambda q, k, v: T.attention(q, k, v, None, 2, 0.0, False, None),
+                [(2, 3, 4), (2, 5, 4), (2, 5, 4)],
+            ),
         ],
     )
     def test_op_gradients(self, name, fn, shapes):
@@ -259,6 +353,17 @@ class TestAutodiff:
         out = T.index_select(x, [1, 1, 3])
         T.tsum(out).backward()
         np.testing.assert_array_equal(x.grad_array()[:, 0], [0.0, 2.0, 0.0, 1.0])
+
+    def test_index_select_scatter_equals_add_at(self):
+        rng = np.random.default_rng(21)
+        for shape, idx_shape in (((7, 5), (200,)), ((4,), (3, 30)), ((6, 2, 3), (50,))):
+            x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+            idx = rng.integers(0, shape[0], size=idx_shape)
+            dout = rng.normal(size=idx_shape + shape[1:])
+            T.tsum(T.index_select(x, idx) * T.Tensor(dout)).backward()
+            expected = np.zeros(shape)
+            np.add.at(expected, idx, dout)
+            np.testing.assert_array_equal(x.grad_array(), expected)
 
     def test_shared_node_gradient(self):
         # x used twice: d(x*x)/dx = 2x
@@ -298,8 +403,9 @@ def test_finite_outputs_on_finite_inputs():
 def test_operation_determinism():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 6))
-    a = T.matmul(T.softmax(T.Tensor(x), -1), T.gelu(T.Tensor(x))).array
-    b = T.matmul(T.softmax(T.Tensor(x), -1), T.gelu(T.Tensor(x))).array
+    bias = T.Tensor(np.zeros(6))
+    a = T.linear(T.softmax(T.Tensor(x), -1), T.gelu(T.Tensor(x)), bias).array
+    b = T.linear(T.softmax(T.Tensor(x), -1), T.gelu(T.Tensor(x)), bias).array
     assert np.array_equal(a, b)
 
 
