@@ -7,8 +7,14 @@ state round-trips through the header, so save -> load -> save is
 byte-identical. A save goes to a temporary file in the target directory that
 then replaces the target, so an interrupted save leaves the old file whole;
 a load checks the header's fields and their types, the payload length
-against the directory and every payload value for finiteness, and raises
-``CheckpointError`` for any file it cannot read.
+against the directory, every payload value for finiteness and every tensor
+against the stage's ``encoder.stage_shapes``, and raises ``CheckpointError``
+for any file it cannot read.
+
+``transfer_weights`` starts a stage from a checkpoint of one of its
+``encoder.STAGE_SOURCES``: each group in ``TRANSFERRED_GROUPS`` (TE, TL)
+that the source stage owns is copied exactly, and every other tensor is
+drawn fresh.
 """
 
 from __future__ import annotations
@@ -23,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import (
-    STAGE_FINETUNED,
-    STAGE_UOP,
-    STAGES,
+    STAGE_GROUPS,
+    STAGE_SOURCES,
+    TRANSFERRED_GROUPS,
     EncoderWeights,
     ModelConfig,
     _init_tensor,
-    stage_tensor_names,
-    tensor_shape,
+    group_shapes,
+    stage_shapes,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, SequencingError
 from .optim import AdamState
@@ -39,13 +45,6 @@ from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
 FORMAT_VERSION = 1
-
-_STAGE_ORDER = {s: i for i, s in enumerate(STAGES)}
-
-# Tensors carried over between stages: the token encoder group always, the
-# utterance-transformer group when the source stage has trained one.
-_TE_GROUP_PREFIXES = ("token_emb", "token_pos_emb", "te.")
-_TL_GROUP_PREFIXES = ("utt_pos_emb", "tl.")
 
 
 @dataclass
@@ -165,7 +164,7 @@ def _check_header(header, path) -> None:
             f"unsupported (expected {FORMAT_VERSION})"
         )
     _check_fields(header, _HEADER_FIELDS, f"{path}: header")
-    if header["stage"] not in STAGES:
+    if header["stage"] not in STAGE_GROUPS:
         raise CheckpointError(f"{path}: unknown stage {header['stage']!r}")
     if not all(isinstance(tok, str) for tok in header["vocab"]):
         raise CheckpointError(f"{path}: vocabulary holds a non-string token")
@@ -237,12 +236,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name = next(n for n, arr in arrays.items() if not np.isfinite(arr).all())
         raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
 
-    expected = stage_tensor_names(config, stage)
+    expected = stage_shapes(config, stage)
     params: dict[str, Tensor] = {}
-    for name in expected:
+    for name, want in expected.items():
         if name not in arrays:
             raise CheckpointError(f"{path}: missing tensor {name!r} for stage {stage}")
-        want = tensor_shape(config, name)
         if arrays[name].shape != want:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
@@ -277,44 +275,36 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def _in_group(name: str, prefixes: tuple[str, ...]) -> bool:
-    return any(name == p or name.startswith(p) for p in prefixes)
-
-
 def transfer_weights(
     source: Checkpoint,
     target_stage: str,
     target_config: ModelConfig,
     rng: np.random.Generator,
 ) -> EncoderWeights:
-    """Initialize weights for the next stage: token-encoder tensors copied
-    exactly, utterance-transformer tensors copied when the source stage has
-    them, everything else (new task heads included) freshly initialized."""
-    if target_stage not in _STAGE_ORDER:
-        raise SequencingError(f"unknown stage {target_stage!r}")
-    if _STAGE_ORDER[source.stage] >= _STAGE_ORDER[target_stage]:
+    """Initialize weights for the next stage from a checkpoint of one of its
+    ``STAGE_SOURCES``: a group in ``TRANSFERRED_GROUPS`` that the source
+    stage owns is copied exactly; every other tensor (new task heads
+    included) is freshly initialized, drawn from ``rng`` in table order."""
+    sources = STAGE_SOURCES.get(target_stage, ())
+    if source.stage not in sources:
         raise SequencingError(
-            f"cannot transfer from stage {source.stage!r} to {target_stage!r}"
+            f"cannot transfer from stage {source.stage!r} to {target_stage!r}; "
+            f"it starts from one of {list(sources)}"
         )
-    source_has_tl = source.stage in (STAGE_UOP, STAGE_FINETUNED)
     params: dict[str, Tensor] = {}
     mismatched: list[str] = []
-    for name in stage_tensor_names(target_config, target_stage):
-        want = tensor_shape(target_config, name)
-        copy = _in_group(name, _TE_GROUP_PREFIXES) or (
-            source_has_tl and _in_group(name, _TL_GROUP_PREFIXES)
-        )
-        if copy:
-            if name not in source.weights:
+    for group in STAGE_GROUPS[target_stage]:
+        copy = group in TRANSFERRED_GROUPS and group in STAGE_GROUPS[source.stage]
+        for name, want in group_shapes(target_config, group).items():
+            src = source.weights.params.get(name)
+            if not copy:
+                params[name] = _init_tensor(name, want, rng)
+            elif src is None:
                 mismatched.append(f"{name} (absent in source)")
-                continue
-            src = source.weights[name].array
-            if src.shape != want:
+            elif src.shape != want:
                 mismatched.append(f"{name} (source {src.shape} vs target {want})")
-                continue
-            params[name] = Tensor(src.copy(), requires_grad=True)
-        else:
-            params[name] = _init_tensor(name, want, rng)
+            else:
+                params[name] = Tensor(src.array.copy(), requires_grad=True)
     if mismatched:
         raise CheckpointError(
             "incompatible checkpoint for transfer; offending tensors: "

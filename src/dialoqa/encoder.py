@@ -13,6 +13,16 @@ All three attentions (TE and TL self-attention, MHA cross-attention) go
 through ``_attention``: the q/k/v/o ``linear`` projections around one
 ``tensor.attention`` node, with padding keys masked by an additive (B, S)
 score array.
+
+The stage table is the one definition of the weights' names and shapes.
+``STAGE_GROUPS`` lists each stage's parameter groups: "te" the token
+encoder, "tl" the utterance transformer, and one task head, "mlm" (the bias
+of the vocabulary projection tied to ``token_emb``), "uop" or "qa" (MHA and
+the UID/span heads). ``group_shapes`` and ``stage_shapes`` give the tensor
+names and shapes in init order, which is also the order of the init rng
+draws. ``STAGE_SOURCES`` lists the stages whose checkpoint may start each
+stage: token and utterance MLM train TE, order prediction adds TL, and
+fine-tuning takes over both (Li & Choi 2020, section 3).
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ STAGE_TMLM = "tmlm"
 STAGE_UMLM = "umlm"
 STAGE_UOP = "uop"
 STAGE_FINETUNED = "finetuned"
-STAGES = (STAGE_TMLM, STAGE_UMLM, STAGE_UOP, STAGE_FINETUNED)
 
 # Accepted value types by annotation (a string under postponed evaluation);
 # a bool is no number here.
@@ -96,77 +105,73 @@ class ModelConfig:
         return asdict(self)
 
 
-def _layer_names(prefix: str) -> list[str]:
-    return [
-        f"{prefix}.attn_wq", f"{prefix}.attn_bq",
-        f"{prefix}.attn_wk", f"{prefix}.attn_bk",
-        f"{prefix}.attn_wv", f"{prefix}.attn_bv",
-        f"{prefix}.attn_wo", f"{prefix}.attn_bo",
-        f"{prefix}.ln1_g", f"{prefix}.ln1_b",
-        f"{prefix}.ff_w1", f"{prefix}.ff_b1",
-        f"{prefix}.ff_w2", f"{prefix}.ff_b2",
-        f"{prefix}.ln2_g", f"{prefix}.ln2_b",
-    ]
+# The stage table (see the module docstring). Transfer copies the groups in
+# TRANSFERRED_GROUPS that the source stage owns; every other tensor starts fresh.
+STAGE_GROUPS = {
+    STAGE_TMLM: ("te", "mlm"),
+    STAGE_UMLM: ("te", "mlm"),
+    STAGE_UOP: ("te", "tl", "uop"),
+    STAGE_FINETUNED: ("te", "tl", "qa"),
+}
+# The tmlm source of fine-tuning is the no-utterance-pretraining baseline.
+STAGE_SOURCES = {
+    STAGE_TMLM: (),
+    STAGE_UMLM: (STAGE_TMLM,),
+    STAGE_UOP: (STAGE_UMLM,),
+    STAGE_FINETUNED: (STAGE_UOP, STAGE_TMLM),
+}
+TRANSFERRED_GROUPS = ("te", "tl")
 
 
-def stage_tensor_names(config: ModelConfig, stage: str) -> list[str]:
-    """Canonical ordered tensor list owned by each pipeline stage."""
-    if stage not in STAGES:
+def _projection_shapes(prefix: str, h: int) -> dict[str, tuple[int, ...]]:
+    """The q/k/v/o weights and biases that ``_attention`` reads."""
+    return {f"{prefix}{wb}{p}": (h, h) if wb == "w" else (h,) for p in "qkvo" for wb in "wb"}
+
+
+def _layer_shapes(prefix: str, count: int, h: int, inter: int) -> dict[str, tuple[int, ...]]:
+    """``count`` transformer layers, as ``_self_attention_block`` reads them."""
+    out = {}
+    for p in (f"{prefix}.{i}" for i in range(count)):
+        out.update({
+            **_projection_shapes(f"{p}.attn_", h),
+            f"{p}.ln1_g": (h,), f"{p}.ln1_b": (h,),
+            f"{p}.ff_w1": (h, inter), f"{p}.ff_b1": (inter,),
+            f"{p}.ff_w2": (inter, h), f"{p}.ff_b2": (h,),
+            f"{p}.ln2_g": (h,), f"{p}.ln2_b": (h,),
+        })
+    return out
+
+
+def group_shapes(config: ModelConfig, group: str) -> dict[str, tuple[int, ...]]:
+    """Ordered ``{tensor name: shape}`` of one parameter group."""
+    h, inter = config.hidden_size, config.intermediate_size
+    groups = {
+        "te": {
+            "token_emb": (config.vocab_size, h),
+            "token_pos_emb": (config.token_position_capacity, h),
+            **_layer_shapes("te", config.num_layers, h, inter),
+        },
+        "tl": {"utt_pos_emb": (config.max_utterances + 1, h), **_layer_shapes("tl", 2, h, inter)},
+        "mlm": {"vocab_bias": (config.vocab_size,)},
+        "uop": {"uop_w": (h, 2), "uop_b": (2,)},
+        "qa": {
+            **_projection_shapes("mha.", h), "mha.ln_g": (h,), "mha.ln_b": (h,),
+            "uid_w": (h, 1), "uid_b": (1,), "sl_w": (h, 1), "sl_b": (1,), "sr_w": (h, 1), "sr_b": (1,),
+        },
+    }
+    if group not in groups:
+        raise ConfigError(f"unknown parameter group {group!r}")
+    return groups[group]
+
+
+def stage_shapes(config: ModelConfig, stage: str) -> dict[str, tuple[int, ...]]:
+    """Ordered ``{tensor name: shape}`` of every tensor a stage owns."""
+    if stage not in STAGE_GROUPS:
         raise ConfigError(f"unknown stage {stage!r}")
-    names = ["token_emb", "token_pos_emb"]
-    for i in range(config.num_layers):
-        names.extend(_layer_names(f"te.{i}"))
-    if stage in (STAGE_TMLM, STAGE_UMLM):
-        names.append("vocab_bias")
-    else:
-        names.append("utt_pos_emb")
-        for i in range(2):
-            names.extend(_layer_names(f"tl.{i}"))
-        if stage == STAGE_UOP:
-            names.extend(["uop_w", "uop_b"])
-        else:
-            names.extend([
-                "mha.wq", "mha.bq", "mha.wk", "mha.bk", "mha.wv", "mha.bv",
-                "mha.wo", "mha.bo", "mha.ln_g", "mha.ln_b",
-                "uid_w", "uid_b", "sl_w", "sl_b", "sr_w", "sr_b",
-            ])
-    return names
-
-
-def tensor_shape(config: ModelConfig, name: str) -> tuple[int, ...]:
-    h = config.hidden_size
-    inter = config.intermediate_size
-    base = name.rsplit(".", 1)[-1]
-    if name == "token_emb":
-        return (config.vocab_size, h)
-    if name == "token_pos_emb":
-        return (config.token_position_capacity, h)
-    if name == "utt_pos_emb":
-        return (config.max_utterances + 1, h)
-    if name == "vocab_bias":
-        return (config.vocab_size,)
-    if name == "uop_w":
-        return (h, 2)
-    if name == "uop_b":
-        return (2,)
-    if name in ("uid_w", "sl_w", "sr_w"):
-        return (h, 1)
-    if name in ("uid_b", "sl_b", "sr_b"):
-        return (1,)
-    if base in ("attn_wq", "attn_wk", "attn_wv", "attn_wo", "wq", "wk", "wv", "wo"):
-        return (h, h)
-    if base in ("ff_w1",):
-        return (h, inter)
-    if base in ("ff_w2",):
-        return (inter, h)
-    if base in ("ff_b1",):
-        return (inter,)
-    if base in (
-        "attn_bq", "attn_bk", "attn_bv", "attn_bo", "bq", "bk", "bv", "bo",
-        "ff_b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "ln_g", "ln_b",
-    ):
-        return (h,)
-    raise ConfigError(f"unknown tensor name {name!r}")
+    out = {}
+    for group in STAGE_GROUPS[stage]:
+        out.update(group_shapes(config, group))
+    return out
 
 
 def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
@@ -223,8 +228,8 @@ def init_encoder_weights(
     config: ModelConfig, stage: str, rng: np.random.Generator
 ) -> EncoderWeights:
     params = {
-        name: _init_tensor(name, tensor_shape(config, name), rng)
-        for name in stage_tensor_names(config, stage)
+        name: _init_tensor(name, shape, rng)
+        for name, shape in stage_shapes(config, stage).items()
     }
     return EncoderWeights(config, stage, params)
 

@@ -2,9 +2,11 @@
 transfer, multi-task fine-tuning, evaluation, configuration, seeding, and
 checkpoint management.
 
-The four training stages (tmlm, umlm, uop, finetuned) run one recipe. The
-table ``_STAGES`` holds what sets them apart: the stages whose checkpoint
-may start each one, the ``RunConfig`` field with its step budget, how its
+The four training stages (tmlm, umlm, uop, finetuned) run one recipe. Which
+stages may start each one, and which weights carry over, is the stage table
+in ``encoder`` (``STAGE_SOURCES``, ``STAGE_GROUPS``), applied by
+``checkpoint.transfer_weights``. The table ``_STAGES`` here holds the rest
+that sets them apart: the ``RunConfig`` field with its step budget, how its
 train/dev data comes from the corpus split, and a task builder returning
 ``fit``'s instance builder, batch loss, dev evaluation and improve rule.
 ``_run`` does the rest the same way for every stage; ``run_stage`` and
@@ -23,7 +25,7 @@ import functools
 import logging
 import typing
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,6 +43,7 @@ from .corpus import (
 )
 from .encoder import (
     STAGE_FINETUNED,
+    STAGE_SOURCES,
     STAGE_TMLM,
     STAGE_UMLM,
     STAGE_UOP,
@@ -139,17 +142,8 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            num_layers=self.num_layers,
-            num_heads=self.num_heads,
-            hidden_size=self.hidden_size,
-            intermediate_size=self.intermediate_size,
-            max_tokens=self.max_tokens,
-            max_utterances=self.max_utterances,
-            dropout_p=self.dropout_p,
-            use_utterance_positions=self.use_utterance_positions,
-        )
+        shared = (f.name for f in fields(ModelConfig) if f.name != "vocab_size")
+        return ModelConfig(vocab_size, **{name: getattr(self, name) for name in shared})
 
     def adam_state(self) -> AdamState:
         return AdamState(
@@ -329,13 +323,6 @@ def build_uop_dev_instances(
 # -- the generic stage loop ---------------------------------------------------
 
 
-@dataclass
-class FitResult:
-    best: Checkpoint
-    last: Checkpoint
-    history: list[dict]
-
-
 def _snapshot(weights: EncoderWeights) -> EncoderWeights:
     params = {
         name: Tensor(p.array.copy(), requires_grad=True) for name, p in weights.named()
@@ -359,18 +346,14 @@ def fit(
     max_steps: int,
     out_dir: str | Path | None = None,
     initial_best: Checkpoint | None = None,
-    halt_after_epochs: int | None = None,
-) -> FitResult:
+) -> tuple[Checkpoint, list[dict]]:
     """Epoch loop with per-epoch dev evaluation, patience-based early
     stopping, and best/last checkpointing. ``batch_loss`` is called as
     ``batch_loss(weights, weights.config, batch, training=True, rng=rng)``;
     a loss or gradient that is not finite raises ``DivergenceError`` before
     the update.
     ``improve`` returns whether the new metrics improve on the running best
-    and the merged running best.
-    ``halt_after_epochs`` simulates an interruption after that many epochs
-    of this call; training resumes bit-exactly from the written last
-    checkpoint."""
+    and the merged running best. Returns (best checkpoint, dev history)."""
     stage = weights.stage
     params = dict(weights.named())
     schedule = LRSchedule(run_config.base_lr, max_steps, run_config.warmup_fraction)
@@ -400,8 +383,6 @@ def fit(
         )
         logger.info("[%s] initial dev: %s", stage, metrics)
 
-    last_ckpt = None
-    epochs_this_call = 0
     while global_step < max_steps and bad < run_config.patience:
         instances = build_epoch(rng)
         if not instances:
@@ -448,23 +429,20 @@ def fit(
             "bad_evals": bad,
             "history": history,
         }
-        last_ckpt = _checkpoint(weights, full=True, state=state)
         if out_dir is not None:
-            save_checkpoint(last_ckpt, Path(out_dir) / f"{stage}-last.ckpt")
+            save_checkpoint(
+                _checkpoint(weights, full=True, state=state),
+                Path(out_dir) / f"{stage}-last.ckpt",
+            )
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch - 1, global_step, metrics, " *" if improved else "",
         )
-        epochs_this_call += 1
-        if halt_after_epochs is not None and epochs_this_call >= halt_after_epochs:
-            break
-    if last_ckpt is None:  # budget already exhausted before entering the loop
-        last_ckpt = _checkpoint(weights, full=True, state=dict(train_state))
     if best_ckpt is None:
         best_ckpt = _checkpoint(
             _snapshot(weights), full=False, state={"epoch": epoch - 1}
         )
-    return FitResult(best_ckpt, last_ckpt, history)
+    return best_ckpt, history
 
 
 def _perplexity_improve(metrics: dict, best: dict | None) -> tuple[bool, dict]:
@@ -497,12 +475,11 @@ def _init_stage_state(
     config: RunConfig,
     stage: str,
     init_checkpoint: Checkpoint | None,
-    allowed_sources: tuple[str, ...],
     fallback_vocab: Callable[[], Vocab],
     out_dir: str | Path | None,
 ):
-    """Shared gating: same-stage resume, transfer from an allowed source, or
-    a fresh start (only for a stage with no allowed sources). Returns
+    """Shared gating: same-stage resume, transfer (``transfer_weights`` checks
+    the source stage), or a fresh start (only for a stage without sources). Returns
     (vocab, weights, adam, rng, global_step, train_state, initial_best)."""
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
@@ -526,22 +503,17 @@ def _init_stage_state(
         )
     init_rng = derive_rng(config.seed, stage, "init")
     if init_checkpoint is None:
-        if allowed_sources:
+        if STAGE_SOURCES[stage]:
             raise SequencingError(
                 f"stage {stage!r} requires an initial checkpoint from one of "
-                f"{list(allowed_sources)}"
+                f"{list(STAGE_SOURCES[stage])}"
             )
         vocab = fallback_vocab()
         weights = init_encoder_weights(config.model_config(len(vocab)), stage, init_rng)
-    elif init_checkpoint.stage in allowed_sources:
+    else:
         vocab = init_checkpoint.vocab
         weights = transfer_weights(
             init_checkpoint, stage, config.model_config(len(vocab)), init_rng
-        )
-    else:
-        raise SequencingError(
-            f"stage {stage!r} cannot start from a {init_checkpoint.stage!r} "
-            f"checkpoint; expected one of {[stage, *allowed_sources]}"
         )
     return (vocab, weights, config.adam_state(),
             derive_rng(config.seed, stage, "train"), 0, {}, None)
@@ -628,20 +600,16 @@ def _qa_data(config: RunConfig, split: CorpusSplit):
 
 @dataclass(frozen=True)
 class _Stage:
-    sources: tuple[str, ...]  # stages whose checkpoint may start this one
     budget: str  # the RunConfig field holding the step budget
     data: Callable[[RunConfig, CorpusSplit], tuple[list, list]]  # (train, dev)
     task: Callable[..., tuple]
 
 
 _STAGES = {
-    STAGE_TMLM: _Stage((), "tmlm_steps", pretrain_dialogues, _tmlm_task),
-    STAGE_UMLM: _Stage((STAGE_TMLM,), "umlm_steps", pretrain_dialogues, _umlm_task),
-    STAGE_UOP: _Stage((STAGE_UMLM,), "uop_steps", pretrain_dialogues, _uop_task),
-    # the tmlm source is the no-utterance-pretraining baseline
-    STAGE_FINETUNED: _Stage(
-        (STAGE_UOP, STAGE_TMLM), "finetune_steps", _qa_data, _qa_task
-    ),
+    STAGE_TMLM: _Stage("tmlm_steps", pretrain_dialogues, _tmlm_task),
+    STAGE_UMLM: _Stage("umlm_steps", pretrain_dialogues, _umlm_task),
+    STAGE_UOP: _Stage("uop_steps", pretrain_dialogues, _uop_task),
+    STAGE_FINETUNED: _Stage("finetune_steps", _qa_data, _qa_task),
 }
 
 
@@ -650,14 +618,13 @@ def _run(
     config: RunConfig,
     init_checkpoint: Checkpoint | None,
     out_dir: str | Path | None,
-    halt_after_epochs: int | None,
-) -> FitResult:
+) -> tuple[Checkpoint, list[dict]]:
     spec = _STAGES[stage]
     train, dev = spec.data(config, load_split(config))
     if not train or not dev:
         raise CorpusError(f"stage {stage!r} needs non-empty training and dev data")
     vocab, weights, adam, rng, step, train_state, initial_best = _init_stage_state(
-        config, stage, init_checkpoint, spec.sources,
+        config, stage, init_checkpoint,
         lambda: build_vocab(train, config.min_freq), out_dir,
     )
     if out_dir is not None:
@@ -681,7 +648,6 @@ def _run(
         max_steps=getattr(config, spec.budget),
         out_dir=out_dir,
         initial_best=initial_best,
-        halt_after_epochs=halt_after_epochs,
     )
 
 
@@ -690,15 +656,13 @@ def run_stage(
     config: RunConfig,
     init_checkpoint: Checkpoint | None = None,
     out_dir: str | Path | None = None,
-    *,
-    halt_after_epochs: int | None = None,
 ) -> Checkpoint:
     """Train one pre-training stage and return the best-dev checkpoint."""
     if stage not in PRETRAIN_STAGES:
         raise SequencingError(
             f"run_stage handles {list(PRETRAIN_STAGES)}, got {stage!r}"
         )
-    return _run(stage, config, init_checkpoint, out_dir, halt_after_epochs).best
+    return _run(stage, config, init_checkpoint, out_dir)[0]
 
 
 # -- fine-tuning ----------------------------------------------------------
@@ -754,13 +718,10 @@ def run_finetune(
     config: RunConfig,
     init_checkpoint: Checkpoint,
     out_dir: str | Path | None = None,
-    *,
-    halt_after_epochs: int | None = None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Joint UID+span fine-tuning; keeps the best dev-SM checkpoint. The
     tmlm-only source path covers the no-utterance-pretraining baseline."""
-    result = _run(STAGE_FINETUNED, config, init_checkpoint, out_dir, halt_after_epochs)
-    return result.best, result.history
+    return _run(STAGE_FINETUNED, config, init_checkpoint, out_dir)
 
 
 SPLIT_NAMES = ("train", "dev", "test")

@@ -17,7 +17,14 @@ from dialoqa.checkpoint import (
     transfer_weights,
 )
 from dialoqa.corpus import Dialogue, Utterance
-from dialoqa.encoder import ModelConfig, init_encoder_weights
+from dialoqa.encoder import (
+    STAGE_SOURCES,
+    ModelConfig,
+    _init_tensor,
+    group_shapes,
+    init_encoder_weights,
+    stage_shapes,
+)
 from dialoqa.errors import CheckpointError, SequencingError
 from dialoqa.optim import AdamState
 from dialoqa.vocab import build_vocab
@@ -255,6 +262,30 @@ class TestTransfer:
             transfer_weights(src, "umlm", src.config, np.random.default_rng(13))
         with pytest.raises(SequencingError):
             transfer_weights(src, "uop", src.config, np.random.default_rng(14))
+
+    @pytest.mark.parametrize("target", list(STAGE_SOURCES))
+    @pytest.mark.parametrize("source", list(STAGE_SOURCES))
+    def test_allowed_exactly_from_the_stage_sources(self, vocab, source, target):
+        src = _checkpoint(vocab, stage=source, seed=16, with_state=False)
+        if source in STAGE_SOURCES[target]:
+            out = transfer_weights(src, target, src.config, np.random.default_rng(17))
+            assert out.stage == target
+        else:
+            with pytest.raises(SequencingError):
+                transfer_weights(src, target, src.config, np.random.default_rng(17))
+
+    def test_tmlm_to_finetune_copies_te_and_starts_tl_fresh(self, vocab):
+        src = _checkpoint(vocab, stage="tmlm", seed=18, with_state=False)
+        out = transfer_weights(src, "finetuned", src.config, np.random.default_rng(19))
+        te = group_shapes(src.config, "te")
+        for name in te:
+            assert np.array_equal(out[name].array, src.weights[name].array)
+        # every other tensor is drawn fresh, in table order, from the rng
+        rng = np.random.default_rng(19)
+        for name, shape in stage_shapes(src.config, "finetuned").items():
+            if name not in te:
+                assert np.array_equal(out[name].array, _init_tensor(name, shape, rng).array)
+        assert np.all(out["tl.0.ln1_g"].array == 1.0) and np.all(out["tl.0.ff_b1"].array == 0.0)
 
     def test_tied_projection_preserved(self, vocab):
         # the vocab projection weight IS token_emb; transfer must keep them tied

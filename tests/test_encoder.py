@@ -4,16 +4,18 @@ and a full gradient check at toy scale."""
 import numpy as np
 import pytest
 
+from dialoqa import encoder
 from dialoqa import tensor as T
 from dialoqa.encoder import (
     STAGE_FINETUNED,
+    STAGE_GROUPS,
     STAGE_UOP,
     ModelConfig,
+    group_shapes,
     init_encoder_weights,
     mha_forward,
-    stage_tensor_names,
+    stage_shapes,
     te_forward,
-    tensor_shape,
     tl_forward,
 )
 from dialoqa.errors import CapacityError, ConfigError, ShapeError
@@ -23,6 +25,10 @@ TOY = ModelConfig(
     vocab_size=50, num_layers=2, num_heads=2, hidden_size=8,
     intermediate_size=16, max_tokens=6, max_utterances=4, dropout_p=0.0,
 )
+
+
+# Two sequences of five positions, the second padded after three.
+PADDED = np.array([[True] * 5, [True, True, True, False, False]])
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +50,42 @@ def test_config_validation():
 
 def test_tensor_shapes_consistent(uop_weights):
     for name, p in uop_weights.named():
-        assert p.array.shape == tensor_shape(TOY, name)
+        assert p.array.shape == stage_shapes(TOY, STAGE_UOP)[name]
         assert np.all(np.isfinite(p.array))
 
 
 def test_stage_tensor_sets():
-    tmlm = set(stage_tensor_names(TOY, "tmlm"))
-    uop = set(stage_tensor_names(TOY, "uop"))
-    ft = set(stage_tensor_names(TOY, "finetuned"))
+    tmlm = set(stage_shapes(TOY, "tmlm"))
+    uop = set(stage_shapes(TOY, "uop"))
+    ft = set(stage_shapes(TOY, "finetuned"))
     assert "vocab_bias" in tmlm and "tl.0.attn_wq" not in tmlm
     assert "tl.1.ff_w2" in uop and "uop_w" in uop and "vocab_bias" not in uop
     assert {"mha.wq", "uid_w", "sl_w", "sr_w"} <= ft and "uop_w" not in ft
+
+
+@pytest.mark.parametrize("group, name, shape", [
+    ("te", "token_pos_emb", (TOY.max_tokens * TOY.max_utterances + 1, 8)),
+    ("te", "te.1.ff_w1", (8, 16)),
+    ("tl", "utt_pos_emb", (TOY.max_utterances + 1, 8)),
+    ("tl", "tl.1.ff_w2", (16, 8)),
+    ("mlm", "vocab_bias", (TOY.vocab_size,)),
+    ("uop", "uop_w", (8, 2)),
+    ("qa", "mha.bv", (8,)),
+    ("qa", "sr_w", (8, 1)),
+])
+def test_group_shape(group, name, shape):
+    assert group_shapes(TOY, group)[name] == shape
+
+
+def test_stage_shapes_follow_the_groups():
+    for stage, groups in STAGE_GROUPS.items():
+        names = [n for g in groups for n in group_shapes(TOY, g)]
+        assert list(stage_shapes(TOY, stage)) == names
+        assert list(init_encoder_weights(TOY, stage, np.random.default_rng(0)).params) == names
+    assert len(group_shapes(TOY, "te")) == 2 + 16 * TOY.num_layers
+    assert len(group_shapes(TOY, "tl")) == 1 + 16 * 2
+    with pytest.raises(ConfigError):
+        stage_shapes(TOY, "bogus")
 
 
 class TestTeForward:
@@ -71,16 +102,32 @@ class TestTeForward:
         with pytest.raises(CapacityError):
             te_forward(uop_weights, TOY, too_long)
 
-    def test_attention_rows_sum_to_one(self, uop_weights):
-        # probe the softmax over non-masked keys directly
+    def test_attention_rows_sum_to_one(self):
+        # With W_v = 0 and b_v = c every value is c, so each query's output
+        # is c @ W_o + b_o exactly when its probabilities sum to one.
+        w = init_encoder_weights(TOY, "tmlm", np.random.default_rng(13))
         rng = np.random.default_rng(3)
-        scores = T.Tensor(rng.normal(size=(2, 2, 5, 5)))
-        mask = np.array([[True] * 5, [True, True, True, False, False]])
-        add = T.Tensor(np.where(mask, 0.0, T.MASK_SCORE)[:, None, None, :])
-        probs = T.softmax(scores + add, axis=-1).array
-        np.testing.assert_allclose(probs.sum(-1), 1.0, atol=1e-9)
-        # masked keys get exactly zero weight
-        assert np.all(probs[1, :, :, 3:] == 0.0)
+        c = rng.normal(size=8)
+        w["te.0.attn_wv"].array[:] = 0.0
+        w["te.0.attn_bv"].array[:] = c
+        want = c @ w["te.0.attn_wo"].array + w["te.0.attn_bo"].array
+        x = T.Tensor(rng.normal(size=(2, 5, 8)))
+        for add_mask in (None, np.where(PADDED, 0.0, T.MASK_SCORE)):
+            out = encoder._attention(w, "te.0.attn_", x, x, add_mask, False, None).array
+            np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), rtol=0, atol=1e-12)
+
+    def test_attention_ignores_padded_keys(self, uop_weights):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 5, 8))
+        changed = x.copy()
+        changed[~PADDED] = 10.0 * rng.normal(size=(2, 8))
+        add_mask = np.where(PADDED, 0.0, T.MASK_SCORE)
+        a, b = (
+            encoder._attention(uop_weights, "te.0.attn_", T.Tensor(v), T.Tensor(v),
+                               add_mask, False, None).array
+            for v in (x, changed)
+        )
+        assert np.array_equal(a[PADDED], b[PADDED])  # padded queries may change
 
     def test_padding_invariance(self, uop_weights):
         rng = np.random.default_rng(4)
@@ -162,13 +209,32 @@ class TestMhaForward:
         u = rng.normal(size=(1, 7, 8))
         assert mha_forward(ft_weights, TOY, q, u).shape == (1, 7, 8)
 
-    def test_attention_rows_sum_to_one(self, ft_weights):
-        # with zeroed value/output paths the probabilities are inspectable
-        # through the math; assert via the softmax contract on raw scores
+    def test_attention_rows_sum_to_one(self):
+        # With W_v = 0 and b_v = c every value is c, so the output is
+        # u + c @ W_o + b_o exactly when each query's probabilities sum to one.
+        w = init_encoder_weights(TOY, STAGE_FINETUNED, np.random.default_rng(15))
         rng = np.random.default_rng(1)
-        scores = T.Tensor(rng.normal(size=(1, 2, 7, 5)))
-        probs = T.softmax(scores, axis=-1).array
-        np.testing.assert_allclose(probs.sum(-1), 1.0, atol=1e-9)
+        c = rng.normal(size=8)
+        w["mha.wv"].array[:] = 0.0
+        w["mha.bv"].array[:] = c
+        want = c @ w["mha.wo"].array + w["mha.bo"].array
+        q = rng.normal(size=(2, 5, 8))
+        u = rng.normal(size=(2, 7, 8))
+        for question_mask in (None, PADDED):
+            out = mha_forward(w, TOY, q, u, question_mask=question_mask).array
+            np.testing.assert_allclose(out, u + want, rtol=0, atol=1e-12)
+
+    def test_padded_question_rows_leave_the_output_unchanged(self, ft_weights):
+        rng = np.random.default_rng(16)
+        q = rng.normal(size=(2, 5, 8))
+        u = rng.normal(size=(2, 7, 8))
+        changed = q.copy()
+        changed[~PADDED] = 10.0 * rng.normal(size=(2, 8))
+        a, b = (
+            mha_forward(ft_weights, TOY, v, u, question_mask=PADDED).array
+            for v in (q, changed)
+        )
+        assert np.array_equal(a, b)
 
     def test_residual_identity_with_zeroed_output_projection(self, ft_weights):
         rng = np.random.default_rng(2)

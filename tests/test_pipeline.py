@@ -6,6 +6,7 @@ import math
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ import pytest
 from dialoqa import cli, training
 from dialoqa import tensor as T
 from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from dialoqa.corpus import load_corpus, save_corpus
+from dialoqa.corpus import Dialogue, Utterance, load_corpus, save_corpus
+from dialoqa.encoder import ModelConfig, init_encoder_weights, stage_shapes
 from dialoqa.errors import CheckpointError, ConfigError, DivergenceError, SequencingError
 from dialoqa.synth import generate_corpus
 from dialoqa.tensor import Tensor
+from dialoqa.vocab import build_vocab, speaker_token
 from dialoqa.training import (
     RunConfig,
     derive_rng,
@@ -93,6 +96,46 @@ class TestGating:
             run_stage("tmlm", _config(corpus_path), tmlm_ckpt)
 
 
+class TestStageTable:
+    @pytest.mark.parametrize("stage, count", [
+        ("tmlm", 19), ("umlm", 19), ("uop", 53), ("finetuned", 67),
+    ])
+    def test_one_backward_reaches_exactly_the_stage_tensors(self, corpus_path, stage, count):
+        cfg = _config(corpus_path)
+        split = training.load_split(cfg)
+        vocab = build_vocab(training.pretrain_dialogues(cfg, split)[0])
+        spec = training._STAGES[stage]
+        train, dev = spec.data(cfg, split)
+        weights = init_encoder_weights(
+            cfg.model_config(len(vocab)), stage, np.random.default_rng(0)
+        )
+        build_epoch, batch_loss, _, _ = spec.task(cfg, vocab, weights.config, train, dev)
+        rng = np.random.default_rng(1)
+        batch = build_epoch(rng)[: cfg.batch_size]
+        batch_loss(weights, weights.config, batch, training=True, rng=rng).backward()
+        # a gradient array, not a non-zero one: the UID and left-span biases
+        # shift every logit of a softmax alike, so theirs is zero
+        reached = {name for name, p in weights.named() if p.grad_array() is not None}
+        assert reached == set(stage_shapes(weights.config, stage))
+        assert len(reached) == count
+
+    def test_extra_corpus_feeds_pretraining_only(self, corpus_path, tmp_path):
+        extra = Dialogue(1, "extra", (
+            Utterance("Zelda", ("xyzzy", "plugh", "frob")),
+            Utterance("Quux", ("xyzzy", "zork")),
+        ))
+        save_corpus([(extra, [])], tmp_path / "extra.json")
+        cfg = _config(corpus_path, extra_corpus=str(tmp_path / "extra.json"), tmlm_steps=2)
+        split = training.load_split(cfg)
+        train, _ = training.pretrain_dialogues(cfg, split)
+        assert [d.scene_id for d in train].count("extra") == 1
+        vocab = run_stage("tmlm", cfg, out_dir=tmp_path / "out").vocab
+        new = {speaker_token("Zelda"), speaker_token("Quux"), "xyzzy", "plugh", "zork"}
+        assert new <= set(vocab.id_to_token)
+        assert new.isdisjoint(build_vocab(d for d, _ in split.training).id_to_token)
+        assert all(d.scene_id != "extra" for d, _ in training.qa_entries(cfg, split.training))
+
+
 class TestTrainingProgress:
     def test_tmlm_dev_perplexity_improves(self, corpus_path, tmp_path):
         cfg = _config(corpus_path, tmlm_steps=60, base_lr=1e-3)
@@ -141,9 +184,29 @@ class TestDivergence:
             run_stage("tmlm", _config(corpus_path))
 
 
+class _Crash(Exception):
+    pass
+
+
+def _crash_after_first_last_checkpoint(monkeypatch):
+    """Make the next run die right after it writes its first ``*-last.ckpt``,
+    as a killed process would."""
+    real = training.save_checkpoint
+
+    def save_then_crash(ckpt, path):
+        real(ckpt, path)
+        if str(path).endswith("-last.ckpt"):
+            monkeypatch.setattr(training, "save_checkpoint", real)
+            raise _Crash(path)
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_crash)
+
+
 class TestResumeReplay:
     @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop"])
-    def test_pretrain_stage_resume_bit_exact(self, corpus_path, tmlm_ckpt, tmp_path, stage):
+    def test_pretrain_stage_resume_bit_exact(
+        self, corpus_path, tmlm_ckpt, tmp_path, stage, monkeypatch
+    ):
         cfg = _config(corpus_path)
         init = None if stage == "tmlm" else tmlm_ckpt
         if stage == "uop":
@@ -151,9 +214,11 @@ class TestResumeReplay:
         # uninterrupted run
         dir_a = tmp_path / "a"
         run_stage(stage, cfg, init, out_dir=dir_a)
-        # interrupted after 1 epoch, then resumed
+        # killed after the first epoch's checkpoints, then resumed
         dir_b = tmp_path / "b"
-        run_stage(stage, cfg, init, out_dir=dir_b, halt_after_epochs=1)
+        _crash_after_first_last_checkpoint(monkeypatch)
+        with pytest.raises(_Crash):
+            run_stage(stage, cfg, init, out_dir=dir_b)
         mid = load_checkpoint(dir_b / f"{stage}-last.ckpt")
         assert mid.can_resume()
         run_stage(stage, cfg, mid, out_dir=dir_b)
@@ -164,11 +229,13 @@ class TestResumeReplay:
             dir_b / f"{stage}-best.ckpt"
         ).read_bytes()
 
-    def test_finetune_resume_bit_exact(self, corpus_path, tmlm_ckpt, tmp_path):
+    def test_finetune_resume_bit_exact(self, corpus_path, tmlm_ckpt, tmp_path, monkeypatch):
         cfg = _config(corpus_path, finetune_steps=20)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         run_finetune(cfg, tmlm_ckpt, out_dir=dir_a)
-        run_finetune(cfg, tmlm_ckpt, out_dir=dir_b, halt_after_epochs=1)
+        _crash_after_first_last_checkpoint(monkeypatch)
+        with pytest.raises(_Crash):
+            run_finetune(cfg, tmlm_ckpt, out_dir=dir_b)
         mid = load_checkpoint(dir_b / "finetuned-last.ckpt")
         run_finetune(cfg, mid, out_dir=dir_b)
         assert (dir_a / "finetuned-last.ckpt").read_bytes() == (
@@ -252,6 +319,15 @@ class TestRunConfigParsing:
             RunConfig(loss_reduction="mean")
         with pytest.raises(ConfigError):
             RunConfig(mlm_mode="sometimes")
+
+    def test_model_config_carries_every_model_field(self):
+        values = dict(
+            num_layers=3, num_heads=4, hidden_size=16, intermediate_size=24,
+            max_tokens=5, max_utterances=3, dropout_p=0.25, use_utterance_positions=False,
+        )
+        assert set(values) == {f.name for f in fields(ModelConfig)} - {"vocab_size"}
+        model = RunConfig(**values).model_config(11)
+        assert model.to_dict() == {"vocab_size": 11, **values}
 
     def test_derive_rng_stable_and_namespaced(self):
         a = derive_rng(3, "uop", "dev").random(4)
