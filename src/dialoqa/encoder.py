@@ -12,7 +12,8 @@ way the pre-training losses and the QA heads read TE's outputs.
 All three attentions (TE and TL self-attention, MHA cross-attention) go
 through ``_attention``: the q/k/v/o ``linear`` projections around one
 ``tensor.attention`` node, with padding keys masked by an additive (B, S)
-score array.
+score array. Both sublayers of a TE or TL layer (attention, feed-forward)
+end in one ``tensor.residual_layer_norm`` node, LayerNorm(x + dropout(out)).
 
 The stage table is the one definition of the weights' names and shapes.
 ``STAGE_GROUPS`` lists each stage's parameter groups: "te" the token
@@ -45,6 +46,7 @@ from .tensor import (
     layer_norm,
     linear,
     reshape,
+    residual_layer_norm,
 )
 
 LN_EPS = 1e-12
@@ -310,15 +312,13 @@ def _self_attention_block(
 ) -> Tensor:
     p = w.config.dropout_p
     attn_out = _attention(w, f"{prefix}.attn_", x, x, add_mask, training, rng)
-    x = layer_norm(
-        x + dropout(attn_out, p, training, rng),
-        w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], LN_EPS,
+    x = residual_layer_norm(
+        x, attn_out, w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], p, training, rng, LN_EPS
     )
     hidden = gelu(linear(x, w[f"{prefix}.ff_w1"], w[f"{prefix}.ff_b1"]))
     ff = linear(hidden, w[f"{prefix}.ff_w2"], w[f"{prefix}.ff_b2"])
-    return layer_norm(
-        x + dropout(ff, p, training, rng),
-        w[f"{prefix}.ln2_g"], w[f"{prefix}.ln2_b"], LN_EPS,
+    return residual_layer_norm(
+        x, ff, w[f"{prefix}.ln2_g"], w[f"{prefix}.ln2_b"], p, training, rng, LN_EPS
     )
 
 

@@ -2,15 +2,20 @@
 
 Values are numpy arrays; every differentiable operation records a backward
 closure on the result node. Calling ``backward()`` on a scalar loss walks the
-graph in reverse topological order and accumulates gradients into every node
-that requires them. All randomness (dropout) comes from an explicit
-``numpy.random.Generator`` so runs are bit-reproducible.
+graph in reverse topological order and accumulates gradients into the nodes
+that require them. Only leaves (parameters, and inputs that require grad)
+keep their gradient: once an op node's backward has run, the sweep drops the
+node's gradient, closure and parents, so the saved arrays of the part already
+swept are freed while the rest is still being swept, and a graph can be swept
+only once. All randomness (dropout) comes from an explicit
+``numpy.random.Generator`` so runs are bit-reproducible; dropout masks are
+kept as bool arrays plus one scale, 1 byte per element.
 
 Closure contract: an op's backward is called as ``bw(dout)`` with the
 gradient of its output, and accumulates into its inputs. It must never
 reference its output ``Tensor``. Nodes then point only at their parents, so
-every graph is acyclic and is freed by reference counting as soon as the
-loss is dropped, with no work left for the cyclic garbage collector.
+every graph is acyclic and is freed by reference counting, with no work left
+for the cyclic garbage collector.
 
 Gradient buffers: a node stores its first incoming gradient as given and
 adds later ones out of place (``grad = grad + g``), so no stored gradient
@@ -25,6 +30,8 @@ graph. ``add`` and ``mul`` compute no gradient for a constant operand (a
 mask, a scale). ``linear`` is the affine projection ``x @ w + b`` as one node,
 and ``attention`` is the one attention node: head split, scaled and masked
 scores, softmax, dropout on the probabilities, context and head merge.
+``residual_layer_norm`` is a transformer sublayer's ``layer_norm(x +
+dropout(y))`` as one node; plain ``layer_norm`` is its case without ``y``.
 """
 
 from __future__ import annotations
@@ -83,7 +90,8 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Flat view of the accumulated gradient, or None before backward."""
+        """Flat view of a leaf's accumulated gradient, or None before
+        backward (an op node's is released by the sweep)."""
         if self._grad is None:
             return None
         return self._grad.reshape(-1)
@@ -110,7 +118,8 @@ class Tensor:
             self._grad = self._grad + g  # out of place: g or _grad may be shared
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this node; seeds with ones."""
+        """Reverse-mode sweep from this node; seeds with ones. Each op node
+        is released once its backward has run, so a graph is swept once."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -127,9 +136,15 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._grad = np.ones_like(self.array)
-        for node in reversed(topo):
-            if node._backward is not None and node._grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node._grad is not None:
                 node._backward(node._grad)
+            # release the op node: its gradient, saved arrays and inputs
+            node._grad = node._backward = None
+            node._parents = ()
 
     # -- operator sugar --------------------------------------------------
 
@@ -318,6 +333,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    return residual_layer_norm(x, None, gain, bias, 0.0, False, None, eps)
+
+
+def residual_layer_norm(
+    x: Tensor, y: Tensor | None, gain: Tensor, bias: Tensor,
+    p: float, training: bool, rng: np.random.Generator | None, eps: float = 1e-12,
+) -> Tensor:
+    """``layer_norm(x + dropout(y, p, training, rng), gain, bias, eps)`` as
+    one node: the dropped ``y`` and the sum are temporaries, and backward
+    keeps only the normalized input, the inverse deviations and the bool
+    dropout mask. ``y`` None is plain ``layer_norm`` of ``x``."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -326,8 +352,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} must match last dim {d}"
         )
+    s = x.array
+    keep, scale = None, 1.0
+    if y is not None:
+        y = as_tensor(y)
+        if y.shape != x.shape:
+            raise ShapeError(f"residual branch {y.shape} must match input {x.shape}")
+        keep, scale = _dropout_mask(y.shape, p, training, rng)
+        s = s + _drop(y.array, keep, scale)
     # mean and var spelled out as numpy computes them, sharing x - mu
-    xc = x.array - x.array.sum(axis=-1, keepdims=True) / d
+    xc = s - s.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
     out = xhat * gain.array + bias.array
@@ -337,12 +371,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         gy = g * gain.array
         gdot = gy.sum(axis=-1, keepdims=True) / d
         xdot = (gy * xhat).sum(axis=-1, keepdims=True) / d
-        x._accumulate(inv * (gy - gdot - xhat * xdot))
+        gs = inv * (gy - gdot - xhat * xdot)
+        if x.requires_grad:
+            x._accumulate(gs)
+        if y is not None and y.requires_grad:
+            y._accumulate(_drop(gs, keep, scale))
         axes = tuple(range(g.ndim - 1))
         gain._accumulate((g * xhat).sum(axis=axes))
         bias._accumulate(g.sum(axis=axes))
 
-    return _make(out, (x, gain, bias), bw)
+    return _make(out, (x, gain, bias) if y is None else (x, y, gain, bias), bw)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -390,22 +428,40 @@ def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
     return mean(cross_entropy_rows(logits, targets))
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def _dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
+    """``(keep, scale)`` of inverted dropout: a bool mask from one
+    ``rng.random`` draw and the survivors' scale 1/(1-p); ``(None, 1.0)``
+    when nothing is dropped, which draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    x = as_tensor(x)
     if not training or p == 0.0:
-        return x
+        return None, 1.0
     if rng is None:
         raise ConfigError("dropout in training mode requires an rng")
-    keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    out = x.array * keep
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
+
+
+def _drop(a: np.ndarray, keep: np.ndarray | None, scale: float) -> np.ndarray:
+    """``a`` through a ``_dropout_mask`` (``a`` itself for None): ``a * keep``
+    scaled in place rounds as ``a * (scale or 0.0)`` does."""
+    if keep is None:
+        return a
+    out = a * keep
+    out *= scale
+    return out
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+    x = as_tensor(x)
+    keep, scale = _dropout_mask(x.shape, p, training, rng)
+    if keep is None:
+        return x
 
     def bw(dout):
-        x._accumulate(dout * keep)
+        x._accumulate(_drop(dout, keep, scale))
 
-    return _make(out, (x,), bw)
+    return _make(_drop(x.array, keep, scale), (x,), bw)
 
 
 def attention(
@@ -428,8 +484,6 @@ def attention(
     inverted dropout of rate ``p`` from one ``rng.random`` draw. Returns the
     heads' contexts merged back to (B, Sq, h).
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (
         q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
@@ -455,25 +509,20 @@ def attention(
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = None
-    dropped = probs
-    if training and p > 0.0:
-        if rng is None:
-            raise ConfigError("dropout in training mode requires an rng")
-        keep = (rng.random(probs.shape) >= p).astype(np.float64) / (1.0 - p)
-        dropped = probs * keep
-    out = (dropped @ vh).transpose(0, 2, 1, 3).reshape(b, sq, h)
+    keep, drop_scale = _dropout_mask(probs.shape, p, training, rng)
+    out = (_drop(probs, keep, drop_scale) @ vh).transpose(0, 2, 1, 3).reshape(b, sq, h)
 
     def bw(dout):
         dctx = dout.reshape(b, sq, num_heads, d).transpose(0, 2, 1, 3)
         if v.requires_grad:
-            dv = dropped.swapaxes(-1, -2) @ dctx
+            dv = _drop(probs, keep, drop_scale).swapaxes(-1, -2) @ dctx
             v._accumulate(dv.transpose(0, 2, 1, 3).reshape(b, sk, h))
         if not (q.requires_grad or k.requires_grad):
             return
         ds = dctx @ vh.swapaxes(-1, -2)
         if keep is not None:
             ds *= keep
+            ds *= drop_scale
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
         ds *= scale

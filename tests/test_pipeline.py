@@ -6,6 +6,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -61,6 +62,18 @@ def _config(corpus_path, **kw):
     return RunConfig(**base)
 
 
+def _fresh_stage(cfg, stage):
+    """Freshly drawn weights of ``stage`` with its epoch builder and batch
+    loss, as ``fit`` gets them."""
+    split = training.load_split(cfg)
+    vocab = build_vocab(training.pretrain_dialogues(cfg, split)[0])
+    spec = training._STAGES[stage]
+    train, dev = spec.data(cfg, split)
+    weights = init_encoder_weights(cfg.model_config(len(vocab)), stage, np.random.default_rng(0))
+    build_epoch, batch_loss, _, _ = spec.task(cfg, vocab, weights.config, train, dev)
+    return weights, build_epoch, batch_loss
+
+
 @pytest.fixture(scope="module")
 def tmlm_ckpt(corpus_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("tmlm")
@@ -102,14 +115,7 @@ class TestStageTable:
     ])
     def test_one_backward_reaches_exactly_the_stage_tensors(self, corpus_path, stage, count):
         cfg = _config(corpus_path)
-        split = training.load_split(cfg)
-        vocab = build_vocab(training.pretrain_dialogues(cfg, split)[0])
-        spec = training._STAGES[stage]
-        train, dev = spec.data(cfg, split)
-        weights = init_encoder_weights(
-            cfg.model_config(len(vocab)), stage, np.random.default_rng(0)
-        )
-        build_epoch, batch_loss, _, _ = spec.task(cfg, vocab, weights.config, train, dev)
+        weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
         rng = np.random.default_rng(1)
         batch = build_epoch(rng)[: cfg.batch_size]
         batch_loss(weights, weights.config, batch, training=True, rng=rng).backward()
@@ -118,6 +124,30 @@ class TestStageTable:
         reached = {name for name, p in weights.named() if p.grad_array() is not None}
         assert reached == set(stage_shapes(weights.config, stage))
         assert len(reached) == count
+
+    @pytest.mark.parametrize("stage", ["tmlm", "finetuned"])
+    def test_one_step_holds_one_graph(self, corpus_path, stage):
+        """A step's memory is the live set of its forward graph: backward
+        frees each node as it sweeps it, so the step peaks barely above the
+        forward and leaves only the leaf gradients behind."""
+        cfg = _config(corpus_path, hidden_size=32, intermediate_size=64, num_layers=2)
+        weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
+        rng = np.random.default_rng(1)
+        # 32 instances: tmlm builds one per training dialogue per epoch
+        batch = [inst for _ in range(3) for inst in build_epoch(rng)][:32]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss = batch_loss(weights, weights.config, batch, training=True, rng=rng)
+            forward = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            after, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        leaf_grads = sum(p.grad_array().nbytes for _, p in weights.named())
+        assert peak <= 1.15 * forward
+        assert after <= leaf_grads + 64 * 1024
 
     def test_extra_corpus_feeds_pretraining_only(self, corpus_path, tmp_path):
         extra = Dialogue(1, "extra", (

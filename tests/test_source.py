@@ -38,6 +38,12 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _call_name(node) -> str:
+    """The called name of a ``Call`` node, plain or as an attribute."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def projections_outside_linear(source: str) -> list[str]:
     """Binary additions with a ``matmul(...)`` call as an operand: an affine
     projection that should be one ``linear`` node."""
@@ -45,11 +51,8 @@ def projections_outside_linear(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             for side in (node.left, node.right):
-                if isinstance(side, ast.Call):
-                    func = side.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    if name == "matmul":
-                        found.append(f"line {node.lineno}")
+                if isinstance(side, ast.Call) and _call_name(side) == "matmul":
+                    found.append(f"line {node.lineno}")
     return found
 
 
@@ -61,6 +64,33 @@ def test_checker_flags_matmul_plus_bias():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_affine_projections_use_linear(path):
     assert projections_outside_linear(path.read_text(encoding="utf-8")) == []
+
+
+def residuals_outside_fused_norm(source: str) -> list[str]:
+    """``layer_norm`` calls whose input is a sum (``+`` or ``add(...)``): a
+    residual LayerNorm that should be one ``residual_layer_norm`` node."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _call_name(node) == "layer_norm" and node.args:
+            first = node.args[0]
+            if (isinstance(first, ast.BinOp) and isinstance(first.op, ast.Add)) or (
+                isinstance(first, ast.Call) and _call_name(first) == "add"
+            ):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_a_residual_layer_norm():
+    source = (
+        "y = layer_norm(x + d, g, b)\nz = T.layer_norm(T.add(x, d), g, b)\n"
+        "v = layer_norm(x * d, g, b)\nu = residual_layer_norm(x, d, g, b, p, t, r)\n"
+    )
+    assert residuals_outside_fused_norm(source) == ["line 1", "line 2"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_residual_layer_norms_are_fused(path):
+    assert residuals_outside_fused_norm(path.read_text(encoding="utf-8")) == []
 
 
 def unused_tensor_functions(sources: dict[str, str]) -> list[str]:

@@ -134,6 +134,66 @@ class TestLayerNorm:
             T.layer_norm(T.Tensor([1.0]), T.Tensor([1.0]), T.Tensor([0.0]), eps=0.0)
 
 
+class TestResidualLayerNorm:
+    """``residual_layer_norm`` is ``layer_norm(add(x, dropout(y)))`` as one
+    node, bit for bit, drawing the same dropout noise."""
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            T.Tensor(rng.normal(size=s), requires_grad=True)
+            for s in ((2, 5, 8), (2, 5, 8), (8,), (8,))
+        ], rng.normal(size=(2, 5, 8))
+
+    @pytest.mark.parametrize("p,training", [(0.1, False), (0.0, True), (0.1, True)])
+    def test_equals_the_unfused_chain(self, p, training):
+        (x, y, g, b), dout = self._inputs(4)
+        twin = [T.Tensor(t.array.copy(), requires_grad=True) for t in (x, y, g, b)]
+        draw, twin_draw = np.random.default_rng(2), np.random.default_rng(2)
+        fused = T.residual_layer_norm(x, y, g, b, p, training, draw, 1e-12)
+        tx, ty, tg, tb = twin
+        chain = T.layer_norm(T.add(tx, T.dropout(ty, p, training, twin_draw)), tg, tb, 1e-12)
+        np.testing.assert_array_equal(fused.array, chain.array)
+        assert draw.bit_generator.state == twin_draw.bit_generator.state
+        T.tsum(fused * T.Tensor(dout)).backward()
+        T.tsum(chain * T.Tensor(dout)).backward()
+        for a, c in zip((x, y, g, b), twin):
+            np.testing.assert_array_equal(a.grad_array(), c.grad_array())
+
+    def test_no_branch_is_layer_norm(self):
+        (x, _, g, b), _ = self._inputs(5)
+        np.testing.assert_array_equal(
+            T.residual_layer_norm(x, None, g, b, 0.5, True, None).array,
+            T.layer_norm(x, g, b).array,
+        )
+
+    def test_training_records_one_node(self):
+        (x, y, g, b), _ = self._inputs(6)
+        out = T.residual_layer_norm(x, y, g, b, 0.1, True, np.random.default_rng(0))
+        assert out._parents == (x, y, g, b)
+
+    @pytest.mark.parametrize(
+        "y_shape,g_shape",
+        [((2, 5, 7), (8,)), ((5, 8), (8,)), ((2, 5, 8), (7,))],
+    )
+    def test_shape_errors(self, y_shape, g_shape):
+        x, y = T.Tensor(np.zeros((2, 5, 8))), T.Tensor(np.zeros(y_shape))
+        with pytest.raises(ShapeError):
+            T.residual_layer_norm(x, y, T.Tensor(np.ones(g_shape)), T.Tensor(np.zeros(8)),
+                                  0.1, False, None)
+
+    @pytest.mark.parametrize(
+        "p,rng,eps",
+        [(1.0, np.random.default_rng(0), 1e-12), (-0.1, None, 1e-12), (0.1, None, 1e-12),
+         (0.1, np.random.default_rng(0), 0.0)],
+    )
+    def test_config_errors(self, p, rng, eps):
+        x, y = T.Tensor(np.zeros((2, 8))), T.Tensor(np.zeros((2, 8)))
+        with pytest.raises(ConfigError):
+            T.residual_layer_norm(x, y, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)),
+                                  p, True, rng, eps)
+
+
 class TestGelu:
     def test_zero(self):
         assert T.gelu(T.Tensor([0.0])).array[0] == 0.0
@@ -191,6 +251,18 @@ class TestDropout:
     def test_bad_probability(self):
         with pytest.raises(ConfigError):
             T.dropout(T.Tensor([1.0]), 1.0, True, np.random.default_rng(0))
+
+    def test_equals_scaled_float_mask_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = T.Tensor(rng.normal(size=(50, 40)), requires_grad=True)
+        dout = rng.normal(size=(50, 40))
+        draw, twin = np.random.default_rng(6), np.random.default_rng(6)
+        out = T.dropout(x, 0.1, True, draw)
+        T.tsum(out * T.Tensor(dout)).backward()
+        keep = (twin.random(x.shape) >= 0.1) / (1 - 0.1)
+        np.testing.assert_array_equal(out.array, x.array * keep)
+        np.testing.assert_array_equal(x.grad_array(), dout * keep)
+        assert draw.bit_generator.state == twin.bit_generator.state
 
     def test_identical_seed_identical_mask(self):
         x = T.Tensor(np.ones(1000))
@@ -323,6 +395,23 @@ class TestAutodiff:
                 lambda q, k, v: T.attention(q, k, v, None, 2, 0.0, False, None),
                 [(2, 3, 4), (2, 5, 4), (2, 5, 4)],
             ),
+            (
+                "residual-layer-norm",
+                lambda x, y, g, b: T.residual_layer_norm(x, y, g, b, 0.1, False, None, 1e-6),
+                [(3, 8), (3, 8), (8,), (8,)],
+            ),
+            (  # a fresh rng each call: the same dropout mask every time
+                "residual-layer-norm-dropout",
+                lambda x, y, g, b: T.residual_layer_norm(
+                    x, y, g, b, 0.3, True, np.random.default_rng(8), 1e-6
+                ),
+                [(2, 3, 8), (2, 3, 8), (8,), (8,)],
+            ),
+            (
+                "dropout",
+                lambda a: T.dropout(a, 0.4, True, np.random.default_rng(9)),
+                [(3, 4)],
+            ),
         ],
     )
     def test_op_gradients(self, name, fn, shapes):
@@ -380,6 +469,28 @@ class TestAutodiff:
         loss.backward()
         np.testing.assert_array_equal(b.grad_array(), c.array)
         np.testing.assert_allclose(a.grad_array(), c.array + 2 * a.array, rtol=0, atol=1e-15)
+
+    def test_backward_releases_every_op_node(self):
+        """Only leaves keep a gradient; the sweep drops each op node's
+        gradient, closure and inputs once its backward has run."""
+        rng = np.random.default_rng(17)
+        x, w, b, g, beta = (
+            T.Tensor(rng.normal(size=s), requires_grad=True)
+            for s in ((2, 3, 4), (4, 4), (4,), (4,), (4,))
+        )
+        hidden = T.linear(x, w, b)
+        normed = T.residual_layer_norm(x, hidden, g, beta, 0.2, True, np.random.default_rng(1))
+        probs = T.softmax(normed, -1)
+        square = probs * probs
+        act = T.gelu(square)
+        loss = T.mean(act)
+        ops = [hidden, normed, probs, square, act, loss]
+        loss.backward()
+        for node in ops:
+            assert node._grad is None
+            assert node._parents == () and node._backward is None
+        for leaf in (x, w, b, g, beta):
+            assert leaf.grad_array() is not None and leaf.grad_array().shape == leaf.shape
 
     def test_constant_operands_get_no_gradient(self):
         x = T.Tensor(np.ones((2, 3)), requires_grad=True)
