@@ -7,10 +7,17 @@ stages may start each one, and which weights carry over, is the stage table
 in ``encoder`` (``STAGE_SOURCES``, ``STAGE_GROUPS``), applied by
 ``checkpoint.transfer_weights``. The table ``_STAGES`` here holds the rest
 that sets them apart: the ``RunConfig`` field with its step budget, how its
-train/dev data comes from the corpus split, and a task builder returning
-``fit``'s instance builder, batch loss, dev evaluation and improve rule.
+train/dev data comes from the corpus split, a task builder returning
+``fit``'s ``_Task`` (instance builder, batch loss, dev evaluation), and the
+tracked dev metrics with their direction, which ``_improve`` reads.
 ``_run`` does the rest the same way for every stage; ``run_stage`` and
 ``run_finetune`` are its public entry points.
+
+A stage's state is one ``Checkpoint``: ``_init_stage_state`` makes the
+start state (a ``*-last`` checkpoint as it is, or fresh or transferred
+weights with a new optimizer and generator), and ``fit`` runs from it. The
+best snapshot is on disk from the first dev eval on, so a resume reads it
+back instead of rebuilding it.
 
 Determinism contract: every random draw comes either from namespaced
 generators derived from (seed, stage, purpose) or from the single training
@@ -23,9 +30,10 @@ from __future__ import annotations
 
 import functools
 import logging
+import operator
 import typing
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -103,7 +111,6 @@ class RunConfig:
     weight_decay: float = 0.01
     warmup_fraction: float = 0.10
     dropout_p: float = 0.1
-    loss_reduction: str = "sum"
     # stage budgets and early stopping
     tmlm_steps: int = 500
     umlm_steps: int = 500
@@ -130,8 +137,6 @@ class RunConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1:
             raise ConfigError("batch_size and patience must be >= 1")
-        if self.loss_reduction != "sum":
-            raise ConfigError("loss_reduction must be 'sum'")
         if self.mlm_mode not in ("static", "dynamic"):
             raise ConfigError(f"mlm_mode must be static|dynamic, got {self.mlm_mode!r}")
         if not 0.0 <= self.mlm_ratio < 1.0:
@@ -323,68 +328,88 @@ def build_uop_dev_instances(
 # -- the generic stage loop ---------------------------------------------------
 
 
-def _snapshot(weights: EncoderWeights) -> EncoderWeights:
+@dataclass(frozen=True)
+class _Task:
+    """One stage's part of ``fit``; ``batch_loss`` is called as
+    ``batch_loss(weights, weights.config, batch, training=True, rng=rng)``."""
+
+    build_epoch: Callable[[np.random.Generator], list]  # an epoch's instances
+    batch_loss: Callable[..., Tensor]
+    dev_eval: Callable[[EncoderWeights], dict]  # dev metrics, dropout off
+
+
+def _improve(stage: str, metrics: dict, best: dict | None) -> tuple[bool, dict]:
+    """Whether ``metrics`` betters the running ``best`` in any of the stage's
+    tracked dev metrics (the first eval always does, an equal value never),
+    and the merged best, which keeps each tracked metric's better value."""
+    tracked = _STAGES[stage].tracked
+    if best is None:
+        return True, {name: metrics[name] for name in tracked}
+    better = {name for name, beats in tracked.items() if beats(metrics[name], best[name])}
+    return bool(better), {n: metrics[n] if n in better else best[n] for n in tracked}
+
+
+def _save_best(
+    state: Checkpoint, epoch: int, metrics: dict, out_dir: str | Path | None
+) -> Checkpoint:
+    """A weights-only copy of ``state``, written to ``<out_dir>/<stage>-best.ckpt``."""
     params = {
-        name: Tensor(p.array.copy(), requires_grad=True) for name, p in weights.named()
+        name: Tensor(p.array.copy(), requires_grad=True) for name, p in state.weights.named()
     }
-    return EncoderWeights(weights.config, weights.stage, params)
+    best = Checkpoint(
+        EncoderWeights(state.config, state.stage, params), state.vocab, state.global_step,
+        train_state={"epoch": epoch, "metrics": metrics},
+    )
+    if out_dir is not None:
+        save_checkpoint(best, Path(out_dir) / f"{state.stage}-best.ckpt")
+    return best
 
 
 def fit(
-    *,
     run_config: RunConfig,
-    weights: EncoderWeights,
-    vocab: Vocab,
-    adam: AdamState,
-    rng: np.random.Generator,
-    global_step: int,
-    train_state: dict,
-    build_epoch: Callable[[np.random.Generator], list],
-    batch_loss: Callable[..., Tensor],
-    dev_eval: Callable[[EncoderWeights], dict],
-    improve: Callable[[dict, dict | None], tuple[bool, dict]],
+    state: Checkpoint,
+    task: _Task,
     max_steps: int,
     out_dir: str | Path | None = None,
-    initial_best: Checkpoint | None = None,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Epoch loop with per-epoch dev evaluation, patience-based early
-    stopping, and best/last checkpointing. ``batch_loss`` is called as
-    ``batch_loss(weights, weights.config, batch, training=True, rng=rng)``;
-    a loss or gradient that is not finite raises ``DivergenceError`` before
-    the update.
-    ``improve`` returns whether the new metrics improve on the running best
-    and the merged running best. Returns (best checkpoint, dev history)."""
-    stage = weights.stage
+    """Epoch loop from the start ``state`` (weights, vocab, Adam and rng
+    state, step, ``train_state``) with per-epoch dev evaluation,
+    patience-based early stopping, and best/last checkpointing.
+
+    A fresh start evaluates the start weights, and that snapshot is the
+    first best: like each improving epoch's snapshot, it is written to
+    ``<out_dir>/<stage>-best.ckpt``. After each epoch the advanced state
+    goes to ``<out_dir>/<stage>-last.ckpt``. A resume (a state with dev
+    history) reads its best back from the ``-best`` file and raises
+    ``CheckpointError`` without one. A loss or gradient that is not finite
+    raises ``DivergenceError`` before the update. Returns (best checkpoint,
+    dev history)."""
+    weights, adam, stage = state.weights, state.adam, state.stage
+    rng = restore_rng(state.rng_state)
+    global_step = state.global_step
     params = dict(weights.named())
     schedule = LRSchedule(run_config.base_lr, max_steps, run_config.warmup_fraction)
-    epoch = int(train_state.get("epoch", 0))
-    best_metrics = train_state.get("best_metrics")
-    bad = int(train_state.get("bad_evals", 0))
-    history: list[dict] = list(train_state.get("history", []))
-    best_ckpt = initial_best
+    epoch = int(state.train_state.get("epoch", 0))
+    best_metrics = state.train_state.get("best_metrics")
+    bad = int(state.train_state.get("bad_evals", 0))
+    history: list[dict] = list(state.train_state.get("history", []))
 
-    def _checkpoint(weights_obj, *, full: bool, state: dict) -> Checkpoint:
-        return Checkpoint(
-            weights=weights_obj,
-            vocab=vocab,
-            global_step=global_step,
-            adam=adam if full else None,
-            rng_state=rng.bit_generator.state if full else None,
-            train_state=state,
-        )
-
-    if not history:
-        metrics = dev_eval(weights)
+    if history:
+        if out_dir is None:
+            raise CheckpointError(
+                f"resuming stage {stage!r} needs the interrupted run's output "
+                f"directory, which holds its {stage}-best.ckpt"
+            )
+        best = load_checkpoint(Path(out_dir) / f"{stage}-best.ckpt")
+    else:
+        metrics = task.dev_eval(weights)
         history.append({"epoch": -1, "step": global_step, **metrics})
-        _, best_metrics = improve(metrics, None)
-        best_ckpt = _checkpoint(
-            _snapshot(weights), full=False,
-            state={"epoch": -1, "metrics": metrics},
-        )
+        _, best_metrics = _improve(stage, metrics, None)
+        best = _save_best(state, -1, metrics, out_dir)
         logger.info("[%s] initial dev: %s", stage, metrics)
 
     while global_step < max_steps and bad < run_config.patience:
-        instances = build_epoch(rng)
+        instances = task.build_epoch(rng)
         if not instances:
             raise CorpusError(f"stage {stage}: no training instances")
         order = rng.permutation(len(instances))
@@ -393,7 +418,7 @@ def fit(
                 break
             batch = [instances[i] for i in chunk]
             weights.zero_grads()
-            loss = batch_loss(weights, weights.config, batch, training=True, rng=rng)
+            loss = task.batch_loss(weights, weights.config, batch, training=True, rng=rng)
             if not np.isfinite(loss.item()):
                 raise DivergenceError(
                     f"stage {stage!r} diverged at step {global_step + 1}: "
@@ -409,63 +434,25 @@ def fit(
                 )
             global_step += 1
             adam_step(params, grads, adam, lr_at_step(schedule, global_step))
-        metrics = dev_eval(weights)
+        metrics = task.dev_eval(weights)
         history.append({"epoch": epoch, "step": global_step, **metrics})
-        improved, best_metrics = improve(metrics, best_metrics)
+        improved, best_metrics = _improve(stage, metrics, best_metrics)
+        bad = 0 if improved else bad + 1
+        state = replace(
+            state, global_step=global_step, rng_state=rng.bit_generator.state,
+            train_state={"epoch": epoch + 1, "best_metrics": best_metrics,
+                         "bad_evals": bad, "history": history},
+        )
         if improved:
-            bad = 0
-            best_ckpt = _checkpoint(
-                _snapshot(weights), full=False,
-                state={"epoch": epoch, "metrics": metrics},
-            )
-            if out_dir is not None:
-                save_checkpoint(best_ckpt, Path(out_dir) / f"{stage}-best.ckpt")
-        else:
-            bad += 1
-        epoch += 1
-        state = {
-            "epoch": epoch,
-            "best_metrics": best_metrics,
-            "bad_evals": bad,
-            "history": history,
-        }
+            best = _save_best(state, epoch, metrics, out_dir)
         if out_dir is not None:
-            save_checkpoint(
-                _checkpoint(weights, full=True, state=state),
-                Path(out_dir) / f"{stage}-last.ckpt",
-            )
+            save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
-            stage, epoch - 1, global_step, metrics, " *" if improved else "",
+            stage, epoch, global_step, metrics, " *" if improved else "",
         )
-    if best_ckpt is None:
-        best_ckpt = _checkpoint(
-            _snapshot(weights), full=False, state={"epoch": epoch - 1}
-        )
-    return best_ckpt, history
-
-
-def _perplexity_improve(metrics: dict, best: dict | None) -> tuple[bool, dict]:
-    if best is None or metrics["perplexity"] < best["perplexity"]:
-        return True, {"perplexity": metrics["perplexity"]}
-    return False, best
-
-
-def _uop_improve(metrics: dict, best: dict | None) -> tuple[bool, dict]:
-    if best is None:
-        return True, {"loss": metrics["loss"], "accuracy": metrics["accuracy"]}
-    better = metrics["loss"] < best["loss"] or metrics["accuracy"] > best["accuracy"]
-    merged = {
-        "loss": min(metrics["loss"], best["loss"]),
-        "accuracy": max(metrics["accuracy"], best["accuracy"]),
-    }
-    return better, merged
-
-
-def _sm_improve(metrics: dict, best: dict | None) -> tuple[bool, dict]:
-    if best is None or metrics["sm"] > best["sm"]:
-        return True, {"sm": metrics["sm"]}
-    return False, best
+        epoch += 1
+    return best, history
 
 
 # -- stage wiring ---------------------------------------------------------
@@ -476,31 +463,19 @@ def _init_stage_state(
     stage: str,
     init_checkpoint: Checkpoint | None,
     fallback_vocab: Callable[[], Vocab],
-    out_dir: str | Path | None,
-):
-    """Shared gating: same-stage resume, transfer (``transfer_weights`` checks
-    the source stage), or a fresh start (only for a stage without sources). Returns
-    (vocab, weights, adam, rng, global_step, train_state, initial_best)."""
+) -> Checkpoint:
+    """The stage's start state. A same-stage ``init_checkpoint`` is resumed
+    as it is (it must be a ``*-last`` checkpoint); otherwise the weights are
+    transferred (``transfer_weights`` checks the source stage) or drawn
+    fresh (only for a stage without sources), with a new Adam state, the
+    stage's training generator, step 0 and an empty ``train_state``."""
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
                 f"checkpoint for stage {stage!r} lacks optimizer/rng state; "
                 "resume requires a *-last checkpoint"
             )
-        initial_best = None
-        if out_dir is not None:
-            best_path = Path(out_dir) / f"{stage}-best.ckpt"
-            if best_path.exists():
-                initial_best = load_checkpoint(best_path)
-        return (
-            init_checkpoint.vocab,
-            init_checkpoint.weights,
-            init_checkpoint.adam,
-            restore_rng(init_checkpoint.rng_state),
-            init_checkpoint.global_step,
-            dict(init_checkpoint.train_state),
-            initial_best,
-        )
+        return init_checkpoint
     init_rng = derive_rng(config.seed, stage, "init")
     if init_checkpoint is None:
         if STAGE_SOURCES[stage]:
@@ -515,15 +490,18 @@ def _init_stage_state(
         weights = transfer_weights(
             init_checkpoint, stage, config.model_config(len(vocab)), init_rng
         )
-    return (vocab, weights, config.adam_state(),
-            derive_rng(config.seed, stage, "train"), 0, {}, None)
+    return Checkpoint(
+        weights=weights,
+        vocab=vocab,
+        adam=config.adam_state(),
+        rng_state=derive_rng(config.seed, stage, "train").bit_generator.state,
+    )
 
 
 # Each task builder takes (config, vocab, model_cfg, train, dev) and returns
-# fit's (build_epoch, batch_loss, dev_eval, improve). The batch losses and
-# dev evaluators are looked up when a builder runs, not when this module is
-# imported, so a wrapper set on the module binding (as the benchmark's
-# tracer does) sees every call.
+# the stage's ``_Task``. The batch losses and dev evaluators are looked up
+# when a builder runs, not when this module is imported, so a wrapper set on
+# the module binding (as the benchmark's tracer does) sees every call.
 
 
 def _perplexity_dev_eval(config: RunConfig, model_cfg: ModelConfig, instances):
@@ -547,8 +525,8 @@ def _tmlm_task(config, vocab, model_cfg, train, dev):
     if config.mlm_mode == "static":
         cached = instances(train, derive_rng(config.seed, STAGE_TMLM, "static-masks"))
         build_epoch = lambda rng_: cached
-    return (build_epoch, tmlm_batch_loss,
-            _perplexity_dev_eval(config, model_cfg, dev_instances), _perplexity_improve)
+    return _Task(build_epoch, tmlm_batch_loss,
+                 _perplexity_dev_eval(config, model_cfg, dev_instances))
 
 
 def _umlm_task(config, vocab, model_cfg, train, dev):
@@ -562,8 +540,8 @@ def _umlm_task(config, vocab, model_cfg, train, dev):
         ]
 
     dev_instances = instances(dev, derive_rng(config.seed, STAGE_UMLM, "dev"))
-    return (functools.partial(instances, train), umlm_batch_loss,
-            _perplexity_dev_eval(config, model_cfg, dev_instances), _perplexity_improve)
+    return _Task(functools.partial(instances, train), umlm_batch_loss,
+                 _perplexity_dev_eval(config, model_cfg, dev_instances))
 
 
 def _uop_task(config, vocab, model_cfg, train, dev):
@@ -581,7 +559,7 @@ def _uop_task(config, vocab, model_cfg, train, dev):
         loss, acc = uop_dev_metrics(w, model_cfg, dev_instances, config.batch_size)
         return {"loss": loss, "accuracy": acc}
 
-    return build_epoch, uop_batch_loss, dev_eval, _uop_improve
+    return _Task(build_epoch, uop_batch_loss, dev_eval)
 
 
 def _qa_task(config, vocab, model_cfg, train, dev):
@@ -591,7 +569,7 @@ def _qa_task(config, vocab, model_cfg, train, dev):
         report = evaluate_entries(w, model_cfg, vocab, dev)
         return {"em": report.em, "sm": report.sm, "um": report.um}
 
-    return (lambda rng_: encoded), qa_batch_loss, dev_eval, _sm_improve
+    return _Task(lambda rng_: encoded, qa_batch_loss, dev_eval)
 
 
 def _qa_data(config: RunConfig, split: CorpusSplit):
@@ -602,14 +580,20 @@ def _qa_data(config: RunConfig, split: CorpusSplit):
 class _Stage:
     budget: str  # the RunConfig field holding the step budget
     data: Callable[[RunConfig, CorpusSplit], tuple[list, list]]  # (train, dev)
-    task: Callable[..., tuple]
+    task: Callable[..., _Task]
+    # tracked dev metric -> better(new, best); an epoch that betters any improves
+    tracked: dict[str, Callable[[float, float], bool]]
 
 
+_PERPLEXITY = {"perplexity": operator.lt}  # lower is better
 _STAGES = {
-    STAGE_TMLM: _Stage("tmlm_steps", pretrain_dialogues, _tmlm_task),
-    STAGE_UMLM: _Stage("umlm_steps", pretrain_dialogues, _umlm_task),
-    STAGE_UOP: _Stage("uop_steps", pretrain_dialogues, _uop_task),
-    STAGE_FINETUNED: _Stage("finetune_steps", _qa_data, _qa_task),
+    STAGE_TMLM: _Stage("tmlm_steps", pretrain_dialogues, _tmlm_task, _PERPLEXITY),
+    STAGE_UMLM: _Stage("umlm_steps", pretrain_dialogues, _umlm_task, _PERPLEXITY),
+    STAGE_UOP: _Stage(
+        "uop_steps", pretrain_dialogues, _uop_task,
+        {"loss": operator.lt, "accuracy": operator.gt},
+    ),
+    STAGE_FINETUNED: _Stage("finetune_steps", _qa_data, _qa_task, {"sm": operator.gt}),
 }
 
 
@@ -623,32 +607,14 @@ def _run(
     train, dev = spec.data(config, load_split(config))
     if not train or not dev:
         raise CorpusError(f"stage {stage!r} needs non-empty training and dev data")
-    vocab, weights, adam, rng, step, train_state, initial_best = _init_stage_state(
-        config, stage, init_checkpoint,
-        lambda: build_vocab(train, config.min_freq), out_dir,
+    state = _init_stage_state(
+        config, stage, init_checkpoint, lambda: build_vocab(train, config.min_freq)
     )
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        vocab.save(Path(out_dir) / "vocab.txt")
-    build_epoch, batch_loss, dev_eval, improve = spec.task(
-        config, vocab, weights.config, train, dev
-    )
-    return fit(
-        run_config=config,
-        weights=weights,
-        vocab=vocab,
-        adam=adam,
-        rng=rng,
-        global_step=step,
-        train_state=train_state,
-        build_epoch=build_epoch,
-        batch_loss=batch_loss,
-        dev_eval=dev_eval,
-        improve=improve,
-        max_steps=getattr(config, spec.budget),
-        out_dir=out_dir,
-        initial_best=initial_best,
-    )
+        state.vocab.save(Path(out_dir) / "vocab.txt")
+    task = spec.task(config, state.vocab, state.config, train, dev)
+    return fit(config, state, task, getattr(config, spec.budget), out_dir)
 
 
 def run_stage(

@@ -1,6 +1,7 @@
 """Stage gating, training progress, bit-exact resume, eval determinism, the
 config file format, and the CLI surface."""
 
+import functools
 import json
 import math
 import struct
@@ -70,8 +71,8 @@ def _fresh_stage(cfg, stage):
     spec = training._STAGES[stage]
     train, dev = spec.data(cfg, split)
     weights = init_encoder_weights(cfg.model_config(len(vocab)), stage, np.random.default_rng(0))
-    build_epoch, batch_loss, _, _ = spec.task(cfg, vocab, weights.config, train, dev)
-    return weights, build_epoch, batch_loss
+    task = spec.task(cfg, vocab, weights.config, train, dev)
+    return weights, task.build_epoch, task.batch_loss
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,78 @@ class TestResumeReplay:
             dir_b / "finetuned-last.ckpt"
         ).read_bytes()
 
+    def test_resume_returns_the_initial_best_when_no_epoch_improves(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
+        """With a constant dev perplexity no epoch betters the initial eval, so
+        the best is the start weights; a run killed after its first epoch and
+        resumed returns and leaves that same best."""
+        monkeypatch.setattr(training, "mlm_dev_perplexity", lambda *args: 7.0)
+        cfg = _config(corpus_path)
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        best_a = run_stage("tmlm", cfg, out_dir=dir_a)
+        _crash_after_first_last_checkpoint(monkeypatch)
+        with pytest.raises(_Crash):
+            run_stage("tmlm", cfg, out_dir=dir_b)
+        best_b = run_stage("tmlm", cfg, load_checkpoint(dir_b / "tmlm-last.ckpt"), out_dir=dir_b)
+        initial = {"epoch": -1, "metrics": {"perplexity": 7.0}}
+        assert best_a.train_state == best_b.train_state == initial
+        assert best_a.global_step == best_b.global_step == 0
+        final = load_checkpoint(dir_a / "tmlm-last.ckpt").weights
+        for name, p in best_a.weights.named():
+            np.testing.assert_array_equal(p.array, best_b.weights[name].array)
+        assert any(not np.array_equal(p.array, final[n].array) for n, p in best_a.weights.named())
+        for kind in ("best", "last"):
+            name = f"tmlm-{kind}.ckpt"
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_resume_without_a_best_checkpoint_raises(self, corpus_path, tmp_path):
+        cfg = _config(corpus_path, tmlm_steps=4)
+        out = tmp_path / "run"
+        run_stage("tmlm", cfg, out_dir=out)
+        (out / "tmlm-best.ckpt").unlink()
+        last = load_checkpoint(out / "tmlm-last.ckpt")
+        with pytest.raises(CheckpointError, match="tmlm-best.ckpt"):
+            run_stage("tmlm", cfg, last, out_dir=out)
+        with pytest.raises(CheckpointError, match="tmlm-best.ckpt"):
+            run_stage("tmlm", cfg, last)
+
+
+class TestImprove:
+    @pytest.mark.parametrize("stage, metrics, tracked", [
+        ("tmlm", {"perplexity": math.inf}, {"perplexity": math.inf}),
+        ("umlm", {"perplexity": 9.0}, {"perplexity": 9.0}),
+        ("uop", {"loss": 0.7, "accuracy": 0.5}, {"loss": 0.7, "accuracy": 0.5}),
+        ("finetuned", {"em": 0.0, "sm": 0.0, "um": 0.0}, {"sm": 0.0}),
+    ])
+    def test_first_eval_always_improves(self, stage, metrics, tracked):
+        assert training._improve(stage, metrics, None) == (True, tracked)
+
+    @pytest.mark.parametrize("stage, metrics", [
+        ("tmlm", {"perplexity": 9.0}),
+        ("umlm", {"perplexity": math.inf}),
+        ("uop", {"loss": 0.7, "accuracy": 0.5}),
+        ("finetuned", {"em": 10.0, "sm": 20.0, "um": 30.0}),
+    ])
+    def test_an_equal_metric_is_no_improvement(self, stage, metrics):
+        _, best = training._improve(stage, metrics, None)
+        assert training._improve(stage, dict(metrics), best) == (False, best)
+
+    def test_directions(self):
+        assert training._improve("tmlm", {"perplexity": 8.0}, {"perplexity": 9.0})[0]
+        assert not training._improve("umlm", {"perplexity": 10.0}, {"perplexity": 9.0})[0]
+        sm_best = {"sm": 20.0}
+        assert training._improve("finetuned", {"em": 0.0, "sm": 21.0, "um": 0.0}, sm_best)[0]
+        assert not training._improve("finetuned", {"em": 99.0, "sm": 19.0, "um": 99.0}, sm_best)[0]
+
+    def test_uop_improves_on_either_metric_and_merges_the_better_values(self):
+        best = {"loss": 0.6, "accuracy": 0.5}
+        improve = functools.partial(training._improve, "uop", best=best)
+        assert improve({"loss": 0.5, "accuracy": 0.4}) == (True, {"loss": 0.5, "accuracy": 0.5})
+        assert improve({"loss": 0.7, "accuracy": 0.6}) == (True, {"loss": 0.6, "accuracy": 0.6})
+        assert improve({"loss": 0.4, "accuracy": 0.9}) == (True, {"loss": 0.4, "accuracy": 0.9})
+        assert improve({"loss": 0.7, "accuracy": 0.4}) == (False, best)
+
 
 class TestEval:
     @pytest.fixture(scope="class")
@@ -313,7 +386,6 @@ class TestRunConfigParsing:
         assert cfg.weight_decay == 0.01
         assert cfg.warmup_fraction == 0.10
         assert cfg.dropout_p == 0.1
-        assert cfg.loss_reduction == "sum"
 
     def test_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -345,8 +417,6 @@ class TestRunConfigParsing:
         assert load_run_config(p, seed=None).seed == 7
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(loss_reduction="mean")
         with pytest.raises(ConfigError):
             RunConfig(mlm_mode="sometimes")
 
@@ -475,6 +545,22 @@ class TestCli:
             capsys, "pretrain", "--stage", "tmlm", "--config", str(path), "--init", str(last)
         )
         assert (code, err["error"]) == (1, "CheckpointError")
+
+    def test_resume_without_a_best_checkpoint_is_json_error(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 2\nseed = 1\n"
+        )
+        out = tmp_path / "run"
+        args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        (out / "tmlm-best.ckpt").unlink()
+        capsys.readouterr()
+        code, err = self._main_error(capsys, *args, "--init", str(out / "tmlm-last.ckpt"))
+        assert (code, err["error"]) == (1, "CheckpointError")
+        assert "tmlm-best.ckpt" in err["message"]
 
     def test_diverging_pretrain_exits_cleanly(self, corpus_path, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -147,3 +147,51 @@ def test_encoder_attends_through_the_fused_op():
     names = called_names((SOURCES[0].parent / "encoder.py").read_text(encoding="utf-8"))
     assert "attention" in names
     assert "softmax" not in names
+
+
+def unread_config_fields(sources: dict[str, str]) -> list[str]:
+    """``RunConfig`` fields (declared in ``training.py``) whose name appears
+    nowhere in the package as an attribute access or a string constant (a
+    budget looked up with ``getattr``), not counting ``__post_init__``."""
+    config = next(
+        node for node in ast.parse(sources["training.py"]).body
+        if isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+    )
+    declared = [
+        node.target.id for node in config.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    read = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        skipped = {
+            id(inner) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+            for method in node.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+            for inner in ast.walk(method)
+        }
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [name for name in declared if name not in read]
+
+
+def test_checker_flags_an_unread_config_field():
+    training = (
+        "class RunConfig:\n    a: int = 1\n    b: str = 'x'\n    c: int = 2\n"
+        "    d: int = 3\n"
+        "    def __post_init__(self):\n        assert self.b == 'x' and self.c\n"
+        "def budget(cfg):\n    return getattr(cfg, 'c')\n"
+    )
+    sources = {"training.py": training, "cli.py": "print(config.a)\n"}
+    assert unread_config_fields(sources) == ["b", "d"]
+
+
+def test_every_config_field_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_config_fields(sources) == []
