@@ -85,13 +85,15 @@ def main(argv: list[str] | None = None) -> int:
         init = load_checkpoint(args.init) if args.init is not None else None
         if args.command == "pretrain":
             best = run_stage(args.stage, config, init, args.out)
-            save_checkpoint(best, (args.out or Path(".")) / f"{args.stage}-best.ckpt")
+            if args.out is None:  # with --out, fit has written it already
+                save_checkpoint(best, Path(f"{args.stage}-best.ckpt"))
             print(f"{args.stage}: best dev {best.train_state.get('metrics')}")
         elif args.command == "finetune":
             if init is None:
                 raise _UsageError("finetune requires --init <checkpoint>")
-            best, history = run_finetune(config, init, args.out)
-            save_checkpoint(best, (args.out or Path(".")) / "finetuned-best.ckpt")
+            best, _ = run_finetune(config, init, args.out)
+            if args.out is None:
+                save_checkpoint(best, Path("finetuned-best.ckpt"))
             print(f"finetuned: best dev {best.train_state.get('metrics')}")
         elif args.command == "evaluate":
             if init is None:

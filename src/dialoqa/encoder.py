@@ -4,10 +4,12 @@ question and utterance tokens (MHA).
 
 Every forward takes a batch only: token ids (B, S), embeddings (B, S, h)
 and boolean masks (B, S), True marking real (attendable) positions; a
-single sequence is a batch of one. Forwards are read-only over the weights
-and draw dropout noise from an explicit rng. ``pad_batch`` builds the id
-rectangle and ``gather_rows`` reads TE output rows by flat index, the one
-way the pre-training losses and the QA heads read TE's outputs.
+single sequence is a batch of one. Forwards are read-only over the weights,
+read every hyperparameter (dropout rate, head and layer counts, capacities)
+from ``weights.config``, and draw dropout noise from an explicit rng.
+``pad_batch`` builds the id rectangle and ``gather_rows`` reads TE output
+rows by flat index, the one way the pre-training losses and the QA heads
+read TE's outputs.
 
 All three attentions (TE and TL self-attention, MHA cross-attention) go
 through ``_attention``: the q/k/v/o ``linear`` projections around one
@@ -324,7 +326,6 @@ def _self_attention_block(
 
 def te_forward(
     weights: EncoderWeights,
-    config: ModelConfig,
     token_ids,
     attention_mask=None,
     *,
@@ -336,6 +337,7 @@ def te_forward(
     Padding keys are excluded from every softmax so appended PAD tokens
     leave real positions unchanged.
     """
+    config = weights.config
     ids = np.asarray(token_ids, dtype=np.intp)
     if ids.ndim != 2:
         raise ShapeError(f"token_ids must be (B, S), got shape {ids.shape}")
@@ -357,7 +359,6 @@ def te_forward(
 
 def tl_forward(
     weights: EncoderWeights,
-    config: ModelConfig,
     utterance_embeddings,
     *,
     position_offset: int = 0,
@@ -368,9 +369,10 @@ def tl_forward(
     """Utterance embeddings (B, S, h) -> T^c of the same shape.
 
     Learned utterance-position embeddings (row ``position_offset + j`` for
-    element j) are added before TL1 unless disabled in the config; without
-    them the two layers are permutation-equivariant.
+    element j) are added before TL1 unless ``weights.config`` disables them;
+    without them the two layers are permutation-equivariant.
     """
+    config = weights.config
     x = _batched(utterance_embeddings, "utterance_embeddings")
     b, s, _ = x.shape
     if position_offset + s > config.max_utterances + 1:
@@ -392,7 +394,6 @@ def tl_forward(
 
 def mha_forward(
     weights: EncoderWeights,
-    config: ModelConfig,
     question_embeddings,
     utterance_embeddings,
     *,
@@ -414,4 +415,4 @@ def mha_forward(
     add_mask = _additive_key_mask(question_mask, xq.shape[0], xq.shape[1])
     normed = layer_norm(xu, weights["mha.ln_g"], weights["mha.ln_b"], LN_EPS)
     out = _attention(weights, "mha.", normed, xq, add_mask, training, rng)
-    return xu + dropout(out, config.dropout_p, training, rng)
+    return xu + dropout(out, weights.config.dropout_p, training, rng)

@@ -18,6 +18,9 @@ most utterances and S the widest head (speaker plus words) in the batch:
 Every logit slot past a question's utterances or past an utterance's width
 holds MASK_SCORE, so softmax gives it exactly zero probability and the
 per-question results equal those of a batch of one.
+
+The forwards and losses read the model config from ``weights.config``; only
+``encode_for_qa``, which has no weights, takes a ``ModelConfig``.
 """
 
 from __future__ import annotations
@@ -103,7 +106,6 @@ def encode_for_qa(
 
 def qa_batch_logits(
     weights: EncoderWeights,
-    config: ModelConfig,
     encodings: Sequence[QAEncoding],
     *,
     training: bool = False,
@@ -118,7 +120,8 @@ def qa_batch_logits(
         for seq in (enc.question_ids, *enc.utterance_ids):
             row_of.setdefault(seq, len(row_of))
     ids, mask = pad_batch(list(row_of), 0)
-    out = te_forward(weights, config, ids, mask, training=training, rng=rng)
+    # ids by keyword: the benchmark's tracer reads TE's rows from ``token_ids``
+    out = te_forward(weights, token_ids=ids, attention_mask=mask, training=training, rng=rng)
     width = ids.shape[1]
     b = len(encodings)
     m_max = max(enc.num_utterances for enc in encodings)
@@ -144,13 +147,13 @@ def qa_batch_logits(
             tok_mask[i, k, : len(u) - 1] = True
 
     tc = tl_forward(
-        weights, config, gather_rows(out, cls_idx),
+        weights, gather_rows(out, cls_idx),
         attention_mask=cls_mask, training=training, rng=rng,
     )
     uid = reshape(linear(tc, weights["uid_w"], weights["uid_b"]), (b, m_max + 1))
     tokens = gather_rows(out, tok_idx.reshape(b, m_max * s_max))
     attended = mha_forward(
-        weights, config, gather_rows(out, q_idx), tokens,
+        weights, gather_rows(out, q_idx), tokens,
         question_mask=q_mask, training=training, rng=rng,
     )
     left = reshape(linear(attended, weights["sl_w"], weights["sl_b"]), tok_mask.shape)
@@ -162,7 +165,6 @@ def qa_batch_logits(
 
 def qa_batch_loss(
     weights: EncoderWeights,
-    config: ModelConfig,
     encodings: Sequence[QAEncoding],
     *,
     training: bool = False,
@@ -172,7 +174,7 @@ def qa_batch_loss(
     left and right span cross-entropies, on the gold utterance for an
     answerable question and averaged over every utterance's null slot for an
     unanswerable one."""
-    uid, left, right = qa_batch_logits(weights, config, encodings, training=training, rng=rng)
+    uid, left, right = qa_batch_logits(weights, encodings, training=training, rng=rng)
     b, m, s = left.shape
     row_weight = np.zeros((b, m))
     span_targets = np.zeros((b, m, 2), dtype=np.intp)
@@ -191,23 +193,22 @@ def qa_batch_loss(
 
 def joint_loss(
     weights: EncoderWeights,
-    config: ModelConfig,
     encoding: QAEncoding,
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """The joint loss of one question: ``qa_batch_loss`` on a batch of one."""
-    return qa_batch_loss(weights, config, [encoding], training=training, rng=rng)
+    return qa_batch_loss(weights, [encoding], training=training, rng=rng)
 
 
 def predict(
-    weights: EncoderWeights, config: ModelConfig, encoding: QAEncoding
+    weights: EncoderWeights, encoding: QAEncoding
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Inference scores: (uid softmax (m+1,), per-utterance (left, right)
     softmax arrays of width n_i+1, slot 0 the null slot). Deterministic;
     dropout off."""
-    uid, left, right = qa_batch_logits(weights, config, [encoding])
+    uid, left, right = qa_batch_logits(weights, [encoding])
     ls = softmax(left, axis=-1).array[0]
     rs = softmax(right, axis=-1).array[0]
     spans = [

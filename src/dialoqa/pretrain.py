@@ -6,6 +6,9 @@ prediction over the shuffled-or-not second half.
 Sequence layouts:
     token-level  : [CLS] s_1 w_11 .. w_1n  s_2 w_21 ..   (one sequence per dialogue)
     per-utterance: [CLS] s_i w_i1 .. w_in               (u-MLM, UOP, fine-tuning)
+
+The losses read the model config from ``weights.config``; only
+``build_tmlm_instance``, which has no weights, takes a ``ModelConfig``.
 """
 
 from __future__ import annotations
@@ -197,7 +200,6 @@ def vocab_logits(weights: EncoderWeights, rows: Tensor) -> Tensor:
 
 def tmlm_batch_loss(
     weights: EncoderWeights,
-    config: ModelConfig,
     instances: Sequence[TmlmInstance],
     *,
     training: bool = False,
@@ -206,7 +208,7 @@ def tmlm_batch_loss(
     """Mean cross-entropy over every masked position in the batch, each
     predicted from its own output embedding through the tied projection."""
     ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
-    out = te_forward(weights, config, ids, mask, training=training, rng=rng)
+    out = te_forward(weights, ids, mask, training=training, rng=rng)
     width = ids.shape[1]
     flat_idx = [
         b * width + p for b, inst in enumerate(instances) for p in inst.mask_positions
@@ -218,7 +220,6 @@ def tmlm_batch_loss(
 
 def umlm_batch_loss(
     weights: EncoderWeights,
-    config: ModelConfig,
     instances: Sequence[UmlmInstance],
     *,
     training: bool = False,
@@ -227,7 +228,7 @@ def umlm_batch_loss(
     """Cross-entropy of each instance's single mask label predicted from the
     CLS output embedding, averaged over the batch."""
     ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
-    out = te_forward(weights, config, ids, mask, training=training, rng=rng)
+    out = te_forward(weights, ids, mask, training=training, rng=rng)
     width = ids.shape[1]
     cls_rows = gather_rows(out, [b * width for b in range(len(instances))])
     logits = vocab_logits(weights, cls_rows)
@@ -236,7 +237,6 @@ def umlm_batch_loss(
 
 def uop_batch_logits(
     weights: EncoderWeights,
-    config: ModelConfig,
     instances: Sequence[UopInstance],
     *,
     training: bool = False,
@@ -248,7 +248,7 @@ def uop_batch_logits(
     instance's utterances read row 0 and are masked."""
     seqs = [seq for inst in instances for seq in inst.utterance_token_ids]
     ids, mask = pad_batch(seqs, 0)
-    out = te_forward(weights, config, ids, mask, training=training, rng=rng)
+    out = te_forward(weights, ids, mask, training=training, rng=rng)
     m_max = max(len(inst.utterance_token_ids) for inst in instances)
     cls_idx = np.zeros((len(instances), m_max), dtype=np.intp)
     utt_mask = np.zeros((len(instances), m_max), dtype=bool)
@@ -259,7 +259,7 @@ def uop_batch_logits(
         utt_mask[i, :n] = True
         row += n
     tc = tl_forward(
-        weights, config, gather_rows(out, cls_idx),
+        weights, gather_rows(out, cls_idx),
         position_offset=1, attention_mask=utt_mask, training=training, rng=rng,
     )
     weights_mask = utt_mask[:, :, None].astype(np.float64)
@@ -270,13 +270,12 @@ def uop_batch_logits(
 
 def uop_batch_loss(
     weights: EncoderWeights,
-    config: ModelConfig,
     instances: Sequence[UopInstance],
     *,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    logits = uop_batch_logits(weights, config, instances, training=training, rng=rng)
+    logits = uop_batch_logits(weights, instances, training=training, rng=rng)
     return mean_cross_entropy(logits, [inst.label for inst in instances])
 
 

@@ -273,7 +273,6 @@ def _chunks(items: Sequence, size: int):
 
 def mlm_dev_perplexity(
     weights: EncoderWeights,
-    config: ModelConfig,
     instances: Sequence[TmlmInstance] | Sequence[UmlmInstance],
     batch_size: int,
 ) -> float:
@@ -281,10 +280,10 @@ def mlm_dev_perplexity(
     pairs = []
     for chunk in _chunks(instances, batch_size):
         if isinstance(chunk[0], TmlmInstance):
-            loss = tmlm_batch_loss(weights, config, chunk)
+            loss = tmlm_batch_loss(weights, chunk)
             count = sum(len(inst.mask_positions) for inst in chunk)
         else:
-            loss = umlm_batch_loss(weights, config, chunk)
+            loss = umlm_batch_loss(weights, chunk)
             count = len(chunk)
         pairs.append((loss.item(), count))
     return mlm_perplexity(pairs)
@@ -292,7 +291,6 @@ def mlm_dev_perplexity(
 
 def uop_dev_metrics(
     weights: EncoderWeights,
-    config: ModelConfig,
     instances: Sequence[UopInstance],
     batch_size: int,
 ) -> tuple[float, float]:
@@ -301,7 +299,7 @@ def uop_dev_metrics(
     total_ce = 0.0
     correct = 0
     for chunk in _chunks(instances, batch_size):
-        logits = uop_batch_logits(weights, config, chunk).array
+        logits = uop_batch_logits(weights, chunk).array
         logp = _log_softmax_np(logits)
         for row, inst in enumerate(chunk):
             total_ce -= logp[row, inst.label]
@@ -331,7 +329,7 @@ def build_uop_dev_instances(
 @dataclass(frozen=True)
 class _Task:
     """One stage's part of ``fit``; ``batch_loss`` is called as
-    ``batch_loss(weights, weights.config, batch, training=True, rng=rng)``."""
+    ``batch_loss(weights, batch, training=True, rng=rng)``."""
 
     build_epoch: Callable[[np.random.Generator], list]  # an epoch's instances
     batch_loss: Callable[..., Tensor]
@@ -418,7 +416,7 @@ def fit(
                 break
             batch = [instances[i] for i in chunk]
             weights.zero_grads()
-            loss = task.batch_loss(weights, weights.config, batch, training=True, rng=rng)
+            loss = task.batch_loss(weights, batch, training=True, rng=rng)
             if not np.isfinite(loss.item()):
                 raise DivergenceError(
                     f"stage {stage!r} diverged at step {global_step + 1}: "
@@ -504,11 +502,9 @@ def _init_stage_state(
 # the module binding (as the benchmark's tracer does) sees every call.
 
 
-def _perplexity_dev_eval(config: RunConfig, model_cfg: ModelConfig, instances):
+def _perplexity_dev_eval(config: RunConfig, instances):
     def dev_eval(w):
-        return {
-            "perplexity": mlm_dev_perplexity(w, model_cfg, instances, config.batch_size)
-        }
+        return {"perplexity": mlm_dev_perplexity(w, instances, config.batch_size)}
 
     return dev_eval
 
@@ -526,7 +522,7 @@ def _tmlm_task(config, vocab, model_cfg, train, dev):
         cached = instances(train, derive_rng(config.seed, STAGE_TMLM, "static-masks"))
         build_epoch = lambda rng_: cached
     return _Task(build_epoch, tmlm_batch_loss,
-                 _perplexity_dev_eval(config, model_cfg, dev_instances))
+                 _perplexity_dev_eval(config, dev_instances))
 
 
 def _umlm_task(config, vocab, model_cfg, train, dev):
@@ -540,8 +536,10 @@ def _umlm_task(config, vocab, model_cfg, train, dev):
         ]
 
     dev_instances = instances(dev, derive_rng(config.seed, STAGE_UMLM, "dev"))
+    if not dev_instances:
+        raise CorpusError("no dev utterance has a maskable word for utterance MLM")
     return _Task(functools.partial(instances, train), umlm_batch_loss,
-                 _perplexity_dev_eval(config, model_cfg, dev_instances))
+                 _perplexity_dev_eval(config, dev_instances))
 
 
 def _uop_task(config, vocab, model_cfg, train, dev):
@@ -556,7 +554,7 @@ def _uop_task(config, vocab, model_cfg, train, dev):
         return [inst for inst in built if inst is not None]
 
     def dev_eval(w):
-        loss, acc = uop_dev_metrics(w, model_cfg, dev_instances, config.batch_size)
+        loss, acc = uop_dev_metrics(w, dev_instances, config.batch_size)
         return {"loss": loss, "accuracy": acc}
 
     return _Task(build_epoch, uop_batch_loss, dev_eval)
@@ -566,7 +564,7 @@ def _qa_task(config, vocab, model_cfg, train, dev):
     encoded = [enc for enc, _, _ in _encode_entries(vocab, model_cfg, train)]
 
     def dev_eval(w):
-        report = evaluate_entries(w, model_cfg, vocab, dev)
+        report = evaluate_entries(w, vocab, dev)
         return {"em": report.em, "sm": report.sm, "um": report.um}
 
     return _Task(lambda rng_: encoded, qa_batch_loss, dev_eval)
@@ -648,15 +646,14 @@ def _encode_entries(
 
 def predict_entries(
     weights: EncoderWeights,
-    model_cfg: ModelConfig,
     vocab: Vocab,
     entries: Sequence[tuple[Dialogue, Sequence[QAExample]]],
 ) -> tuple[list[PredictionRecord], list[QAExample]]:
     weights = weights.frozen()
     records: list[PredictionRecord] = []
     golds: list[QAExample] = []
-    for encoding, q, d in _encode_entries(vocab, model_cfg, entries):
-        uid, spans = predict(weights, model_cfg, encoding)
+    for encoding, q, d in _encode_entries(vocab, weights.config, entries):
+        uid, spans = predict(weights, encoding=encoding)  # by keyword for the benchmark's tracer
         p = select_answer(uid, spans)
         if p.utterance_index == 0:
             records.append(PredictionRecord(q.qid, None, None, None, None))
@@ -672,11 +669,10 @@ def predict_entries(
 
 def evaluate_entries(
     weights: EncoderWeights,
-    model_cfg: ModelConfig,
     vocab: Vocab,
     entries: Sequence[tuple[Dialogue, Sequence[QAExample]]],
 ) -> MetricReport:
-    records, golds = predict_entries(weights, model_cfg, vocab, entries)
+    records, golds = predict_entries(weights, vocab, entries)
     return evaluate(records, golds)
 
 
@@ -716,9 +712,7 @@ def run_eval(
     entries = qa_entries(config, part)
     if not entries:
         raise CorpusError(f"split {split_name!r} has no questions")
-    records, golds = predict_entries(
-        checkpoint.weights, checkpoint.config, checkpoint.vocab, entries
-    )
+    records, golds = predict_entries(checkpoint.weights, checkpoint.vocab, entries)
     report = evaluate(records, golds)
     if out_dir is not None:
         out = Path(out_dir)

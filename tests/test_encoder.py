@@ -94,13 +94,13 @@ class TestTeForward:
                           intermediate_size=64, max_tokens=8, max_utterances=4,
                           dropout_p=0.0)
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
-        out = te_forward(w, cfg, np.arange(16)[None])
+        out = te_forward(w, np.arange(16)[None])
         assert out.shape == (1, 16, 32)
 
     def test_capacity_error(self, uop_weights):
         too_long = np.zeros((1, TOY.token_position_capacity + 1), dtype=int)
         with pytest.raises(CapacityError):
-            te_forward(uop_weights, TOY, too_long)
+            te_forward(uop_weights, too_long)
 
     def test_attention_rows_sum_to_one(self):
         # With W_v = 0 and b_v = c every value is c, so each query's output
@@ -137,38 +137,38 @@ class TestTeForward:
             ids = rng.integers(0, TOY.vocab_size, size=length)
             padded = np.concatenate([ids, np.zeros(pad, dtype=np.intp)])[None]
             mask = np.concatenate([np.ones(length, bool), np.zeros(pad, bool)])[None]
-            base = te_forward(uop_weights, TOY, ids[None]).array[0]
-            with_pad = te_forward(uop_weights, TOY, padded, mask).array[0]
+            base = te_forward(uop_weights, ids[None]).array[0]
+            with_pad = te_forward(uop_weights, padded, mask).array[0]
             np.testing.assert_allclose(with_pad[:length], base, atol=1e-9)
 
     def test_batched_matches_single(self, uop_weights):
         rng = np.random.default_rng(5)
         ids = rng.integers(0, TOY.vocab_size, size=(3, 7))
-        batched = te_forward(uop_weights, TOY, ids).array
+        batched = te_forward(uop_weights, ids).array
         for b in range(3):
-            single = te_forward(uop_weights, TOY, ids[b : b + 1]).array[0]
+            single = te_forward(uop_weights, ids[b : b + 1]).array[0]
             np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
-    def test_dropout_deterministic_given_seed(self, uop_weights):
+    def test_dropout_deterministic_given_seed(self):
         cfg = ModelConfig(**{**TOY.to_dict(), "dropout_p": 0.2})
+        w = init_encoder_weights(cfg, STAGE_UOP, np.random.default_rng(10))
         ids = np.arange(6)[None]
-        a = te_forward(uop_weights, cfg, ids, training=True,
-                       rng=np.random.default_rng(9)).array
-        b = te_forward(uop_weights, cfg, ids, training=True,
-                       rng=np.random.default_rng(9)).array
+        a = te_forward(w, ids, training=True, rng=np.random.default_rng(9)).array
+        b = te_forward(w, ids, training=True, rng=np.random.default_rng(9)).array
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, te_forward(w, ids).array)
 
 
 class TestTlForward:
     def test_shape_preserved(self, uop_weights):
         x = np.random.default_rng(0).normal(size=(1, 5, 8))
-        out = tl_forward(uop_weights, TOY, x, position_offset=0)
+        out = tl_forward(uop_weights, x, position_offset=0)
         assert out.shape == (1, 5, 8)
 
     def test_capacity(self, uop_weights):
         x = np.zeros((1, TOY.max_utterances + 2, 8))
         with pytest.raises(CapacityError):
-            tl_forward(uop_weights, TOY, x)
+            tl_forward(uop_weights, x)
 
     def test_permutation_equivariance_without_positions(self, uop_weights):
         rng = np.random.default_rng(6)
@@ -177,8 +177,8 @@ class TestTlForward:
         saved = uop_weights["utt_pos_emb"].array.copy()
         uop_weights["utt_pos_emb"].array[:] = 0.0
         try:
-            out = tl_forward(uop_weights, TOY, x[None]).array[0]
-            out_perm = tl_forward(uop_weights, TOY, x[perm][None]).array[0]
+            out = tl_forward(uop_weights, x[None]).array[0]
+            out_perm = tl_forward(uop_weights, x[perm][None]).array[0]
         finally:
             uop_weights["utt_pos_emb"].array[:] = saved
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
@@ -187,8 +187,8 @@ class TestTlForward:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 8))
         perm = np.array([2, 0, 3, 1])
-        out = tl_forward(uop_weights, TOY, x[None]).array[0]
-        out_perm = tl_forward(uop_weights, TOY, x[perm][None]).array[0]
+        out = tl_forward(uop_weights, x[None]).array[0]
+        out_perm = tl_forward(uop_weights, x[perm][None]).array[0]
         assert np.abs(out_perm - out[perm]).max() > 1e-4
 
     def test_positions_disabled_by_config(self):
@@ -197,8 +197,8 @@ class TestTlForward:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 8))
         perm = np.array([1, 3, 0, 2])
-        out = tl_forward(w, cfg, x[None]).array[0]
-        out_perm = tl_forward(w, cfg, x[perm][None]).array[0]
+        out = tl_forward(w, x[None]).array[0]
+        out_perm = tl_forward(w, x[perm][None]).array[0]
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
 
@@ -207,7 +207,7 @@ class TestMhaForward:
         rng = np.random.default_rng(0)
         q = rng.normal(size=(1, 5, 8))
         u = rng.normal(size=(1, 7, 8))
-        assert mha_forward(ft_weights, TOY, q, u).shape == (1, 7, 8)
+        assert mha_forward(ft_weights, q, u).shape == (1, 7, 8)
 
     def test_attention_rows_sum_to_one(self):
         # With W_v = 0 and b_v = c every value is c, so the output is
@@ -221,7 +221,7 @@ class TestMhaForward:
         q = rng.normal(size=(2, 5, 8))
         u = rng.normal(size=(2, 7, 8))
         for question_mask in (None, PADDED):
-            out = mha_forward(w, TOY, q, u, question_mask=question_mask).array
+            out = mha_forward(w, q, u, question_mask=question_mask).array
             np.testing.assert_allclose(out, u + want, rtol=0, atol=1e-12)
 
     def test_padded_question_rows_leave_the_output_unchanged(self, ft_weights):
@@ -231,7 +231,7 @@ class TestMhaForward:
         changed = q.copy()
         changed[~PADDED] = 10.0 * rng.normal(size=(2, 8))
         a, b = (
-            mha_forward(ft_weights, TOY, v, u, question_mask=PADDED).array
+            mha_forward(ft_weights, v, u, question_mask=PADDED).array
             for v in (q, changed)
         )
         assert np.array_equal(a, b)
@@ -245,7 +245,7 @@ class TestMhaForward:
         ft_weights["mha.wo"].array[:] = 0.0
         ft_weights["mha.bo"].array[:] = 0.0
         try:
-            out = mha_forward(ft_weights, TOY, q, u).array
+            out = mha_forward(ft_weights, q, u).array
         finally:
             ft_weights["mha.wo"].array[:] = saved_w
             ft_weights["mha.bo"].array[:] = saved_b
@@ -254,11 +254,11 @@ class TestMhaForward:
 
 def test_wrong_rank_input_is_shape_error(ft_weights):
     with pytest.raises(ShapeError, match=r"\(6,\)"):
-        te_forward(ft_weights, TOY, np.arange(6))
+        te_forward(ft_weights, np.arange(6))
     with pytest.raises(ShapeError, match=r"\(4, 8\)"):
-        tl_forward(ft_weights, TOY, np.zeros((4, 8)))
+        tl_forward(ft_weights, np.zeros((4, 8)))
     with pytest.raises(ShapeError, match=r"\(5, 8\)"):
-        mha_forward(ft_weights, TOY, np.zeros((5, 8)), np.zeros((1, 7, 8)))
+        mha_forward(ft_weights, np.zeros((5, 8)), np.zeros((1, 7, 8)))
 
 
 def test_te_gradcheck_toy_scale(uop_weights):
@@ -267,7 +267,7 @@ def test_te_gradcheck_toy_scale(uop_weights):
     ids = rng.integers(0, TOY.vocab_size, size=9)
 
     def loss():
-        out = T.reshape(te_forward(w, TOY, ids[None]), (9, TOY.hidden_size))
+        out = T.reshape(te_forward(w, ids[None]), (9, TOY.hidden_size))
         logits = T.linear(out, T.transpose(w["token_emb"], (1, 0)), w["vocab_bias"])
         return T.mean_cross_entropy(logits, ids)
 

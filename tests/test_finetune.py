@@ -96,7 +96,7 @@ class TestEncodeForQA:
 class TestUidForward:
     def test_shape_and_normalization(self, vocab, cfg, weights):
         enc = encode_for_qa(vocab, cfg, make_example("q", "what", ()), _dialogue())
-        scores, _ = predict(weights, cfg, enc)
+        scores, _ = predict(weights, enc)
         assert scores.shape == (4,)  # m + 1
         assert abs(scores.sum() - 1.0) < 1e-9
 
@@ -107,7 +107,7 @@ class TestUidForward:
         saved = weights["utt_pos_emb"].array.copy()
         weights["utt_pos_emb"].array[:] = 0.0
         try:
-            scores, _ = predict(weights, cfg, enc)
+            scores, _ = predict(weights, enc)
         finally:
             weights["utt_pos_emb"].array[:] = saved
         assert abs(scores[1] - scores[2]) < 1e-9
@@ -124,7 +124,7 @@ class TestSpanForward:
     def test_widths_and_normalization(self, vocab, cfg, weights):
         d = _dialogue(3, 4)
         enc = encode_for_qa(vocab, cfg, make_example("q", "what is it", ()), d)
-        _, outs = predict(weights, cfg, enc)
+        _, outs = predict(weights, enc)
         assert len(outs) == 3
         for (ls, rs), utt in zip(outs, d.utterances):
             assert ls.shape == (len(utt.tokens) + 1,)
@@ -142,7 +142,7 @@ class TestJointLoss:
         losses = []
         for seed in range(5):
             w = init_encoder_weights(cfg, STAGE_FINETUNED, np.random.default_rng(seed))
-            losses.append(joint_loss(w, cfg, enc).item())
+            losses.append(joint_loss(w, enc).item())
         expected = math.log(4) + 2 * math.log(5)
         assert abs(np.mean(losses) - expected) / expected < 0.20
 
@@ -161,13 +161,13 @@ class TestJointLoss:
         right[0, g, enc.span_labels[g][1]] = big
         perfect = (T.Tensor(uid), T.Tensor(left), T.Tensor(right))
         monkeypatch.setattr(finetune, "qa_batch_logits", lambda *a, **k: perfect)
-        loss = qa_batch_loss(weights, cfg, [enc])
+        loss = qa_batch_loss(weights, [enc])
         assert loss.item() < 1e-6
 
     def test_unanswerable_null_policy(self, vocab, cfg, weights):
         d = _dialogue(3, 4)
         enc = encode_for_qa(vocab, cfg, make_example("q", "what", ()), d)
-        loss = joint_loss(weights, cfg, enc)
+        loss = joint_loss(weights, enc)
         # composition: uid CE + mean left null CE + mean right null CE
         expected_ballpark = math.log(4) + 2 * math.log(5)
         assert 0.5 * expected_ballpark < loss.item() < 1.5 * expected_ballpark
@@ -178,7 +178,7 @@ class TestJointLoss:
         q = make_example("q", "what tok10", (AnswerSpan(1, 1, 2, "tok11 tok12"),))
         enc = encode_for_qa(vocab, cfg, q, d)
         report = grad_check(
-            lambda: joint_loss(w, cfg, enc), dict(w.named()),
+            lambda: joint_loss(w, enc), dict(w.named()),
             rng=np.random.default_rng(8), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -187,7 +187,7 @@ class TestJointLoss:
         w = init_encoder_weights(cfg, STAGE_FINETUNED, np.random.default_rng(9))
         enc = encode_for_qa(vocab, cfg, make_example("q", "what", ()), _dialogue(2, 3))
         report = grad_check(
-            lambda: joint_loss(w, cfg, enc),
+            lambda: joint_loss(w, enc),
             {n: w[n] for n in ("mha.wo", "sl_w", "sr_w", "uid_w", "uid_b")},
         )
         assert report.max_rel_err < 1e-4, report
@@ -211,14 +211,14 @@ class TestBatchedQA:
     def test_batch_equals_mean_of_batches_of_one(self, vocab, cfg, weights):
         encs = _mixed_batch(vocab, cfg)
         weights.zero_grads()
-        batched = qa_batch_loss(weights, cfg, encs)
+        batched = qa_batch_loss(weights, encs)
         batched.backward()
         batched_grads = {n: g.copy() for n, g in weights.grads().items()}
         singles = []
         grad_sum = {n: np.zeros_like(g) for n, g in batched_grads.items()}
         for enc in encs:
             weights.zero_grads()
-            loss = joint_loss(weights, cfg, enc)
+            loss = joint_loss(weights, enc)
             loss.backward()
             singles.append(loss.item())
             for n, g in weights.grads().items():
@@ -230,14 +230,14 @@ class TestBatchedQA:
 
     def test_batched_scores_match_predict(self, vocab, cfg, weights):
         encs = _mixed_batch(vocab, cfg)
-        uid, left, right = qa_batch_logits(weights, cfg, encs)
+        uid, left, right = qa_batch_logits(weights, encs)
         uid_p = T.softmax(uid, axis=-1).array
         left_p = T.softmax(left, axis=-1).array
         right_p = T.softmax(right, axis=-1).array
         for b, enc in enumerate(encs):
             m = enc.num_utterances
             assert np.all(uid_p[b, m + 1 :] == 0.0)
-            want_uid, want_spans = predict(weights, cfg, enc)
+            want_uid, want_spans = predict(weights, enc)
             np.testing.assert_allclose(uid_p[b, : m + 1], want_uid, rtol=0, atol=1e-10)
             for i, (ls, rs) in enumerate(want_spans):
                 width = ls.shape[0]
@@ -249,7 +249,7 @@ class TestBatchedQA:
         w = init_encoder_weights(cfg, STAGE_FINETUNED, np.random.default_rng(11))
         encs = _mixed_batch(vocab, cfg)[2:]
         report = grad_check(
-            lambda: qa_batch_loss(w, cfg, encs), dict(w.named()),
+            lambda: qa_batch_loss(w, encs), dict(w.named()),
             rng=np.random.default_rng(12), max_coords_per_param=3,
         )
         assert report.max_rel_err < 1e-4, report
@@ -261,13 +261,13 @@ class TestFrozenWeights:
         frozen = w.frozen()
         assert all(frozen[name].array is p.array for name, p in w.named())
         for enc in _mixed_batch(vocab, cfg):
-            want_uid, want_spans = predict(w, cfg, enc)
-            got_uid, got_spans = predict(frozen, cfg, enc)
+            want_uid, want_spans = predict(w, enc)
+            got_uid, got_spans = predict(frozen, enc)
             np.testing.assert_allclose(got_uid, want_uid, rtol=0, atol=1e-12)
             for (gl, gr), (wl, wr) in zip(got_spans, want_spans):
                 np.testing.assert_allclose(gl, wl, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(gr, wr, rtol=0, atol=1e-12)
-        outputs = qa_batch_logits(frozen, cfg, _mixed_batch(vocab, cfg))
+        outputs = qa_batch_logits(frozen, _mixed_batch(vocab, cfg))
         assert all(t._parents == () and t._backward is None for t in outputs)
         T.tsum(outputs[0]).backward()
         assert all(p.grad is None for _, p in w.named())
@@ -330,7 +330,7 @@ class TestSelectAnswer:
 def test_predict_shapes(vocab, cfg, weights):
     d = _dialogue(3, 4)
     enc = encode_for_qa(vocab, cfg, make_example("q", "what is tok21", ()), d)
-    uid, spans = predict(weights, cfg, enc)
+    uid, spans = predict(weights, enc)
     assert uid.shape == (4,)
     assert len(spans) == 3
     p = select_answer(uid, spans)

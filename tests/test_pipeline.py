@@ -8,7 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,13 @@ from dialoqa import tensor as T
 from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dialoqa.corpus import Dialogue, Utterance, load_corpus, save_corpus
 from dialoqa.encoder import ModelConfig, init_encoder_weights, stage_shapes
-from dialoqa.errors import CheckpointError, ConfigError, DivergenceError, SequencingError
+from dialoqa.errors import (
+    CheckpointError,
+    ConfigError,
+    CorpusError,
+    DivergenceError,
+    SequencingError,
+)
 from dialoqa.synth import generate_corpus
 from dialoqa.tensor import Tensor
 from dialoqa.vocab import build_vocab, speaker_token
@@ -81,6 +87,24 @@ def tmlm_ckpt(corpus_path, tmp_path_factory):
     return run_stage("tmlm", _config(corpus_path), out_dir=out)
 
 
+@pytest.fixture(scope="module")
+def unseen_dev_corpus(corpus_path, tmp_path_factory):
+    """The corpus with every word of the dev episode replaced by one that no
+    training dialogue has, so no dev utterance has a maskable word."""
+    corpus = []
+    for d, qs in load_corpus(corpus_path):
+        if d.episode_id == 8:
+            utts = tuple(
+                replace(u, tokens=tuple(f"unseen{i}" for i in range(len(u.tokens))))
+                for u in d.utterances
+            )
+            d, qs = replace(d, utterances=utts), []
+        corpus.append((d, qs))
+    path = tmp_path_factory.mktemp("unseen") / "corpus.json"
+    save_corpus(corpus, path)
+    return path
+
+
 class TestGating:
     def test_umlm_requires_tmlm(self, corpus_path):
         with pytest.raises(SequencingError):
@@ -110,6 +134,12 @@ class TestGating:
             run_stage("tmlm", _config(corpus_path), tmlm_ckpt)
 
 
+class TestUmlmWithoutDevInstances:
+    def test_run_stage_raises(self, unseen_dev_corpus, tmlm_ckpt):
+        with pytest.raises(CorpusError, match="maskable"):
+            run_stage("umlm", _config(unseen_dev_corpus), tmlm_ckpt)
+
+
 class TestStageTable:
     @pytest.mark.parametrize("stage, count", [
         ("tmlm", 19), ("umlm", 19), ("uop", 53), ("finetuned", 67),
@@ -119,7 +149,7 @@ class TestStageTable:
         weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
         rng = np.random.default_rng(1)
         batch = build_epoch(rng)[: cfg.batch_size]
-        batch_loss(weights, weights.config, batch, training=True, rng=rng).backward()
+        batch_loss(weights, batch, training=True, rng=rng).backward()
         # a gradient array, not a non-zero one: the UID and left-span biases
         # shift every logit of a softmax alike, so theirs is zero
         reached = {name for name, p in weights.named() if p.grad_array() is not None}
@@ -140,7 +170,7 @@ class TestStageTable:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss = batch_loss(weights, weights.config, batch, training=True, rng=rng)
+            loss = batch_loss(weights, batch, training=True, rng=rng)
             forward = tracemalloc.get_traced_memory()[0] - base
             loss.backward()
             after, peak = (m - base for m in tracemalloc.get_traced_memory())
@@ -592,6 +622,47 @@ class TestCli:
         code = cli.main(["pretrain", "--stage", "umlm", "--init", str(best), *args])
         assert code == 0, capsys.readouterr().err
         assert (out / "umlm-best.ckpt").exists()
+
+    @pytest.mark.parametrize("with_out, saves", [(True, 0), (False, 1)], ids=["out", "cwd"])
+    def test_best_checkpoint_saved_once(
+        self, corpus_path, tmp_path, capsys, monkeypatch, with_out, saves
+    ):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 2\nseed = 1\n"
+        )
+        calls = []
+        real_save = cli.save_checkpoint
+        monkeypatch.setattr(
+            cli, "save_checkpoint", lambda ckpt, p: (calls.append(p), real_save(ckpt, p))
+        )
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "run" if with_out else tmp_path
+        args = ["pretrain", "--stage", "tmlm", "--config", str(path)]
+        if with_out:
+            args += ["--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        assert len(calls) == saves
+        assert load_checkpoint(out / "tmlm-best.ckpt").stage == "tmlm"
+
+    def test_umlm_without_dev_instances_is_json_error(
+        self, unseen_dev_corpus, tmlm_ckpt, tmp_path, capsys
+    ):
+        init = tmp_path / "tmlm-best.ckpt"
+        save_checkpoint(tmlm_ckpt, init)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {unseen_dev_corpus}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\numlm_steps = 2\nseed = 1\n"
+        )
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "umlm", "--config", str(path), "--init", str(init)
+        )
+        assert (code, err["error"]) == (1, "CorpusError")
+        assert "maskable" in err["message"]
 
     @pytest.mark.parametrize("content", [None, "seed = twelve\n"])
     def test_bad_config_file_is_json_error(self, tmp_path, capsys, content):

@@ -229,7 +229,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(seed))
             inst = build_tmlm_instance(vocab, cfg, d, np.random.default_rng(seed))
-            losses.append(tmlm_batch_loss(w, cfg, [inst]).item())
+            losses.append(tmlm_batch_loss(w, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
 
@@ -240,7 +240,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "umlm", np.random.default_rng(seed))
             insts = build_umlm_instances(vocab, d, np.random.default_rng(seed), 1)
-            losses.append(umlm_batch_loss(w, cfg, [insts[0]]).item())
+            losses.append(umlm_batch_loss(w, [insts[0]]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
 
@@ -251,7 +251,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "uop", np.random.default_rng(seed))
             inst = build_uop_instance(vocab, d, np.random.default_rng(seed), 0.5)
-            losses.append(uop_batch_loss(w, cfg, [inst]).item())
+            losses.append(uop_batch_loss(w, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(2)) / math.log(2) < 0.15
 
@@ -273,14 +273,14 @@ class TestMemorization:
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
         inst = build_tmlm_instance(vocab, cfg, _dialogue(2, 3), np.random.default_rng(1))
-        final = self._overfit(vocab, lambda: tmlm_batch_loss(w, cfg, [inst]), w)
+        final = self._overfit(vocab, lambda: tmlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
     def test_umlm_overfits_single_instance(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(0))
         inst = build_umlm_instances(vocab, _dialogue(1, 4), np.random.default_rng(1), 1)[0]
-        final = self._overfit(vocab, lambda: umlm_batch_loss(w, cfg, [inst]), w)
+        final = self._overfit(vocab, lambda: umlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
 
@@ -290,7 +290,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(3))
         inst = build_tmlm_instance(vocab, cfg, _dialogue(2, 3), np.random.default_rng(4))
         report = grad_check(
-            lambda: tmlm_batch_loss(w, cfg, [inst]), dict(w.named()),
+            lambda: tmlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(5), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -300,7 +300,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(6))
         inst = build_umlm_instances(vocab, _dialogue(1, 4), np.random.default_rng(7), 1)[0]
         report = grad_check(
-            lambda: umlm_batch_loss(w, cfg, [inst]), dict(w.named()),
+            lambda: umlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(8), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -310,7 +310,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "uop", np.random.default_rng(9))
         inst = build_uop_instance(vocab, _dialogue(4, 3), np.random.default_rng(10), 1.0)
         report = grad_check(
-            lambda: uop_batch_loss(w, cfg, [inst]), dict(w.named()),
+            lambda: uop_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(11), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -326,19 +326,19 @@ class TestUopBatch:
             for n, k in ((4, 3), (6, 2), (5, 4))
         ]
         assert [len(i.utterance_token_ids) for i in insts] == [4, 6, 5]
-        logits = uop_batch_logits(w, cfg, insts).array
+        logits = uop_batch_logits(w, insts).array
         for b, inst in enumerate(insts):
-            single = uop_batch_logits(w, cfg, [inst]).array[0]
+            single = uop_batch_logits(w, [inst]).array[0]
             np.testing.assert_allclose(logits[b], single, rtol=0, atol=1e-12)
         w.zero_grads()
-        batched = uop_batch_loss(w, cfg, insts)
+        batched = uop_batch_loss(w, insts)
         batched.backward()
         batched_grads = {n: g.copy() for n, g in w.grads().items()}
         losses = []
         grad_sum = {n: np.zeros_like(g) for n, g in batched_grads.items()}
         for inst in insts:
             w.zero_grads()
-            loss = uop_batch_loss(w, cfg, [inst])
+            loss = uop_batch_loss(w, [inst])
             loss.backward()
             losses.append(loss.item())
             for n, g in w.grads().items():

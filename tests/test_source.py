@@ -195,3 +195,37 @@ def test_checker_flags_an_unread_config_field():
 def test_every_config_field_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unread_config_fields(sources) == []
+
+
+def weights_and_config_pairs(source: str) -> list[str]:
+    """Functions with one parameter annotated ``EncoderWeights`` and another
+    annotated ``ModelConfig``: weights carry their model config, so a second
+    one can disagree with it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            kinds = {
+                p.annotation.attr if isinstance(p.annotation, ast.Attribute)
+                else getattr(p.annotation, "id", "")
+                for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)
+            }
+            if {"EncoderWeights", "ModelConfig"} <= kinds:
+                found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_checker_flags_a_weights_and_config_pair():
+    source = (
+        "def f(w: EncoderWeights, cfg: ModelConfig): pass\n"
+        "def g(w: EncoderWeights, *, cfg: encoder.ModelConfig = None): pass\n"
+        "def h(cfg: ModelConfig, w): pass\n"
+        "def k(w: EncoderWeights, n: int): pass\n"
+        "class C:\n    def m(self, w: EncoderWeights, c: ModelConfig): pass\n"
+    )
+    assert weights_and_config_pairs(source) == ["line 1: f", "line 2: g", "line 6: m"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_forwards_read_the_config_of_their_weights(path):
+    assert weights_and_config_pairs(path.read_text(encoding="utf-8")) == []

@@ -538,9 +538,9 @@ def test_training_graphs_are_freed_by_reference_counting():
     gc.collect()
     gc.disable()
     try:
-        loss = qa_batch_loss(qa_w, cfg, encodings, training=True, rng=rng)
+        loss = qa_batch_loss(qa_w, encodings, training=True, rng=rng)
         loss.backward()
-        loss = tmlm_batch_loss(mlm_w, cfg, tmlm, training=True, rng=rng)
+        loss = tmlm_batch_loss(mlm_w, tmlm, training=True, rng=rng)
         loss.backward()
         del loss
         assert gc.collect() == 0
