@@ -143,7 +143,7 @@ def build_umlm_instances(
     of them when fewer exist); each yields one single-MASK instance over
     [CLS] s_i w_i1..w_in. Utterances with no maskable word are skipped."""
     if samples_per_utterance < 1:
-        raise CorpusError(f"samples_per_utterance must be >= 1")
+        raise CorpusError("samples_per_utterance must be >= 1")
     out = []
     for utt in dialogue.utterances:
         ids = encode_utterance_with_cls(vocab, utt)

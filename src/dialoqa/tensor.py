@@ -32,10 +32,20 @@ and ``attention`` is the one attention node: head split, scaled and masked
 scores, softmax, dropout on the probabilities, context and head merge.
 ``residual_layer_norm`` is a transformer sublayer's ``layer_norm(x +
 dropout(y))`` as one node; plain ``layer_norm`` is its case without ``y``.
+
+Memory: backward frees almost all of a training step's memory. glibc's malloc
+would return it to the OS, and the next step would fault its pages in anew.
+On import this module raises glibc's trim threshold to 1 GiB and its mmap
+threshold to 32 MiB (the 64-bit ceiling), so freed memory stays mapped for the
+next step. Both are needed: setting either pins the other at its 128 KiB
+default, and either alone leaves a warm 32-question finetune step over a
+thousand faults. Arrays over 32 MiB are still mapped and unmapped one by one.
+Other C libraries keep their own policy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Sequence
 
@@ -50,6 +60,21 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Additive score for masked attention keys: large enough that exp() underflows
 # to exactly 0 after max-subtraction, small enough to stay finite in float64.
 MASK_SCORE = -1e30
+
+
+def _keep_freed_memory_mapped() -> bool:
+    """Sets the Memory policy above: M_MMAP_THRESHOLD (-3) first, so that a
+    refused value changes nothing, then M_TRIM_THRESHOLD (-1). Returns whether
+    both were set; without a ``mallopt`` that accepts them (musl), it is False."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows loads no None
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-3, 32 << 20)) and bool(mallopt(-1, 1 << 30))
+
+
+_keep_freed_memory_mapped()
 
 
 class Tensor:

@@ -135,8 +135,18 @@ class RunConfig:
     synth_unanswerable_fraction: float = 0.15
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.patience < 1:
-            raise ConfigError("batch_size and patience must be >= 1")
+        if min(self.batch_size, self.patience, self.umlm_samples_per_utterance) < 1:
+            raise ConfigError("batch_size, patience and umlm_samples_per_utterance must be >= 1")
+        # each comparison chain is False for nan
+        if not (0.0 <= self.base_lr < np.inf and 0.0 <= self.weight_decay < np.inf):
+            raise ConfigError(
+                f"base_lr and weight_decay must be finite and >= 0, "
+                f"got {self.base_lr}, {self.weight_decay}"
+            )
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.mlm_mode not in ("static", "dynamic"):
             raise ConfigError(f"mlm_mode must be static|dynamic, got {self.mlm_mode!r}")
         if not 0.0 <= self.mlm_ratio < 1.0:

@@ -450,6 +450,24 @@ class TestRunConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig(mlm_mode="sometimes")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_lr", math.nan), ("base_lr", math.inf), ("base_lr", -1e-5),
+            ("weight_decay", math.nan), ("weight_decay", -0.01),
+            ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1),
+            ("beta2", 1.0), ("beta2", math.nan),
+            ("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", math.nan), ("epsilon", math.inf),
+            ("umlm_samples_per_utterance", 0),
+        ],
+    )
+    def test_bad_optimizer_settings_raise(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    def test_optimizer_settings_at_their_bounds_are_accepted(self):
+        RunConfig(base_lr=0.0, weight_decay=0.0, beta1=0.0, beta2=0.0, epsilon=1e-300)
+
     def test_model_config_carries_every_model_field(self):
         values = dict(
             num_layers=3, num_heads=4, hidden_size=16, intermediate_size=24,
@@ -522,6 +540,20 @@ class TestCli:
         assert out.returncode == 1
         err = json.loads(out.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
+
+    def test_beta2_of_one_is_a_config_error(self, corpus_path, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 2\nbeta2 = 1.0\n"
+        )
+        out = self._run(
+            "pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(tmp_path / "run")
+        )
+        assert out.returncode == 1
+        assert json.loads(out.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+        assert "RuntimeWarning" not in out.stderr
 
     def test_stage_gate_error_through_cli(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"
