@@ -7,9 +7,14 @@ state round-trips through the header, so save -> load -> save is
 byte-identical. A save goes to a temporary file in the target directory that
 then replaces the target, so an interrupted save leaves the old file whole;
 a load checks the header's fields and their types, the payload length
-against the directory, every payload value for finiteness and every tensor
-against the stage's ``encoder.stage_shapes``, and raises ``CheckpointError``
-for any file it cannot read.
+against the directory and every payload value for finiteness, and raises
+``CheckpointError`` for any file it cannot read. The directory is strict: it
+holds exactly the tensors of the stage's ``encoder.stage_shapes``, and, when
+the header has an Adam record, an ``adam.m.`` and an ``adam.v.`` moment of
+each in that tensor's shape; a missing, extra or mis-shaped tensor raises
+``CheckpointError`` naming it, so a resume never restarts a moment at zero.
+Format 2 dropped the attention key biases and the QA head biases, which
+format 1 held; a format-1 file raises ``CheckpointError`` naming its version.
 
 ``transfer_weights`` starts a stage from a checkpoint of one of its
 ``encoder.STAGE_SOURCES``: each group in ``TRANSFERRED_GROUPS`` (TE, TL)
@@ -44,7 +49,7 @@ from .tensor import Tensor
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -89,15 +94,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "global_step": ckpt.global_step,
         "model_config": ckpt.config.to_dict(),
         "vocab": list(ckpt.vocab.id_to_token),
-        "adam": None
-        if ckpt.adam is None
-        else {
-            "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2,
-            "epsilon": ckpt.adam.epsilon,
-            "weight_decay": ckpt.adam.weight_decay,
-            "step": ckpt.adam.step,
-        },
+        "adam": None if ckpt.adam is None else {k: getattr(ckpt.adam, k) for k in _ADAM_FIELDS},
         "rng_state": ckpt.rng_state,
         "train_state": ckpt.train_state,
         "tensors": directory,
@@ -210,6 +207,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         config = ModelConfig(**header["model_config"])
         vocab = Vocab.from_tokens(header["vocab"])
+        adam = None if header["adam"] is None else AdamState(**header["adam"])
     except (TypeError, ConfigError, CorpusError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
     if len(vocab) != config.vocab_size:
@@ -236,37 +234,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name = next(n for n, arr in arrays.items() if not np.isfinite(arr).all())
         raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
 
+    # The directory holds exactly the stage's tensors, plus both Adam moments
+    # of each in its shape when the header has an optimizer state.
     expected = stage_shapes(config, stage)
-    params: dict[str, Tensor] = {}
-    for name, want in expected.items():
+    want = dict(expected)
+    if adam is not None:
+        want.update({f"adam.{mv}.{n}": shape for mv in "mv" for n, shape in expected.items()})
+    if len(arrays) != len(entries):
+        raise CheckpointError(f"{path}: the tensor directory names a tensor twice")
+    for name in sorted(want.keys() | arrays.keys()):
         if name not in arrays:
             raise CheckpointError(f"{path}: missing tensor {name!r} for stage {stage}")
-        if arrays[name].shape != want:
+        if name not in want:
+            raise CheckpointError(f"{path}: tensor {name!r} does not belong to stage {stage}")
+        if arrays[name].shape != want[name]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"config implies {want}"
+                f"config implies {want[name]}"
             )
-        params[name] = Tensor(arrays[name].copy(), requires_grad=True)
-    weights = EncoderWeights(config, stage, params)
-
-    adam = None
-    if header["adam"] is not None:
-        a = header["adam"]
-        adam = AdamState(
-            beta1=a["beta1"],
-            beta2=a["beta2"],
-            epsilon=a["epsilon"],
-            weight_decay=a["weight_decay"],
-            step=a["step"],
-        )
-        for name in expected:
-            mkey, vkey = f"adam.m.{name}", f"adam.v.{name}"
-            if mkey in arrays:
-                adam.first_moment[name] = arrays[mkey].copy()
-            if vkey in arrays:
-                adam.second_moment[name] = arrays[vkey].copy()
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
+    if adam is not None:
+        adam.first_moment = {name: arrays[f"adam.m.{name}"] for name in expected}
+        adam.second_moment = {name: arrays[f"adam.v.{name}"] for name in expected}
     return Checkpoint(
-        weights=weights,
+        weights=EncoderWeights(config, stage, params),
         vocab=vocab,
         global_step=header["global_step"],
         adam=adam,

@@ -16,6 +16,10 @@ through ``_attention``: the q/k/v/o ``linear`` projections around one
 ``tensor.attention`` node, with padding keys masked by an additive (B, S)
 score array. Both sublayers of a TE or TL layer (attention, feed-forward)
 end in one ``tensor.residual_layer_norm`` node, LayerNorm(x + dropout(out)).
+The key projection and the UID/span heads carry no bias: a key bias would add
+``q . bk`` to every score of a query row, and a head bias one constant to
+every logit, a shift that softmax cancels, so neither could change any
+probability, loss or answer.
 
 The stage table is the one definition of the weights' names and shapes.
 ``STAGE_GROUPS`` lists each stage's parameter groups: "te" the token
@@ -128,8 +132,9 @@ TRANSFERRED_GROUPS = ("te", "tl")
 
 
 def _projection_shapes(prefix: str, h: int) -> dict[str, tuple[int, ...]]:
-    """The q/k/v/o weights and biases that ``_attention`` reads."""
-    return {f"{prefix}{wb}{p}": (h, h) if wb == "w" else (h,) for p in "qkvo" for wb in "wb"}
+    """The q/k/v/o weights and q/v/o biases that ``_attention`` reads."""
+    names = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
+    return {prefix + n: (h, h) if n[0] == "w" else (h,) for n in names}
 
 
 def _layer_shapes(prefix: str, count: int, h: int, inter: int) -> dict[str, tuple[int, ...]]:
@@ -160,7 +165,7 @@ def group_shapes(config: ModelConfig, group: str) -> dict[str, tuple[int, ...]]:
         "uop": {"uop_w": (h, 2), "uop_b": (2,)},
         "qa": {
             **_projection_shapes("mha.", h), "mha.ln_g": (h,), "mha.ln_b": (h,),
-            "uid_w": (h, 1), "uid_b": (1,), "sl_w": (h, 1), "sl_b": (1,), "sr_w": (h, 1), "sr_b": (1,),
+            "uid_w": (h, 1), "sl_w": (h, 1), "sr_w": (h, 1),
         },
     }
     if group not in groups:
@@ -297,7 +302,7 @@ def _attention(
     cfg = w.config
     ctx = attention(
         linear(x_q, w[f"{prefix}wq"], w[f"{prefix}bq"]),
-        linear(x_kv, w[f"{prefix}wk"], w[f"{prefix}bk"]),
+        linear(x_kv, w[f"{prefix}wk"]),
         linear(x_kv, w[f"{prefix}wv"], w[f"{prefix}bv"]),
         add_mask, cfg.num_heads, cfg.dropout_p, training, rng,
     )

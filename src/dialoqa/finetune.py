@@ -150,14 +150,14 @@ def qa_batch_logits(
         weights, gather_rows(out, cls_idx),
         attention_mask=cls_mask, training=training, rng=rng,
     )
-    uid = reshape(linear(tc, weights["uid_w"], weights["uid_b"]), (b, m_max + 1))
+    uid = reshape(linear(tc, weights["uid_w"]), (b, m_max + 1))
     tokens = gather_rows(out, tok_idx.reshape(b, m_max * s_max))
     attended = mha_forward(
         weights, gather_rows(out, q_idx), tokens,
         question_mask=q_mask, training=training, rng=rng,
     )
-    left = reshape(linear(attended, weights["sl_w"], weights["sl_b"]), tok_mask.shape)
-    right = reshape(linear(attended, weights["sr_w"], weights["sr_b"]), tok_mask.shape)
+    left = reshape(linear(attended, weights["sl_w"]), tok_mask.shape)
+    right = reshape(linear(attended, weights["sr_w"]), tok_mask.shape)
     uid_mask = Tensor(np.where(cls_mask, 0.0, MASK_SCORE))
     span_mask = Tensor(np.where(tok_mask, 0.0, MASK_SCORE))
     return uid + uid_mask, left + span_mask, right + span_mask

@@ -10,9 +10,12 @@ question has a unique supporting utterance.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .corpus import AnswerSpan, Dialogue, QAExample, Utterance, make_example
+from .errors import ConfigError, CorpusError
 
 SPEAKERS = ("alice", "bob", "carol", "dave", "erin", "frank")
 ORDINALS = ("first", "second", "third", "fourth", "fifth", "sixth", "seventh", "eighth")
@@ -28,16 +31,28 @@ NAMES = SPEAKERS
 FACT_TYPES = ("where", "who", "when", "what", "why", "how")
 
 
-def _build_fact(kind: str, rng: np.random.Generator, used: dict[str, set]):
-    """Returns (utterance tokens, question text, relative answer span, key)."""
+Fresh = Callable[[str, tuple[str, ...]], str]
+
+
+def _fresh_picker(rng: np.random.Generator, dialogue: str) -> Fresh:
+    """``fresh(pool_name, pool)`` draws the entities of one dialogue without
+    replacement, per pool; it raises CorpusError when a pool runs out."""
+    used: dict[str, set] = {}
 
     def fresh(pool_name: str, pool: tuple[str, ...]) -> str:
         taken = used.setdefault(pool_name, set())
         options = [x for x in pool if x not in taken]
+        if not options:
+            raise CorpusError(f"dialogue {dialogue}: all {len(pool)} {pool_name} are taken")
         pick = options[int(rng.integers(len(options)))]
         taken.add(pick)
         return pick
 
+    return fresh
+
+
+def _build_fact(kind: str, rng: np.random.Generator, fresh: Fresh):
+    """Returns (utterance tokens, question text, relative answer span, key)."""
     if kind == "where":
         obj = fresh("objects", OBJECTS)
         place = PLACES[int(rng.integers(len(PLACES)))]
@@ -71,11 +86,8 @@ def _build_fact(kind: str, rng: np.random.Generator, used: dict[str, set]):
     raise ValueError(f"unknown fact kind {kind!r}")
 
 
-def _unanswerable_question(rng: np.random.Generator, used: dict[str, set]) -> str:
-    unused = [o for o in OBJECTS if o not in used.get("objects", set())]
-    obj = unused[int(rng.integers(len(unused)))]
-    used.setdefault("objects", set()).add(obj)
-    return f"where is the {obj}"
+def _unanswerable_question(fresh: Fresh) -> str:
+    return f"where is the {fresh('objects', OBJECTS)}"
 
 
 def generate_dialogue(
@@ -90,12 +102,12 @@ def generate_dialogue(
 ) -> tuple[Dialogue, list[QAExample]]:
     m = int(rng.integers(min_utterances, max_utterances + 1))
     cast = list(rng.choice(len(SPEAKERS), size=3, replace=False))
-    used: dict[str, set] = {}
+    fresh = _fresh_picker(rng, f"e{episode_id}{scene_id}")
     utterances = []
     facts = []  # (utterance index, question text, answer span)
     for i in range(m):
         kind = FACT_TYPES[int(rng.integers(len(FACT_TYPES)))]
-        tokens, question, (a0, a1), _key = _build_fact(kind, rng, used)
+        tokens, question, (a0, a1), _key = _build_fact(kind, rng, fresh)
         full = [ORDINALS[i]] + tokens  # the marker shifts spans by one
         speaker = SPEAKERS[cast[int(rng.integers(len(cast)))]]
         utterances.append(Utterance(speaker, tuple(full)))
@@ -109,7 +121,7 @@ def generate_dialogue(
         qid = f"e{episode_id}{scene_id}q{k}"
         ui, question, (a0, a1) = facts[fi]
         if rng.random() < unanswerable_fraction:
-            examples.append(make_example(qid, _unanswerable_question(rng, used), ()))
+            examples.append(make_example(qid, _unanswerable_question(fresh), ()))
             continue
         text = " ".join(utterances[ui].tokens[a0 : a1 + 1])
         span = AnswerSpan(ui, a0, a1, text)
@@ -127,6 +139,16 @@ def generate_corpus(
     max_utterances: int = 6,
     unanswerable_fraction: float = 0.15,
 ) -> list[tuple[Dialogue, list[QAExample]]]:
+    """Raises ConfigError unless 1 <= min_utterances <= max_utterances <=
+    len(ORDINALS) and questions_per_dialogue >= 0. Long dialogues can run a
+    dialogue's entity pool dry, which raises CorpusError."""
+    if not 1 <= min_utterances <= max_utterances <= len(ORDINALS):
+        raise ConfigError(
+            f"utterances per dialogue must satisfy 1 <= min ({min_utterances}) "
+            f"<= max ({max_utterances}) <= {len(ORDINALS)}"
+        )
+    if questions_per_dialogue < 0:
+        raise ConfigError(f"questions_per_dialogue must be >= 0, got {questions_per_dialogue}")
     rng = np.random.default_rng(seed)
     corpus = []
     for ep in range(1, num_episodes + 1):

@@ -243,24 +243,29 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` (any leading shape), with
-    ``w`` (d_in, d_out) and ``b`` (d_out,): one GEMM over the rows of ``x``
-    forward, and one each for the ``x`` and ``w`` gradients backward."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    ``w`` (d_in, d_out) and ``b`` (d_out,), or ``x @ w`` without ``b``: one
+    GEMM over the rows of ``x`` forward, and one each for the ``x`` and ``w``
+    gradients backward."""
+    x, w, b = as_tensor(x), as_tensor(w), None if b is None else as_tensor(b)
+    b_shape = None if b is None else b.shape
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b_shape not in (None, w.shape[1:]):
+        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b_shape}")
     rows = x.array.reshape(-1, w.shape[0])
     out = rows @ w.array
-    out += b.array
+    if b is not None:
+        out += b.array
 
     def bw(dout):
         g = dout.reshape(len(rows), w.shape[1])
         x._accumulate((g @ w.array.T).reshape(x.shape))
         w._accumulate(rows.T @ g)
-        b._accumulate(g.sum(axis=0))
+        if b is not None:
+            b._accumulate(g.sum(axis=0))
 
-    return _make(out.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bw)
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out.reshape(x.shape[:-1] + w.shape[1:]), parents, bw)
 
 
 # -- shape manipulation -------------------------------------------------------

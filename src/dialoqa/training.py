@@ -466,6 +466,22 @@ def fit(
 # -- stage wiring ---------------------------------------------------------
 
 
+def _check_resume_settings(config: RunConfig, state: Checkpoint) -> None:
+    """Raises ConfigError naming every model or Adam setting of ``config``
+    that differs from the resumed ``state``'s; step budgets and the lr
+    schedule may change, so a budget can be extended."""
+    adam = [f.name for f in fields(AdamState) if hasattr(config, f.name)]
+    ours = {**config.model_config(len(state.vocab)).to_dict(),
+            **{name: getattr(config, name) for name in adam}}
+    theirs = {**state.config.to_dict(), **{name: getattr(state.adam, name) for name in adam}}
+    differ = [f"{k} {ours[k]!r} (checkpoint {theirs[k]!r})" for k in ours if ours[k] != theirs[k]]
+    if differ:
+        raise ConfigError(
+            f"resuming stage {state.stage!r} with settings its checkpoint was not "
+            f"trained with: {', '.join(differ)}"
+        )
+
+
 def _init_stage_state(
     config: RunConfig,
     stage: str,
@@ -476,13 +492,15 @@ def _init_stage_state(
     as it is (it must be a ``*-last`` checkpoint); otherwise the weights are
     transferred (``transfer_weights`` checks the source stage) or drawn
     fresh (only for a stage without sources), with a new Adam state, the
-    stage's training generator, step 0 and an empty ``train_state``."""
+    stage's training generator, step 0 and an empty ``train_state``. A
+    resume must run with the checkpoint's model and Adam settings."""
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
                 f"checkpoint for stage {stage!r} lacks optimizer/rng state; "
                 "resume requires a *-last checkpoint"
             )
+        _check_resume_settings(config, init_checkpoint)
         return init_checkpoint
     init_rng = derive_rng(config.seed, stage, "init")
     if init_checkpoint is None:

@@ -2,6 +2,7 @@
 transfer."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dialoqa.checkpoint import (
+    FORMAT_VERSION,
     MAGIC,
     Checkpoint,
     load_checkpoint,
@@ -27,6 +29,7 @@ from dialoqa.encoder import (
 )
 from dialoqa.errors import CheckpointError, SequencingError
 from dialoqa.optim import AdamState
+from dialoqa.tensor import Tensor
 from dialoqa.vocab import build_vocab
 
 CFG = ModelConfig(
@@ -224,6 +227,86 @@ class TestHeaderValidation:
             load_checkpoint(path)
         except CheckpointError:
             pass
+
+
+def _drop_all_moments_but_one(ckpt):
+    keep = next(iter(ckpt.adam.first_moment))
+    ckpt.adam.first_moment = {keep: ckpt.adam.first_moment[keep]}
+    ckpt.adam.second_moment = {}
+
+
+class TestStrictDirectory:
+    """A checkpoint's directory holds exactly its stage's tensors and, with an
+    Adam record, both moments of each in that tensor's shape."""
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda c: c.weights.params.update(bogus=Tensor(np.zeros(3))), "bogus"),
+        (lambda c: c.weights.params.pop("uid_w"), "uid_w"),
+        (lambda c: c.weights.params.update(uid_w=Tensor(np.zeros((2, 2)))), "uid_w"),
+        (_drop_all_moments_but_one, "adam.m."),
+        (lambda c: c.adam.second_moment.pop("sr_w"), "adam.v.sr_w"),
+        (lambda c: c.adam.first_moment.update(uid_w=np.zeros(5)), "adam.m.uid_w"),
+        (lambda c: c.adam.first_moment.update(bogus=np.zeros(5)), "adam.m.bogus"),
+    ], ids=["extra", "missing", "shape", "one-moment", "missing-moment", "moment-shape",
+            "extra-moment"])
+    def test_rejected_directory_names_the_tensor(self, vocab, tmp_path, mutate, named):
+        ckpt = _checkpoint(vocab, stage="finetuned", **TINY)
+        mutate(ckpt)
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            load_checkpoint(path)
+
+    def test_moments_without_an_adam_record_are_rejected(self, vocab, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        path.write_bytes(_with_header({**header, "adam": None}, payload))
+        with pytest.raises(CheckpointError, match="adam.m."):
+            load_checkpoint(path)
+
+    def test_a_name_listed_twice_is_rejected(self, vocab, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(_checkpoint(vocab, with_state=False, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        first = header["tensors"][0]
+        size = 8 * int(np.prod(first["shape"]))
+        twice = {**first, "offset": len(payload)}
+        path.write_bytes(
+            _with_header({**header, "tensors": header["tensors"] + [twice]}, payload + payload[:size])
+        )
+        with pytest.raises(CheckpointError, match="twice"):
+            load_checkpoint(path)
+
+    def test_an_unknown_adam_field_is_rejected(self, vocab, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        path.write_bytes(_with_header({**header, "adam": {**header["adam"], "amsgrad": 1}}, payload))
+        with pytest.raises(CheckpointError, match="amsgrad"):
+            load_checkpoint(path)
+
+    def test_format_1_names_the_version(self, vocab, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        assert header["format_version"] == FORMAT_VERSION == 2
+        path.write_bytes(_with_header({**header, "format_version": 1}, payload))
+        with pytest.raises(CheckpointError, match="format_version 1 unsupported"):
+            load_checkpoint(path)
+
+    def test_adam_record_holds_the_settings_and_step(self, vocab, tmp_path):
+        path = tmp_path / "d.ckpt"
+        ckpt = _checkpoint(vocab, **TINY)
+        save_checkpoint(ckpt, path)
+        header, _ = _split_file(path.read_bytes())
+        assert header["adam"] == {
+            "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "weight_decay": 0.01, "step": 17
+        }
+        loaded = load_checkpoint(path).adam
+        assert (loaded.beta1, loaded.beta2, loaded.epsilon, loaded.weight_decay, loaded.step) == (
+            0.9, 0.999, 1e-8, 0.01, 17
+        )
 
 
 class TestTransfer:

@@ -82,8 +82,8 @@ def test_stage_shapes_follow_the_groups():
         names = [n for g in groups for n in group_shapes(TOY, g)]
         assert list(stage_shapes(TOY, stage)) == names
         assert list(init_encoder_weights(TOY, stage, np.random.default_rng(0)).params) == names
-    assert len(group_shapes(TOY, "te")) == 2 + 16 * TOY.num_layers
-    assert len(group_shapes(TOY, "tl")) == 1 + 16 * 2
+    assert len(group_shapes(TOY, "te")) == 2 + 15 * TOY.num_layers
+    assert len(group_shapes(TOY, "tl")) == 1 + 15 * 2
     with pytest.raises(ConfigError):
         stage_shapes(TOY, "bogus")
 

@@ -188,7 +188,7 @@ class TestJointLoss:
         enc = encode_for_qa(vocab, cfg, make_example("q", "what", ()), _dialogue(2, 3))
         report = grad_check(
             lambda: joint_loss(w, enc),
-            {n: w[n] for n in ("mha.wo", "sl_w", "sr_w", "uid_w", "uid_b")},
+            {n: w[n] for n in ("mha.wo", "mha.bo", "sl_w", "sr_w", "uid_w")},
         )
         assert report.max_rel_err < 1e-4, report
 

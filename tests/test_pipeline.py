@@ -142,7 +142,7 @@ class TestUmlmWithoutDevInstances:
 
 class TestStageTable:
     @pytest.mark.parametrize("stage, count", [
-        ("tmlm", 19), ("umlm", 19), ("uop", 53), ("finetuned", 67),
+        ("tmlm", 18), ("umlm", 18), ("uop", 50), ("finetuned", 60),
     ])
     def test_one_backward_reaches_exactly_the_stage_tensors(self, corpus_path, stage, count):
         cfg = _config(corpus_path)
@@ -150,11 +150,30 @@ class TestStageTable:
         rng = np.random.default_rng(1)
         batch = build_epoch(rng)[: cfg.batch_size]
         batch_loss(weights, batch, training=True, rng=rng).backward()
-        # a gradient array, not a non-zero one: the UID and left-span biases
-        # shift every logit of a softmax alike, so theirs is zero
         reached = {name for name, p in weights.named() if p.grad_array() is not None}
         assert reached == set(stage_shapes(weights.config, stage))
         assert len(reached) == count
+
+    @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop", "finetuned"])
+    def test_every_stage_tensor_gets_more_than_roundoff(self, corpus_path, stage):
+        """No stage owns a parameter that cannot change its loss. With every
+        1-d tensor drawn at random, so that no zero init hides a gradient,
+        one backward moves each tensor's gradient above roundoff. The one
+        exception is ``tl.1.ln2_b`` in fine-tuning: there TL's output feeds
+        only the UID softmax, so a shift common to every row cancels; it is
+        transferred from uop, where it acts."""
+        cfg = _config(corpus_path)
+        weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
+        rng = np.random.default_rng(2)
+        for _, p in weights.named():
+            if p.ndim == 1:  # LayerNorm gains start at 1, every other 1-d tensor at 0
+                p.array += rng.normal(0.0, 0.1, p.shape)
+        batch = build_epoch(rng)[: cfg.batch_size]
+        batch_loss(weights, batch, training=True, rng=rng).backward()
+        size = {name: np.abs(g).max() for name, g in weights.grads().items()}
+        if stage == "finetuned":
+            assert size.pop("tl.1.ln2_b") < 1e-15
+        assert {name: s for name, s in size.items() if not s > 1e-12} == {}
 
     @pytest.mark.parametrize("stage", ["tmlm", "finetuned"])
     def test_one_step_holds_one_graph(self, corpus_path, stage):
@@ -338,6 +357,32 @@ class TestResumeReplay:
             run_stage("tmlm", cfg, last, out_dir=out)
         with pytest.raises(CheckpointError, match="tmlm-best.ckpt"):
             run_stage("tmlm", cfg, last)
+
+
+class TestResumeSettings:
+    @pytest.fixture(scope="class")
+    def last(self, corpus_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("resume-settings")
+        run_stage("tmlm", _config(corpus_path, tmlm_steps=4), out_dir=out)
+        return out
+
+    def test_other_model_or_adam_settings_raise_naming_each(self, corpus_path, last):
+        ckpt = load_checkpoint(last / "tmlm-last.ckpt")
+        cfg = _config(corpus_path, tmlm_steps=6, hidden_size=64, dropout_p=0.3, beta2=0.5)
+        with pytest.raises(ConfigError) as err:
+            run_stage("tmlm", cfg, ckpt, out_dir=last)
+        for name in ("hidden_size 64 (checkpoint 16)", "dropout_p 0.3 (checkpoint 0.1)",
+                     "beta2 0.5 (checkpoint 0.999)"):
+            assert name in str(err.value)
+        assert "intermediate_size" not in str(err.value)
+
+    def test_budget_and_schedule_stay_free(self, corpus_path, last, tmp_path):
+        for name in ("tmlm-last.ckpt", "tmlm-best.ckpt"):
+            (tmp_path / name).write_bytes((last / name).read_bytes())
+        ckpt = load_checkpoint(tmp_path / "tmlm-last.ckpt")
+        cfg = _config(corpus_path, tmlm_steps=6, base_lr=1e-3, warmup_fraction=0.2, batch_size=4)
+        run_stage("tmlm", cfg, ckpt, out_dir=tmp_path)
+        assert load_checkpoint(tmp_path / "tmlm-last.ckpt").global_step == 6
 
 
 class TestImprove:
@@ -725,3 +770,35 @@ class TestCli:
         code, err = self._main_error(capsys, *command, "--config", str(path), "--out", str(out))
         assert code == 1
         assert str(blocker) in err["message"]
+
+    def test_resume_with_other_settings_is_json_error(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        base = (
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "intermediate_size = 32\nnum_layers = 1\nbatch_size = 8\nseed = 1\n"
+        )
+        path.write_text(base + "hidden_size = 16\ntmlm_steps = 2\n")
+        out = tmp_path / "run"
+        assert cli.main(["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]) == 0
+        path.write_text(base + "hidden_size = 64\ntmlm_steps = 6\n")
+        capsys.readouterr()
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "tmlm", "--config", str(path),
+            "--init", str(out / "tmlm-last.ckpt"), "--out", str(out),
+        )
+        assert (code, err["error"]) == (1, "ConfigError")
+        assert "hidden_size 64 (checkpoint 16)" in err["message"]
+
+    @pytest.mark.parametrize("settings, error", [
+        ("synth_min_utterances = 9\nsynth_max_utterances = 9\n", "ConfigError"),
+        ("synth_min_utterances = 5\nsynth_max_utterances = 4\n", "ConfigError"),
+        ("synth_questions_per_dialogue = -1\n", "ConfigError"),
+        ("synth_min_utterances = 8\nsynth_max_utterances = 8\nseed = 15\n", "CorpusError"),
+    ], ids=["too-many-utterances", "min-above-max", "negative-questions", "names-run-out"])
+    def test_bad_synth_settings_are_json_errors(self, tmp_path, capsys, settings, error):
+        path = tmp_path / "run.cfg"
+        path.write_text(settings)
+        code, err = self._main_error(capsys, "synth-corpus", "--config", str(path),
+                                     "--out", str(tmp_path))
+        assert (code, err["error"]) == (1, error)
+        assert not (tmp_path / "corpus.json").exists()

@@ -59,6 +59,15 @@ class TestLinear:
             assert param.grad_array().shape == ref.shape
             np.testing.assert_allclose(param.grad_array(), ref, rtol=0, atol=1e-12)
 
+    def test_without_bias_is_matmul_with_no_bias_parent(self):
+        rng = np.random.default_rng(8)
+        x, w = (T.Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4, 3)))
+        out = T.linear(x, w)
+        np.testing.assert_array_equal(out.array, (x.array.reshape(-1, 4) @ w.array).reshape(2, 5, 3))
+        assert out._parents == (x, w)
+        T.tsum(out).backward()
+        np.testing.assert_allclose(w.grad_array(), x.array.reshape(-1, 4).sum(0)[:, None].repeat(3, 1))
+
     def test_against_triple_loop_oracle(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(3, 4))
@@ -88,6 +97,8 @@ class TestLinear:
             T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros(5)))
         with pytest.raises(ShapeError):
             T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 5))), T.Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((3, 5))))
 
 
 class TestSoftmax:
@@ -419,6 +430,7 @@ class TestAutodiff:
                 lambda a: T.dropout(a, 0.4, True, np.random.default_rng(9)),
                 [(3, 4)],
             ),
+            ("linear-no-bias", T.linear, [(2, 3, 4), (4, 2)]),
         ],
     )
     def test_op_gradients(self, name, fn, shapes):
