@@ -151,8 +151,9 @@ def _check_fields(obj, fields: dict, where: str) -> None:
 
 def _check_header(header, path) -> None:
     """Raises CheckpointError unless the header has the format version and
-    every field with its JSON type; the model config and vocabulary are
-    checked by their own constructors."""
+    every field with its JSON type, no other field, and no step, epoch or
+    count below 0 (-1 for the epoch of a best snapshot); the model config and
+    vocabulary are checked by their own constructors."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -161,6 +162,9 @@ def _check_header(header, path) -> None:
             f"unsupported (expected {FORMAT_VERSION})"
         )
     _check_fields(header, _HEADER_FIELDS, f"{path}: header")
+    unknown = sorted(set(header) - {"format_version", *_HEADER_FIELDS})
+    if unknown:
+        raise CheckpointError(f"{path}: header has the unknown field {unknown[0]!r}")
     if header["stage"] not in STAGE_GROUPS:
         raise CheckpointError(f"{path}: unknown stage {header['stage']!r}")
     if not all(isinstance(tok, str) for tok in header["vocab"]):
@@ -176,6 +180,15 @@ def _check_header(header, path) -> None:
             )
     if not all(isinstance(rec, dict) for rec in state.get("history", [])):
         raise CheckpointError(f"{path}: train_state history holds a non-object")
+    values = {"global_step": header["global_step"]}
+    values.update({f"train_state {k}": state[k] for k in ("epoch", "bad_evals") if k in state})
+    if header["adam"] is not None:
+        values["adam step"] = header["adam"]["step"]
+    for where, value in values.items():
+        # a best snapshot (no Adam record) of the start weights is epoch -1
+        lowest = -1 if where == "train_state epoch" and header["adam"] is None else 0
+        if value < lowest:
+            raise CheckpointError(f"{path}: {where} is {value}, below {lowest}")
     for i, ent in enumerate(header["tensors"]):
         _check_fields(ent, _TENSOR_FIELDS, f"{path}: header tensors[{i}]")
         if not all(_is(n, int) and n >= 0 for n in ent["shape"]):

@@ -6,7 +6,8 @@ Every forward takes a batch only: token ids (B, S), embeddings (B, S, h)
 and boolean masks (B, S), True marking real (attendable) positions; a
 single sequence is a batch of one. Forwards are read-only over the weights,
 read every hyperparameter (dropout rate, head and layer counts, capacities)
-from ``weights.config``, and draw dropout noise from an explicit rng.
+from ``weights.config``, and draw dropout noise only from a generator they
+are given: without ``rng`` a forward is the deterministic inference pass.
 ``pad_batch`` builds the id rectangle and ``gather_rows`` reads TE output
 rows by flat index, the one way the pre-training losses and the QA heads
 read TE's outputs.
@@ -292,7 +293,6 @@ def _attention(
     x_q: Tensor,
     x_kv: Tensor,
     add_mask: np.ndarray | None,
-    training: bool,
     rng,
 ) -> Tensor:
     """Multi-head attention of ``x_q`` over ``x_kv`` with the weights
@@ -304,7 +304,7 @@ def _attention(
         linear(x_q, w[f"{prefix}wq"], w[f"{prefix}bq"]),
         linear(x_kv, w[f"{prefix}wk"]),
         linear(x_kv, w[f"{prefix}wv"], w[f"{prefix}bv"]),
-        add_mask, cfg.num_heads, cfg.dropout_p, training, rng,
+        add_mask, cfg.num_heads, cfg.dropout_p, rng,
     )
     return linear(ctx, w[f"{prefix}wo"], w[f"{prefix}bo"])
 
@@ -314,18 +314,17 @@ def _self_attention_block(
     prefix: str,
     x: Tensor,
     add_mask: np.ndarray | None,
-    training: bool,
     rng,
 ) -> Tensor:
     p = w.config.dropout_p
-    attn_out = _attention(w, f"{prefix}.attn_", x, x, add_mask, training, rng)
+    attn_out = _attention(w, f"{prefix}.attn_", x, x, add_mask, rng)
     x = residual_layer_norm(
-        x, attn_out, w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], p, training, rng, LN_EPS
+        x, attn_out, w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], p, rng, LN_EPS
     )
     hidden = gelu(linear(x, w[f"{prefix}.ff_w1"], w[f"{prefix}.ff_b1"]))
     ff = linear(hidden, w[f"{prefix}.ff_w2"], w[f"{prefix}.ff_b2"])
     return residual_layer_norm(
-        x, ff, w[f"{prefix}.ln2_g"], w[f"{prefix}.ln2_b"], p, training, rng, LN_EPS
+        x, ff, w[f"{prefix}.ln2_g"], w[f"{prefix}.ln2_b"], p, rng, LN_EPS
     )
 
 
@@ -334,7 +333,6 @@ def te_forward(
     token_ids,
     attention_mask=None,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Token ids (B, S) -> contextual embeddings (B, S, h).
@@ -356,9 +354,9 @@ def te_forward(
     tok = index_select(weights["token_emb"], ids.reshape(-1))
     x = reshape(tok, (b, s, config.hidden_size))
     pos = index_select(weights["token_pos_emb"], np.arange(s))
-    x = dropout(x + pos, config.dropout_p, training, rng)
+    x = dropout(x + pos, config.dropout_p, rng)
     for i in range(config.num_layers):
-        x = _self_attention_block(weights, f"te.{i}", x, add_mask, training, rng)
+        x = _self_attention_block(weights, f"te.{i}", x, add_mask, rng)
     return x
 
 
@@ -368,7 +366,6 @@ def tl_forward(
     *,
     position_offset: int = 0,
     attention_mask=None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Utterance embeddings (B, S, h) -> T^c of the same shape.
@@ -391,9 +388,9 @@ def tl_forward(
             weights["utt_pos_emb"], np.arange(position_offset, position_offset + s)
         )
         x = x + pos
-    x = dropout(x, config.dropout_p, training, rng)
+    x = dropout(x, config.dropout_p, rng)
     for i in range(2):
-        x = _self_attention_block(weights, f"tl.{i}", x, add_mask, training, rng)
+        x = _self_attention_block(weights, f"tl.{i}", x, add_mask, rng)
     return x
 
 
@@ -403,7 +400,6 @@ def mha_forward(
     utterance_embeddings,
     *,
     question_mask=None,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Cross attention: utterance token positions attend over the question.
@@ -419,5 +415,5 @@ def mha_forward(
         raise ShapeError("mha_forward requires non-empty question and utterance inputs")
     add_mask = _additive_key_mask(question_mask, xq.shape[0], xq.shape[1])
     normed = layer_norm(xu, weights["mha.ln_g"], weights["mha.ln_b"], LN_EPS)
-    out = _attention(weights, "mha.", normed, xq, add_mask, training, rng)
-    return xu + dropout(out, weights.config.dropout_p, training, rng)
+    out = _attention(weights, "mha.", normed, xq, add_mask, rng)
+    return xu + dropout(out, weights.config.dropout_p, rng)

@@ -9,7 +9,7 @@ of E'_i), slot k >= 1 addresses token w_ik.
 
 A batch of B questions is one graph. TE runs once over the distinct id
 sequences of the batch, so the questions of one dialogue share its
-utterance encodings (and, in training, their dropout draws). With M the
+utterance encodings (and, given a generator, their dropout draws). With M the
 most utterances and S the widest head (speaker plus words) in the batch:
   - TL runs over (B, M+1) CLS rows, question first, with padding keys masked;
   - MHA takes question keys (B, Q, h), padding masked by ``question_mask``,
@@ -20,7 +20,8 @@ holds MASK_SCORE, so softmax gives it exactly zero probability and the
 per-question results equal those of a batch of one.
 
 The forwards and losses read the model config from ``weights.config``; only
-``encode_for_qa``, which has no weights, takes a ``ModelConfig``.
+``encode_for_qa``, which has no weights, takes a ``ModelConfig``. They draw
+dropout only from an ``rng`` they are given, so inference passes none.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def qa_batch_logits(
     weights: EncoderWeights,
     encodings: Sequence[QAEncoding],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(uid (B, M+1), left (B, M, S), right (B, M, S)) logits of a batch of
@@ -121,7 +121,7 @@ def qa_batch_logits(
             row_of.setdefault(seq, len(row_of))
     ids, mask = pad_batch(list(row_of), 0)
     # ids by keyword: the benchmark's tracer reads TE's rows from ``token_ids``
-    out = te_forward(weights, token_ids=ids, attention_mask=mask, training=training, rng=rng)
+    out = te_forward(weights, token_ids=ids, attention_mask=mask, rng=rng)
     width = ids.shape[1]
     b = len(encodings)
     m_max = max(enc.num_utterances for enc in encodings)
@@ -148,13 +148,13 @@ def qa_batch_logits(
 
     tc = tl_forward(
         weights, gather_rows(out, cls_idx),
-        attention_mask=cls_mask, training=training, rng=rng,
+        attention_mask=cls_mask, rng=rng,
     )
     uid = reshape(linear(tc, weights["uid_w"]), (b, m_max + 1))
     tokens = gather_rows(out, tok_idx.reshape(b, m_max * s_max))
     attended = mha_forward(
         weights, gather_rows(out, q_idx), tokens,
-        question_mask=q_mask, training=training, rng=rng,
+        question_mask=q_mask, rng=rng,
     )
     left = reshape(linear(attended, weights["sl_w"]), tok_mask.shape)
     right = reshape(linear(attended, weights["sr_w"]), tok_mask.shape)
@@ -167,14 +167,13 @@ def qa_batch_loss(
     weights: EncoderWeights,
     encodings: Sequence[QAEncoding],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Mean over the questions of the joint loss: UID cross-entropy plus the
     left and right span cross-entropies, on the gold utterance for an
     answerable question and averaged over every utterance's null slot for an
     unanswerable one."""
-    uid, left, right = qa_batch_logits(weights, encodings, training=training, rng=rng)
+    uid, left, right = qa_batch_logits(weights, encodings, rng=rng)
     b, m, s = left.shape
     row_weight = np.zeros((b, m))
     span_targets = np.zeros((b, m, 2), dtype=np.intp)
@@ -195,11 +194,10 @@ def joint_loss(
     weights: EncoderWeights,
     encoding: QAEncoding,
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """The joint loss of one question: ``qa_batch_loss`` on a batch of one."""
-    return qa_batch_loss(weights, [encoding], training=training, rng=rng)
+    return qa_batch_loss(weights, [encoding], rng=rng)
 
 
 def predict(

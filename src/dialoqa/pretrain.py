@@ -202,13 +202,12 @@ def tmlm_batch_loss(
     weights: EncoderWeights,
     instances: Sequence[TmlmInstance],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Mean cross-entropy over every masked position in the batch, each
     predicted from its own output embedding through the tied projection."""
     ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
-    out = te_forward(weights, ids, mask, training=training, rng=rng)
+    out = te_forward(weights, ids, mask, rng=rng)
     width = ids.shape[1]
     flat_idx = [
         b * width + p for b, inst in enumerate(instances) for p in inst.mask_positions
@@ -222,13 +221,12 @@ def umlm_batch_loss(
     weights: EncoderWeights,
     instances: Sequence[UmlmInstance],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Cross-entropy of each instance's single mask label predicted from the
     CLS output embedding, averaged over the batch."""
     ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
-    out = te_forward(weights, ids, mask, training=training, rng=rng)
+    out = te_forward(weights, ids, mask, rng=rng)
     width = ids.shape[1]
     cls_rows = gather_rows(out, [b * width for b in range(len(instances))])
     logits = vocab_logits(weights, cls_rows)
@@ -239,7 +237,6 @@ def uop_batch_logits(
     weights: EncoderWeights,
     instances: Sequence[UopInstance],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """(B, 2) order logits: every utterance runs through TE independently,
@@ -248,7 +245,7 @@ def uop_batch_logits(
     instance's utterances read row 0 and are masked."""
     seqs = [seq for inst in instances for seq in inst.utterance_token_ids]
     ids, mask = pad_batch(seqs, 0)
-    out = te_forward(weights, ids, mask, training=training, rng=rng)
+    out = te_forward(weights, ids, mask, rng=rng)
     m_max = max(len(inst.utterance_token_ids) for inst in instances)
     cls_idx = np.zeros((len(instances), m_max), dtype=np.intp)
     utt_mask = np.zeros((len(instances), m_max), dtype=bool)
@@ -260,7 +257,7 @@ def uop_batch_logits(
         row += n
     tc = tl_forward(
         weights, gather_rows(out, cls_idx),
-        position_offset=1, attention_mask=utt_mask, training=training, rng=rng,
+        position_offset=1, attention_mask=utt_mask, rng=rng,
     )
     weights_mask = utt_mask[:, :, None].astype(np.float64)
     pooled = tsum(tc * Tensor(weights_mask), axis=1)
@@ -272,10 +269,9 @@ def uop_batch_loss(
     weights: EncoderWeights,
     instances: Sequence[UopInstance],
     *,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    logits = uop_batch_logits(weights, instances, training=training, rng=rng)
+    logits = uop_batch_logits(weights, instances, rng=rng)
     return mean_cross_entropy(logits, [inst.label for inst in instances])
 
 

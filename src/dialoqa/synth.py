@@ -52,37 +52,37 @@ def _fresh_picker(rng: np.random.Generator, dialogue: str) -> Fresh:
 
 
 def _build_fact(kind: str, rng: np.random.Generator, fresh: Fresh):
-    """Returns (utterance tokens, question text, relative answer span, key)."""
+    """Returns (utterance tokens, question text, relative answer span)."""
     if kind == "where":
         obj = fresh("objects", OBJECTS)
         place = PLACES[int(rng.integers(len(PLACES)))]
         tokens = ["the", obj, "is", "in", "the", place]
-        return tokens, f"where is the {obj}", (4, 5), obj
+        return tokens, f"where is the {obj}", (4, 5)
     if kind == "who":
         obj = fresh("objects", OBJECTS)
         name = NAMES[int(rng.integers(len(NAMES)))]
         tokens = [name, "kept", "the", obj]
-        return tokens, f"who kept the {obj}", (0, 0), obj
+        return tokens, f"who kept the {obj}", (0, 0)
     if kind == "when":
         event = fresh("events", EVENTS)
         day = DAYS[int(rng.integers(len(DAYS)))]
         tokens = ["the", event, "is", "on", day]
-        return tokens, f"when is the {event}", (3, 4), event
+        return tokens, f"when is the {event}", (3, 4)
     if kind == "what":
         obj = fresh("objects", OBJECTS)
         name = fresh("names", NAMES)  # the question keys on the name
         tokens = [name, "found", "the", obj]
-        return tokens, f"what did {name} find", (2, 3), obj
+        return tokens, f"what did {name} find", (2, 3)
     if kind == "why":
         event = fresh("events", EVENTS)
         cause = CAUSES[int(rng.integers(len(CAUSES)))]
         tokens = ["the", event, "stopped", "because", "of", "the", cause]
-        return tokens, f"why did the {event} stop", (3, 6), event
+        return tokens, f"why did the {event} stop", (3, 6)
     if kind == "how":
         name = fresh("names", NAMES)
         vehicle = VEHICLES[int(rng.integers(len(VEHICLES)))]
         tokens = [name, "traveled", "by", vehicle]
-        return tokens, f"how did {name} travel", (2, 3), name
+        return tokens, f"how did {name} travel", (2, 3)
     raise ValueError(f"unknown fact kind {kind!r}")
 
 
@@ -107,7 +107,7 @@ def generate_dialogue(
     facts = []  # (utterance index, question text, answer span)
     for i in range(m):
         kind = FACT_TYPES[int(rng.integers(len(FACT_TYPES)))]
-        tokens, question, (a0, a1), _key = _build_fact(kind, rng, fresh)
+        tokens, question, (a0, a1) = _build_fact(kind, rng, fresh)
         full = [ORDINALS[i]] + tokens  # the marker shifts spans by one
         speaker = SPEAKERS[cast[int(rng.integers(len(cast)))]]
         utterances.append(Utterance(speaker, tuple(full)))

@@ -8,8 +8,10 @@ keep their gradient: once an op node's backward has run, the sweep drops the
 node's gradient, closure and parents, so the saved arrays of the part already
 swept are freed while the rest is still being swept, and a graph can be swept
 only once. All randomness (dropout) comes from an explicit
-``numpy.random.Generator`` so runs are bit-reproducible; dropout masks are
-kept as bool arrays plus one scale, 1 byte per element.
+``numpy.random.Generator`` so runs are bit-reproducible: an op drops exactly
+when it is given one (and a rate above 0), so a call without a generator is
+the deterministic inference forward. Dropout masks are kept as bool arrays
+plus one scale, 1 byte per element.
 
 Closure contract: an op's backward is called as ``bw(dout)`` with the
 gradient of its output, and accumulates into its inputs. It must never
@@ -363,14 +365,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    return residual_layer_norm(x, None, gain, bias, 0.0, False, None, eps)
+    return residual_layer_norm(x, None, gain, bias, 0.0, None, eps)
 
 
 def residual_layer_norm(
     x: Tensor, y: Tensor | None, gain: Tensor, bias: Tensor,
-    p: float, training: bool, rng: np.random.Generator | None, eps: float = 1e-12,
+    p: float, rng: np.random.Generator | None, eps: float = 1e-12,
 ) -> Tensor:
-    """``layer_norm(x + dropout(y, p, training, rng), gain, bias, eps)`` as
+    """``layer_norm(x + dropout(y, p, rng), gain, bias, eps)`` as
     one node: the dropped ``y`` and the sum are temporaries, and backward
     keeps only the normalized input, the inverse deviations and the bool
     dropout mask. ``y`` None is plain ``layer_norm`` of ``x``."""
@@ -388,7 +390,7 @@ def residual_layer_norm(
         y = as_tensor(y)
         if y.shape != x.shape:
             raise ShapeError(f"residual branch {y.shape} must match input {x.shape}")
-        keep, scale = _dropout_mask(y.shape, p, training, rng)
+        keep, scale = _dropout_mask(y.shape, p, rng)
         s = s + _drop(y.array, keep, scale)
     # mean and var spelled out as numpy computes them, sharing x - mu
     xc = s - s.sum(axis=-1, keepdims=True) / d
@@ -458,16 +460,14 @@ def mean_cross_entropy(logits: Tensor, targets) -> Tensor:
     return mean(cross_entropy_rows(logits, targets))
 
 
-def _dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | None):
+def _dropout_mask(shape, p: float, rng: np.random.Generator | None):
     """``(keep, scale)`` of inverted dropout: a bool mask from one
     ``rng.random`` draw and the survivors' scale 1/(1-p); ``(None, 1.0)``
-    when nothing is dropped, which draws nothing."""
+    without an rng or for p 0, which draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None, 1.0
-    if rng is None:
-        raise ConfigError("dropout in training mode requires an rng")
     return rng.random(shape) >= p, 1.0 / (1.0 - p)
 
 
@@ -481,10 +481,11 @@ def _drop(a: np.ndarray, keep: np.ndarray | None, scale: float) -> np.ndarray:
     return out
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p);
+    ``x`` itself without an rng."""
     x = as_tensor(x)
-    keep, scale = _dropout_mask(x.shape, p, training, rng)
+    keep, scale = _dropout_mask(x.shape, p, rng)
     if keep is None:
         return x
 
@@ -501,7 +502,6 @@ def attention(
     add_mask: np.ndarray | None,
     num_heads: int,
     p: float,
-    training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
@@ -510,7 +510,7 @@ def attention(
     projected keys and values; the last axis splits into ``num_heads``
     heads of width d. Scores ``q kᵀ / sqrt(d)`` plus ``add_mask`` (B, Sk)
     (0 on real keys, MASK_SCORE on padding; None for no mask) go through a
-    max-shifted softmax over the keys; in training the probabilities get
+    max-shifted softmax over the keys; given an rng, the probabilities get
     inverted dropout of rate ``p`` from one ``rng.random`` draw. Returns the
     heads' contexts merged back to (B, Sq, h).
     """
@@ -539,7 +539,7 @@ def attention(
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep, drop_scale = _dropout_mask(probs.shape, p, training, rng)
+    keep, drop_scale = _dropout_mask(probs.shape, p, rng)
     out = (_drop(probs, keep, drop_scale) @ vh).transpose(0, 2, 1, 3).reshape(b, sq, h)
 
     def bw(dout):

@@ -339,7 +339,8 @@ def build_uop_dev_instances(
 @dataclass(frozen=True)
 class _Task:
     """One stage's part of ``fit``; ``batch_loss`` is called as
-    ``batch_loss(weights, batch, training=True, rng=rng)``."""
+    ``batch_loss(weights, batch, rng=rng)``, so dropout draws from the
+    training generator."""
 
     build_epoch: Callable[[np.random.Generator], list]  # an epoch's instances
     batch_loss: Callable[..., Tensor]
@@ -426,7 +427,7 @@ def fit(
                 break
             batch = [instances[i] for i in chunk]
             weights.zero_grads()
-            loss = task.batch_loss(weights, batch, training=True, rng=rng)
+            loss = task.batch_loss(weights, batch, rng=rng)
             if not np.isfinite(loss.item()):
                 raise DivergenceError(
                     f"stage {stage!r} diverged at step {global_step + 1}: "

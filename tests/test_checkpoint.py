@@ -179,12 +179,18 @@ class TestHeaderValidation:
             lambda h: {**h, "train_state": {**h["train_state"], "history": {}}},
             lambda h: {**h, "train_state": {**h["train_state"], "history": [[-1, 0]]}},
             lambda h: {**h, "train_state": {**h["train_state"], "best_metrics": 3.25}},
+            lambda h: {**h, "global_step": -5},
+            lambda h: {**h, "adam": {**h["adam"], "step": -1}},
+            lambda h: {**h, "train_state": {**h["train_state"], "epoch": -1}},
+            lambda h: {**h, "train_state": {**h["train_state"], "bad_evals": -1}},
+            lambda h: {**h, "bogus_field": 0},
         ],
         ids=[
             "only-version", "list", "vocab-size-str", "vocab-size-float", "step-str",
             "unknown-stage", "vocab-short", "adam-fields", "rng-state", "shape-float",
             "epoch-str", "bad-evals-bool", "history-object", "history-record-list",
-            "best-metrics-number",
+            "best-metrics-number", "step-negative", "adam-step-negative",
+            "epoch-negative", "bad-evals-negative", "unknown-field",
         ],
     )
     def test_bad_header_raises_checkpoint_error(self, vocab, tmp_path, mutate):
@@ -194,6 +200,16 @@ class TestHeaderValidation:
         path.write_bytes(_with_header(mutate(header), payload))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_a_best_snapshot_may_be_of_epoch_minus_one_only(self, vocab, tmp_path):
+        # fit's snapshot of the start weights is weights-only and of epoch -1
+        ckpt = _checkpoint(vocab, with_state=False)
+        for epoch in (-1, -2):
+            ckpt.train_state = {"epoch": epoch, "metrics": {}}
+            save_checkpoint(ckpt, tmp_path / f"best{epoch}.ckpt")
+        assert load_checkpoint(tmp_path / "best-1.ckpt").train_state["epoch"] == -1
+        with pytest.raises(CheckpointError, match="train_state epoch is -2"):
+            load_checkpoint(tmp_path / "best-2.ckpt")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb"])

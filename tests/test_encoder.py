@@ -113,7 +113,7 @@ class TestTeForward:
         want = c @ w["te.0.attn_wo"].array + w["te.0.attn_bo"].array
         x = T.Tensor(rng.normal(size=(2, 5, 8)))
         for add_mask in (None, np.where(PADDED, 0.0, T.MASK_SCORE)):
-            out = encoder._attention(w, "te.0.attn_", x, x, add_mask, False, None).array
+            out = encoder._attention(w, "te.0.attn_", x, x, add_mask, None).array
             np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), rtol=0, atol=1e-12)
 
     def test_attention_ignores_padded_keys(self, uop_weights):
@@ -124,7 +124,7 @@ class TestTeForward:
         add_mask = np.where(PADDED, 0.0, T.MASK_SCORE)
         a, b = (
             encoder._attention(uop_weights, "te.0.attn_", T.Tensor(v), T.Tensor(v),
-                               add_mask, False, None).array
+                               add_mask, None).array
             for v in (x, changed)
         )
         assert np.array_equal(a[PADDED], b[PADDED])  # padded queries may change
@@ -153,8 +153,8 @@ class TestTeForward:
         cfg = ModelConfig(**{**TOY.to_dict(), "dropout_p": 0.2})
         w = init_encoder_weights(cfg, STAGE_UOP, np.random.default_rng(10))
         ids = np.arange(6)[None]
-        a = te_forward(w, ids, training=True, rng=np.random.default_rng(9)).array
-        b = te_forward(w, ids, training=True, rng=np.random.default_rng(9)).array
+        a = te_forward(w, ids, rng=np.random.default_rng(9)).array
+        b = te_forward(w, ids, rng=np.random.default_rng(9)).array
         assert np.array_equal(a, b)
         assert not np.array_equal(a, te_forward(w, ids).array)
 

@@ -70,15 +70,15 @@ def _config(corpus_path, **kw):
 
 
 def _fresh_stage(cfg, stage):
-    """Freshly drawn weights of ``stage`` with its epoch builder and batch
-    loss, as ``fit`` gets them."""
+    """Freshly drawn weights of ``stage`` and its ``_Task``, as ``fit`` gets
+    them."""
     split = training.load_split(cfg)
     vocab = build_vocab(training.pretrain_dialogues(cfg, split)[0])
     spec = training._STAGES[stage]
     train, dev = spec.data(cfg, split)
     weights = init_encoder_weights(cfg.model_config(len(vocab)), stage, np.random.default_rng(0))
     task = spec.task(cfg, vocab, weights.config, train, dev)
-    return weights, task.build_epoch, task.batch_loss
+    return weights, task
 
 
 @pytest.fixture(scope="module")
@@ -146,10 +146,10 @@ class TestStageTable:
     ])
     def test_one_backward_reaches_exactly_the_stage_tensors(self, corpus_path, stage, count):
         cfg = _config(corpus_path)
-        weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
+        weights, task = _fresh_stage(cfg, stage)
         rng = np.random.default_rng(1)
-        batch = build_epoch(rng)[: cfg.batch_size]
-        batch_loss(weights, batch, training=True, rng=rng).backward()
+        batch = task.build_epoch(rng)[: cfg.batch_size]
+        task.batch_loss(weights, batch, rng=rng).backward()
         reached = {name for name, p in weights.named() if p.grad_array() is not None}
         assert reached == set(stage_shapes(weights.config, stage))
         assert len(reached) == count
@@ -163,17 +163,30 @@ class TestStageTable:
         only the UID softmax, so a shift common to every row cancels; it is
         transferred from uop, where it acts."""
         cfg = _config(corpus_path)
-        weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
+        weights, task = _fresh_stage(cfg, stage)
         rng = np.random.default_rng(2)
         for _, p in weights.named():
             if p.ndim == 1:  # LayerNorm gains start at 1, every other 1-d tensor at 0
                 p.array += rng.normal(0.0, 0.1, p.shape)
-        batch = build_epoch(rng)[: cfg.batch_size]
-        batch_loss(weights, batch, training=True, rng=rng).backward()
+        batch = task.build_epoch(rng)[: cfg.batch_size]
+        task.batch_loss(weights, batch, rng=rng).backward()
         size = {name: np.abs(g).max() for name, g in weights.grads().items()}
         if stage == "finetuned":
             assert size.pop("tl.1.ln2_b") < 1e-15
         assert {name: s for name, s in size.items() if not s > 1e-12} == {}
+
+    @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop", "finetuned"])
+    def test_dev_eval_draws_no_dropout(self, corpus_path, stage):
+        """``fit`` gives ``dev_eval`` no generator, so the same parameters
+        score the same under dropout 0.5 as under 0.0, although 0.5 moves
+        the training loss."""
+        weights, task = _fresh_stage(_config(corpus_path, dropout_p=0.0), stage)
+        dropped = replace(weights, config=replace(weights.config, dropout_p=0.5))
+        batch = task.build_epoch(np.random.default_rng(3))[:8]
+        draws = [task.batch_loss(w, batch, rng=np.random.default_rng(4)).item()
+                 for w in (weights, dropped)]
+        assert draws[0] != draws[1]
+        assert task.dev_eval(dropped) == task.dev_eval(weights)
 
     @pytest.mark.parametrize("stage", ["tmlm", "finetuned"])
     def test_one_step_holds_one_graph(self, corpus_path, stage):
@@ -181,15 +194,15 @@ class TestStageTable:
         frees each node as it sweeps it, so the step peaks barely above the
         forward and leaves only the leaf gradients behind."""
         cfg = _config(corpus_path, hidden_size=32, intermediate_size=64, num_layers=2)
-        weights, build_epoch, batch_loss = _fresh_stage(cfg, stage)
+        weights, task = _fresh_stage(cfg, stage)
         rng = np.random.default_rng(1)
         # 32 instances: tmlm builds one per training dialogue per epoch
-        batch = [inst for _ in range(3) for inst in build_epoch(rng)][:32]
+        batch = [inst for _ in range(3) for inst in task.build_epoch(rng)][:32]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss = batch_loss(weights, batch, training=True, rng=rng)
+            loss = task.batch_loss(weights, batch, rng=rng)
             forward = tracemalloc.get_traced_memory()[0] - base
             loss.backward()
             after, peak = (m - base for m in tracemalloc.get_traced_memory())

@@ -83,7 +83,7 @@ def residuals_outside_fused_norm(source: str) -> list[str]:
 def test_checker_flags_a_residual_layer_norm():
     source = (
         "y = layer_norm(x + d, g, b)\nz = T.layer_norm(T.add(x, d), g, b)\n"
-        "v = layer_norm(x * d, g, b)\nu = residual_layer_norm(x, d, g, b, p, t, r)\n"
+        "v = layer_norm(x * d, g, b)\nu = residual_layer_norm(x, d, g, b, p, r)\n"
     )
     assert residuals_outside_fused_norm(source) == ["line 1", "line 2"]
 
@@ -229,3 +229,31 @@ def test_checker_flags_a_weights_and_config_pair():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_forwards_read_the_config_of_their_weights(path):
     assert weights_and_config_pairs(path.read_text(encoding="utf-8")) == []
+
+
+def training_parameters(source: str) -> list[str]:
+    """Functions with a parameter named ``training``: dropout is on exactly
+    when a forward is given a generator, so a flag beside the generator
+    could only disagree with it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            if "training" in {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}:
+                found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_checker_flags_a_training_parameter():
+    source = (
+        "def f(x, training): pass\n"
+        "def g(x, *, training=False, rng=None): pass\n"
+        "def h(x, rng=None):\n    training = rng is not None\n"
+        "class C:\n    def m(self, training: bool, /): pass\n"
+    )
+    assert training_parameters(source) == ["line 1: f", "line 2: g", "line 6: m"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dropout_is_switched_by_the_generator_alone(path):
+    assert training_parameters(path.read_text(encoding="utf-8")) == []

@@ -163,16 +163,19 @@ class TestResidualLayerNorm:
             for s in ((2, 5, 8), (2, 5, 8), (8,), (8,))
         ], rng.normal(size=(2, 5, 8))
 
-    @pytest.mark.parametrize("p,training", [(0.1, False), (0.0, True), (0.1, True)])
-    def test_equals_the_unfused_chain(self, p, training):
+    @pytest.mark.parametrize("p,drawn", [(0.1, False), (0.0, True), (0.1, True)])
+    def test_equals_the_unfused_chain(self, p, drawn):
         (x, y, g, b), dout = self._inputs(4)
         twin = [T.Tensor(t.array.copy(), requires_grad=True) for t in (x, y, g, b)]
-        draw, twin_draw = np.random.default_rng(2), np.random.default_rng(2)
-        fused = T.residual_layer_norm(x, y, g, b, p, training, draw, 1e-12)
+        draw, twin_draw = (
+            (np.random.default_rng(2), np.random.default_rng(2)) if drawn else (None, None)
+        )
+        fused = T.residual_layer_norm(x, y, g, b, p, draw, 1e-12)
         tx, ty, tg, tb = twin
-        chain = T.layer_norm(T.add(tx, T.dropout(ty, p, training, twin_draw)), tg, tb, 1e-12)
+        chain = T.layer_norm(T.add(tx, T.dropout(ty, p, twin_draw)), tg, tb, 1e-12)
         np.testing.assert_array_equal(fused.array, chain.array)
-        assert draw.bit_generator.state == twin_draw.bit_generator.state
+        if drawn:
+            assert draw.bit_generator.state == twin_draw.bit_generator.state
         T.tsum(fused * T.Tensor(dout)).backward()
         T.tsum(chain * T.Tensor(dout)).backward()
         for a, c in zip((x, y, g, b), twin):
@@ -181,13 +184,13 @@ class TestResidualLayerNorm:
     def test_no_branch_is_layer_norm(self):
         (x, _, g, b), _ = self._inputs(5)
         np.testing.assert_array_equal(
-            T.residual_layer_norm(x, None, g, b, 0.5, True, None).array,
+            T.residual_layer_norm(x, None, g, b, 0.5, None).array,
             T.layer_norm(x, g, b).array,
         )
 
     def test_training_records_one_node(self):
         (x, y, g, b), _ = self._inputs(6)
-        out = T.residual_layer_norm(x, y, g, b, 0.1, True, np.random.default_rng(0))
+        out = T.residual_layer_norm(x, y, g, b, 0.1, np.random.default_rng(0))
         assert out._parents == (x, y, g, b)
 
     @pytest.mark.parametrize(
@@ -198,18 +201,18 @@ class TestResidualLayerNorm:
         x, y = T.Tensor(np.zeros((2, 5, 8))), T.Tensor(np.zeros(y_shape))
         with pytest.raises(ShapeError):
             T.residual_layer_norm(x, y, T.Tensor(np.ones(g_shape)), T.Tensor(np.zeros(8)),
-                                  0.1, False, None)
+                                  0.1, None)
 
     @pytest.mark.parametrize(
         "p,rng,eps",
-        [(1.0, np.random.default_rng(0), 1e-12), (-0.1, None, 1e-12), (0.1, None, 1e-12),
+        [(1.0, np.random.default_rng(0), 1e-12), (-0.1, None, 1e-12), (1.0, None, 1e-12),
          (0.1, np.random.default_rng(0), 0.0)],
     )
     def test_config_errors(self, p, rng, eps):
         x, y = T.Tensor(np.zeros((2, 8))), T.Tensor(np.zeros((2, 8)))
         with pytest.raises(ConfigError):
             T.residual_layer_norm(x, y, T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)),
-                                  p, True, rng, eps)
+                                  p, rng, eps)
 
 
 class TestGelu:
@@ -251,16 +254,16 @@ class TestCrossEntropy:
 class TestDropout:
     def test_p_zero_identity(self):
         x = T.Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.0, True, np.random.default_rng(0)) is x
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_inference_identity(self):
         x = T.Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.5, False, None) is x
+        assert T.dropout(x, 0.5, None) is x
 
     def test_monte_carlo_rate(self):
         rng = np.random.default_rng(7)
         x = T.Tensor(np.ones(10**6))
-        out = T.dropout(x, 0.1, True, rng).array
+        out = T.dropout(x, 0.1, rng).array
         zeroed = np.mean(out == 0.0)
         assert abs(zeroed - 0.1) < 0.002
         # survivors inversely scaled
@@ -268,14 +271,14 @@ class TestDropout:
 
     def test_bad_probability(self):
         with pytest.raises(ConfigError):
-            T.dropout(T.Tensor([1.0]), 1.0, True, np.random.default_rng(0))
+            T.dropout(T.Tensor([1.0]), 1.0, np.random.default_rng(0))
 
     def test_equals_scaled_float_mask_bit_for_bit(self):
         rng = np.random.default_rng(3)
         x = T.Tensor(rng.normal(size=(50, 40)), requires_grad=True)
         dout = rng.normal(size=(50, 40))
         draw, twin = np.random.default_rng(6), np.random.default_rng(6)
-        out = T.dropout(x, 0.1, True, draw)
+        out = T.dropout(x, 0.1, draw)
         T.tsum(out * T.Tensor(dout)).backward()
         keep = (twin.random(x.shape) >= 0.1) / (1 - 0.1)
         np.testing.assert_array_equal(out.array, x.array * keep)
@@ -284,8 +287,8 @@ class TestDropout:
 
     def test_identical_seed_identical_mask(self):
         x = T.Tensor(np.ones(1000))
-        a = T.dropout(x, 0.3, True, np.random.default_rng(5)).array
-        b = T.dropout(x, 0.3, True, np.random.default_rng(5)).array
+        a = T.dropout(x, 0.3, np.random.default_rng(5)).array
+        b = T.dropout(x, 0.3, np.random.default_rng(5)).array
         assert np.array_equal(a, b)
 
 
@@ -319,31 +322,27 @@ class TestAttention:
     @pytest.mark.parametrize("sq,mask", [(5, PAD_LAST_TWO), (3, None)])
     def test_matches_numpy_reference(self, sq, mask):
         q, k, v = self._inputs(0, sq=sq)
-        out = T.attention(q, k, v, mask, 2, 0.1, False, None)
+        out = T.attention(q, k, v, mask, 2, 0.1, None)
         ref = _attention_reference(q.array, k.array, v.array, mask, 2)
         assert out.shape == (2, sq, 4)
         np.testing.assert_allclose(out.array, ref, rtol=0, atol=1e-12)
 
     def test_padding_keys_get_no_weight(self):
         q, k, v = self._inputs(1)
-        out = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None).array
+        out = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, None).array
         v.array[1, 3:] = 1e6
         k.array[1, 3:] = -7.0
-        again = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None).array
+        again = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, None).array
         np.testing.assert_array_equal(again, out)
 
     def test_training_draws_one_dropout_mask(self):
         q, k, v = self._inputs(2)
         rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        out = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.3, True, rng)
+        out = T.attention(q, k, v, PAD_LAST_TWO, 2, 0.3, rng)
         keep = (twin.random((2, 2, 5, 5)) >= 0.3) / 0.7
         assert rng.bit_generator.state == twin.bit_generator.state
         ref = _attention_reference(q.array, k.array, v.array, PAD_LAST_TWO, 2, keep)
         np.testing.assert_allclose(out.array, ref, rtol=0, atol=1e-12)
-
-    def test_training_without_rng_is_config_error(self):
-        with pytest.raises(ConfigError):
-            T.attention(*self._inputs(3), None, 2, 0.1, True, None)
 
     @pytest.mark.parametrize(
         "shapes,mask_shape,heads",
@@ -360,7 +359,7 @@ class TestAttention:
         q, k, v = (T.Tensor(np.zeros(s)) for s in shapes)
         mask = None if mask_shape is None else np.zeros(mask_shape)
         with pytest.raises(ShapeError):
-            T.attention(q, k, v, mask, heads, 0.0, False, None)
+            T.attention(q, k, v, mask, heads, 0.0, None)
 
     def test_constant_inputs_get_no_gradient(self):
         q, k, v = self._inputs(4)
@@ -368,12 +367,12 @@ class TestAttention:
             for t in (q, k, v):
                 t.requires_grad = t is trainable
                 t.zero_grad()
-            T.tsum(T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None)).backward()
+            T.tsum(T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, None)).backward()
             for t in (q, k, v):
                 assert (t.grad is not None) == (t is trainable)
 
     def test_frozen_inputs_record_no_graph(self):
-        out = T.attention(*self._inputs(5), PAD_LAST_TWO, 2, 0.0, False, None)
+        out = T.attention(*self._inputs(5), PAD_LAST_TWO, 2, 0.0, None)
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
 
@@ -382,7 +381,7 @@ class TestAttention:
         probe = T.Tensor(np.random.default_rng(7).normal(size=(2, 3, 4)))
 
         def loss():  # a fresh rng each call: the same dropout mask every time
-            out = T.attention(q, k, v, None, 2, 0.4, True, np.random.default_rng(8))
+            out = T.attention(q, k, v, None, 2, 0.4, np.random.default_rng(8))
             return T.tsum(out * probe)
 
         assert grad_check(loss, [q, k, v], h=1e-4).max_rel_err < 1e-4
@@ -398,7 +397,7 @@ class TestAutodiff:
             ("mul", lambda a, b: a * b, [(3, 4), (3, 4)]),
             (
                 "attention-self",
-                lambda q, k, v: T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, False, None),
+                lambda q, k, v: T.attention(q, k, v, PAD_LAST_TWO, 2, 0.0, None),
                 [(2, 5, 4)] * 3,
             ),
             ("softmax", lambda a: T.softmax(a, -1), [(3, 5)]),
@@ -410,24 +409,24 @@ class TestAutodiff:
             ("linear-3d", T.linear, [(2, 3, 4), (4, 2), (2,)]),
             (
                 "attention-cross",
-                lambda q, k, v: T.attention(q, k, v, None, 2, 0.0, False, None),
+                lambda q, k, v: T.attention(q, k, v, None, 2, 0.0, None),
                 [(2, 3, 4), (2, 5, 4), (2, 5, 4)],
             ),
             (
                 "residual-layer-norm",
-                lambda x, y, g, b: T.residual_layer_norm(x, y, g, b, 0.1, False, None, 1e-6),
+                lambda x, y, g, b: T.residual_layer_norm(x, y, g, b, 0.1, None, 1e-6),
                 [(3, 8), (3, 8), (8,), (8,)],
             ),
             (  # a fresh rng each call: the same dropout mask every time
                 "residual-layer-norm-dropout",
                 lambda x, y, g, b: T.residual_layer_norm(
-                    x, y, g, b, 0.3, True, np.random.default_rng(8), 1e-6
+                    x, y, g, b, 0.3, np.random.default_rng(8), 1e-6
                 ),
                 [(2, 3, 8), (2, 3, 8), (8,), (8,)],
             ),
             (
                 "dropout",
-                lambda a: T.dropout(a, 0.4, True, np.random.default_rng(9)),
+                lambda a: T.dropout(a, 0.4, np.random.default_rng(9)),
                 [(3, 4)],
             ),
             ("linear-no-bias", T.linear, [(2, 3, 4), (4, 2)]),
@@ -498,7 +497,7 @@ class TestAutodiff:
             for s in ((2, 3, 4), (4, 4), (4,), (4,), (4,))
         )
         hidden = T.linear(x, w, b)
-        normed = T.residual_layer_norm(x, hidden, g, beta, 0.2, True, np.random.default_rng(1))
+        normed = T.residual_layer_norm(x, hidden, g, beta, 0.2, np.random.default_rng(1))
         probs = T.softmax(normed, -1)
         square = probs * probs
         act = T.gelu(square)
@@ -556,9 +555,9 @@ def test_training_graphs_are_freed_by_reference_counting():
     gc.collect()
     gc.disable()
     try:
-        loss = qa_batch_loss(qa_w, encodings, training=True, rng=rng)
+        loss = qa_batch_loss(qa_w, encodings, rng=rng)
         loss.backward()
-        loss = tmlm_batch_loss(mlm_w, tmlm, training=True, rng=rng)
+        loss = tmlm_batch_loss(mlm_w, tmlm, rng=rng)
         loss.backward()
         del loss
         assert gc.collect() == 0
@@ -601,7 +600,7 @@ faults = []
 for _ in range(7):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     weights.zero_grads()
-    qa_batch_loss(weights, batch, training=True, rng=rng).backward()
+    qa_batch_loss(weights, batch, rng=rng).backward()
     adam_step(params, weights.grads(), adam, cfg.base_lr)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps({"questions": len(batch), "faults": faults}))
