@@ -8,14 +8,17 @@ single sequence is a batch of one. Forwards are read-only over the weights,
 read every hyperparameter (dropout rate, head and layer counts, capacities)
 from ``weights.config``, and draw dropout noise only from a generator they
 are given: without ``rng`` a forward is the deterministic inference pass.
-``pad_batch`` builds the id rectangle and ``gather_rows`` reads TE output
-rows by flat index, the one way the pre-training losses and the QA heads
-read TE's outputs.
+A padded batch has one form. ``pad_batch`` right-pads integer sequences
+with 0 into a rectangle and a bool mask, True on real slots; it builds TE's
+token ids and every flat row index that the pre-training losses and the QA
+heads read TE's outputs by. 0 is both the PAD id and the row that a masked
+index slot reads. ``gather_rows`` reads those rows, for an index array of any
+shape, and every forward passes its mask to ``tensor.attention`` as it is.
 
 All three attentions (TE and TL self-attention, MHA cross-attention) go
 through ``_attention``: the q/k/v/o ``linear`` projections around one
-``tensor.attention`` node, with padding keys masked by an additive (B, S)
-score array. Both sublayers of a TE or TL layer (attention, feed-forward)
+``tensor.attention`` node, with padding keys masked by the (B, S) bool key
+mask. Both sublayers of a TE or TL layer (attention, feed-forward)
 end in one ``tensor.residual_layer_norm`` node, LayerNorm(x + dropout(out)).
 The key projection and the UID/span heads carry no bias: a key bias would add
 ``q . bk`` to every score of a query row, and a head bias one constant to
@@ -43,7 +46,6 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
 from .tensor import (
-    MASK_SCORE,
     Tensor,
     as_tensor,
     attention,
@@ -247,13 +249,12 @@ def init_encoder_weights(
 # -- forward passes -----------------------------------------------------------
 
 
-def pad_batch(
-    sequences: Sequence[Sequence[int]], pad_id: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id sequences to a rectangle; mask True on real positions."""
+def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad integer sequences with 0 to a rectangle; mask True on real
+    positions."""
     n = len(sequences)
     width = max(len(s) for s in sequences)
-    ids = np.full((n, width), pad_id, dtype=np.intp)
+    ids = np.zeros((n, width), dtype=np.intp)
     mask = np.zeros((n, width), dtype=bool)
     for i, s in enumerate(sequences):
         ids[i, : len(s)] = s
@@ -265,9 +266,7 @@ def gather_rows(out: Tensor, idx) -> Tensor:
     """Rows of a (B, L, h) output picked by flat index b*L + position; an
     index array of any shape gives ``idx.shape + (h,)``."""
     b, l, h = out.shape
-    idx = np.asarray(idx, dtype=np.intp)
-    rows = index_select(reshape(out, (b * l, h)), idx.reshape(-1))
-    return reshape(rows, idx.shape + (h,))
+    return index_select(reshape(out, (b * l, h)), idx)
 
 
 def _batched(x, name: str) -> Tensor:
@@ -277,22 +276,12 @@ def _batched(x, name: str) -> Tensor:
     return x
 
 
-def _additive_key_mask(mask: np.ndarray | None, batch: int, length: int) -> np.ndarray | None:
-    """(B, S) additive key scores: 0 on real keys, MASK_SCORE on padding."""
-    if mask is None:
-        return None
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != (batch, length):
-        raise ShapeError(f"attention mask shape {m.shape} != {(batch, length)}")
-    return np.where(m, 0.0, MASK_SCORE)
-
-
 def _attention(
     w: EncoderWeights,
     prefix: str,
     x_q: Tensor,
     x_kv: Tensor,
-    add_mask: np.ndarray | None,
+    key_mask: np.ndarray | None,
     rng,
 ) -> Tensor:
     """Multi-head attention of ``x_q`` over ``x_kv`` with the weights
@@ -304,7 +293,7 @@ def _attention(
         linear(x_q, w[f"{prefix}wq"], w[f"{prefix}bq"]),
         linear(x_kv, w[f"{prefix}wk"]),
         linear(x_kv, w[f"{prefix}wv"], w[f"{prefix}bv"]),
-        add_mask, cfg.num_heads, cfg.dropout_p, rng,
+        key_mask, cfg.num_heads, cfg.dropout_p, rng,
     )
     return linear(ctx, w[f"{prefix}wo"], w[f"{prefix}bo"])
 
@@ -313,11 +302,11 @@ def _self_attention_block(
     w: EncoderWeights,
     prefix: str,
     x: Tensor,
-    add_mask: np.ndarray | None,
+    key_mask: np.ndarray | None,
     rng,
 ) -> Tensor:
     p = w.config.dropout_p
-    attn_out = _attention(w, f"{prefix}.attn_", x, x, add_mask, rng)
+    attn_out = _attention(w, f"{prefix}.attn_", x, x, key_mask, rng)
     x = residual_layer_norm(
         x, attn_out, w[f"{prefix}.ln1_g"], w[f"{prefix}.ln1_b"], p, rng, LN_EPS
     )
@@ -344,19 +333,17 @@ def te_forward(
     ids = np.asarray(token_ids, dtype=np.intp)
     if ids.ndim != 2:
         raise ShapeError(f"token_ids must be (B, S), got shape {ids.shape}")
-    b, s = ids.shape
+    s = ids.shape[1]
     if s > config.token_position_capacity:
         raise CapacityError(
             f"sequence length {s} exceeds positional capacity "
             f"{config.token_position_capacity}"
         )
-    add_mask = _additive_key_mask(attention_mask, b, s)
-    tok = index_select(weights["token_emb"], ids.reshape(-1))
-    x = reshape(tok, (b, s, config.hidden_size))
+    x = index_select(weights["token_emb"], ids)
     pos = index_select(weights["token_pos_emb"], np.arange(s))
     x = dropout(x + pos, config.dropout_p, rng)
     for i in range(config.num_layers):
-        x = _self_attention_block(weights, f"te.{i}", x, add_mask, rng)
+        x = _self_attention_block(weights, f"te.{i}", x, attention_mask, rng)
     return x
 
 
@@ -376,13 +363,12 @@ def tl_forward(
     """
     config = weights.config
     x = _batched(utterance_embeddings, "utterance_embeddings")
-    b, s, _ = x.shape
+    s = x.shape[1]
     if position_offset + s > config.max_utterances + 1:
         raise CapacityError(
             f"utterance sequence of {s} at offset {position_offset} exceeds "
             f"capacity {config.max_utterances + 1}"
         )
-    add_mask = _additive_key_mask(attention_mask, b, s)
     if config.use_utterance_positions:
         pos = index_select(
             weights["utt_pos_emb"], np.arange(position_offset, position_offset + s)
@@ -390,7 +376,7 @@ def tl_forward(
         x = x + pos
     x = dropout(x, config.dropout_p, rng)
     for i in range(2):
-        x = _self_attention_block(weights, f"tl.{i}", x, add_mask, rng)
+        x = _self_attention_block(weights, f"tl.{i}", x, attention_mask, rng)
     return x
 
 
@@ -413,7 +399,6 @@ def mha_forward(
     xu = _batched(utterance_embeddings, "utterance_embeddings")
     if xq.shape[1] == 0 or xu.shape[1] == 0:
         raise ShapeError("mha_forward requires non-empty question and utterance inputs")
-    add_mask = _additive_key_mask(question_mask, xq.shape[0], xq.shape[1])
     normed = layer_norm(xu, weights["mha.ln_g"], weights["mha.ln_b"], LN_EPS)
-    out = _attention(weights, "mha.", normed, xq, add_mask, rng)
+    out = _attention(weights, "mha.", normed, xq, question_mask, rng)
     return xu + dropout(out, weights.config.dropout_p, rng)

@@ -15,9 +15,11 @@ most utterances and S the widest head (speaker plus words) in the batch:
   - MHA takes question keys (B, Q, h), padding masked by ``question_mask``,
     and every utterance token as a query, flattened to (B, M*S, h);
   - the UID head gives (B, M+1) logits and the span heads (B, M, S).
-Every logit slot past a question's utterances or past an utterance's width
-holds MASK_SCORE, so softmax gives it exactly zero probability and the
-per-question results equal those of a batch of one.
+``pad_batch`` builds every one of these layouts from lists of flat TE row
+indices: TE's ids, the CLS rows, the question tokens and the utterance tokens,
+each with its bool mask. Every logit slot past a question's utterances or
+past an utterance's width holds MASK_SCORE, so softmax gives it exactly zero
+probability and the per-question results equal those of a batch of one.
 
 The forwards and losses read the model config from ``weights.config``; only
 ``encode_for_qa``, which has no weights, takes a ``ModelConfig``. They draw
@@ -119,39 +121,33 @@ def qa_batch_logits(
     for enc in encodings:
         for seq in (enc.question_ids, *enc.utterance_ids):
             row_of.setdefault(seq, len(row_of))
-    ids, mask = pad_batch(list(row_of), 0)
+    ids, mask = pad_batch(list(row_of))
     # ids by keyword: the benchmark's tracer reads TE's rows from ``token_ids``
     out = te_forward(weights, token_ids=ids, attention_mask=mask, rng=rng)
     width = ids.shape[1]
     b = len(encodings)
     m_max = max(enc.num_utterances for enc in encodings)
-    q_max = max(len(enc.question_ids) for enc in encodings) - 1
-    s_max = max(len(u) for enc in encodings for u in enc.utterance_ids) - 1
-    # Flat indices into TE's (rows * width) outputs; padding slots point at
-    # row 0 and are masked downstream.
-    cls_idx = np.zeros((b, m_max + 1), dtype=np.intp)
-    cls_mask = np.zeros((b, m_max + 1), dtype=bool)
-    q_idx = np.zeros((b, q_max), dtype=np.intp)
-    q_mask = np.zeros((b, q_max), dtype=bool)
-    tok_idx = np.zeros((b, m_max, s_max), dtype=np.intp)
-    tok_mask = np.zeros((b, m_max, s_max), dtype=bool)
-    for i, enc in enumerate(encodings):
-        starts = [row_of[seq] * width for seq in (enc.question_ids, *enc.utterance_ids)]
-        cls_idx[i, : len(starts)] = starts
-        cls_mask[i, : len(starts)] = True
-        n_q = len(enc.question_ids) - 1
-        q_idx[i, :n_q] = starts[0] + 1 + np.arange(n_q)
-        q_mask[i, :n_q] = True
-        for k, u in enumerate(enc.utterance_ids):
-            tok_idx[i, k, : len(u) - 1] = starts[k + 1] + 1 + np.arange(len(u) - 1)
-            tok_mask[i, k, : len(u) - 1] = True
+    # Per question, the flat indices of each of its sequences in TE's
+    # (rows * width) outputs, [CLS] first: the question, then the utterances
+    # and an empty range for every utterance slot past its last.
+    flat = [
+        [
+            range(row_of[seq] * width, row_of[seq] * width + len(seq))
+            for seq in (enc.question_ids, *enc.utterance_ids)
+        ] + [range(0)] * (m_max - enc.num_utterances)
+        for enc in encodings
+    ]
+    cls_idx, cls_mask = pad_batch([[r[0] for r in rows if r] for rows in flat])
+    q_idx, q_mask = pad_batch([rows[0][1:] for rows in flat])
+    tok_idx, tok_mask = pad_batch([r[1:] for rows in flat for r in rows[1:]])
+    tok_mask = tok_mask.reshape(b, m_max, -1)
 
     tc = tl_forward(
         weights, gather_rows(out, cls_idx),
         attention_mask=cls_mask, rng=rng,
     )
     uid = reshape(linear(tc, weights["uid_w"]), (b, m_max + 1))
-    tokens = gather_rows(out, tok_idx.reshape(b, m_max * s_max))
+    tokens = gather_rows(out, tok_idx.reshape(b, -1))
     attended = mha_forward(
         weights, gather_rows(out, q_idx), tokens,
         question_mask=q_mask, rng=rng,

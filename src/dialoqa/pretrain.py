@@ -206,7 +206,7 @@ def tmlm_batch_loss(
 ) -> Tensor:
     """Mean cross-entropy over every masked position in the batch, each
     predicted from its own output embedding through the tied projection."""
-    ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
+    ids, mask = pad_batch([inst.token_ids for inst in instances])
     out = te_forward(weights, ids, mask, rng=rng)
     width = ids.shape[1]
     flat_idx = [
@@ -225,7 +225,7 @@ def umlm_batch_loss(
 ) -> Tensor:
     """Cross-entropy of each instance's single mask label predicted from the
     CLS output embedding, averaged over the batch."""
-    ids, mask = pad_batch([inst.token_ids for inst in instances], 0)
+    ids, mask = pad_batch([inst.token_ids for inst in instances])
     out = te_forward(weights, ids, mask, rng=rng)
     width = ids.shape[1]
     cls_rows = gather_rows(out, [b * width for b in range(len(instances))])
@@ -244,17 +244,12 @@ def uop_batch_logits(
     mean-pooled sequence is projected to two classes. CLS slots past an
     instance's utterances read row 0 and are masked."""
     seqs = [seq for inst in instances for seq in inst.utterance_token_ids]
-    ids, mask = pad_batch(seqs, 0)
+    ids, mask = pad_batch(seqs)
     out = te_forward(weights, ids, mask, rng=rng)
-    m_max = max(len(inst.utterance_token_ids) for inst in instances)
-    cls_idx = np.zeros((len(instances), m_max), dtype=np.intp)
-    utt_mask = np.zeros((len(instances), m_max), dtype=bool)
-    row = 0
-    for i, inst in enumerate(instances):
-        n = len(inst.utterance_token_ids)
-        cls_idx[i, :n] = (row + np.arange(n)) * ids.shape[1]
-        utt_mask[i, :n] = True
-        row += n
+    cls_rows = iter(range(0, ids.size, ids.shape[1]))
+    cls_idx, utt_mask = pad_batch(
+        [[next(cls_rows) for _ in inst.utterance_token_ids] for inst in instances]
+    )
     tc = tl_forward(
         weights, gather_rows(out, cls_idx),
         position_offset=1, attention_mask=utt_mask, rng=rng,

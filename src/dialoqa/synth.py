@@ -6,6 +6,13 @@ Questions ask about a fact's key entity, answers are spans inside the fact's
 utterance, and unanswerable questions reference an entity the dialogue never
 mentions. Entities are drawn without replacement inside a dialogue so each
 question has a unique supporting utterance.
+
+No pool runs dry. A fact kind whose pool is empty is drawn again from the
+kinds that still have room, and an unanswerable question takes a fresh event
+once the objects are gone. A fact takes at most one object or event, so the
+12 objects and 8 events leave room for 8 facts and 8 unanswerable questions.
+Only a draw that could not be built before is drawn again, so every corpus
+that built before keeps its bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import AnswerSpan, Dialogue, QAExample, Utterance, make_example
-from .errors import ConfigError, CorpusError
+from .errors import ConfigError
 
 SPEAKERS = ("alice", "bob", "carol", "dave", "erin", "frank")
 ORDINALS = ("first", "second", "third", "fourth", "fifth", "sixth", "seventh", "eighth")
@@ -28,66 +35,55 @@ CAUSES = ("rain", "traffic", "noise", "strike", "fog", "thunder")
 VEHICLES = ("train", "bus", "bike", "car", "tram")
 NAMES = SPEAKERS
 
-FACT_TYPES = ("where", "who", "when", "what", "why", "how")
+POOLS = {"objects": OBJECTS, "names": NAMES, "events": EVENTS}
+# The pools each fact kind draws a fresh entity from.
+FACT_POOLS = {
+    "where": ("objects",),
+    "who": ("objects",),
+    "when": ("events",),
+    "what": ("objects", "names"),
+    "why": ("events",),
+    "how": ("names",),
+}
+FACT_TYPES = tuple(FACT_POOLS)
 
 
-Fresh = Callable[[str, tuple[str, ...]], str]
-
-
-def _fresh_picker(rng: np.random.Generator, dialogue: str) -> Fresh:
-    """``fresh(pool_name, pool)`` draws the entities of one dialogue without
-    replacement, per pool; it raises CorpusError when a pool runs out."""
-    used: dict[str, set] = {}
-
-    def fresh(pool_name: str, pool: tuple[str, ...]) -> str:
-        taken = used.setdefault(pool_name, set())
-        options = [x for x in pool if x not in taken]
-        if not options:
-            raise CorpusError(f"dialogue {dialogue}: all {len(pool)} {pool_name} are taken")
-        pick = options[int(rng.integers(len(options)))]
-        taken.add(pick)
-        return pick
-
-    return fresh
+Fresh = Callable[[str], str]
 
 
 def _build_fact(kind: str, rng: np.random.Generator, fresh: Fresh):
     """Returns (utterance tokens, question text, relative answer span)."""
     if kind == "where":
-        obj = fresh("objects", OBJECTS)
+        obj = fresh("objects")
         place = PLACES[int(rng.integers(len(PLACES)))]
         tokens = ["the", obj, "is", "in", "the", place]
         return tokens, f"where is the {obj}", (4, 5)
     if kind == "who":
-        obj = fresh("objects", OBJECTS)
+        obj = fresh("objects")
         name = NAMES[int(rng.integers(len(NAMES)))]
         tokens = [name, "kept", "the", obj]
         return tokens, f"who kept the {obj}", (0, 0)
     if kind == "when":
-        event = fresh("events", EVENTS)
+        event = fresh("events")
         day = DAYS[int(rng.integers(len(DAYS)))]
         tokens = ["the", event, "is", "on", day]
         return tokens, f"when is the {event}", (3, 4)
     if kind == "what":
-        obj = fresh("objects", OBJECTS)
-        name = fresh("names", NAMES)  # the question keys on the name
+        obj = fresh("objects")
+        name = fresh("names")  # the question keys on the name
         tokens = [name, "found", "the", obj]
         return tokens, f"what did {name} find", (2, 3)
     if kind == "why":
-        event = fresh("events", EVENTS)
+        event = fresh("events")
         cause = CAUSES[int(rng.integers(len(CAUSES)))]
         tokens = ["the", event, "stopped", "because", "of", "the", cause]
         return tokens, f"why did the {event} stop", (3, 6)
     if kind == "how":
-        name = fresh("names", NAMES)
+        name = fresh("names")
         vehicle = VEHICLES[int(rng.integers(len(VEHICLES)))]
         tokens = [name, "traveled", "by", vehicle]
         return tokens, f"how did {name} travel", (2, 3)
     raise ValueError(f"unknown fact kind {kind!r}")
-
-
-def _unanswerable_question(fresh: Fresh) -> str:
-    return f"where is the {fresh('objects', OBJECTS)}"
 
 
 def generate_dialogue(
@@ -102,11 +98,21 @@ def generate_dialogue(
 ) -> tuple[Dialogue, list[QAExample]]:
     m = int(rng.integers(min_utterances, max_utterances + 1))
     cast = list(rng.choice(len(SPEAKERS), size=3, replace=False))
-    fresh = _fresh_picker(rng, f"e{episode_id}{scene_id}")
+    left = {name: list(pool) for name, pool in POOLS.items()}
+
+    def fresh(pool_name: str) -> str:  # without replacement, per dialogue
+        return left[pool_name].pop(int(rng.integers(len(left[pool_name]))))
+
+    def has_room(kind: str) -> bool:
+        return all(left[name] for name in FACT_POOLS[kind])
+
     utterances = []
     facts = []  # (utterance index, question text, answer span)
     for i in range(m):
         kind = FACT_TYPES[int(rng.integers(len(FACT_TYPES)))]
+        if not has_room(kind):
+            room = [k for k in FACT_TYPES if has_room(k)]
+            kind = room[int(rng.integers(len(room)))]
         tokens, question, (a0, a1) = _build_fact(kind, rng, fresh)
         full = [ORDINALS[i]] + tokens  # the marker shifts spans by one
         speaker = SPEAKERS[cast[int(rng.integers(len(cast)))]]
@@ -121,7 +127,11 @@ def generate_dialogue(
         qid = f"e{episode_id}{scene_id}q{k}"
         ui, question, (a0, a1) = facts[fi]
         if rng.random() < unanswerable_fraction:
-            examples.append(make_example(qid, _unanswerable_question(fresh), ()))
+            if left["objects"]:
+                question = f"where is the {fresh('objects')}"
+            else:
+                question = f"when is the {fresh('events')}"
+            examples.append(make_example(qid, question, ()))
             continue
         text = " ".join(utterances[ui].tokens[a0 : a1 + 1])
         span = AnswerSpan(ui, a0, a1, text)
@@ -140,8 +150,8 @@ def generate_corpus(
     unanswerable_fraction: float = 0.15,
 ) -> list[tuple[Dialogue, list[QAExample]]]:
     """Raises ConfigError unless 1 <= min_utterances <= max_utterances <=
-    len(ORDINALS) and questions_per_dialogue >= 0. Long dialogues can run a
-    dialogue's entity pool dry, which raises CorpusError."""
+    len(ORDINALS) and questions_per_dialogue >= 0; every other setting
+    builds."""
     if not 1 <= min_utterances <= max_utterances <= len(ORDINALS):
         raise ConfigError(
             f"utterances per dialogue must satisfy 1 <= min ({min_utterances}) "

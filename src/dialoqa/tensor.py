@@ -294,7 +294,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def index_select(a: Tensor, indices) -> Tensor:
-    """Gather rows (slices along axis 0); gradient scatter-adds (duplicates sum)."""
+    """Gather rows (slices along axis 0) by an index array of any shape, giving
+    ``indices.shape + a.shape[1:]``; gradient scatter-adds (duplicates sum)."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
@@ -499,7 +500,7 @@ def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    add_mask: np.ndarray | None,
+    key_mask: np.ndarray | None,
     num_heads: int,
     p: float,
     rng: np.random.Generator | None,
@@ -508,22 +509,24 @@ def attention(
 
     ``q`` (B, Sq, h) are projected queries and ``k``, ``v`` (B, Sk, h)
     projected keys and values; the last axis splits into ``num_heads``
-    heads of width d. Scores ``q kᵀ / sqrt(d)`` plus ``add_mask`` (B, Sk)
-    (0 on real keys, MASK_SCORE on padding; None for no mask) go through a
-    max-shifted softmax over the keys; given an rng, the probabilities get
-    inverted dropout of rate ``p`` from one ``rng.random`` draw. Returns the
-    heads' contexts merged back to (B, Sq, h).
+    heads of width d. ``key_mask`` is a (B, Sk) bool array, True on real
+    keys, or None for no mask. The scores ``q kᵀ / sqrt(d)`` get MASK_SCORE
+    added on padding keys and go through a max-shifted softmax over the keys;
+    given an rng, the probabilities get inverted dropout of rate ``p`` from
+    one ``rng.random`` draw. Returns the heads' contexts merged back to
+    (B, Sq, h).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    mask = None if key_mask is None else np.asarray(key_mask)
     if (
         q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
         or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]
         or num_heads < 1 or q.shape[2] % num_heads
-        or (add_mask is not None and add_mask.shape != k.shape[:2])
+        or (mask is not None and (mask.shape != k.shape[:2] or mask.dtype != bool))
     ):
         raise ShapeError(
             f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, "
-            f"mask {None if add_mask is None else add_mask.shape}, {num_heads} heads"
+            f"mask {None if mask is None else f'{mask.shape} {mask.dtype}'}, {num_heads} heads"
         )
     b, sq, h = q.shape
     sk = k.shape[1]
@@ -534,8 +537,8 @@ def attention(
     scale = 1.0 / math.sqrt(d)
     probs = qh @ kh.transpose(0, 1, 3, 2)
     probs *= scale
-    if add_mask is not None:
-        probs += add_mask[:, None, None, :]
+    if mask is not None:
+        probs += np.where(mask, 0.0, MASK_SCORE)[:, None, None, :]
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)

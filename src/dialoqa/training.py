@@ -155,6 +155,12 @@ class RunConfig:
             raise ConfigError("uop_shuffle_prob must be in [0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        for name in ("tmlm_steps", "umlm_steps", "uop_steps", "finetune_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.warmup_fraction < 1.0:
+            raise ConfigError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
+        self.model_config(1)  # the model settings fail here, not inside a stage
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         shared = (f.name for f in fields(ModelConfig) if f.name != "vocab_size")

@@ -112,8 +112,8 @@ class TestTeForward:
         w["te.0.attn_bv"].array[:] = c
         want = c @ w["te.0.attn_wo"].array + w["te.0.attn_bo"].array
         x = T.Tensor(rng.normal(size=(2, 5, 8)))
-        for add_mask in (None, np.where(PADDED, 0.0, T.MASK_SCORE)):
-            out = encoder._attention(w, "te.0.attn_", x, x, add_mask, None).array
+        for key_mask in (None, PADDED):
+            out = encoder._attention(w, "te.0.attn_", x, x, key_mask, None).array
             np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), rtol=0, atol=1e-12)
 
     def test_attention_ignores_padded_keys(self, uop_weights):
@@ -121,10 +121,9 @@ class TestTeForward:
         x = rng.normal(size=(2, 5, 8))
         changed = x.copy()
         changed[~PADDED] = 10.0 * rng.normal(size=(2, 8))
-        add_mask = np.where(PADDED, 0.0, T.MASK_SCORE)
         a, b = (
             encoder._attention(uop_weights, "te.0.attn_", T.Tensor(v), T.Tensor(v),
-                               add_mask, None).array
+                               PADDED, None).array
             for v in (x, changed)
         )
         assert np.array_equal(a[PADDED], b[PADDED])  # padded queries may change
@@ -259,6 +258,18 @@ def test_wrong_rank_input_is_shape_error(ft_weights):
         tl_forward(ft_weights, np.zeros((4, 8)))
     with pytest.raises(ShapeError, match=r"\(5, 8\)"):
         mha_forward(ft_weights, np.zeros((5, 8)), np.zeros((1, 7, 8)))
+
+
+def test_mis_shaped_mask_is_shape_error(ft_weights):
+    ids, x = np.ones((2, 5), dtype=np.intp), np.zeros((2, 5, 8))
+    bad = np.ones((2, 4), dtype=bool)
+    for forward in (
+        lambda: te_forward(ft_weights, ids, bad),
+        lambda: tl_forward(ft_weights, x, attention_mask=bad),
+        lambda: mha_forward(ft_weights, x, np.zeros((2, 3, 8)), question_mask=bad),
+    ):
+        with pytest.raises(ShapeError, match=r"mask \(2, 4\)"):
+            forward()
 
 
 def test_te_gradcheck_toy_scale(uop_weights):

@@ -517,6 +517,9 @@ class TestRunConfigParsing:
             ("beta2", 1.0), ("beta2", math.nan),
             ("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", math.nan), ("epsilon", math.inf),
             ("umlm_samples_per_utterance", 0),
+            ("warmup_fraction", 0.0), ("warmup_fraction", 1.0), ("warmup_fraction", math.nan),
+            ("tmlm_steps", 0), ("umlm_steps", 0), ("uop_steps", -1), ("finetune_steps", 0),
+            ("num_heads", 3), ("dropout_p", 1.0),
         ],
     )
     def test_bad_optimizer_settings_raise(self, field, value):
@@ -784,6 +787,21 @@ class TestCli:
         assert code == 1
         assert str(blocker) in err["message"]
 
+    @pytest.mark.parametrize("settings, field", [
+        ("tmlm_steps = 0\n", "tmlm_steps"), ("warmup_fraction = 0\n", "warmup_fraction"),
+    ], ids=["no-tmlm-steps", "no-warmup"])
+    def test_bad_run_settings_fail_before_any_output(
+        self, corpus_path, tmp_path, capsys, settings, field
+    ):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"corpus = {corpus_path}\n{settings}")
+        out = tmp_path / "run"
+        code, err = self._main_error(capsys, "pretrain", "--stage", "tmlm", "--config", str(path),
+                                     "--out", str(out))
+        assert (code, err["error"]) == (1, "ConfigError")
+        assert field in err["message"]
+        assert not out.exists()
+
     def test_resume_with_other_settings_is_json_error(self, corpus_path, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         base = (
@@ -806,8 +824,10 @@ class TestCli:
         ("synth_min_utterances = 9\nsynth_max_utterances = 9\n", "ConfigError"),
         ("synth_min_utterances = 5\nsynth_max_utterances = 4\n", "ConfigError"),
         ("synth_questions_per_dialogue = -1\n", "ConfigError"),
-        ("synth_min_utterances = 8\nsynth_max_utterances = 8\nseed = 15\n", "CorpusError"),
-    ], ids=["too-many-utterances", "min-above-max", "negative-questions", "names-run-out"])
+        ("num_heads = 3\n", "ConfigError"),
+        ("dropout_p = 1.0\n", "ConfigError"),
+    ], ids=["too-many-utterances", "min-above-max", "negative-questions", "indivisible-heads",
+            "dropout-of-one"])
     def test_bad_synth_settings_are_json_errors(self, tmp_path, capsys, settings, error):
         path = tmp_path / "run.cfg"
         path.write_text(settings)

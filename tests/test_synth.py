@@ -2,7 +2,7 @@
 
 import pytest
 
-from dialoqa.errors import ConfigError, CorpusError
+from dialoqa.errors import ConfigError
 from dialoqa.synth import ORDINALS, generate_corpus
 
 
@@ -17,10 +17,21 @@ def test_out_of_range_arguments_raise_config_error(kwargs):
         generate_corpus(num_episodes=1, **kwargs)
 
 
-def test_an_exhausted_pool_names_the_pool_and_the_dialogue():
-    # eight facts can ask for more fresh names than the six there are
-    with pytest.raises(CorpusError, match=r"dialogue e\d+s\d: all 6 names are taken"):
-        generate_corpus(min_utterances=8, max_utterances=8, seed=15)
+@pytest.mark.parametrize("utterances", [7, 8])
+@pytest.mark.parametrize("questions, unanswerable", [(3, 0.15), (8, 1.0)])
+def test_every_bound_setting_builds(utterances, questions, unanswerable):
+    # the longest dialogues, alone or with only unanswerable questions, once
+    # ran a pool dry (names for eight facts, objects for eight questions)
+    for seed in range(40):
+        corpus = generate_corpus(
+            min_utterances=utterances, max_utterances=utterances,
+            questions_per_dialogue=questions, unanswerable_fraction=unanswerable, seed=seed,
+        )
+        for dialogue, examples in corpus:
+            words = {t for u in dialogue.utterances for t in u.tokens}
+            for qa in examples:
+                if not qa.answerable:  # keyed on an entity the dialogue never mentions
+                    assert qa.question_tokens[-1] not in words
 
 
 @pytest.mark.parametrize("size", [1, len(ORDINALS)])

@@ -28,10 +28,8 @@ SOFTMAX_123 = [0.090030573170380458, 0.24472847105479765, 0.66524095577482189]
 GELU_1 = 0.84134474606854295
 CE_123_TARGET2 = 0.40760596444438030
 
-# (2, 5) additive key mask: the second sequence's last two keys are padding
-PAD_LAST_TWO = np.where(
-    np.array([[True] * 5, [True, True, True, False, False]]), 0.0, T.MASK_SCORE
-)
+# (2, 5) bool key mask: the second sequence's last two keys are padding
+PAD_LAST_TWO = np.array([[True] * 5, [True, True, True, False, False]])
 
 
 def test_tensor_views_and_invariants():
@@ -292,19 +290,20 @@ class TestDropout:
         assert np.array_equal(a, b)
 
 
-def _attention_reference(q, k, v, add_mask, num_heads, keep=None):
-    """Plain numpy multi-head attention, one head and one sequence at a time."""
+def _attention_reference(q, k, v, key_mask, num_heads, keep=None):
+    """Plain numpy multi-head attention, one head and one sequence at a time;
+    the softmax runs over the real keys only, and padding keys get 0."""
     b, sq, h = q.shape
     d = h // num_heads
     out = np.zeros((b, sq, h))
     for i in range(b):
+        real = np.ones(k.shape[1], dtype=bool) if key_mask is None else key_mask[i]
         for j in range(num_heads):
             cols = slice(j * d, (j + 1) * d)
-            scores = q[i, :, cols] @ k[i, :, cols].T / math.sqrt(d)
-            if add_mask is not None:
-                scores = scores + add_mask[i]
+            scores = q[i, :, cols] @ k[i][real, cols].T / math.sqrt(d)
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            probs = e / e.sum(axis=-1, keepdims=True)
+            probs = np.zeros((sq, k.shape[1]))
+            probs[:, real] = e / e.sum(axis=-1, keepdims=True)
             if keep is not None:
                 probs = probs * keep[i, j]
             out[i, :, cols] = probs @ v[i, :, cols]
@@ -357,9 +356,15 @@ class TestAttention:
     )
     def test_shape_errors(self, shapes, mask_shape, heads):
         q, k, v = (T.Tensor(np.zeros(s)) for s in shapes)
-        mask = None if mask_shape is None else np.zeros(mask_shape)
+        mask = None if mask_shape is None else np.ones(mask_shape, dtype=bool)
         with pytest.raises(ShapeError):
             T.attention(q, k, v, mask, heads, 0.0, None)
+
+    def test_an_additive_float_mask_is_refused(self):
+        # 0 on real keys and MASK_SCORE on padding would read inverted as bool
+        q, k, v = self._inputs(3)
+        with pytest.raises(ShapeError, match="float64"):
+            T.attention(q, k, v, np.where(PAD_LAST_TWO, 0.0, T.MASK_SCORE), 2, 0.0, None)
 
     def test_constant_inputs_get_no_gradient(self):
         q, k, v = self._inputs(4)
@@ -430,6 +435,11 @@ class TestAutodiff:
                 [(3, 4)],
             ),
             ("linear-no-bias", T.linear, [(2, 3, 4), (4, 2)]),
+            (
+                "index-select-2d",
+                lambda a: T.index_select(a, [[3, 0, 3], [1, 3, 0]]),
+                [(4, 5)],
+            ),
         ],
     )
     def test_op_gradients(self, name, fn, shapes):
