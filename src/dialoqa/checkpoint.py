@@ -1,20 +1,20 @@
 """Versioned binary checkpoints and cross-stage weight transfer.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
-(sorted keys), then the tensor payloads as little-endian float64 in header
-directory order. Tensor names are sorted, offsets are derived, and the rng
-state round-trips through the header, so save -> load -> save is
-byte-identical. A save goes to a temporary file in the target directory that
-then replaces the target, so an interrupted save leaves the old file whole;
-a load checks the header's fields and their types, the payload length
-against the directory and every payload value for finiteness, and raises
-``CheckpointError`` for any file it cannot read. The directory is strict: it
-holds exactly the tensors of the stage's ``encoder.stage_shapes``, and, when
-the header has an Adam record, an ``adam.m.`` and an ``adam.v.`` moment of
-each in that tensor's shape; a missing, extra or mis-shaped tensor raises
-``CheckpointError`` naming it, so a resume never restarts a moment at zero.
-Format 2 dropped the attention key biases and the QA head biases, which
-format 1 held; a format-1 file raises ``CheckpointError`` naming its version.
+(sorted keys), then the payload of little-endian float64 tensors. The header
+stores nothing that can be derived. The payload layout (``_layout``) follows
+from the stage, the model config and whether there is an Adam record: the
+tensors of ``encoder.stage_shapes`` and, with an Adam record, an ``adam.m.``
+and an ``adam.v.`` moment of each, in sorted name order. ``save_checkpoint``
+raises ``CheckpointError`` naming a missing, extra or mis-shaped tensor or
+moment, so a resume never restarts a moment at zero; it writes a temporary
+file that then replaces the target, so an interrupted save leaves the old
+file whole. ``load_checkpoint`` checks the header's fields and types, the
+payload length against the layout and every value for finiteness, and
+raises ``CheckpointError`` for any file it cannot read. save -> load -> save
+is byte-identical. Format 3 dropped the tensor directory and the resume
+counters, which ``training.fit`` replays from the dev history; a file of
+another format raises ``CheckpointError`` naming its version.
 
 ``transfer_weights`` starts a stage from a checkpoint of one of its
 ``encoder.STAGE_SOURCES``: each group in ``TRANSFERRED_GROUPS`` (TE, TL)
@@ -49,7 +49,7 @@ from .tensor import Tensor
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -73,21 +73,31 @@ class Checkpoint:
         return self.adam is not None and self.rng_state is not None
 
 
+def _layout(config: ModelConfig, stage: str, with_adam: bool) -> dict[str, tuple[int, ...]]:
+    """``{name: shape}`` of a payload in file order: the stage's tensors and,
+    with an Adam record, both moments of each, by sorted name."""
+    shapes = stage_shapes(config, stage)
+    if with_adam:
+        shapes.update({f"adam.{mv}.{n}": s for mv in "mv" for n, s in shapes.items()})
+    return dict(sorted(shapes.items()))
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    tensors: dict[str, np.ndarray] = {
-        name: p.array for name, p in ckpt.weights.named()
-    }
+    tensors: dict[str, np.ndarray] = {name: p.array for name, p in ckpt.weights.named()}
     if ckpt.adam is not None:
-        for name, m in ckpt.adam.first_moment.items():
-            tensors[f"adam.m.{name}"] = m
-        for name, v in ckpt.adam.second_moment.items():
-            tensors[f"adam.v.{name}"] = v
-    directory = []
-    offset = 0
-    for name in sorted(tensors):
-        arr = tensors[name]
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
+        tensors.update({f"adam.m.{n}": m for n, m in ckpt.adam.first_moment.items()})
+        tensors.update({f"adam.v.{n}": v for n, v in ckpt.adam.second_moment.items()})
+    layout = _layout(ckpt.config, ckpt.stage, ckpt.adam is not None)
+    for name in sorted(layout.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r} for stage {ckpt.stage}")
+        if name not in layout:
+            raise CheckpointError(f"{path}: tensor {name!r} does not belong to stage {ckpt.stage}")
+        if tensors[name].shape != layout[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"config implies {layout[name]}"
+            )
     header = {
         "format_version": FORMAT_VERSION,
         "stage": ckpt.stage,
@@ -97,7 +107,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "adam": None if ckpt.adam is None else {k: getattr(ckpt.adam, k) for k in _ADAM_FIELDS},
         "rng_state": ckpt.rng_state,
         "train_state": ckpt.train_state,
-        "tensors": directory,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = Path(path).with_name(Path(path).name + ".tmp")
@@ -106,7 +115,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             f.write(MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            for name in sorted(tensors):
+            for name in layout:
                 f.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
         os.replace(tmp, path)
     finally:
@@ -115,21 +124,18 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 _NUMBER = (int, float)
 _OPTIONAL_OBJECT = (dict, type(None))
-# JSON type of each header field; a bool is no number here.
+# JSON type of each field; a bool is no number here.
 _HEADER_FIELDS = {
-    "stage": str, "global_step": int, "model_config": dict, "vocab": list,
-    "adam": _OPTIONAL_OBJECT, "rng_state": _OPTIONAL_OBJECT, "train_state": dict,
-    "tensors": list,
+    "format_version": int, "stage": str, "global_step": int, "model_config": dict,
+    "vocab": list, "adam": _OPTIONAL_OBJECT, "rng_state": _OPTIONAL_OBJECT,
+    "train_state": dict,
 }
 _ADAM_FIELDS = {
     "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "weight_decay": _NUMBER,
     "step": int,
 }
-_TENSOR_FIELDS = {"name": str, "shape": list, "offset": int}
-# Optional train_state fields that resuming reads.
-_TRAIN_STATE_FIELDS = {
-    "epoch": int, "bad_evals": int, "history": list, "best_metrics": _OPTIONAL_OBJECT,
-}
+# All optional: a best snapshot's epoch and metrics, a -last's dev history.
+_TRAIN_STATE_FIELDS = {"epoch": int, "metrics": dict, "history": list}
 
 
 def _is(value, types) -> bool:
@@ -137,23 +143,27 @@ def _is(value, types) -> bool:
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
-def _check_fields(obj, fields: dict, where: str) -> None:
+def _check_fields(obj, fields: dict, where: str, optional: bool = False) -> None:
+    """Raises CheckpointError unless ``obj`` is an object with no field
+    outside ``fields`` and each of them (unless ``optional``) of its type."""
     if not isinstance(obj, dict):
         raise CheckpointError(f"{where} is not a JSON object")
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise CheckpointError(f"{where} has the unknown field {unknown[0]!r}")
     for key, types in fields.items():
-        if key not in obj:
+        if key not in obj and not optional:
             raise CheckpointError(f"{where} lacks the field {key!r}")
-        if not _is(obj[key], types):
+        if key in obj and not _is(obj[key], types):
             raise CheckpointError(
                 f"{where} field {key!r} has the wrong type {type(obj[key]).__name__}"
             )
 
 
 def _check_header(header, path) -> None:
-    """Raises CheckpointError unless the header has the format version and
-    every field with its JSON type, no other field, and no step, epoch or
-    count below 0 (-1 for the epoch of a best snapshot); the model config and
-    vocabulary are checked by their own constructors."""
+    """Raises CheckpointError unless the header has the format version, every
+    field with its JSON type and no other, no step below 0 and no epoch below
+    -1; the model config and vocabulary are checked by their constructors."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -162,37 +172,22 @@ def _check_header(header, path) -> None:
             f"unsupported (expected {FORMAT_VERSION})"
         )
     _check_fields(header, _HEADER_FIELDS, f"{path}: header")
-    unknown = sorted(set(header) - {"format_version", *_HEADER_FIELDS})
-    if unknown:
-        raise CheckpointError(f"{path}: header has the unknown field {unknown[0]!r}")
     if header["stage"] not in STAGE_GROUPS:
         raise CheckpointError(f"{path}: unknown stage {header['stage']!r}")
     if not all(isinstance(tok, str) for tok in header["vocab"]):
         raise CheckpointError(f"{path}: vocabulary holds a non-string token")
-    if header["adam"] is not None:
-        _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
     state = header["train_state"]
-    for key, types in _TRAIN_STATE_FIELDS.items():
-        if key in state and not _is(state[key], types):
-            raise CheckpointError(
-                f"{path}: train_state field {key!r} has the wrong type "
-                f"{type(state[key]).__name__}"
-            )
+    _check_fields(state, _TRAIN_STATE_FIELDS, f"{path}: train_state", optional=True)
     if not all(isinstance(rec, dict) for rec in state.get("history", [])):
         raise CheckpointError(f"{path}: train_state history holds a non-object")
-    values = {"global_step": header["global_step"]}
-    values.update({f"train_state {k}": state[k] for k in ("epoch", "bad_evals") if k in state})
+    values = [("global_step", header["global_step"], 0),
+              ("train_state epoch", state.get("epoch", 0), -1)]
     if header["adam"] is not None:
-        values["adam step"] = header["adam"]["step"]
-    for where, value in values.items():
-        # a best snapshot (no Adam record) of the start weights is epoch -1
-        lowest = -1 if where == "train_state epoch" and header["adam"] is None else 0
-        if value < lowest:
-            raise CheckpointError(f"{path}: {where} is {value}, below {lowest}")
-    for i, ent in enumerate(header["tensors"]):
-        _check_fields(ent, _TENSOR_FIELDS, f"{path}: header tensors[{i}]")
-        if not all(_is(n, int) and n >= 0 for n in ent["shape"]):
-            raise CheckpointError(f"{path}: tensor {ent['name']!r} has a bad shape")
+        _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
+        values.append(("adam step", header["adam"]["step"], 0))
+    for where, value, low in values:
+        if value < low:
+            raise CheckpointError(f"{path}: {where} is {value}, below {low}")
     if header["rng_state"] is not None:
         try:
             np.random.PCG64(0).state = header["rng_state"]
@@ -228,43 +223,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: vocabulary of {len(vocab)} tokens, config says {config.vocab_size}"
         )
     stage = header["stage"]
+    layout = _layout(config, stage, adam is not None)
+    ends = np.cumsum([0] + [math.prod(shape) for shape in layout.values()])
     payload = raw[16 + hlen :]
-    entries = header["tensors"]
-    counts = [math.prod(ent["shape"]) for ent in entries]
-    ends = np.cumsum([0] + counts) * 8
-    if [ent["offset"] for ent in entries] != ends[:-1].tolist() or len(payload) != ends[-1]:
+    if len(payload) != 8 * ends[-1]:
+        moments = "and their Adam moments " if adam is not None else ""
         raise CheckpointError(
-            f"{path}: payload of {len(payload)} bytes does not match the tensor "
-            f"directory, which describes {ends[-1]} bytes"
+            f"{path}: payload of {len(payload)} bytes, but the {stage} tensors "
+            f"{moments}take {8 * ends[-1]} bytes"
         )
-    arrays: dict[str, np.ndarray] = {
-        ent["name"]: np.frombuffer(payload, dtype="<f8", count=count, offset=ent["offset"])
-        .reshape(ent["shape"])
-        .astype(np.float64)
-        for ent, count in zip(entries, counts)
+    values = np.frombuffer(payload, dtype="<f8")
+    arrays = {
+        name: values[a:b].reshape(shape).astype(np.float64)
+        for (name, shape), a, b in zip(layout.items(), ends, ends[1:])
     }
-    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+    if not np.isfinite(values).all():
         name = next(n for n, arr in arrays.items() if not np.isfinite(arr).all())
         raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
-
-    # The directory holds exactly the stage's tensors, plus both Adam moments
-    # of each in its shape when the header has an optimizer state.
     expected = stage_shapes(config, stage)
-    want = dict(expected)
-    if adam is not None:
-        want.update({f"adam.{mv}.{n}": shape for mv in "mv" for n, shape in expected.items()})
-    if len(arrays) != len(entries):
-        raise CheckpointError(f"{path}: the tensor directory names a tensor twice")
-    for name in sorted(want.keys() | arrays.keys()):
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing tensor {name!r} for stage {stage}")
-        if name not in want:
-            raise CheckpointError(f"{path}: tensor {name!r} does not belong to stage {stage}")
-        if arrays[name].shape != want[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"config implies {want[name]}"
-            )
     params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
     if adam is not None:
         adam.first_moment = {name: arrays[f"adam.m.{name}"] for name in expected}

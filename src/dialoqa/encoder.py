@@ -31,8 +31,9 @@ encoder, "tl" the utterance transformer, and one task head, "mlm" (the bias
 of the vocabulary projection tied to ``token_emb``), "uop" or "qa" (MHA and
 the UID/span heads). ``group_shapes`` and ``stage_shapes`` give the tensor
 names and shapes in init order, which is also the order of the init rng
-draws. ``STAGE_SOURCES`` lists the stages whose checkpoint may start each
-stage: token and utterance MLM train TE, order prediction adds TL, and
+draws; TL's position table ``utt_pos_emb`` exists only with utterance
+positions on. ``STAGE_SOURCES`` lists the stages whose checkpoint may start
+each stage: token and utterance MLM train TE, order prediction adds TL, and
 fine-tuning takes over both (Li & Choi 2020, section 3).
 """
 
@@ -173,6 +174,8 @@ def group_shapes(config: ModelConfig, group: str) -> dict[str, tuple[int, ...]]:
     }
     if group not in groups:
         raise ConfigError(f"unknown parameter group {group!r}")
+    if not config.use_utterance_positions:
+        del groups["tl"]["utt_pos_emb"]
     return groups[group]
 
 

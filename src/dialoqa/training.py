@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import logging
 import operator
+import re
 import typing
 import zlib
 from dataclasses import dataclass, fields, replace
@@ -192,23 +193,27 @@ def _coerce(raw: str, typ) -> object:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key = value lines; '#' starts a comment; values may be quoted."""
+    """key = value lines; '#' outside quotes starts a comment; values may be
+    quoted; a key given twice is a ``ConfigError`` naming both lines."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read config file: {e}") from e
-    out: dict[str, str] = {}
+    out, lines = {}, {}  # key -> value, key -> line number
     for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
+        # blank, or key = value (a value that starts with a quote ends at its
+        # closing quote), then an optional comment
+        m = re.fullmatch(r"""\s*(?:([^#=]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?))?\s*(?:#.*)?""", line)
+        if m is None:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = body.split("=", 1)
-        value = value.strip()
+        key, value = m.groups()
+        if key is None:
+            continue
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
-        out[key.strip()] = value
+        out[key], lines[key] = value, lineno
     return out
 
 
@@ -364,6 +369,23 @@ def _improve(stage: str, metrics: dict, best: dict | None) -> tuple[bool, dict]:
     return bool(better), {n: metrics[n] if n in better else best[n] for n in tracked}
 
 
+def _replay(stage: str, history: list[dict]) -> tuple[dict, int]:
+    """The best tracked metrics over a dev ``history`` and the count of evals
+    since the last improvement, as ``fit`` keeps them; raises
+    ``CheckpointError`` naming a record without each one as a number."""
+    tracked, best, bad = list(_STAGES[stage].tracked), None, 0
+    for record in history:
+        values = [record.get(name) for name in tracked]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise CheckpointError(
+                f"stage {stage!r}: dev history record {record} needs a number for "
+                f"each of {tracked}"
+            )
+        improved, best = _improve(stage, record, best)
+        bad = 0 if improved else bad + 1
+    return best, bad
+
+
 def _save_best(
     state: Checkpoint, epoch: int, metrics: dict, out_dir: str | Path | None
 ) -> Checkpoint:
@@ -394,19 +416,18 @@ def fit(
     A fresh start evaluates the start weights, and that snapshot is the
     first best: like each improving epoch's snapshot, it is written to
     ``<out_dir>/<stage>-best.ckpt``. After each epoch the advanced state
-    goes to ``<out_dir>/<stage>-last.ckpt``. A resume (a state with dev
-    history) reads its best back from the ``-best`` file and raises
-    ``CheckpointError`` without one. A loss or gradient that is not finite
-    raises ``DivergenceError`` before the update. Returns (best checkpoint,
-    dev history)."""
+    goes to ``<out_dir>/<stage>-last.ckpt`` with the dev history as its
+    ``train_state``; both a fresh start and a resume replay the best
+    tracked metrics, the evals since the last improvement and the next
+    epoch from it. A resume (a state with dev history) reads its best back
+    from the ``-best`` file and raises ``CheckpointError`` without one. A
+    non-finite loss or gradient raises ``DivergenceError`` before the
+    update. Returns (best checkpoint, dev history)."""
     weights, adam, stage = state.weights, state.adam, state.stage
     rng = restore_rng(state.rng_state)
     global_step = state.global_step
     params = dict(weights.named())
     schedule = LRSchedule(run_config.base_lr, max_steps, run_config.warmup_fraction)
-    epoch = int(state.train_state.get("epoch", 0))
-    best_metrics = state.train_state.get("best_metrics")
-    bad = int(state.train_state.get("bad_evals", 0))
     history: list[dict] = list(state.train_state.get("history", []))
 
     if history:
@@ -419,11 +440,12 @@ def fit(
     else:
         metrics = task.dev_eval(weights)
         history.append({"epoch": -1, "step": global_step, **metrics})
-        _, best_metrics = _improve(stage, metrics, None)
         best = _save_best(state, -1, metrics, out_dir)
         logger.info("[%s] initial dev: %s", stage, metrics)
+    best_metrics, bad = _replay(stage, history)
 
     while global_step < max_steps and bad < run_config.patience:
+        epoch = len(history) - 1
         instances = task.build_epoch(rng)
         if not instances:
             raise CorpusError(f"stage {stage}: no training instances")
@@ -455,8 +477,7 @@ def fit(
         bad = 0 if improved else bad + 1
         state = replace(
             state, global_step=global_step, rng_state=rng.bit_generator.state,
-            train_state={"epoch": epoch + 1, "best_metrics": best_metrics,
-                         "bad_evals": bad, "history": history},
+            train_state={"history": history},
         )
         if improved:
             best = _save_best(state, epoch, metrics, out_dir)
@@ -466,7 +487,6 @@ def fit(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch, global_step, metrics, " *" if improved else "",
         )
-        epoch += 1
     return best, history
 
 

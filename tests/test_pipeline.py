@@ -4,6 +4,7 @@ config file format, and the CLI surface."""
 import functools
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -154,15 +155,19 @@ class TestStageTable:
         assert reached == set(stage_shapes(weights.config, stage))
         assert len(reached) == count
 
-    @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop", "finetuned"])
-    def test_every_stage_tensor_gets_more_than_roundoff(self, corpus_path, stage):
+    @pytest.mark.parametrize("stage, positions", [
+        ("tmlm", True), ("umlm", True), ("uop", True), ("finetuned", True),
+        ("uop", False), ("finetuned", False),
+    ], ids=["tmlm", "umlm", "uop", "finetuned", "uop-no-positions", "finetuned-no-positions"])
+    def test_every_stage_tensor_gets_more_than_roundoff(self, corpus_path, stage, positions):
         """No stage owns a parameter that cannot change its loss. With every
         1-d tensor drawn at random, so that no zero init hides a gradient,
         one backward moves each tensor's gradient above roundoff. The one
         exception is ``tl.1.ln2_b`` in fine-tuning: there TL's output feeds
         only the UID softmax, so a shift common to every row cancels; it is
-        transferred from uop, where it acts."""
-        cfg = _config(corpus_path)
+        transferred from uop, where it acts. Without utterance positions TL
+        has no position table."""
+        cfg = _config(corpus_path, use_utterance_positions=positions)
         weights, task = _fresh_stage(cfg, stage)
         rng = np.random.default_rng(2)
         for _, p in weights.named():
@@ -360,6 +365,34 @@ class TestResumeReplay:
             name = f"tmlm-{kind}.ckpt"
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_last_train_state_is_the_dev_history_alone(self, corpus_path, tmlm_ckpt, tmp_path):
+        out = tmp_path / "run"
+        _, history = run_finetune(_config(corpus_path, finetune_steps=6), tmlm_ckpt, out)
+        last = load_checkpoint(out / "finetuned-last.ckpt")
+        assert last.train_state == {"history": history}
+        assert [h["epoch"] for h in history] == list(range(-1, len(history) - 1))
+
+    def test_resume_replays_the_evals_since_the_last_improvement(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
+        """With a constant dev perplexity and a patience of 2 the run stops
+        after two epochs; killed after the first, the resume replays one bad
+        eval from the history and runs exactly one more."""
+        monkeypatch.setattr(training, "mlm_dev_perplexity", lambda *args: 7.0)
+        cfg = _config(corpus_path, patience=2)
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        _, history_a = training._run("tmlm", cfg, None, dir_a)
+        assert [h["epoch"] for h in history_a] == [-1, 0, 1]
+        _crash_after_first_last_checkpoint(monkeypatch)
+        with pytest.raises(_Crash):
+            run_stage("tmlm", cfg, out_dir=dir_b)
+        mid = load_checkpoint(dir_b / "tmlm-last.ckpt")
+        _, history_b = training._run("tmlm", cfg, mid, dir_b)
+        assert history_b == history_a
+        for kind in ("best", "last"):
+            name = f"tmlm-{kind}.ckpt"
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
     def test_resume_without_a_best_checkpoint_raises(self, corpus_path, tmp_path):
         cfg = _config(corpus_path, tmlm_steps=4)
         out = tmp_path / "run"
@@ -491,6 +524,22 @@ class TestRunConfigParsing:
         assert cfg.base_lr == 1e-3
         assert cfg.corpus == "some/path.json"
         assert cfg.use_utterance_positions is False
+
+    def test_a_hash_inside_quotes_is_no_comment(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            "corpus = \"data#1.json\"  # the corpus\nrun_name = 'a # b'\n"
+            "extra_corpus = don't.json  # an unquoted value keeps its apostrophe\n"
+        )
+        assert training.parse_config_file(p) == {
+            "corpus": "data#1.json", "run_name": "a # b", "extra_corpus": "don't.json",
+        }
+
+    def test_a_repeated_key_names_the_key_and_both_lines(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 7\n# a comment\nhidden_size = 16\n seed = 8\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:4: key 'seed' is already set on line 1"):
+            load_run_config(p)
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -647,7 +696,9 @@ class TestCli:
         code, err = self._main_error(capsys, "evaluate", "--init", str(path))
         assert (code, err["error"]) == (1, "CheckpointError")
 
-    def test_mistyped_train_state_on_resume_is_json_error(self, corpus_path, tmp_path, capsys):
+    def _pretrained_tmlm_last(self, corpus_path, tmp_path, rewrite):
+        """A 2-step tmlm run's config file and ``-last`` checkpoint, whose
+        header's ``train_state`` is changed in place by ``rewrite``."""
         path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
@@ -660,14 +711,46 @@ class TestCli:
         raw = last.read_bytes()
         (hlen,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + hlen])
-        header["train_state"]["epoch"] = "x"
+        rewrite(header["train_state"])
         blob = json.dumps(header).encode()
         last.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        return path, last
+
+    def test_mistyped_train_state_on_resume_is_json_error(self, corpus_path, tmp_path, capsys):
+        path, last = self._pretrained_tmlm_last(
+            corpus_path, tmp_path, lambda state: state.update(epoch="x")
+        )
         capsys.readouterr()
         code, err = self._main_error(
             capsys, "pretrain", "--stage", "tmlm", "--config", str(path), "--init", str(last)
         )
         assert (code, err["error"]) == (1, "CheckpointError")
+
+    @pytest.mark.parametrize(
+        "metrics", [{}, {"perplexity": "x"}, {"perplexity": True}, {"perplexity": None}],
+        ids=["missing", "string", "bool", "null"],
+    )
+    def test_history_without_the_tracked_metric_is_json_error(
+        self, corpus_path, tmp_path, capsys, metrics
+    ):
+        """A resume replays the dev history; a record without its perplexity
+        as a number is a JSON error, not a traceback. The resume has budget
+        left, so the run would train on."""
+        path, last = self._pretrained_tmlm_last(
+            corpus_path, tmp_path,
+            lambda state: state["history"].__setitem__(0, {"epoch": -1, "step": 0, **metrics}),
+        )
+        path.write_text(path.read_text().replace("tmlm_steps = 2", "tmlm_steps = 4"))
+        capsys.readouterr()
+        out = self._run(
+            "pretrain", "--stage", "tmlm", "--config", str(path), "--init", str(last),
+            "--out", str(last.parent),
+        )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        err = json.loads(out.stderr.strip().splitlines()[-1])
+        assert err["error"] == "CheckpointError"
+        assert re.search(r"record .*'epoch': -1.*each of \['perplexity'\]", err["message"])
 
     def test_resume_without_a_best_checkpoint_is_json_error(self, corpus_path, tmp_path, capsys):
         path = tmp_path / "run.cfg"

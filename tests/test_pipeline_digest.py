@@ -1,6 +1,7 @@
 """``tools/pipeline_digest.py``, the byte-identity check of the CLI pipeline:
-its digests repeat run to run, follow the MLM mode, and it writes into no
-directory that is already in use."""
+its digests repeat run to run, follow the MLM mode, cover each checkpoint's
+contents apart from its file, and it writes into no directory that is
+already in use."""
 
 import contextlib
 import importlib.util
@@ -8,6 +9,8 @@ import io
 from pathlib import Path
 
 import pytest
+
+from dialoqa.checkpoint import load_checkpoint, save_checkpoint
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "pipeline_digest.py"
 spec = importlib.util.spec_from_file_location("pipeline_digest", TOOL)
@@ -34,8 +37,13 @@ def dynamic(tmp_path_factory) -> list[str]:
     return _run(tmp_path_factory.mktemp("dynamic") / "out")
 
 
-def test_two_dynamic_runs_print_the_same_13_lines(dynamic, tmp_path):
-    assert len(dynamic) == 13
+def test_two_dynamic_runs_print_the_same_21_lines(dynamic, tmp_path):
+    """13 files, and a contents line after each of the 8 checkpoints."""
+    assert len(dynamic) == 21
+    names = [line.split("  ", 1)[1] for line in dynamic]
+    contents = [name for name in names if name.endswith(":contents")]
+    assert contents == [f"{name}:contents" for name in names if name.endswith(".ckpt")]
+    assert len(contents) == 8
     assert _run(tmp_path / "out") == dynamic
 
 
@@ -44,6 +52,7 @@ def test_static_masks_change_the_checkpoints_but_not_the_data(dynamic, tmp_path)
     dynamic = _by_file(dynamic)
     assert static.keys() == dynamic.keys()
     assert static["tmlm-last.ckpt"] != dynamic["tmlm-last.ckpt"]
+    assert static["tmlm-last.ckpt:contents"] != dynamic["tmlm-last.ckpt:contents"]
     for name in ("corpus.json", "vocab.txt"):
         assert static[name] == dynamic[name]
 
@@ -55,3 +64,18 @@ def test_a_non_empty_out_dir_is_refused(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "is not an empty directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+
+def test_contents_digest_covers_every_moment_and_not_the_file_layout(tmp_path):
+    out = tmp_path / "out"
+    _run(out)
+    ckpt = load_checkpoint(out / "uop-last.ckpt")
+    base = pipeline_digest.contents_digest(out / "uop-last.ckpt")
+    save_checkpoint(ckpt, tmp_path / "same.ckpt")
+    assert pipeline_digest.contents_digest(tmp_path / "same.ckpt") == base
+    ckpt.train_state["epoch"] = 0  # a header field outside the contents
+    save_checkpoint(ckpt, tmp_path / "epoch.ckpt")
+    assert pipeline_digest.contents_digest(tmp_path / "epoch.ckpt") == base
+    ckpt.adam.second_moment["uop_b"][0] += 1e-12
+    save_checkpoint(ckpt, tmp_path / "moment.ckpt")
+    assert pipeline_digest.contents_digest(tmp_path / "moment.ckpt") != base

@@ -13,7 +13,12 @@ checkout whose ``src`` is on the path:
 
 OUT_DIR must be absent or empty. The CLI's own output goes to stderr; stdout
 holds one ``<sha256>  <file>`` line per output file, sorted by name, so two
-runs compare with ``diff``. Exits with the CLI's code if a step fails.
+runs compare with ``diff``. Each checkpoint also gets a
+``<sha256>  <file>:contents`` line, a digest of the state it holds read
+through the ``load_checkpoint`` on the path (see ``contents_digest``), so a
+tree that changes the checkpoint format can be compared with one that does
+not: their file lines differ, their ``:contents`` lines must not. Exits with
+the CLI's code if a step fails.
 """
 
 from __future__ import annotations
@@ -21,10 +26,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from dialoqa.checkpoint import load_checkpoint
 from dialoqa.cli import main as dialoqa
 
 RECIPE = {
@@ -63,12 +72,43 @@ def run_pipeline(out: Path, mlm_mode: str) -> int:
     return 0
 
 
+def contents_digest(path: Path) -> str:
+    """sha256 of a checkpoint's state, in a fixed order: the stage, step and
+    vocabulary tokens; the Adam settings and step; the rng state and dev
+    history; then every weight tensor and Adam moment by sorted name."""
+    ckpt = load_checkpoint(path)
+    adam = ckpt.adam
+    state = {
+        "stage": ckpt.stage,
+        "global_step": ckpt.global_step,
+        "vocab": list(ckpt.vocab.id_to_token),
+        "adam": None if adam is None else [
+            adam.beta1, adam.beta2, adam.epsilon, adam.weight_decay, adam.step
+        ],
+        "rng_state": ckpt.rng_state,
+        "history": ckpt.train_state.get("history"),
+    }
+    tensors = {name: p.array for name, p in ckpt.weights.named()}
+    if adam is not None:
+        tensors.update({f"adam.m.{name}": m for name, m in adam.first_moment.items()})
+        tensors.update({f"adam.v.{name}": v for name, v in adam.second_moment.items()})
+    digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8"))
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        digest.update(f"{name} {list(arr.shape)}\n".encode("utf-8"))
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 def digests(out: Path) -> list[str]:
-    return [
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    ]
+    lines = []
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            name = path.relative_to(out)
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+            if path.suffix == ".ckpt":
+                lines.append(f"{contents_digest(path)}  {name}:contents")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
