@@ -1,18 +1,19 @@
 """Versioned binary checkpoints and cross-stage weight transfer.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
-(sorted keys), then the payload of little-endian float64 tensors. The header
-stores nothing that can be derived. The payload layout (``_layout``) follows
-from the stage, the model config and whether there is an Adam record: the
-tensors of ``encoder.stage_shapes`` and, with an Adam record, an ``adam.m.``
-and an ``adam.v.`` moment of each, in sorted name order. ``save_checkpoint``
-raises ``CheckpointError`` naming a missing, extra or mis-shaped tensor or
-moment, so a resume never restarts a moment at zero; it writes a temporary
-file that then replaces the target, so an interrupted save leaves the old
-file whole. ``load_checkpoint`` checks the header's fields and types, the
-payload length against the layout and every value for finiteness, and
-raises ``CheckpointError`` for any file it cannot read. save -> load -> save
-is byte-identical. Format 3 dropped the tensor directory and the resume
+(sorted keys), then the payload of little-endian float64 values. The header
+stores nothing that can be derived: the payload is the tensors of
+``encoder.stage_shapes`` and, with an Adam record, an ``adam.m.`` and an
+``adam.v.`` moment of each, in sorted name order. Those names sort as three
+blocks, so the payload is the first moment vector, the second and the weight
+vector (``EncoderWeights.vector``), which save writes and load splits.
+``save_checkpoint`` checks the header as load does and that each moment is
+as long as the weights, so it writes no file load refuses; it writes a
+temporary file that then replaces the target, so an interrupted save leaves
+the old file whole. ``load_checkpoint`` checks the header's fields and
+types, the payload length and every value for finiteness, and raises
+``CheckpointError`` for any file it cannot read. save -> load -> save is
+byte-identical. Format 3 dropped the tensor directory and the resume
 counters, which ``training.fit`` replays from the dev history; a file of
 another format raises ``CheckpointError`` naming its version.
 
@@ -39,13 +40,12 @@ from .encoder import (
     TRANSFERRED_GROUPS,
     EncoderWeights,
     ModelConfig,
-    _init_tensor,
+    _init_array,
     group_shapes,
     stage_shapes,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, SequencingError
 from .optim import AdamState
-from .tensor import Tensor
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
@@ -73,41 +73,24 @@ class Checkpoint:
         return self.adam is not None and self.rng_state is not None
 
 
-def _layout(config: ModelConfig, stage: str, with_adam: bool) -> dict[str, tuple[int, ...]]:
-    """``{name: shape}`` of a payload in file order: the stage's tensors and,
-    with an Adam record, both moments of each, by sorted name."""
-    shapes = stage_shapes(config, stage)
-    if with_adam:
-        shapes.update({f"adam.{mv}.{n}": s for mv in "mv" for n, s in shapes.items()})
-    return dict(sorted(shapes.items()))
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    tensors: dict[str, np.ndarray] = {name: p.array for name, p in ckpt.weights.named()}
-    if ckpt.adam is not None:
-        tensors.update({f"adam.m.{n}": m for n, m in ckpt.adam.first_moment.items()})
-        tensors.update({f"adam.v.{n}": v for n, v in ckpt.adam.second_moment.items()})
-    layout = _layout(ckpt.config, ckpt.stage, ckpt.adam is not None)
-    for name in sorted(layout.keys() | tensors.keys()):
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r} for stage {ckpt.stage}")
-        if name not in layout:
-            raise CheckpointError(f"{path}: tensor {name!r} does not belong to stage {ckpt.stage}")
-        if tensors[name].shape != layout[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"config implies {layout[name]}"
-            )
+    weights, adam = ckpt.weights, ckpt.adam
     header = {
         "format_version": FORMAT_VERSION,
         "stage": ckpt.stage,
         "global_step": ckpt.global_step,
         "model_config": ckpt.config.to_dict(),
         "vocab": list(ckpt.vocab.id_to_token),
-        "adam": None if ckpt.adam is None else {k: getattr(ckpt.adam, k) for k in _ADAM_FIELDS},
+        "adam": None if adam is None else {k: getattr(adam, k) for k in _ADAM_FIELDS},
         "rng_state": ckpt.rng_state,
         "train_state": ckpt.train_state,
     }
+    _check_header(header, path)
+    vectors = [weights.vector]
+    if adam is not None:
+        vectors = [adam.first_moment, adam.second_moment, weights.vector]
+        if any(m is None or m.shape != weights.vector.shape for m in vectors[:2]):
+            raise CheckpointError(f"{path}: an Adam moment is not a vector as long as the weights")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
@@ -115,8 +98,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             f.write(MAGIC)
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            for name in layout:
-                f.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+            for vector in vectors:
+                f.write(np.ascontiguousarray(vector, dtype="<f8").data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -223,30 +206,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: vocabulary of {len(vocab)} tokens, config says {config.vocab_size}"
         )
     stage = header["stage"]
-    layout = _layout(config, stage, adam is not None)
-    ends = np.cumsum([0] + [math.prod(shape) for shape in layout.values()])
+    size = sum(math.prod(shape) for shape in stage_shapes(config, stage).values())
+    prefixes = ("adam.m.", "adam.v.", "") if adam is not None else ("",)
     payload = raw[16 + hlen :]
-    if len(payload) != 8 * ends[-1]:
+    if len(payload) != 8 * size * len(prefixes):
         moments = "and their Adam moments " if adam is not None else ""
         raise CheckpointError(
             f"{path}: payload of {len(payload)} bytes, but the {stage} tensors "
-            f"{moments}take {8 * ends[-1]} bytes"
+            f"{moments}take {8 * size * len(prefixes)} bytes"
         )
-    values = np.frombuffer(payload, dtype="<f8")
-    arrays = {
-        name: values[a:b].reshape(shape).astype(np.float64)
-        for (name, shape), a, b in zip(layout.items(), ends, ends[1:])
-    }
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    vectors = [values[i * size : (i + 1) * size] for i in range(len(prefixes))]
+    weights = EncoderWeights(config, stage, vectors[-1])
     if not np.isfinite(values).all():
-        name = next(n for n, arr in arrays.items() if not np.isfinite(arr).all())
-        raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
-    expected = stage_shapes(config, stage)
-    params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
+        bad = [prefix + name for prefix, vector in zip(prefixes, vectors)
+               for name, arr in weights.views(vector).items() if not np.isfinite(arr).all()]
+        raise CheckpointError(f"{path}: tensor {min(bad)!r} holds a NaN or infinite value")
     if adam is not None:
-        adam.first_moment = {name: arrays[f"adam.m.{name}"] for name in expected}
-        adam.second_moment = {name: arrays[f"adam.v.{name}"] for name in expected}
+        adam.first_moment, adam.second_moment = vectors[:2]
     return Checkpoint(
-        weights=EncoderWeights(config, stage, params),
+        weights=weights,
         vocab=vocab,
         global_step=header["global_step"],
         adam=adam,
@@ -271,23 +250,23 @@ def transfer_weights(
             f"cannot transfer from stage {source.stage!r} to {target_stage!r}; "
             f"it starts from one of {list(sources)}"
         )
-    params: dict[str, Tensor] = {}
+    weights = EncoderWeights(target_config, target_stage)
     mismatched: list[str] = []
     for group in STAGE_GROUPS[target_stage]:
         copy = group in TRANSFERRED_GROUPS and group in STAGE_GROUPS[source.stage]
         for name, want in group_shapes(target_config, group).items():
             src = source.weights.params.get(name)
             if not copy:
-                params[name] = _init_tensor(name, want, rng)
+                weights[name].array[...] = _init_array(name, want, rng)
             elif src is None:
                 mismatched.append(f"{name} (absent in source)")
             elif src.shape != want:
                 mismatched.append(f"{name} (source {src.shape} vs target {want})")
             else:
-                params[name] = Tensor(src.array.copy(), requires_grad=True)
+                weights[name].array[...] = src.array
     if mismatched:
         raise CheckpointError(
             "incompatible checkpoint for transfer; offending tensors: "
             + ", ".join(mismatched)
         )
-    return EncoderWeights(target_config, target_stage, params)
+    return weights

@@ -34,14 +34,19 @@ names and shapes in init order, which is also the order of the init rng
 draws; TL's position table ``utt_pos_emb`` exists only with utterance
 positions on. ``STAGE_SOURCES`` lists the stages whose checkpoint may start
 each stage: token and utterance MLM train TE, order prediction adds TL, and
-fine-tuning takes over both (Li & Choi 2020, section 3).
+fine-tuning takes over both (Li & Choi 2020, section 3). A stage's weights
+are one flat vector in sorted name order (``EncoderWeights``) that every
+parameter views; its gradient and Adam moments are vectors of that layout.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -189,28 +194,39 @@ def stage_shapes(config: ModelConfig, stage: str) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
+def _init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     base = name.rsplit(".", 1)[-1]
     if base.startswith("ln") and base.endswith("_g"):
-        arr = np.ones(shape)
-    elif len(shape) == 1:
-        arr = np.zeros(shape)  # biases
-    else:
-        arr = rng.normal(0.0, INIT_STD, size=shape)
-    return Tensor(arr, requires_grad=True)
+        return np.ones(shape)
+    if len(shape) == 1:
+        return np.zeros(shape)  # biases
+    return rng.normal(0.0, INIT_STD, size=shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class EncoderWeights:
-    """All learnable parameters for one pipeline stage, keyed by name.
-
-    The vocabulary projection weight is the transpose of ``token_emb``
-    (tied); only its bias is a separate tensor.
+    """All learnable parameters for one pipeline stage, in one float64
+    ``vector`` (zeros unless given) that holds the stage's tensors in sorted
+    name order, as a checkpoint's payload does. ``params`` maps each name, in
+    table order, to a Tensor whose array is a view of the vector: code writes
+    into a parameter's array and never rebinds it. The vocabulary projection
+    weight is the transpose of ``token_emb`` (tied); only its bias is a
+    separate tensor.
     """
 
     config: ModelConfig
     stage: str
-    params: dict[str, Tensor] = field(default_factory=dict)
+    vector: np.ndarray | None = None
+    params: Mapping[str, Tensor] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._shapes = stage_shapes(self.config, self.stage)
+        self._order = sorted(self._shapes)
+        ends = np.cumsum([math.prod(self._shapes[name]) for name in self._order])
+        self._splits = ends[:-1]
+        self.vector = np.zeros(ends[-1]) if self.vector is None else self.vector
+        views = self.views(self.vector).items()
+        self.params = MappingProxyType({n: Tensor(v, requires_grad=True) for n, v in views})
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -221,6 +237,12 @@ class EncoderWeights:
     def named(self) -> Iterable[tuple[str, Tensor]]:
         return self.params.items()
 
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's view, by name in table order, of a vector laid out
+        like ``vector``: the weights, a gradient or an Adam moment."""
+        flat = dict(zip(self._order, np.split(vector, self._splits)))
+        return {name: flat[name].reshape(shape) for name, shape in self._shapes.items()}
+
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -228,25 +250,27 @@ class EncoderWeights:
     def frozen(self) -> "EncoderWeights":
         """The same arrays (not copies) as constants, for inference: a
         forward over them records no autodiff graph."""
-        params = {name: Tensor(p.array) for name, p in self.params.items()}
-        return EncoderWeights(self.config, self.stage, params)
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, p in self.params.items():
-            g = p.grad_array()
-            out[name] = np.zeros_like(p.array) if g is None else g
+        out = copy.copy(self)
+        out.params = MappingProxyType({name: Tensor(p.array) for name, p in self.params.items()})
         return out
+
+    def grads(self) -> np.ndarray:
+        """Every parameter's gradient gathered into one vector laid out like
+        ``vector``, with zeros where backward left a parameter none."""
+        return np.concatenate([
+            np.zeros(p.size) if p.grad is None else p.grad
+            for p in map(self.params.__getitem__, self._order)
+        ])
 
 
 def init_encoder_weights(
     config: ModelConfig, stage: str, rng: np.random.Generator
 ) -> EncoderWeights:
-    params = {
-        name: _init_tensor(name, shape, rng)
-        for name, shape in stage_shapes(config, stage).items()
-    }
-    return EncoderWeights(config, stage, params)
+    """Fresh weights, drawn from ``rng`` in table order."""
+    weights = EncoderWeights(config, stage)
+    for name, p in weights.named():
+        p.array[...] = _init_array(name, p.shape, rng)
+    return weights
 
 
 # -- forward passes -----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Adam with decoupled weight decay, the linear warmup/decay schedule, and a
 finite-difference gradient checker used as the verification oracle for the
-autodiff engine."""
+autodiff engine. Adam updates whole vectors (``EncoderWeights.vector`` from
+``EncoderWeights.grads()``), a few numpy calls however many tensors a stage has."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -15,56 +16,48 @@ from .tensor import Tensor
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments, each laid out like the parameter vector (None
+    before the first step), plus the shared step counter."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.01
     step: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
-def adam_step(
-    params: Mapping[str, Tensor],
-    grads: Mapping[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One decoupled-weight-decay Adam update, mutating params and state.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One decoupled-weight-decay Adam update of the parameter vector from
+    the gradient vector, mutating params and state. Elementwise, so one pass
+    over a stage's vector equals one per tensor.
 
     Weight decay is applied directly to the weights (not through the
     moments). Must be called by one writer at a time.
     """
     if lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    if grads.shape != params.shape:
+        raise ShapeError(
+            f"gradient shape {grads.shape} does not match parameter shape {params.shape}"
+        )
+    if state.first_moment is None:
+        state.first_moment, state.second_moment = np.zeros_like(params), np.zeros_like(params)
+    m, v = state.first_moment, state.second_moment
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, p in params.items():
-        g = np.asarray(grads[name])
-        if g.shape != p.array.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"'{name}' shape {p.array.shape}"
-            )
-        m = state.first_moment.get(name)
-        if m is None:
-            m = state.first_moment[name] = np.zeros_like(p.array)
-        v = state.second_moment.get(name)
-        if v is None:
-            v = state.second_moment[name] = np.zeros_like(p.array)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-        if state.weight_decay != 0.0:
-            update = update + state.weight_decay * p.array
-        p.array -= lr * update
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    update = (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    if state.weight_decay != 0.0:
+        update = update + state.weight_decay * params
+    params -= lr * update
 
 
 @dataclass(frozen=True)

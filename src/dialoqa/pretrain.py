@@ -7,8 +7,10 @@ Sequence layouts:
     token-level  : [CLS] s_1 w_11 .. w_1n  s_2 w_21 ..   (one sequence per dialogue)
     per-utterance: [CLS] s_i w_i1 .. w_in               (u-MLM, UOP, fine-tuning)
 
-The losses read the model config from ``weights.config``; only
-``build_tmlm_instance``, which has no weights, takes a ``ModelConfig``.
+A stage encodes each dialogue once (``encode_dialogue``), and the instance
+builders take that encoding, so an epoch only draws its masks and
+permutations. The losses read the model config from ``weights.config``;
+only ``build_tmlm_instance``, which has no weights, takes a ``ModelConfig``.
 """
 
 from __future__ import annotations
@@ -90,23 +92,30 @@ def mask_tokens(
     return ids, selected, labels
 
 
-def encode_dialogue_concat(vocab: Vocab, dialogue: Dialogue) -> tuple[list[int], list[int]]:
-    """[CLS] then speaker+words per utterance; also returns the positions of
-    word slots whose id is maskable (not a special token)."""
-    ids = [vocab.cls]
-    maskable = []
-    for utt in dialogue.utterances:
-        utt_ids = encode_utterance(vocab, utt)
-        base = len(ids)
-        ids.extend(utt_ids)
-        for j, tid in enumerate(utt_ids[1:], start=1):
-            if not vocab.is_special(tid):
-                maskable.append(base + j)
-    return ids, maskable
+@dataclass(frozen=True)
+class EncodedDialogue:
+    """A dialogue's ids, encoded once per stage so that an epoch draws only
+    its masks and permutations: each utterance as [CLS] s_i w_i1 .. w_in
+    with the slots of its maskable words (not special tokens), and the
+    token-level sequence [CLS] s_1 w_11 .. w_1n s_2 .. with the slots of its
+    maskable words."""
+
+    utterances: tuple[tuple[int, ...], ...]
+    word_slots: tuple[tuple[int, ...], ...]
+    token_ids: tuple[int, ...]
+    maskable: tuple[int, ...]
 
 
-def encode_utterance_with_cls(vocab: Vocab, utterance) -> list[int]:
-    return [vocab.cls] + encode_utterance(vocab, utterance)
+def encode_dialogue(vocab: Vocab, dialogue: Dialogue) -> EncodedDialogue:
+    utterances = tuple((vocab.cls, *encode_utterance(vocab, u)) for u in dialogue.utterances)
+    word_slots = tuple(
+        tuple(j for j in range(2, len(ids)) if not vocab.is_special(ids[j])) for ids in utterances
+    )
+    token_ids, maskable = [vocab.cls], []
+    for ids, slots in zip(utterances, word_slots):
+        maskable.extend(len(token_ids) + j - 1 for j in slots)  # CLS dropped
+        token_ids.extend(ids[1:])
+    return EncodedDialogue(utterances, word_slots, tuple(token_ids), tuple(maskable))
 
 
 # -- instance builders ----------------------------------------------------
@@ -115,27 +124,27 @@ def encode_utterance_with_cls(vocab: Vocab, utterance) -> list[int]:
 def build_tmlm_instance(
     vocab: Vocab,
     config: ModelConfig,
-    dialogue: Dialogue,
+    dialogue: EncodedDialogue,
     rng: np.random.Generator,
     ratio: float = 0.15,
     *,
     force_at_least_one: bool = True,
 ) -> TmlmInstance:
-    ids, maskable = encode_dialogue_concat(vocab, dialogue)
+    ids = dialogue.token_ids
     if len(ids) > config.token_position_capacity:
         raise CapacityError(
             f"dialogue encodes to {len(ids)} tokens, capacity is "
             f"{config.token_position_capacity}; truncate first"
         )
     masked, positions, labels = mask_tokens(
-        vocab, ids, maskable, rng, ratio, force_at_least_one=force_at_least_one
+        vocab, ids, dialogue.maskable, rng, ratio, force_at_least_one=force_at_least_one
     )
     return TmlmInstance(tuple(masked), tuple(positions), tuple(labels))
 
 
 def build_umlm_instances(
     vocab: Vocab,
-    dialogue: Dialogue,
+    dialogue: EncodedDialogue,
     rng: np.random.Generator,
     samples_per_utterance: int = 1,
 ) -> list[UmlmInstance]:
@@ -145,9 +154,7 @@ def build_umlm_instances(
     if samples_per_utterance < 1:
         raise CorpusError("samples_per_utterance must be >= 1")
     out = []
-    for utt in dialogue.utterances:
-        ids = encode_utterance_with_cls(vocab, utt)
-        word_slots = [j for j in range(2, len(ids)) if not vocab.is_special(ids[j])]
+    for ids, word_slots in zip(dialogue.utterances, dialogue.word_slots):
         if not word_slots:
             continue
         k = min(samples_per_utterance, len(word_slots))
@@ -161,8 +168,7 @@ def build_umlm_instances(
 
 
 def build_uop_instance(
-    vocab: Vocab,
-    dialogue: Dialogue,
+    dialogue: EncodedDialogue,
     rng: np.random.Generator,
     shuffle_prob: float = 0.5,
 ) -> UopInstance | None:
@@ -185,9 +191,7 @@ def build_uop_instance(
                 break
         second = [second[i] for i in perm]
         label = UOP_SHUFFLED
-    ordered = list(utts[:split]) + second
-    seqs = tuple(tuple(encode_utterance_with_cls(vocab, u)) for u in ordered)
-    return UopInstance(seqs, label)
+    return UopInstance(utts[:split] + tuple(second), label)
 
 
 # -- losses -----------------------------------------------------------------

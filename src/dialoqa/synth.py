@@ -150,8 +150,16 @@ def generate_corpus(
     unanswerable_fraction: float = 0.15,
 ) -> list[tuple[Dialogue, list[QAExample]]]:
     """Raises ConfigError unless 1 <= min_utterances <= max_utterances <=
-    len(ORDINALS) and questions_per_dialogue >= 0; every other setting
-    builds."""
+    len(ORDINALS), num_episodes and scenes_per_episode >= 1,
+    questions_per_dialogue >= 0 and 0 <= unanswerable_fraction <= 1; every
+    other setting builds."""
+    for name, value in (("num_episodes", num_episodes), ("scenes_per_episode", scenes_per_episode)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    if not 0.0 <= unanswerable_fraction <= 1.0:  # False for nan
+        raise ConfigError(
+            f"unanswerable_fraction must be in [0, 1], got {unanswerable_fraction}"
+        )
     if not 1 <= min_utterances <= max_utterances <= len(ORDINALS):
         raise ConfigError(
             f"utterances per dialogue must satisfy 1 <= min ({min_utterances}) "

@@ -65,12 +65,14 @@ from .finetune import QAEncoding, encode_for_qa, predict, qa_batch_loss, select_
 from .metrics import MetricReport, PredictionRecord, evaluate
 from .optim import AdamState, LRSchedule, adam_step, lr_at_step
 from .pretrain import (
+    EncodedDialogue,
     TmlmInstance,
     UmlmInstance,
     UopInstance,
     build_tmlm_instance,
     build_umlm_instances,
     build_uop_instance,
+    encode_dialogue,
     mlm_perplexity,
     tmlm_batch_loss,
     umlm_batch_loss,
@@ -152,11 +154,13 @@ class RunConfig:
             raise ConfigError(f"mlm_mode must be static|dynamic, got {self.mlm_mode!r}")
         if not 0.0 <= self.mlm_ratio < 1.0:
             raise ConfigError(f"mlm_ratio must be in [0, 1), got {self.mlm_ratio}")
-        if not 0.0 <= self.uop_shuffle_prob <= 1.0:
-            raise ConfigError("uop_shuffle_prob must be in [0, 1]")
+        for name in ("uop_shuffle_prob", "synth_unanswerable_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # False for nan
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        for name in ("tmlm_steps", "umlm_steps", "uop_steps", "finetune_steps"):
+        for name in ("tmlm_steps", "umlm_steps", "uop_steps", "finetune_steps",
+                     "synth_episodes", "synth_scenes_per_episode"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.warmup_fraction < 1.0:
@@ -330,16 +334,16 @@ def uop_dev_metrics(
 
 
 def build_uop_dev_instances(
-    vocab: Vocab, dialogues: Sequence[Dialogue], rng: np.random.Generator
+    dialogues: Sequence[EncodedDialogue], rng: np.random.Generator
 ) -> list[UopInstance]:
     """Paired held-out set: each eligible dialogue contributes one in-order
     and one shuffled instance, so the label balance is exact."""
     out = []
     for d in dialogues:
-        in_order = build_uop_instance(vocab, d, rng, shuffle_prob=0.0)
+        in_order = build_uop_instance(d, rng, shuffle_prob=0.0)
         if in_order is None:
             continue
-        shuffled = build_uop_instance(vocab, d, rng, shuffle_prob=1.0)
+        shuffled = build_uop_instance(d, rng, shuffle_prob=1.0)
         out.extend([in_order, shuffled])
     return out
 
@@ -390,11 +394,9 @@ def _save_best(
     state: Checkpoint, epoch: int, metrics: dict, out_dir: str | Path | None
 ) -> Checkpoint:
     """A weights-only copy of ``state``, written to ``<out_dir>/<stage>-best.ckpt``."""
-    params = {
-        name: Tensor(p.array.copy(), requires_grad=True) for name, p in state.weights.named()
-    }
     best = Checkpoint(
-        EncoderWeights(state.config, state.stage, params), state.vocab, state.global_step,
+        EncoderWeights(state.config, state.stage, state.weights.vector.copy()),
+        state.vocab, state.global_step,
         train_state={"epoch": epoch, "metrics": metrics},
     )
     if out_dir is not None:
@@ -426,7 +428,6 @@ def fit(
     weights, adam, stage = state.weights, state.adam, state.stage
     rng = restore_rng(state.rng_state)
     global_step = state.global_step
-    params = dict(weights.named())
     schedule = LRSchedule(run_config.base_lr, max_steps, run_config.warmup_fraction)
     history: list[dict] = list(state.train_state.get("history", []))
 
@@ -463,14 +464,14 @@ def fit(
                 )
             loss.backward()
             grads = weights.grads()
-            nonfinite = [name for name, g in grads.items() if not np.isfinite(g).all()]
-            if nonfinite:
+            if not np.isfinite(grads).all():
+                nonfinite = [n for n, g in weights.views(grads).items() if not np.isfinite(g).all()]
                 raise DivergenceError(
                     f"stage {stage!r} diverged at step {global_step + 1}: "
                     f"non-finite gradient of {', '.join(nonfinite)}"
                 )
             global_step += 1
-            adam_step(params, grads, adam, lr_at_step(schedule, global_step))
+            adam_step(weights.vector, grads, adam, lr_at_step(schedule, global_step))
         metrics = task.dev_eval(weights)
         history.append({"epoch": epoch, "step": global_step, **metrics})
         improved, best_metrics = _improve(stage, metrics, best_metrics)
@@ -564,7 +565,14 @@ def _perplexity_dev_eval(config: RunConfig, instances):
     return dev_eval
 
 
+def _encoded(vocab, *parts):
+    """Each part's dialogues, encoded once for the stage."""
+    return ([encode_dialogue(vocab, d) for d in part] for part in parts)
+
+
 def _tmlm_task(config, vocab, model_cfg, train, dev):
+    train, dev = _encoded(vocab, train, dev)
+
     def instances(dialogues, rng_):
         return [
             build_tmlm_instance(vocab, model_cfg, d, rng_, config.mlm_ratio)
@@ -581,6 +589,8 @@ def _tmlm_task(config, vocab, model_cfg, train, dev):
 
 
 def _umlm_task(config, vocab, model_cfg, train, dev):
+    train, dev = _encoded(vocab, train, dev)
+
     def instances(dialogues, rng_):
         return [
             inst
@@ -598,14 +608,13 @@ def _umlm_task(config, vocab, model_cfg, train, dev):
 
 
 def _uop_task(config, vocab, model_cfg, train, dev):
-    dev_instances = build_uop_dev_instances(
-        vocab, dev, derive_rng(config.seed, STAGE_UOP, "dev")
-    )
+    train, dev = _encoded(vocab, train, dev)
+    dev_instances = build_uop_dev_instances(dev, derive_rng(config.seed, STAGE_UOP, "dev"))
     if not dev_instances:
         raise CorpusError("no dev dialogues are long enough for order prediction")
 
     def build_epoch(rng_):
-        built = (build_uop_instance(vocab, d, rng_, config.uop_shuffle_prob) for d in train)
+        built = (build_uop_instance(d, rng_, config.uop_shuffle_prob) for d in train)
         return [inst for inst in built if inst is not None]
 
     def dev_eval(w):

@@ -2,8 +2,10 @@
 and staged weight transfer."""
 
 import json
+import operator
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from dialoqa.corpus import Dialogue, Utterance
 from dialoqa.encoder import (
     STAGE_SOURCES,
     ModelConfig,
-    _init_tensor,
+    _init_array,
     group_shapes,
     init_encoder_weights,
     stage_shapes,
@@ -50,11 +52,12 @@ def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
     adam = None
     rng_state = None
     if with_state:
-        adam = AdamState()
-        for name, p in weights.named():
-            adam.first_moment[name] = np.random.default_rng(1).normal(size=p.array.shape)
-            adam.second_moment[name] = np.abs(np.random.default_rng(2).normal(size=p.array.shape))
-        adam.step = 17
+        size = weights.vector.shape
+        adam = AdamState(
+            step=17,
+            first_moment=np.random.default_rng(1).normal(size=size),
+            second_moment=np.abs(np.random.default_rng(2).normal(size=size)),
+        )
         rng_state = np.random.default_rng(33).bit_generator.state
     return Checkpoint(
         weights=weights,
@@ -91,7 +94,10 @@ class TestRoundTrip:
         assert loaded.train_state == ckpt.train_state
         for name, p in ckpt.weights.named():
             assert np.array_equal(loaded.weights[name].array, p.array)
-            assert np.array_equal(loaded.adam.first_moment[name], ckpt.adam.first_moment[name])
+            assert np.array_equal(
+                loaded.weights.views(loaded.adam.first_moment)[name],
+                ckpt.weights.views(ckpt.adam.first_moment)[name],
+            )
 
     @pytest.mark.parametrize("positions", [True, False], ids=["positions", "no-positions"])
     @pytest.mark.parametrize("with_state", [True, False], ids=["adam", "weights-only"])
@@ -112,8 +118,9 @@ class TestRoundTrip:
         assert ("utt_pos_emb" in want) == (positions and stage in ("uop", "finetuned"))
         assert {name: p.shape for name, p in loaded.weights.named()} == want
         if with_state:
-            for moments in (loaded.adam.first_moment, loaded.adam.second_moment):
-                assert {name: m.shape for name, m in moments.items()} == want
+            for moment in (loaded.adam.first_moment, loaded.adam.second_moment):
+                named = loaded.weights.views(moment)
+                assert {name: m.shape for name, m in named.items()} == want
         else:
             assert loaded.adam is None
 
@@ -127,8 +134,8 @@ class TestRoundTrip:
             "train_state", "vocab",
         ]
         tensors = {name: p.array for name, p in ckpt.weights.named()}
-        for mv, moments in (("m", ckpt.adam.first_moment), ("v", ckpt.adam.second_moment)):
-            tensors.update({f"adam.{mv}.{name}": arr for name, arr in moments.items()})
+        for mv, moment in (("m", ckpt.adam.first_moment), ("v", ckpt.adam.second_moment)):
+            tensors.update({f"adam.{mv}.{n}": arr for n, arr in ckpt.weights.views(moment).items()})
         assert payload == b"".join(tensors[n].astype("<f8").tobytes() for n in sorted(tensors))
 
     def test_weights_only_checkpoint(self, vocab, tmp_path):
@@ -239,22 +246,73 @@ class TestHeaderValidation:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("global_step", -3, "global_step is -3, below 0"),
+        ("train_state", {"bad_evals": 1}, "unknown field 'bad_evals'"),
+    ], ids=["step-negative", "unknown-train-state-field"])
+    def test_save_refuses_a_header_that_load_refuses(self, vocab, tmp_path, field, value, message):
+        ckpt = replace(_checkpoint(vocab, **TINY), **{field: value})
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            save_checkpoint(ckpt, tmp_path / "h.ckpt")
+        assert list(tmp_path.iterdir()) == []  # neither h.ckpt nor h.ckpt.tmp
+
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=2)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=4,
+    )
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        global_step=st.integers(-2, 2),
+        adam_step=st.integers(-2, 2),
+        train_state=st.dictionaries(
+            st.sampled_from(["epoch", "metrics", "history", "bad_evals"]), _JSON, max_size=3
+        ),
+    )
+    def test_what_save_accepts_load_accepts(
+        self, vocab, tmp_path, global_step, adam_step, train_state
+    ):
+        ckpt = replace(_checkpoint(vocab, **TINY), global_step=global_step, train_state=train_state)
+        ckpt.adam.step = adam_step
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        first.unlink(missing_ok=True)
+        try:
+            save_checkpoint(ckpt, first)
+        except CheckpointError:
+            assert not first.exists() and not (tmp_path / "a.ckpt.tmp").exists()
+            return
+        save_checkpoint(load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_a_best_snapshot_may_be_of_epoch_minus_one_only(self, vocab, tmp_path):
         # fit's snapshot of the start weights is weights-only and of epoch -1
         ckpt = _checkpoint(vocab, with_state=False)
-        for epoch in (-1, -2):
-            ckpt.train_state = {"epoch": epoch, "metrics": {}}
-            save_checkpoint(ckpt, tmp_path / f"best{epoch}.ckpt")
+        ckpt.train_state = {"epoch": -1, "metrics": {}}
+        save_checkpoint(ckpt, tmp_path / "best-1.ckpt")
         assert load_checkpoint(tmp_path / "best-1.ckpt").train_state["epoch"] == -1
+        ckpt.train_state = {"epoch": -2, "metrics": {}}
         with pytest.raises(CheckpointError, match="train_state epoch is -2"):
-            load_checkpoint(tmp_path / "best-2.ckpt")
+            save_checkpoint(ckpt, tmp_path / "best-2.ckpt")
+        path = tmp_path / "best-2.ckpt"
+        save_checkpoint(replace(ckpt, train_state={"epoch": -1, "metrics": {}}), path)
+        header, payload = _split_file(path.read_bytes())
+        header["train_state"]["epoch"] = -2
+        path.write_bytes(_with_header(header, payload))
+        with pytest.raises(CheckpointError, match="train_state epoch is -2"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb"])
     def test_non_finite_payload_names_the_tensor(self, vocab, tmp_path, bad, name):
         ckpt = _checkpoint(vocab, **TINY)
         if name.startswith("adam.v."):
-            ckpt.adam.second_moment[name[len("adam.v."):]].flat[0] = bad
+            ckpt.weights.views(ckpt.adam.second_moment)[name[len("adam.v."):]].flat[0] = bad
         else:
             ckpt.weights[name].array.flat[0] = bad
         path = tmp_path / "n.ckpt"
@@ -283,31 +341,32 @@ class TestHeaderValidation:
             pass
 
 
-def _drop_all_moments_but_one(ckpt):
-    keep = next(iter(ckpt.adam.first_moment))
-    ckpt.adam.first_moment = {keep: ckpt.adam.first_moment[keep]}
-    ckpt.adam.second_moment = {}
-
-
 class TestStrictDirectory:
     """A checkpoint holds exactly its stage's tensors and, with an Adam
-    record, both moments of each in that tensor's shape: a save of anything
-    else raises, and a load checks the payload against that layout's length."""
+    record, both moments of each: the weights are one vector of the stage's
+    layout under a read-only map of names, so no tensor can be added,
+    dropped or reshaped, and a save whose moment vectors are not as long as
+    the weight vector raises. A load checks the payload against that
+    layout's length."""
 
-    @pytest.mark.parametrize("mutate, named", [
-        (lambda c: c.weights.params.update(bogus=Tensor(np.zeros(3))), "bogus"),
-        (lambda c: c.weights.params.pop("uid_w"), "uid_w"),
-        (lambda c: c.weights.params.update(uid_w=Tensor(np.zeros((2, 2)))), "uid_w"),
-        (_drop_all_moments_but_one, "adam.m."),
-        (lambda c: c.adam.second_moment.pop("sr_w"), "adam.v.sr_w"),
-        (lambda c: c.adam.first_moment.update(uid_w=np.zeros(5)), "adam.m.uid_w"),
-        (lambda c: c.adam.first_moment.update(bogus=np.zeros(5)), "adam.m.bogus"),
+    @pytest.mark.parametrize("mutate, error, named", [
+        (lambda c: c.weights.params.update(bogus=Tensor(np.zeros(3))), AttributeError, "update"),
+        (lambda c: operator.delitem(c.weights.params, "uid_w"), TypeError, "deletion"),
+        (lambda c: operator.setitem(c.weights.params, "uid_w", Tensor(np.zeros((2, 2)))),
+         TypeError, "assignment"),
+        (lambda c: setattr(c.adam, "second_moment", None), CheckpointError, "Adam moment"),
+        (lambda c: setattr(c.adam, "second_moment", c.adam.second_moment[1:]),
+         CheckpointError, "Adam moment"),
+        (lambda c: setattr(c.adam, "first_moment", c.adam.first_moment.reshape(1, -1)),
+         CheckpointError, "Adam moment"),
+        (lambda c: setattr(c.adam, "first_moment", np.append(c.adam.first_moment, 0.0)),
+         CheckpointError, "Adam moment"),
     ], ids=["extra", "missing", "shape", "one-moment", "missing-moment", "moment-shape",
             "extra-moment"])
-    def test_rejected_directory_names_the_tensor(self, vocab, tmp_path, mutate, named):
+    def test_rejected_directory_names_the_tensor(self, vocab, tmp_path, mutate, error, named):
         ckpt = _checkpoint(vocab, stage="finetuned", **TINY)
-        mutate(ckpt)
-        with pytest.raises(CheckpointError, match=re.escape(named)):
+        with pytest.raises(error, match=re.escape(named)):
+            mutate(ckpt)
             save_checkpoint(ckpt, tmp_path / "d.ckpt")
         assert list(tmp_path.iterdir()) == []
 
@@ -411,7 +470,7 @@ class TestTransfer:
         rng = np.random.default_rng(19)
         for name, shape in stage_shapes(src.config, "finetuned").items():
             if name not in te:
-                assert np.array_equal(out[name].array, _init_tensor(name, shape, rng).array)
+                assert np.array_equal(out[name].array, _init_array(name, shape, rng))
         assert np.all(out["tl.0.ln1_g"].array == 1.0) and np.all(out["tl.0.ff_b1"].array == 0.0)
 
     def test_tied_projection_preserved(self, vocab):

@@ -213,7 +213,7 @@ class TestBatchedQA:
         weights.zero_grads()
         batched = qa_batch_loss(weights, encs)
         batched.backward()
-        batched_grads = {n: g.copy() for n, g in weights.grads().items()}
+        batched_grads = {n: g.copy() for n, g in weights.views(weights.grads()).items()}
         singles = []
         grad_sum = {n: np.zeros_like(g) for n, g in batched_grads.items()}
         for enc in encs:
@@ -221,7 +221,7 @@ class TestBatchedQA:
             loss = joint_loss(weights, enc)
             loss.backward()
             singles.append(loss.item())
-            for n, g in weights.grads().items():
+            for n, g in weights.views(weights.grads()).items():
                 grad_sum[n] += g
         weights.zero_grads()
         assert abs(batched.item() - np.mean(singles)) < 1e-10

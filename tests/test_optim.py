@@ -8,91 +8,120 @@ from dialoqa.errors import ConfigError, DeterminismError, ShapeError
 from dialoqa.optim import AdamState, GradCheckReport, LRSchedule, adam_step, grad_check, lr_at_step
 
 
-def _params(**arrays):
-    return {k: T.Tensor(np.asarray(v, dtype=np.float64), requires_grad=True) for k, v in arrays.items()}
+def _vector(*values):
+    return np.array(values, dtype=np.float64)
 
 
 class TestAdam:
     def test_zero_grads_no_decay_is_identity(self):
-        params = _params(w=[1.0, -2.0, 3.0])
+        w = _vector(1.0, -2.0, 3.0)
         state = AdamState(weight_decay=0.0)
-        adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
-        np.testing.assert_array_equal(params["w"].array, [1.0, -2.0, 3.0])
+        adam_step(w, np.zeros(3), state, lr=0.1)
+        np.testing.assert_array_equal(w, [1.0, -2.0, 3.0])
         assert state.step == 1
 
     def test_first_step_moves_by_lr(self):
         # After bias correction, |delta| = lr * |g| / (|g| + eps) for step 1.
         for g in (0.5, -3.0):
-            params = _params(w=[1.0])
+            w = _vector(1.0)
             state = AdamState(weight_decay=0.0)
-            adam_step(params, {"w": np.array([g])}, state, lr=0.1)
-            delta = params["w"].array[0] - 1.0
+            adam_step(w, np.array([g]), state, lr=0.1)
+            delta = w[0] - 1.0
             assert abs(abs(delta) - 0.1) < 1e-6
             assert np.sign(delta) == -np.sign(g)
 
     def test_descends_quadratic(self):
         # 10 steps on f(w) = w^2 from w=1: |w| strictly decreases each step.
-        params = _params(w=[1.0])
+        w = _vector(1.0)
         state = AdamState(weight_decay=0.0)
         trace = [1.0]
         for _ in range(10):
-            grad = 2.0 * params["w"].array
-            adam_step(params, {"w": grad}, state, lr=0.1)
-            trace.append(abs(float(params["w"].array[0])))
+            adam_step(w, 2.0 * w, state, lr=0.1)
+            trace.append(abs(float(w[0])))
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
     def test_decay_is_decoupled(self):
         # zero gradient + weight decay shrinks weights directly by lr*wd*w
-        params = _params(w=[2.0])
+        w = _vector(2.0)
         state = AdamState(weight_decay=0.01)
-        adam_step(params, {"w": np.zeros(1)}, state, lr=0.5)
-        np.testing.assert_allclose(params["w"].array, [2.0 - 0.5 * 0.01 * 2.0])
+        adam_step(w, np.zeros(1), state, lr=0.5)
+        np.testing.assert_allclose(w, [2.0 - 0.5 * 0.01 * 2.0])
 
     def test_shape_mismatch(self):
-        params = _params(w=[1.0, 2.0])
-        with pytest.raises(ShapeError, match="w"):
-            adam_step(params, {"w": np.zeros(3)}, AdamState(), lr=0.1)
+        w = _vector(1.0, 2.0)
+        state = AdamState()
+        message = r"gradient shape \(3,\) does not match parameter shape \(2,\)"
+        with pytest.raises(ShapeError, match=message):
+            adam_step(w, np.zeros(3), state, lr=0.1)
+        assert state.step == 0 and state.first_moment is None
+        np.testing.assert_array_equal(w, [1.0, 2.0])
 
     def test_moments_allocated_once(self, monkeypatch):
-        params = _params(w=[1.0, -2.0])
+        w = _vector(1.0, -2.0)
         state = AdamState()
-        adam_step(params, {"w": np.array([0.5, 0.25])}, state, lr=0.1)
-        first, second = state.first_moment["w"], state.second_moment["w"]
+        adam_step(w, np.array([0.5, 0.25]), state, lr=0.1)
+        first, second = state.first_moment, state.second_moment
 
         def no_allocation(*args, **kwargs):
             raise AssertionError("moments re-allocated on a later step")
 
         monkeypatch.setattr(np, "zeros_like", no_allocation)
-        adam_step(params, {"w": np.array([0.5, 0.25])}, state, lr=0.1)
-        assert state.first_moment["w"] is first and state.second_moment["w"] is second
+        adam_step(w, np.array([0.5, 0.25]), state, lr=0.1)
+        assert state.first_moment is first and state.second_moment is second
 
     def test_two_step_values(self):
-        params = _params(w=[1.0, -2.0])
+        params = _vector(1.0, -2.0)
         state = AdamState(weight_decay=0.01)
         w, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
         for t, g in enumerate((np.array([0.5, -1.5]), np.array([-0.25, 2.0])), start=1):
-            adam_step(params, {"w": g}, state, lr=0.1)
+            adam_step(params, g, state, lr=0.1)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             update = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
             w = w - 0.1 * (update + 0.01 * w)
-        np.testing.assert_allclose(params["w"].array, w, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(params, w, rtol=0, atol=1e-15)
 
     def test_step_strictly_increments(self):
-        params = _params(w=[1.0])
+        w = _vector(1.0)
         state = AdamState()
         for expected in (1, 2, 3):
-            adam_step(params, {"w": np.ones(1)}, state, lr=0.0)
+            adam_step(w, np.ones(1), state, lr=0.0)
             assert state.step == expected
 
     def test_moment_shapes_match_params(self):
-        params = _params(w=np.ones((2, 3)), b=np.ones(4))
+        w = np.ones(10)
         state = AdamState()
-        grads = {k: np.ones_like(p.array) for k, p in params.items()}
-        adam_step(params, grads, state, lr=0.01)
-        for k, p in params.items():
-            assert state.first_moment[k].shape == p.array.shape
-            assert state.second_moment[k].shape == p.array.shape
+        adam_step(w, np.ones_like(w), state, lr=0.01)
+        assert state.first_moment.shape == w.shape
+        assert state.second_moment.shape == w.shape
+
+    def test_one_vector_step_equals_a_step_per_tensor(self):
+        """The update is elementwise, so a step over one vector gives the
+        bits of the per-tensor loop it replaced, kept here as the reference."""
+        rng = np.random.default_rng(0)
+        shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 2)}
+        tensors = {n: rng.normal(size=s) for n, s in shapes.items()}
+        moments = {n: [np.zeros(s), np.zeros(s)] for n, s in shapes.items()}
+        flat = np.concatenate([tensors[n].ravel() for n in shapes])
+        state = AdamState()
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            adam_step(flat, np.concatenate([grads[n].ravel() for n in shapes]), state, lr=0.01)
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for n, p in tensors.items():
+                m, v = moments[n]
+                g = grads[n]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+                update = update + 0.01 * p
+                p -= 0.01 * update
+        assert flat.tobytes() == np.concatenate([tensors[n].ravel() for n in shapes]).tobytes()
+        assert state.first_moment.tobytes() == np.concatenate(
+            [moments[n][0].ravel() for n in shapes]
+        ).tobytes()
 
 
 class TestSchedule:

@@ -14,9 +14,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dialoqa import cli, training
+from dialoqa import cli, pretrain, training
 from dialoqa import tensor as T
-from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint, transfer_weights
 from dialoqa.corpus import Dialogue, Utterance, load_corpus, save_corpus
 from dialoqa.encoder import ModelConfig, init_encoder_weights, stage_shapes
 from dialoqa.errors import (
@@ -175,7 +175,7 @@ class TestStageTable:
                 p.array += rng.normal(0.0, 0.1, p.shape)
         batch = task.build_epoch(rng)[: cfg.batch_size]
         task.batch_loss(weights, batch, rng=rng).backward()
-        size = {name: np.abs(g).max() for name, g in weights.grads().items()}
+        size = {name: np.abs(g).max() for name, g in weights.views(weights.grads()).items()}
         if stage == "finetuned":
             assert size.pop("tl.1.ln2_b") < 1e-15
         assert {name: s for name, s in size.items() if not s > 1e-12} == {}
@@ -280,6 +280,49 @@ class TestDivergence:
         monkeypatch.setattr(training, "adam_step", no_update)
         with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1.*vocab_bias"):
             run_stage("tmlm", _config(corpus_path))
+
+
+def _assert_parameters_view_the_vector(weights):
+    assert weights.vector.size == sum(p.size for _, p in weights.named())
+    for name, p in weights.named():
+        assert np.shares_memory(p.array, weights.vector), name
+
+
+class TestFlatStore:
+    def test_every_parameter_views_the_vector(self, corpus_path, tmp_path):
+        """After init, load, transfer and training steps, each parameter's
+        array is still a view of its weights' one vector, which Adam and
+        checkpoint saves read and write."""
+        cfg = _config(corpus_path)
+        split = training.load_split(cfg)
+        train, dev = training.pretrain_dialogues(cfg, split)
+        state = training._init_stage_state(cfg, "tmlm", None, lambda: build_vocab(train))
+        _assert_parameters_view_the_vector(state.weights)
+        task = training._STAGES["tmlm"].task(cfg, state.vocab, state.config, train, dev)
+        before = state.weights.vector.copy()
+        best, _ = training.fit(cfg, state, task, 2, tmp_path)  # step 1's lr is 0
+        assert state.adam.step == 2 and not np.array_equal(state.weights.vector, before)
+        for weights in (state.weights, best.weights):
+            _assert_parameters_view_the_vector(weights)
+        loaded = load_checkpoint(tmp_path / "tmlm-last.ckpt")
+        _assert_parameters_view_the_vector(loaded.weights)
+        assert loaded.weights.vector.tobytes() == state.weights.vector.tobytes()
+        for stage in ("umlm", "finetuned"):
+            moved = transfer_weights(loaded, stage, loaded.config, np.random.default_rng(0))
+            _assert_parameters_view_the_vector(moved)
+        _assert_parameters_view_the_vector(loaded.weights.frozen())
+
+    @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop"])
+    def test_an_epoch_encodes_no_dialogue(self, corpus_path, stage, monkeypatch):
+        """A stage encodes its dialogues once, when its task is built; each
+        epoch then only draws masks and permutations."""
+        _, task = _fresh_stage(_config(corpus_path), stage)
+        calls = []
+        real = pretrain.encode_utterance
+        monkeypatch.setattr(pretrain, "encode_utterance", lambda *a: calls.append(a) or real(*a))
+        epochs = [task.build_epoch(np.random.default_rng(5)) for _ in range(2)]
+        assert epochs[0] and epochs[0] == epochs[1]
+        assert calls == []
 
 
 class _Crash(Exception):
@@ -569,6 +612,8 @@ class TestRunConfigParsing:
             ("warmup_fraction", 0.0), ("warmup_fraction", 1.0), ("warmup_fraction", math.nan),
             ("tmlm_steps", 0), ("umlm_steps", 0), ("uop_steps", -1), ("finetune_steps", 0),
             ("num_heads", 3), ("dropout_p", 1.0),
+            ("synth_episodes", 0), ("synth_scenes_per_episode", -1),
+            ("synth_unanswerable_fraction", 1.5), ("synth_unanswerable_fraction", math.nan),
         ],
     )
     def test_bad_optimizer_settings_raise(self, field, value):
@@ -903,18 +948,25 @@ class TestCli:
         assert (code, err["error"]) == (1, "ConfigError")
         assert "hidden_size 64 (checkpoint 16)" in err["message"]
 
-    @pytest.mark.parametrize("settings, error", [
-        ("synth_min_utterances = 9\nsynth_max_utterances = 9\n", "ConfigError"),
-        ("synth_min_utterances = 5\nsynth_max_utterances = 4\n", "ConfigError"),
-        ("synth_questions_per_dialogue = -1\n", "ConfigError"),
-        ("num_heads = 3\n", "ConfigError"),
-        ("dropout_p = 1.0\n", "ConfigError"),
+    @pytest.mark.parametrize("settings, error, named", [
+        ("synth_min_utterances = 9\nsynth_max_utterances = 9\n", "ConfigError", "utterances"),
+        ("synth_min_utterances = 5\nsynth_max_utterances = 4\n", "ConfigError", "utterances"),
+        ("synth_questions_per_dialogue = -1\n", "ConfigError", "questions_per_dialogue"),
+        ("num_heads = 3\n", "ConfigError", "num_heads"),
+        ("dropout_p = 1.0\n", "ConfigError", "dropout_p"),
+        ("synth_unanswerable_fraction = 2.0\n", "ConfigError", "synth_unanswerable_fraction"),
+        ("synth_unanswerable_fraction = -1\n", "ConfigError", "synth_unanswerable_fraction"),
+        ("synth_unanswerable_fraction = nan\n", "ConfigError", "synth_unanswerable_fraction"),
+        ("synth_episodes = -3\n", "ConfigError", "synth_episodes"),
+        ("synth_scenes_per_episode = 0\n", "ConfigError", "synth_scenes_per_episode"),
     ], ids=["too-many-utterances", "min-above-max", "negative-questions", "indivisible-heads",
-            "dropout-of-one"])
-    def test_bad_synth_settings_are_json_errors(self, tmp_path, capsys, settings, error):
+            "dropout-of-one", "fraction-above-one", "fraction-negative", "fraction-nan",
+            "episodes-negative", "no-scenes"])
+    def test_bad_synth_settings_are_json_errors(self, tmp_path, capsys, settings, error, named):
         path = tmp_path / "run.cfg"
         path.write_text(settings)
         code, err = self._main_error(capsys, "synth-corpus", "--config", str(path),
                                      "--out", str(tmp_path))
         assert (code, err["error"]) == (1, error)
+        assert named in err["message"]
         assert not (tmp_path / "corpus.json").exists()

@@ -16,7 +16,7 @@ from dialoqa.pretrain import (
     build_tmlm_instance,
     build_umlm_instances,
     build_uop_instance,
-    encode_dialogue_concat,
+    encode_dialogue,
     mask_tokens,
     tmlm_batch_loss,
     umlm_batch_loss,
@@ -39,6 +39,10 @@ def _dialogue(num_utts=4, words_per_utt=4, episode=1):
         toks = tuple(WORDS[(i * words_per_utt + j) % len(WORDS)] for j in range(words_per_utt))
         utts.append(Utterance(f"spk{i % 3}", toks))
     return Dialogue(episode, "s0", tuple(utts))
+
+
+def _encoded(vocab, *shape):
+    return encode_dialogue(vocab, _dialogue(*shape))
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +99,9 @@ class TestMaskTokens:
         rng = np.random.default_rng(9)
         for _ in range(50):
             d = _dialogue(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            ids, maskable = encode_dialogue_concat(vocab, d)
+            ids = encode_dialogue(vocab, d).token_ids
             speaker_slots = {i for i, t in enumerate(ids) if t in vocab.speaker_ids}
-            inst = build_tmlm_instance(vocab, TOY, d, rng)
+            inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), rng)
             for p, lab in zip(inst.mask_positions, inst.mask_labels):
                 assert p != 0 and p not in speaker_slots
                 assert lab >= 4
@@ -105,21 +109,19 @@ class TestMaskTokens:
 
 class TestTmlmInstance:
     def test_sequence_length_counting(self, vocab):
-        inst = build_tmlm_instance(
-            vocab, TOY, _dialogue(2, 2), np.random.default_rng(0)
-        )
+        inst = build_tmlm_instance(vocab, TOY, _encoded(vocab, 2, 2), np.random.default_rng(0))
         assert len(inst.token_ids) == 1 + 2 * (1 + 2)
 
     def test_cls_first_speakers_in_place(self, vocab):
         d = _dialogue(3, 2)
-        inst = build_tmlm_instance(vocab, TOY, d, np.random.default_rng(1))
+        inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), np.random.default_rng(1))
         assert inst.token_ids[0] == vocab.cls
         assert inst.token_ids[1] in vocab.speaker_ids
         assert inst.token_ids[4] in vocab.speaker_ids
 
     def test_unmasked_build_decodes_to_dialogue(self, vocab):
         d = _dialogue(3, 3)
-        ids, _ = encode_dialogue_concat(vocab, d)
+        ids = encode_dialogue(vocab, d).token_ids
         text = decode(vocab, ids)
         expected = ["[CLS]"]
         for u in d.utterances:
@@ -130,25 +132,25 @@ class TestTmlmInstance:
     def test_capacity_error(self, vocab):
         small = ModelConfig(**{**TOY.to_dict(), "max_tokens": 2, "max_utterances": 2})
         with pytest.raises(CapacityError):
-            build_tmlm_instance(vocab, small, _dialogue(4, 4), np.random.default_rng(0))
+            build_tmlm_instance(vocab, small, _encoded(vocab, 4, 4), np.random.default_rng(0))
 
 
 class TestUmlmInstances:
     def test_three_words_three_samples_cover_all(self, vocab):
         d = Dialogue(1, "s", (Utterance("spk0", ("w00", "w01", "w02")),))
-        insts = build_umlm_instances(vocab, d, np.random.default_rng(0), 3)
+        insts = build_umlm_instances(vocab, encode_dialogue(vocab, d), np.random.default_rng(0), 3)
         assert len(insts) == 3
         assert sorted(i.mask_position for i in insts) == [2, 3, 4]
 
     def test_instance_length_n_plus_2(self, vocab):
         d = Dialogue(1, "s", (Utterance("spk0", tuple(WORDS[:5])),))
-        insts = build_umlm_instances(vocab, d, np.random.default_rng(0), 1)
+        insts = build_umlm_instances(vocab, encode_dialogue(vocab, d), np.random.default_rng(0), 1)
         assert len(insts[0].token_ids) == 5 + 2
 
     def test_mask_never_cls_or_speaker(self, vocab):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            insts = build_umlm_instances(vocab, _dialogue(3, 4), rng, 2)
+            insts = build_umlm_instances(vocab, _encoded(vocab, 3, 4), rng, 2)
             for inst in insts:
                 assert inst.mask_position >= 2
                 assert inst.token_ids[inst.mask_position] == vocab.mask
@@ -159,52 +161,51 @@ class TestUmlmInstances:
         rng = np.random.default_rng(3)
         covered = set()
         for _ in range(40):
-            for inst in build_umlm_instances(vocab, d, rng, 1):
+            for inst in build_umlm_instances(vocab, encode_dialogue(vocab, d), rng, 1):
                 covered.add(inst.mask_position)
         assert covered == {2, 3, 4, 5, 6, 7}
 
     def test_bad_samples(self, vocab):
         with pytest.raises(CorpusError):
-            build_umlm_instances(vocab, _dialogue(), np.random.default_rng(0), 0)
+            build_umlm_instances(vocab, _encoded(vocab), np.random.default_rng(0), 0)
 
 
 class TestUopInstance:
     def test_identity_is_in_order(self, vocab):
-        inst = build_uop_instance(vocab, _dialogue(4), np.random.default_rng(0), 0.0)
+        inst = build_uop_instance(_encoded(vocab, 4), np.random.default_rng(0), 0.0)
         assert inst.label == UOP_IN_ORDER
-        ids, _ = encode_dialogue_concat(vocab, _dialogue(4))
 
     def test_swap_is_shuffled(self, vocab):
         d = _dialogue(4)
-        inst = build_uop_instance(vocab, d, np.random.default_rng(1), 1.0)
+        inst = build_uop_instance(encode_dialogue(vocab, d), np.random.default_rng(1), 1.0)
         assert inst.label == UOP_SHUFFLED
         # first half intact, second half permuted (multiset preserved)
-        base = build_uop_instance(vocab, d, np.random.default_rng(1), 0.0)
+        base = build_uop_instance(encode_dialogue(vocab, d), np.random.default_rng(1), 0.0)
         assert inst.utterance_token_ids[:2] == base.utterance_token_ids[:2]
         assert sorted(inst.utterance_token_ids[2:]) == sorted(base.utterance_token_ids[2:])
         assert inst.utterance_token_ids[2:] != base.utterance_token_ids[2:]
 
     def test_skip_when_second_half_too_small(self, vocab):
         # ceil split leaves a singleton second half for m <= 3
-        assert build_uop_instance(vocab, _dialogue(2), np.random.default_rng(0)) is None
-        assert build_uop_instance(vocab, _dialogue(3), np.random.default_rng(0)) is None
-        assert build_uop_instance(vocab, _dialogue(4), np.random.default_rng(0)) is not None
+        assert build_uop_instance(_encoded(vocab, 2), np.random.default_rng(0)) is None
+        assert build_uop_instance(_encoded(vocab, 3), np.random.default_rng(0)) is None
+        assert build_uop_instance(_encoded(vocab, 4), np.random.default_rng(0)) is not None
 
     def test_split_point_gives_first_half_the_extra(self, vocab):
         d = _dialogue(5)
-        inst = build_uop_instance(vocab, d, np.random.default_rng(2), 1.0)
-        base = build_uop_instance(vocab, d, np.random.default_rng(2), 0.0)
+        inst = build_uop_instance(encode_dialogue(vocab, d), np.random.default_rng(2), 1.0)
+        base = build_uop_instance(encode_dialogue(vocab, d), np.random.default_rng(2), 0.0)
         # ceil(5/2) = 3 utterances never move
         assert inst.utterance_token_ids[:3] == base.utterance_token_ids[:3]
 
     def test_monte_carlo_balance_and_nonidentity(self, vocab):
         d = _dialogue(6)  # second half has 3 utterances
         rng = np.random.default_rng(5)
-        base = build_uop_instance(vocab, d, rng, 0.0).utterance_token_ids[3:]
+        base = build_uop_instance(encode_dialogue(vocab, d), rng, 0.0).utterance_token_ids[3:]
         labels = []
         perms_seen = set()
         for _ in range(10**4):
-            inst = build_uop_instance(vocab, d, rng, 0.5)
+            inst = build_uop_instance(encode_dialogue(vocab, d), rng, 0.5)
             labels.append(inst.label)
             if inst.label == UOP_SHUFFLED:
                 tail = inst.utterance_token_ids[3:]
@@ -224,7 +225,7 @@ class TestLossSanity:
 
     def test_tmlm_init_near_log_vocab(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
-        d = _dialogue(3, 4)
+        d = _encoded(vocab, 3, 4)
         losses = []
         for seed in range(5):
             w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(seed))
@@ -235,7 +236,7 @@ class TestLossSanity:
 
     def test_umlm_init_near_log_vocab(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
-        d = _dialogue(3, 4)
+        d = _encoded(vocab, 3, 4)
         losses = []
         for seed in range(5):
             w = init_encoder_weights(cfg, "umlm", np.random.default_rng(seed))
@@ -246,11 +247,11 @@ class TestLossSanity:
 
     def test_uop_init_near_log2(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
-        d = _dialogue(4, 3)
+        d = _encoded(vocab, 4, 3)
         losses = []
         for seed in range(5):
             w = init_encoder_weights(cfg, "uop", np.random.default_rng(seed))
-            inst = build_uop_instance(vocab, d, np.random.default_rng(seed), 0.5)
+            inst = build_uop_instance(d, np.random.default_rng(seed), 0.5)
             losses.append(uop_batch_loss(w, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(2)) / math.log(2) < 0.15
@@ -258,28 +259,27 @@ class TestLossSanity:
 
 class TestMemorization:
     def _overfit(self, vocab, loss_fn, weights, steps=200, lr=5e-3):
-        params = dict(weights.named())
         state = AdamState(weight_decay=0.0)
         value = None
         for _ in range(steps):
             weights.zero_grads()
             loss = loss_fn()
             loss.backward()
-            adam_step(params, weights.grads(), state, lr)
+            adam_step(weights.vector, weights.grads(), state, lr)
             value = loss.item()
         return value
 
     def test_tmlm_overfits_single_instance(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
-        inst = build_tmlm_instance(vocab, cfg, _dialogue(2, 3), np.random.default_rng(1))
+        inst = build_tmlm_instance(vocab, cfg, _encoded(vocab, 2, 3), np.random.default_rng(1))
         final = self._overfit(vocab, lambda: tmlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
     def test_umlm_overfits_single_instance(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(0))
-        inst = build_umlm_instances(vocab, _dialogue(1, 4), np.random.default_rng(1), 1)[0]
+        inst = build_umlm_instances(vocab, _encoded(vocab, 1, 4), np.random.default_rng(1), 1)[0]
         final = self._overfit(vocab, lambda: umlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
@@ -288,7 +288,7 @@ class TestGradChecks:
     def test_tmlm_loss_gradcheck(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(3))
-        inst = build_tmlm_instance(vocab, cfg, _dialogue(2, 3), np.random.default_rng(4))
+        inst = build_tmlm_instance(vocab, cfg, _encoded(vocab, 2, 3), np.random.default_rng(4))
         report = grad_check(
             lambda: tmlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(5), max_coords_per_param=4,
@@ -298,7 +298,7 @@ class TestGradChecks:
     def test_umlm_loss_gradcheck_cls_path(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(6))
-        inst = build_umlm_instances(vocab, _dialogue(1, 4), np.random.default_rng(7), 1)[0]
+        inst = build_umlm_instances(vocab, _encoded(vocab, 1, 4), np.random.default_rng(7), 1)[0]
         report = grad_check(
             lambda: umlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(8), max_coords_per_param=4,
@@ -308,7 +308,7 @@ class TestGradChecks:
     def test_uop_loss_gradcheck(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "uop", np.random.default_rng(9))
-        inst = build_uop_instance(vocab, _dialogue(4, 3), np.random.default_rng(10), 1.0)
+        inst = build_uop_instance(_encoded(vocab, 4, 3), np.random.default_rng(10), 1.0)
         report = grad_check(
             lambda: uop_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(11), max_coords_per_param=4,
@@ -322,7 +322,7 @@ class TestUopBatch:
         w = init_encoder_weights(cfg, "uop", np.random.default_rng(12))
         rng = np.random.default_rng(13)
         insts = [
-            build_uop_instance(vocab, _dialogue(n, k), rng, 0.5)
+            build_uop_instance(_encoded(vocab, n, k), rng, 0.5)
             for n, k in ((4, 3), (6, 2), (5, 4))
         ]
         assert [len(i.utterance_token_ids) for i in insts] == [4, 6, 5]
@@ -333,7 +333,7 @@ class TestUopBatch:
         w.zero_grads()
         batched = uop_batch_loss(w, insts)
         batched.backward()
-        batched_grads = {n: g.copy() for n, g in w.grads().items()}
+        batched_grads = {n: g.copy() for n, g in w.views(w.grads()).items()}
         losses = []
         grad_sum = {n: np.zeros_like(g) for n, g in batched_grads.items()}
         for inst in insts:
@@ -341,7 +341,7 @@ class TestUopBatch:
             loss = uop_batch_loss(w, [inst])
             loss.backward()
             losses.append(loss.item())
-            for n, g in w.grads().items():
+            for n, g in w.views(w.grads()).items():
                 grad_sum[n] += g
         w.zero_grads()
         assert abs(batched.item() - np.mean(losses)) < 1e-12

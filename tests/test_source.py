@@ -257,3 +257,50 @@ def test_checker_flags_a_training_parameter():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_dropout_is_switched_by_the_generator_alone(path):
     assert training_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def array_rebindings(source: str) -> list[str]:
+    """Assignments to an ``array`` attribute outside ``Tensor.__init__``: a
+    parameter's array is a view of its weights' vector, and rebinding it
+    would silently cut the parameter off the vector that Adam updates and
+    checkpoints save. Writes go into the array (``p.array[...] = x``)."""
+    tree = ast.parse(source)
+    allowed = {
+        id(inner) for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Tensor"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+        for inner in ast.walk(method)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Assign):
+            targets = [t for target in node.targets for t in ast.walk(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Attribute) and t.attr == "array" and isinstance(t.ctx, ast.Store)
+               for t in targets):
+            found.append(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+def test_checker_flags_an_array_rebinding():
+    source = (
+        "class Tensor:\n    def __init__(self, a):\n        self.array = a\n"
+        "    def reset(self):\n        self.array = None\n"
+        "p.array -= lr * update\n"
+        "p.array[...] = x\n"
+        "a, w.array = 1, 2\n"
+        "p.array.flat[0] = 0.0\n"
+        "q.array: object = y\n"
+    )
+    assert array_rebindings(source) == ["line 5", "line 6", "line 8", "line 10"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_parameter_array_is_rebound(path):
+    assert array_rebindings(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,7 @@
 """The synthetic corpus generator's argument checks and entity pools."""
 
+import math
+
 import pytest
 
 from dialoqa.errors import ConfigError
@@ -11,10 +13,24 @@ from dialoqa.synth import ORDINALS, generate_corpus
     dict(min_utterances=5, max_utterances=4),
     dict(min_utterances=len(ORDINALS) + 1, max_utterances=len(ORDINALS) + 1),
     dict(questions_per_dialogue=-1),
+    dict(num_episodes=0),
+    dict(num_episodes=-3),
+    dict(scenes_per_episode=0),
+    dict(unanswerable_fraction=2.0),
+    dict(unanswerable_fraction=-1.0),
+    dict(unanswerable_fraction=math.nan),
 ])
 def test_out_of_range_arguments_raise_config_error(kwargs):
     with pytest.raises(ConfigError):
-        generate_corpus(num_episodes=1, **kwargs)
+        generate_corpus(**{"num_episodes": 1, **kwargs})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("num_episodes", 0), ("scenes_per_episode", -1), ("unanswerable_fraction", math.nan),
+])
+def test_a_bad_corpus_setting_is_named(name, value):
+    with pytest.raises(ConfigError, match=name):
+        generate_corpus(**{name: value})
 
 
 @pytest.mark.parametrize("utterances", [7, 8])

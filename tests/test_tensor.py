@@ -20,7 +20,7 @@ from dialoqa.encoder import STAGE_FINETUNED, STAGE_TMLM, ModelConfig, init_encod
 from dialoqa.errors import ConfigError, ShapeError
 from dialoqa.finetune import encode_for_qa, qa_batch_loss
 from dialoqa.optim import grad_check
-from dialoqa.pretrain import build_tmlm_instance, tmlm_batch_loss
+from dialoqa.pretrain import build_tmlm_instance, encode_dialogue, tmlm_batch_loss
 from dialoqa.vocab import build_vocab
 
 # High-precision reference values (50-digit erf/exp evaluation, frozen).
@@ -561,7 +561,7 @@ def test_training_graphs_are_freed_by_reference_counting():
     mlm_w = init_encoder_weights(cfg, STAGE_TMLM, rng)
     answerable = make_example("a", "what w01", (AnswerSpan(0, 1, 2, "w01 w02"),))
     encodings = [encode_for_qa(vocab, cfg, q, d) for q in (answerable, make_example("b", "who", ()))]
-    tmlm = [build_tmlm_instance(vocab, cfg, d, rng) for _ in range(2)]
+    tmlm = [build_tmlm_instance(vocab, cfg, encode_dialogue(vocab, d), rng) for _ in range(2)]
     gc.collect()
     gc.disable()
     try:
@@ -605,13 +605,13 @@ vocab = build_vocab(d for d, _ in corpus)
 model = cfg.model_config(len(vocab))
 weights = init_encoder_weights(model, STAGE_FINETUNED, np.random.default_rng(0))
 batch = [encode_for_qa(vocab, model, q, d) for d, qs in qa_entries(cfg, corpus) for q in qs][:32]
-params, adam, rng = dict(weights.named()), cfg.adam_state(), np.random.default_rng(1)
+adam, rng = cfg.adam_state(), np.random.default_rng(1)
 faults = []
 for _ in range(7):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     weights.zero_grads()
     qa_batch_loss(weights, batch, rng=rng).backward()
-    adam_step(params, weights.grads(), adam, cfg.base_lr)
+    adam_step(weights.vector, weights.grads(), adam, cfg.base_lr)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps({"questions": len(batch), "faults": faults}))
 """

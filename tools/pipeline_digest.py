@@ -90,8 +90,11 @@ def contents_digest(path: Path) -> str:
     }
     tensors = {name: p.array for name, p in ckpt.weights.named()}
     if adam is not None:
-        tensors.update({f"adam.m.{name}": m for name, m in adam.first_moment.items()})
-        tensors.update({f"adam.v.{name}": v for name, v in adam.second_moment.items()})
+        for prefix, moment in (("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment)):
+            # a dict by tensor name in older trees; one vector laid out like
+            # the weight vector since the flat parameter store
+            named = moment if isinstance(moment, dict) else ckpt.weights.views(moment)
+            tensors.update({prefix + name: arr for name, arr in named.items()})
     digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8"))
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
