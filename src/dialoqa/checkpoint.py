@@ -1,4 +1,4 @@
-"""Versioned binary checkpoints and cross-stage weight transfer.
+"""Versioned binary checkpoints.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the payload of little-endian float64 values. The header
@@ -16,11 +16,6 @@ types, the payload length and every value for finiteness, and raises
 byte-identical. Format 3 dropped the tensor directory and the resume
 counters, which ``training.fit`` replays from the dev history; a file of
 another format raises ``CheckpointError`` naming its version.
-
-``transfer_weights`` starts a stage from a checkpoint of one of its
-``encoder.STAGE_SOURCES``: each group in ``TRANSFERRED_GROUPS`` (TE, TL)
-that the source stage owns is copied exactly, and every other tensor is
-drawn fresh.
 """
 
 from __future__ import annotations
@@ -34,17 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import (
-    STAGE_GROUPS,
-    STAGE_SOURCES,
-    TRANSFERRED_GROUPS,
-    EncoderWeights,
-    ModelConfig,
-    _init_array,
-    group_shapes,
-    stage_shapes,
-)
-from .errors import CheckpointError, ConfigError, CorpusError, SequencingError
+from .encoder import STAGE_GROUPS, EncoderWeights, ModelConfig, stage_shapes
+from .errors import CheckpointError, ConfigError, CorpusError
 from .optim import AdamState
 from .vocab import Vocab
 
@@ -233,40 +219,3 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         train_state=header["train_state"],
     )
 
-
-def transfer_weights(
-    source: Checkpoint,
-    target_stage: str,
-    target_config: ModelConfig,
-    rng: np.random.Generator,
-) -> EncoderWeights:
-    """Initialize weights for the next stage from a checkpoint of one of its
-    ``STAGE_SOURCES``: a group in ``TRANSFERRED_GROUPS`` that the source
-    stage owns is copied exactly; every other tensor (new task heads
-    included) is freshly initialized, drawn from ``rng`` in table order."""
-    sources = STAGE_SOURCES.get(target_stage, ())
-    if source.stage not in sources:
-        raise SequencingError(
-            f"cannot transfer from stage {source.stage!r} to {target_stage!r}; "
-            f"it starts from one of {list(sources)}"
-        )
-    weights = EncoderWeights(target_config, target_stage)
-    mismatched: list[str] = []
-    for group in STAGE_GROUPS[target_stage]:
-        copy = group in TRANSFERRED_GROUPS and group in STAGE_GROUPS[source.stage]
-        for name, want in group_shapes(target_config, group).items():
-            src = source.weights.params.get(name)
-            if not copy:
-                weights[name].array[...] = _init_array(name, want, rng)
-            elif src is None:
-                mismatched.append(f"{name} (absent in source)")
-            elif src.shape != want:
-                mismatched.append(f"{name} (source {src.shape} vs target {want})")
-            else:
-                weights[name].array[...] = src.array
-    if mismatched:
-        raise CheckpointError(
-            "incompatible checkpoint for transfer; offending tensors: "
-            + ", ".join(mismatched)
-        )
-    return weights

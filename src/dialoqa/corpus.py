@@ -79,7 +79,8 @@ def question_type_of(question_tokens: Sequence[str]) -> str:
     return "other"
 
 
-def _normalize_text(text: str) -> str:
+def normalize_text(text: str) -> str:
+    """Lowercase, whitespace runs collapsed to one space, ends stripped."""
     return re.sub(r"\s+", " ", text.lower()).strip()
 
 
@@ -101,7 +102,7 @@ def _validate_span(span: AnswerSpan, dialogue: Dialogue, qid: str) -> None:
             f"out of range for utterance of {len(toks)} tokens"
         )
     joined = " ".join(toks[span.token_start : span.token_end + 1])
-    if _normalize_text(span.text) != joined:
+    if normalize_text(span.text) != joined:
         raise CorpusError(
             f"question {qid!r}: answer text {span.text!r} does not match "
             f"span tokens {joined!r}"
@@ -160,6 +161,8 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
                 ex = make_example(qid, str(qd["question"]), spans)
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CorpusError(f"{where}: bad question record: {e}") from e
+            if not ex.question_tokens:
+                raise CorpusError(f"{where}.questions[{qi}]: question {qid!r} has no token")
             for span in ex.answers:
                 _validate_span(span, dialogue, ex.qid)
             if ex.qid in first_seen:

@@ -34,9 +34,12 @@ names and shapes in init order, which is also the order of the init rng
 draws; TL's position table ``utt_pos_emb`` exists only with utterance
 positions on. ``STAGE_SOURCES`` lists the stages whose checkpoint may start
 each stage: token and utterance MLM train TE, order prediction adds TL, and
-fine-tuning takes over both (Li & Choi 2020, section 3). A stage's weights
-are one flat vector in sorted name order (``EncoderWeights``) that every
-parameter views; its gradient and Adam moments are vectors of that layout.
+fine-tuning takes over both (Li & Choi 2020, section 3).
+``init_encoder_weights`` applies the table: it copies from a source stage's
+weights each tensor of the ``TRANSFERRED_GROUPS`` that the source owns and
+draws every other tensor fresh. A stage's weights are one flat vector in
+sorted name order (``EncoderWeights``) that every parameter views; its
+gradient and Adam moments are vectors of that layout.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ShapeError
+from .errors import CapacityError, CheckpointError, ConfigError, SequencingError, ShapeError
 from .tensor import (
     Tensor,
     as_tensor,
@@ -122,8 +125,7 @@ class ModelConfig:
         return asdict(self)
 
 
-# The stage table (see the module docstring). Transfer copies the groups in
-# TRANSFERRED_GROUPS that the source stage owns; every other tensor starts fresh.
+# The stage table (see the module docstring), applied by init_encoder_weights.
 STAGE_GROUPS = {
     STAGE_TMLM: ("te", "mlm"),
     STAGE_UMLM: ("te", "mlm"),
@@ -264,12 +266,44 @@ class EncoderWeights:
 
 
 def init_encoder_weights(
-    config: ModelConfig, stage: str, rng: np.random.Generator
+    config: ModelConfig,
+    stage: str,
+    rng: np.random.Generator,
+    source: EncoderWeights | None = None,
 ) -> EncoderWeights:
-    """Fresh weights, drawn from ``rng`` in table order."""
+    """A stage's start weights, in table order: each tensor of a
+    ``TRANSFERRED_GROUPS`` group that ``source`` (weights of one of the
+    stage's ``STAGE_SOURCES``) owns is copied exactly, and every other
+    tensor, task heads included, is drawn from ``rng``. A source of another
+    stage raises ``SequencingError``; a copied tensor that the source lacks
+    or shapes otherwise raises ``CheckpointError`` naming each."""
+    copied = {}
+    if source is not None:
+        sources = STAGE_SOURCES.get(stage, ())
+        if source.stage not in sources:
+            raise SequencingError(
+                f"cannot transfer from stage {source.stage!r} to {stage!r}; "
+                f"it starts from one of {list(sources)}"
+            )
+        for group in TRANSFERRED_GROUPS:
+            if group in STAGE_GROUPS[source.stage]:
+                copied.update(group_shapes(config, group))
     weights = EncoderWeights(config, stage)
+    mismatched: list[str] = []
     for name, p in weights.named():
-        p.array[...] = _init_array(name, p.shape, rng)
+        if name not in copied:
+            p.array[...] = _init_array(name, p.shape, rng)
+        elif name not in source:
+            mismatched.append(f"{name} (absent in source)")
+        elif source[name].shape != p.shape:
+            mismatched.append(f"{name} (source {source[name].shape} vs target {p.shape})")
+        else:
+            p.array[...] = source[name].array
+    if mismatched:
+        raise CheckpointError(
+            "incompatible checkpoint for transfer; offending tensors: "
+            + ", ".join(mismatched)
+        )
     return weights
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import AnswerSpan, QAExample, _normalize_text
+from .corpus import AnswerSpan, QAExample, normalize_text
 from .errors import AlignmentError
 
 
@@ -52,7 +52,7 @@ class PredictionRecord:
 
 
 def _is_no_answer(pred_text: str | None) -> bool:
-    return pred_text is None or _normalize_text(pred_text) == ""
+    return pred_text is None or normalize_text(pred_text) == ""
 
 
 def exact_match(pred_text: str | None, gold_answers: Sequence[AnswerSpan]) -> int:
@@ -62,8 +62,8 @@ def exact_match(pred_text: str | None, gold_answers: Sequence[AnswerSpan]) -> in
         return int(not gold_answers)
     if not gold_answers:
         return 0
-    p = _normalize_text(pred_text)
-    return int(any(p == _normalize_text(g.text) for g in gold_answers))
+    p = normalize_text(pred_text)
+    return int(any(p == normalize_text(g.text) for g in gold_answers))
 
 
 def span_f1(pred_text: str | None, gold_answers: Sequence[AnswerSpan]) -> float:
@@ -73,10 +73,10 @@ def span_f1(pred_text: str | None, gold_answers: Sequence[AnswerSpan]) -> float:
         return float(not gold_answers)
     if not gold_answers:
         return 0.0
-    pred_tokens = _normalize_text(pred_text).split()
+    pred_tokens = normalize_text(pred_text).split()
     best = 0.0
     for g in gold_answers:
-        gold_tokens = _normalize_text(g.text).split()
+        gold_tokens = normalize_text(g.text).split()
         overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
         if overlap == 0:
             continue

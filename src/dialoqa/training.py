@@ -5,7 +5,7 @@ checkpoint management.
 The four training stages (tmlm, umlm, uop, finetuned) run one recipe. Which
 stages may start each one, and which weights carry over, is the stage table
 in ``encoder`` (``STAGE_SOURCES``, ``STAGE_GROUPS``), applied by
-``checkpoint.transfer_weights``. The table ``_STAGES`` here holds the rest
+``encoder.init_encoder_weights``. The table ``_STAGES`` here holds the rest
 that sets them apart: the ``RunConfig`` field with its step budget, how its
 train/dev data comes from the corpus split, a task builder returning
 ``fit``'s ``_Task`` (instance builder, batch loss, dev evaluation), and the
@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, transfer_weights
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusSplit,
     Dialogue,
@@ -79,7 +79,7 @@ from .pretrain import (
     uop_batch_logits,
     uop_batch_loss,
 )
-from .tensor import Tensor, _log_softmax_np
+from .tensor import Tensor, cross_entropy_rows
 from .vocab import Vocab, build_vocab
 
 logger = logging.getLogger("dialoqa")
@@ -324,11 +324,12 @@ def uop_dev_metrics(
     total_ce = 0.0
     correct = 0
     for chunk in _chunks(instances, batch_size):
-        logits = uop_batch_logits(weights, chunk).array
-        logp = _log_softmax_np(logits)
-        for row, inst in enumerate(chunk):
-            total_ce -= logp[row, inst.label]
-            correct += int(np.argmax(logits[row]) == inst.label)
+        logits = uop_batch_logits(weights, chunk)
+        labels = [inst.label for inst in chunk]
+        losses = cross_entropy_rows(logits, labels).array
+        for loss, row, label in zip(losses, logits.array, labels):
+            total_ce += loss
+            correct += int(np.argmax(row) == label)
     n = len(instances)
     return float(total_ce) / n, correct / n
 
@@ -517,11 +518,12 @@ def _init_stage_state(
     fallback_vocab: Callable[[], Vocab],
 ) -> Checkpoint:
     """The stage's start state. A same-stage ``init_checkpoint`` is resumed
-    as it is (it must be a ``*-last`` checkpoint); otherwise the weights are
-    transferred (``transfer_weights`` checks the source stage) or drawn
-    fresh (only for a stage without sources), with a new Adam state, the
-    stage's training generator, step 0 and an empty ``train_state``. A
-    resume must run with the checkpoint's model and Adam settings."""
+    as it is (it must be a ``*-last`` checkpoint); otherwise
+    ``init_encoder_weights`` transfers the weights from it (and checks its
+    stage) or, only for a stage without sources, draws them fresh, with a
+    new Adam state, the stage's training generator, step 0 and an empty
+    ``train_state``. A resume must run with the checkpoint's model and Adam
+    settings."""
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
@@ -530,20 +532,18 @@ def _init_stage_state(
             )
         _check_resume_settings(config, init_checkpoint)
         return init_checkpoint
-    init_rng = derive_rng(config.seed, stage, "init")
     if init_checkpoint is None:
         if STAGE_SOURCES[stage]:
             raise SequencingError(
                 f"stage {stage!r} requires an initial checkpoint from one of "
                 f"{list(STAGE_SOURCES[stage])}"
             )
-        vocab = fallback_vocab()
-        weights = init_encoder_weights(config.model_config(len(vocab)), stage, init_rng)
+        vocab, source = fallback_vocab(), None
     else:
-        vocab = init_checkpoint.vocab
-        weights = transfer_weights(
-            init_checkpoint, stage, config.model_config(len(vocab)), init_rng
-        )
+        vocab, source = init_checkpoint.vocab, init_checkpoint.weights
+    weights = init_encoder_weights(
+        config.model_config(len(vocab)), stage, derive_rng(config.seed, stage, "init"), source
+    )
     return Checkpoint(
         weights=weights,
         vocab=vocab,
@@ -571,7 +571,15 @@ def _encoded(vocab, *parts):
 
 
 def _tmlm_task(config, vocab, model_cfg, train, dev):
-    train, dev = _encoded(vocab, train, dev)
+    # The token-level sequence also holds a speaker token per utterance, so a
+    # truncated dialogue can outrun TE's positions: cut it, and its maskable
+    # slots, there, as BERT cuts at its position limit.
+    cut = model_cfg.token_position_capacity
+    train, dev = (
+        [replace(d, token_ids=d.token_ids[:cut], maskable=tuple(p for p in d.maskable if p < cut))
+         for d in part]
+        for part in _encoded(vocab, train, dev)
+    )
 
     def instances(dialogues, rng_):
         return [

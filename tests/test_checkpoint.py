@@ -18,7 +18,6 @@ from dialoqa.checkpoint import (
     Checkpoint,
     load_checkpoint,
     save_checkpoint,
-    transfer_weights,
 )
 from dialoqa.corpus import Dialogue, Utterance
 from dialoqa.encoder import (
@@ -415,7 +414,7 @@ class TestStrictDirectory:
 class TestTransfer:
     def test_uop_to_finetune_copies_tl_bitwise(self, vocab):
         src = _checkpoint(vocab, stage="uop", seed=3, with_state=False)
-        out = transfer_weights(src, "finetuned", src.config, np.random.default_rng(9))
+        out = init_encoder_weights(src.config, "finetuned", np.random.default_rng(9), src.weights)
         for name in ("tl.0.attn_wq", "tl.1.ff_w1", "utt_pos_emb", "token_emb",
                      "te.0.attn_wo", "token_pos_emb"):
             assert np.array_equal(out[name].array, src.weights[name].array)
@@ -424,14 +423,14 @@ class TestTransfer:
     def test_umlm_to_uop_initializes_tl_fresh(self, vocab):
         src = _checkpoint(vocab, stage="umlm", seed=4, with_state=False)
         assert "tl.0.attn_wq" not in src.weights
-        out = transfer_weights(src, "uop", src.config, np.random.default_rng(10))
+        out = init_encoder_weights(src.config, "uop", np.random.default_rng(10), src.weights)
         assert np.array_equal(out["token_emb"].array, src.weights["token_emb"].array)
         assert "tl.0.attn_wq" in out and "uop_w" in out
 
     def test_tmlm_to_umlm_head_fresh_encoder_copied(self, vocab):
         src = _checkpoint(vocab, stage="tmlm", seed=5, with_state=False)
         src.weights["vocab_bias"].array[:] = 7.0
-        out = transfer_weights(src, "umlm", src.config, np.random.default_rng(11))
+        out = init_encoder_weights(src.config, "umlm", np.random.default_rng(11), src.weights)
         assert np.array_equal(out["te.0.ff_w2"].array, src.weights["te.0.ff_w2"].array)
         assert np.all(out["vocab_bias"].array == 0.0)  # task head freshly initialized
 
@@ -440,29 +439,29 @@ class TestTransfer:
         bigger = ModelConfig(**{**src.config.to_dict(), "hidden_size": 16,
                                 "intermediate_size": 32})
         with pytest.raises(CheckpointError, match="token_emb"):
-            transfer_weights(src, "uop", bigger, np.random.default_rng(12))
+            init_encoder_weights(bigger, "uop", np.random.default_rng(12), src.weights)
 
     def test_stage_order_enforced(self, vocab):
         src = _checkpoint(vocab, stage="uop", seed=7, with_state=False)
         with pytest.raises(SequencingError):
-            transfer_weights(src, "umlm", src.config, np.random.default_rng(13))
+            init_encoder_weights(src.config, "umlm", np.random.default_rng(13), src.weights)
         with pytest.raises(SequencingError):
-            transfer_weights(src, "uop", src.config, np.random.default_rng(14))
+            init_encoder_weights(src.config, "uop", np.random.default_rng(14), src.weights)
 
     @pytest.mark.parametrize("target", list(STAGE_SOURCES))
     @pytest.mark.parametrize("source", list(STAGE_SOURCES))
     def test_allowed_exactly_from_the_stage_sources(self, vocab, source, target):
         src = _checkpoint(vocab, stage=source, seed=16, with_state=False)
         if source in STAGE_SOURCES[target]:
-            out = transfer_weights(src, target, src.config, np.random.default_rng(17))
+            out = init_encoder_weights(src.config, target, np.random.default_rng(17), src.weights)
             assert out.stage == target
         else:
             with pytest.raises(SequencingError):
-                transfer_weights(src, target, src.config, np.random.default_rng(17))
+                init_encoder_weights(src.config, target, np.random.default_rng(17), src.weights)
 
     def test_tmlm_to_finetune_copies_te_and_starts_tl_fresh(self, vocab):
         src = _checkpoint(vocab, stage="tmlm", seed=18, with_state=False)
-        out = transfer_weights(src, "finetuned", src.config, np.random.default_rng(19))
+        out = init_encoder_weights(src.config, "finetuned", np.random.default_rng(19), src.weights)
         te = group_shapes(src.config, "te")
         for name in te:
             assert np.array_equal(out[name].array, src.weights[name].array)
@@ -476,5 +475,5 @@ class TestTransfer:
     def test_tied_projection_preserved(self, vocab):
         # the vocab projection weight IS token_emb; transfer must keep them tied
         src = _checkpoint(vocab, stage="tmlm", seed=8, with_state=False)
-        out = transfer_weights(src, "umlm", src.config, np.random.default_rng(15))
+        out = init_encoder_weights(src.config, "umlm", np.random.default_rng(15), src.weights)
         assert np.array_equal(out["token_emb"].array, src.weights["token_emb"].array)

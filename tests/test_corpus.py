@@ -104,6 +104,12 @@ class TestLoad:
         with pytest.raises(CorpusError, match="empty"):
             load_corpus(_write(tmp_path, doc))
 
+    def test_question_without_a_token_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["dialogues"][0]["questions"][0]["question"] = " \t "
+        with pytest.raises(CorpusError, match=r"dialogues\[0\]\.questions\[0\]: question 'q1'"):
+            load_corpus(_write(tmp_path, doc))
+
     @pytest.mark.parametrize(
         "content",
         [None, b"\xff\xfe not utf-8", b'{"dialogues": 5}', b'{"dialogues": [{"episode_id": 1e999}]}'],

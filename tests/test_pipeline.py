@@ -16,7 +16,7 @@ import pytest
 
 from dialoqa import cli, pretrain, training
 from dialoqa import tensor as T
-from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint, transfer_weights
+from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from dialoqa.corpus import Dialogue, Utterance, load_corpus, save_corpus
 from dialoqa.encoder import ModelConfig, init_encoder_weights, stage_shapes
 from dialoqa.errors import (
@@ -308,7 +308,9 @@ class TestFlatStore:
         _assert_parameters_view_the_vector(loaded.weights)
         assert loaded.weights.vector.tobytes() == state.weights.vector.tobytes()
         for stage in ("umlm", "finetuned"):
-            moved = transfer_weights(loaded, stage, loaded.config, np.random.default_rng(0))
+            moved = init_encoder_weights(
+                loaded.config, stage, np.random.default_rng(0), loaded.weights
+            )
             _assert_parameters_view_the_vector(moved)
         _assert_parameters_view_the_vector(loaded.weights.frozen())
 
@@ -884,6 +886,45 @@ class TestCli:
         )
         assert (code, err["error"]) == (1, "CorpusError")
         assert "maskable" in err["message"]
+
+    def test_question_without_a_token_is_json_error(self, corpus_path, tmp_path, capsys):
+        doc = json.loads(corpus_path.read_text(encoding="utf-8"))
+        doc["dialogues"][0]["questions"][0]["question"] = ""
+        qid = doc["dialogues"][0]["questions"][0]["qid"]
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"corpus = {corpus}\ntrain_max_episode = 7\ndev_max_episode = 8\n")
+        out = tmp_path / "run"
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)
+        )
+        assert (code, err["error"]) == (1, "CorpusError")
+        assert f"dialogues[0].questions[0]: question {qid!r}" in err["message"]
+        assert not out.exists()
+
+    def test_tmlm_cuts_a_dialogue_at_the_token_positions(self, corpus_path, tmp_path, capsys):
+        """With 2 words per utterance the token-level sequence of a dialogue
+        of 6 or more utterances, speaker tokens included, outruns the 17
+        token positions; the stage cuts it there and trains."""
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 2\nmax_tokens = 2\n"
+        )
+        cfg = load_run_config(path)
+        split = training.load_split(cfg)
+        vocab = build_vocab(training.pretrain_dialogues(cfg, split)[0])
+        lengths = [
+            len(pretrain.encode_dialogue(vocab, d).token_ids)
+            for part in training.pretrain_dialogues(cfg, split) for d in part
+        ]
+        assert max(lengths) > cfg.model_config(len(vocab)).token_position_capacity == 17
+        out = tmp_path / "run"
+        args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        assert load_checkpoint(out / "tmlm-best.ckpt").stage == "tmlm"
 
     @pytest.mark.parametrize("content", [None, "seed = twelve\n"])
     def test_bad_config_file_is_json_error(self, tmp_path, capsys, content):

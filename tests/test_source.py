@@ -304,3 +304,35 @@ def test_checker_flags_an_array_rebinding():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_parameter_array_is_rebound(path):
     assert array_rebindings(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Names starting with ``_`` (dunders aside) that a module imports from
+    another module: a private name is its module's own, so a second module
+    that needs it needs a public name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .tensor import Tensor, _log_softmax\n"
+        "from dialoqa.corpus import _normalize as normalize\n"
+        "from . import __version__, _private\n"
+        "import numpy as np\n"
+    )
+    assert private_imports(source) == [
+        "line 2: _log_softmax", "line 3: _normalize", "line 4: _private"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
