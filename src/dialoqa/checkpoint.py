@@ -14,8 +14,10 @@ the old file whole. ``load_checkpoint`` checks the header's fields and
 types, the payload length and every value for finiteness, and raises
 ``CheckpointError`` for any file it cannot read. save -> load -> save is
 byte-identical. Format 3 dropped the tensor directory and the resume
-counters, which ``training.fit`` replays from the dev history; a file of
-another format raises ``CheckpointError`` naming its version.
+counters, which ``training.fit`` replays from the dev history; format 4
+dropped the Adam step, so the Adam record holds the four settings only and
+``global_step`` is the one step count. A file of another format raises
+``CheckpointError`` naming its version.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .optim import AdamState
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -101,7 +103,6 @@ _HEADER_FIELDS = {
 }
 _ADAM_FIELDS = {
     "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "weight_decay": _NUMBER,
-    "step": int,
 }
 # All optional: a best snapshot's epoch and metrics, a -last's dev history.
 _TRAIN_STATE_FIELDS = {"epoch": int, "metrics": dict, "history": list}
@@ -149,12 +150,10 @@ def _check_header(header, path) -> None:
     _check_fields(state, _TRAIN_STATE_FIELDS, f"{path}: train_state", optional=True)
     if not all(isinstance(rec, dict) for rec in state.get("history", [])):
         raise CheckpointError(f"{path}: train_state history holds a non-object")
-    values = [("global_step", header["global_step"], 0),
-              ("train_state epoch", state.get("epoch", 0), -1)]
     if header["adam"] is not None:
         _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
-        values.append(("adam step", header["adam"]["step"], 0))
-    for where, value, low in values:
+    for where, value, low in (("global_step", header["global_step"], 0),
+                              ("train_state epoch", state.get("epoch", 0), -1)):
         if value < low:
             raise CheckpointError(f"{path}: {where} is {value}, below {low}")
     if header["rng_state"] is not None:

@@ -3,11 +3,13 @@
 Subcommands: ``pretrain --stage {tmlm|umlm|uop}``, ``finetune``,
 ``evaluate --split {train|dev|test}``, and ``synth-corpus``, each taking
 ``--config`` (key = value file), ``--seed``, ``--init <checkpoint>`` and
-``--out <dir>``. ``pretrain`` and ``finetune`` always leave the best-dev
-checkpoint at ``<dir>/<stage>-best.ckpt`` (the working directory without
-``--out``), the ``--init`` of the next stage. Exit code 0 on success; on
-failure a machine-readable JSON error goes to stderr. DIALOQA_LOG controls
-log verbosity.
+``--out <dir>``. Every command writes into ``--out``, which defaults to the
+working directory. ``pretrain`` and ``finetune`` leave the vocabulary, the
+best-dev checkpoint ``<stage>-best.ckpt`` (the ``--init`` of the next stage)
+and the resumable ``<stage>-last.ckpt`` there; ``evaluate`` leaves its
+predictions and report. Exit code 0 on success; on failure a
+machine-readable JSON error goes to stderr. DIALOQA_LOG controls log
+verbosity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .corpus import save_corpus
 from .errors import DialoQAError
 from .synth import generate_corpus
@@ -50,7 +52,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=Path, default=None, help="key = value config file")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--init", type=Path, default=None, help="initial checkpoint")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", type=Path, default=None, help="output directory (default .)")
 
     p = sub.add_parser("pretrain", help="run one pre-training stage")
     p.add_argument("--stage", choices=PRETRAIN_STAGES, required=True)
@@ -83,22 +85,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = load_run_config(args.config, seed=args.seed)
         init = load_checkpoint(args.init) if args.init is not None else None
+        out = args.out or Path(".")
         if args.command == "pretrain":
-            best = run_stage(args.stage, config, init, args.out)
-            if args.out is None:  # with --out, fit has written it already
-                save_checkpoint(best, Path(f"{args.stage}-best.ckpt"))
+            best = run_stage(args.stage, config, init, out)
             print(f"{args.stage}: best dev {best.train_state.get('metrics')}")
         elif args.command == "finetune":
             if init is None:
                 raise _UsageError("finetune requires --init <checkpoint>")
-            best, _ = run_finetune(config, init, args.out)
-            if args.out is None:
-                save_checkpoint(best, Path("finetuned-best.ckpt"))
+            best, _ = run_finetune(config, init, out)
             print(f"finetuned: best dev {best.train_state.get('metrics')}")
         elif args.command == "evaluate":
             if init is None:
                 raise _UsageError("evaluate requires --init <checkpoint>")
-            report = run_eval(config, init, args.split, args.out)
+            report = run_eval(config, init, args.split, out)
             print(report.format_table())
         elif args.command == "synth-corpus":
             corpus = generate_corpus(
@@ -110,9 +109,8 @@ def main(argv: list[str] | None = None) -> int:
                 max_utterances=config.synth_max_utterances,
                 unanswerable_fraction=config.synth_unanswerable_fraction,
             )
-            out_dir = args.out or Path(".")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "corpus.json"
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / "corpus.json"
             save_corpus(corpus, path)
             n_q = sum(len(qs) for _, qs in corpus)
             print(f"wrote {len(corpus)} dialogues / {n_q} questions to {path}")

@@ -16,28 +16,31 @@ from .tensor import Tensor
 
 @dataclass
 class AdamState:
-    """First/second moments, each laid out like the parameter vector (None
-    before the first step), plus the shared step counter."""
+    """The Adam settings and the first/second moments, each laid out like the
+    parameter vector (None before the first step). The step count is the
+    caller's: ``fit`` passes its global step."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.01
-    step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
-    """One decoupled-weight-decay Adam update of the parameter vector from
-    the gradient vector, mutating params and state. Elementwise, so one pass
-    over a stage's vector equals one per tensor.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, step: int) -> None:
+    """Adam update number ``step`` (from 1, for the bias corrections) of the
+    parameter vector from the gradient vector, with decoupled weight decay,
+    mutating params and state. Elementwise, so one pass over a stage's
+    vector equals one per tensor.
 
     Weight decay is applied directly to the weights (not through the
     moments). Must be called by one writer at a time.
     """
-    if lr < 0:
-        raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    if not 0.0 <= lr < np.inf:  # False for nan
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
+    if step < 1:
+        raise ConfigError(f"Adam step must be >= 1, got {step}")
     if grads.shape != params.shape:
         raise ShapeError(
             f"gradient shape {grads.shape} does not match parameter shape {params.shape}"
@@ -45,11 +48,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     if state.first_moment is None:
         state.first_moment, state.second_moment = np.zeros_like(params), np.zeros_like(params)
     m, v = state.first_moment, state.second_moment
-    state.step += 1
-    t = state.step
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
     m *= b1
     m += (1.0 - b1) * grads
     v *= b2
@@ -76,8 +77,8 @@ class LRSchedule:
             raise ConfigError(
                 f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}"
             )
-        if self.base_lr < 0:
-            raise ConfigError(f"base_lr must be >= 0, got {self.base_lr}")
+        if not 0.0 <= self.base_lr < np.inf:  # False for nan
+            raise ConfigError(f"base_lr must be finite and >= 0, got {self.base_lr}")
 
 
 def lr_at_step(schedule: LRSchedule, step: int | float) -> float:

@@ -67,19 +67,18 @@ def mask_tokens(
     maskable_positions: Sequence[int],
     rng: np.random.Generator,
     ratio: float = 0.15,
-    *,
-    force_at_least_one: bool = True,
 ) -> tuple[list[int], list[int], list[int]]:
-    """Select maskable positions independently with probability ``ratio``;
-    of the selected, 80% become MASK, 10% a random non-special id, 10% stay
-    unchanged. Returns (masked ids, positions, original labels)."""
+    """Select maskable positions independently with probability ``ratio``
+    (one uniformly drawn position when none is selected); of the selected,
+    80% become MASK, 10% a random non-special id, 10% stay unchanged.
+    Returns (masked ids, positions, original labels)."""
     if not maskable_positions:
         raise CorpusError("mask_tokens: no maskable positions")
     ids = list(token_ids)
     positions = sorted(maskable_positions)
     draws = rng.random(len(positions))
     selected = [p for p, u in zip(positions, draws) if u < ratio]
-    if not selected and force_at_least_one:
+    if not selected:
         selected = [positions[int(rng.integers(len(positions)))]]
     labels = []
     for p in selected:
@@ -127,8 +126,6 @@ def build_tmlm_instance(
     dialogue: EncodedDialogue,
     rng: np.random.Generator,
     ratio: float = 0.15,
-    *,
-    force_at_least_one: bool = True,
 ) -> TmlmInstance:
     ids = dialogue.token_ids
     if len(ids) > config.token_position_capacity:
@@ -136,9 +133,7 @@ def build_tmlm_instance(
             f"dialogue encodes to {len(ids)} tokens, capacity is "
             f"{config.token_position_capacity}; truncate first"
         )
-    masked, positions, labels = mask_tokens(
-        vocab, ids, dialogue.maskable, rng, ratio, force_at_least_one=force_at_least_one
-    )
+    masked, positions, labels = mask_tokens(vocab, ids, dialogue.maskable, rng, ratio)
     return TmlmInstance(tuple(masked), tuple(positions), tuple(labels))
 
 

@@ -15,9 +15,12 @@ tracked dev metrics with their direction, which ``_improve`` reads.
 
 A stage's state is one ``Checkpoint``: ``_init_stage_state`` makes the
 start state (a ``*-last`` checkpoint as it is, or fresh or transferred
-weights with a new optimizer and generator), and ``fit`` runs from it. The
-best snapshot is on disk from the first dev eval on, so a resume reads it
-back instead of rebuilding it.
+weights with a new optimizer and generator), and ``fit`` runs from it. Every
+stage run writes into an output directory: the best snapshot is on disk
+from the first dev eval on, so a resume reads it back instead of rebuilding
+it, and each epoch's ``*-last`` checkpoint can be resumed. The global step
+is the one step count: it drives the lr schedule and Adam's bias
+corrections and is the checkpoint's ``global_step``.
 
 Determinism contract: every random draw comes either from namespaced
 generators derived from (seed, stage, purpose) or from the single training
@@ -391,17 +394,14 @@ def _replay(stage: str, history: list[dict]) -> tuple[dict, int]:
     return best, bad
 
 
-def _save_best(
-    state: Checkpoint, epoch: int, metrics: dict, out_dir: str | Path | None
-) -> Checkpoint:
+def _save_best(state: Checkpoint, epoch: int, metrics: dict, out_dir: str | Path) -> Checkpoint:
     """A weights-only copy of ``state``, written to ``<out_dir>/<stage>-best.ckpt``."""
     best = Checkpoint(
         EncoderWeights(state.config, state.stage, state.weights.vector.copy()),
         state.vocab, state.global_step,
         train_state={"epoch": epoch, "metrics": metrics},
     )
-    if out_dir is not None:
-        save_checkpoint(best, Path(out_dir) / f"{state.stage}-best.ckpt")
+    save_checkpoint(best, Path(out_dir) / f"{state.stage}-best.ckpt")
     return best
 
 
@@ -410,7 +410,7 @@ def fit(
     state: Checkpoint,
     task: _Task,
     max_steps: int,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> tuple[Checkpoint, list[dict]]:
     """Epoch loop from the start ``state`` (weights, vocab, Adam and rng
     state, step, ``train_state``) with per-epoch dev evaluation,
@@ -425,7 +425,8 @@ def fit(
     epoch from it. A resume (a state with dev history) reads its best back
     from the ``-best`` file and raises ``CheckpointError`` without one. A
     non-finite loss or gradient raises ``DivergenceError`` before the
-    update. Returns (best checkpoint, dev history)."""
+    update. The global step, counted from 1, is Adam's step and sets the lr.
+    Returns (best checkpoint, dev history)."""
     weights, adam, stage = state.weights, state.adam, state.stage
     rng = restore_rng(state.rng_state)
     global_step = state.global_step
@@ -433,11 +434,6 @@ def fit(
     history: list[dict] = list(state.train_state.get("history", []))
 
     if history:
-        if out_dir is None:
-            raise CheckpointError(
-                f"resuming stage {stage!r} needs the interrupted run's output "
-                f"directory, which holds its {stage}-best.ckpt"
-            )
         best = load_checkpoint(Path(out_dir) / f"{stage}-best.ckpt")
     else:
         metrics = task.dev_eval(weights)
@@ -472,7 +468,7 @@ def fit(
                     f"non-finite gradient of {', '.join(nonfinite)}"
                 )
             global_step += 1
-            adam_step(weights.vector, grads, adam, lr_at_step(schedule, global_step))
+            adam_step(weights.vector, grads, adam, lr_at_step(schedule, global_step), global_step)
         metrics = task.dev_eval(weights)
         history.append({"epoch": epoch, "step": global_step, **metrics})
         improved, best_metrics = _improve(stage, metrics, best_metrics)
@@ -483,8 +479,7 @@ def fit(
         )
         if improved:
             best = _save_best(state, epoch, metrics, out_dir)
-        if out_dir is not None:
-            save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
+        save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch, global_step, metrics, " *" if improved else "",
@@ -573,13 +568,21 @@ def _encoded(vocab, *parts):
 def _tmlm_task(config, vocab, model_cfg, train, dev):
     # The token-level sequence also holds a speaker token per utterance, so a
     # truncated dialogue can outrun TE's positions: cut it, and its maskable
-    # slots, there, as BERT cuts at its position limit.
+    # slots, there, as BERT cuts at its position limit. A dialogue with no
+    # maskable word left is skipped, as umlm skips such an utterance.
     cut = model_cfg.token_position_capacity
     train, dev = (
         [replace(d, token_ids=d.token_ids[:cut], maskable=tuple(p for p in d.maskable if p < cut))
          for d in part]
         for part in _encoded(vocab, train, dev)
     )
+    train, dev = ([d for d in part if d.maskable] for part in (train, dev))
+    for name, part in (("training", train), ("dev", dev)):
+        if not part:
+            raise CorpusError(
+                f"no {name} dialogue has a maskable word within TE's {cut} token "
+                "positions for token MLM"
+            )
 
     def instances(dialogues, rng_):
         return [
@@ -671,8 +674,10 @@ def _run(
     stage: str,
     config: RunConfig,
     init_checkpoint: Checkpoint | None,
-    out_dir: str | Path | None,
+    out_dir: str | Path,
 ) -> tuple[Checkpoint, list[dict]]:
+    """Builds the stage's start state and task, and only then writes into
+    ``out_dir``: its vocabulary, then ``fit``'s checkpoints."""
     spec = _STAGES[stage]
     train, dev = spec.data(config, load_split(config))
     if not train or not dev:
@@ -680,20 +685,20 @@ def _run(
     state = _init_stage_state(
         config, stage, init_checkpoint, lambda: build_vocab(train, config.min_freq)
     )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        state.vocab.save(Path(out_dir) / "vocab.txt")
     task = spec.task(config, state.vocab, state.config, train, dev)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    state.vocab.save(Path(out_dir) / "vocab.txt")
     return fit(config, state, task, getattr(config, spec.budget), out_dir)
 
 
 def run_stage(
     stage: str,
     config: RunConfig,
-    init_checkpoint: Checkpoint | None = None,
-    out_dir: str | Path | None = None,
+    init_checkpoint: Checkpoint | None,
+    out_dir: str | Path,
 ) -> Checkpoint:
-    """Train one pre-training stage and return the best-dev checkpoint."""
+    """Train one pre-training stage, writing its checkpoints into
+    ``out_dir``, and return the best-dev checkpoint."""
     if stage not in PRETRAIN_STAGES:
         raise SequencingError(
             f"run_stage handles {list(PRETRAIN_STAGES)}, got {stage!r}"
@@ -751,7 +756,7 @@ def evaluate_entries(
 def run_finetune(
     config: RunConfig,
     init_checkpoint: Checkpoint,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> tuple[Checkpoint, list[dict]]:
     """Joint UID+span fine-tuning; keeps the best dev-SM checkpoint. The
     tmlm-only source path covers the no-utterance-pretraining baseline."""
@@ -765,10 +770,10 @@ def run_eval(
     config: RunConfig,
     checkpoint: Checkpoint,
     split_name: str,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> MetricReport:
     """Batch inference + answer selection + metrics on one corpus split;
-    optionally writes predictions JSONL and the report."""
+    writes the predictions JSONL and the report into ``out_dir``."""
     if checkpoint.stage != STAGE_FINETUNED:
         raise SequencingError(
             f"evaluation requires a finetuned checkpoint, got {checkpoint.stage!r}"
@@ -786,14 +791,11 @@ def run_eval(
         raise CorpusError(f"split {split_name!r} has no questions")
     records, golds = predict_entries(checkpoint.weights, checkpoint.vocab, entries)
     report = evaluate(records, golds)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"predictions-{split_name}.jsonl", "w", encoding="utf-8") as f:
-            for r in records:
-                f.write(r.to_json() + "\n")
-        (out / f"report-{split_name}.json").write_text(report.to_json(), encoding="utf-8")
-        (out / f"report-{split_name}.txt").write_text(
-            report.format_table() + "\n", encoding="utf-8"
-        )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / f"predictions-{split_name}.jsonl", "w", encoding="utf-8") as f:
+        for r in records:
+            f.write(r.to_json() + "\n")
+    (out / f"report-{split_name}.json").write_text(report.to_json(), encoding="utf-8")
+    (out / f"report-{split_name}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     return report

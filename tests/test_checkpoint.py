@@ -53,7 +53,6 @@ def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
     if with_state:
         size = weights.vector.shape
         adam = AdamState(
-            step=17,
             first_moment=np.random.default_rng(1).normal(size=size),
             second_moment=np.abs(np.random.default_rng(2).normal(size=size)),
         )
@@ -88,7 +87,6 @@ class TestRoundTrip:
         assert loaded.stage == "tmlm"
         assert loaded.global_step == 17
         assert loaded.vocab.id_to_token == vocab.id_to_token
-        assert loaded.adam.step == 17
         assert loaded.rng_state == ckpt.rng_state
         assert loaded.train_state == ckpt.train_state
         for name, p in ckpt.weights.named():
@@ -269,16 +267,14 @@ class TestHeaderValidation:
     )
     @given(
         global_step=st.integers(-2, 2),
-        adam_step=st.integers(-2, 2),
         train_state=st.dictionaries(
             st.sampled_from(["epoch", "metrics", "history", "bad_evals"]), _JSON, max_size=3
         ),
     )
     def test_what_save_accepts_load_accepts(
-        self, vocab, tmp_path, global_step, adam_step, train_state
+        self, vocab, tmp_path, global_step, train_state
     ):
         ckpt = replace(_checkpoint(vocab, **TINY), global_step=global_step, train_state=train_state)
-        ckpt.adam.step = adam_step
         first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         first.unlink(missing_ok=True)
         try:
@@ -386,29 +382,30 @@ class TestStrictDirectory:
             load_checkpoint(path)
 
     def test_format_1_names_the_version(self, vocab, tmp_path):
-        """A file of format 1 or 2, whose headers held a tensor directory,
-        raises ``CheckpointError`` naming its version."""
+        """A file of format 1 or 2, whose headers held a tensor directory, or
+        of format 3, whose Adam record held a step, raises ``CheckpointError``
+        naming its version."""
         path = tmp_path / "d.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         header, payload = _split_file(path.read_bytes())
-        assert header["format_version"] == FORMAT_VERSION == 3
-        for version in (1, 2):
+        assert header["format_version"] == FORMAT_VERSION == 4
+        for version in (1, 2, 3):
             path.write_bytes(_with_header({**header, "format_version": version}, payload))
             with pytest.raises(CheckpointError, match=f"format_version {version} unsupported"):
                 load_checkpoint(path)
 
-    def test_adam_record_holds_the_settings_and_step(self, vocab, tmp_path):
+    def test_adam_record_holds_the_settings_only(self, vocab, tmp_path):
+        """Adam's step is the checkpoint's ``global_step``, so the record
+        holds the four settings alone."""
         path = tmp_path / "d.ckpt"
         ckpt = _checkpoint(vocab, **TINY)
         save_checkpoint(ckpt, path)
         header, _ = _split_file(path.read_bytes())
-        assert header["adam"] == {
-            "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "weight_decay": 0.01, "step": 17
-        }
+        adam_settings = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "weight_decay": 0.01}
+        assert header["adam"] == adam_settings
         loaded = load_checkpoint(path).adam
-        assert (loaded.beta1, loaded.beta2, loaded.epsilon, loaded.weight_decay, loaded.step) == (
-            0.9, 0.999, 1e-8, 0.01, 17
-        )
+        assert {name: getattr(loaded, name) for name in adam_settings} == adam_settings
+        assert not hasattr(loaded, "step")
 
 
 class TestTransfer:

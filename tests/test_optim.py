@@ -16,16 +16,15 @@ class TestAdam:
     def test_zero_grads_no_decay_is_identity(self):
         w = _vector(1.0, -2.0, 3.0)
         state = AdamState(weight_decay=0.0)
-        adam_step(w, np.zeros(3), state, lr=0.1)
+        adam_step(w, np.zeros(3), state, lr=0.1, step=1)
         np.testing.assert_array_equal(w, [1.0, -2.0, 3.0])
-        assert state.step == 1
 
     def test_first_step_moves_by_lr(self):
         # After bias correction, |delta| = lr * |g| / (|g| + eps) for step 1.
         for g in (0.5, -3.0):
             w = _vector(1.0)
             state = AdamState(weight_decay=0.0)
-            adam_step(w, np.array([g]), state, lr=0.1)
+            adam_step(w, np.array([g]), state, lr=0.1, step=1)
             delta = w[0] - 1.0
             assert abs(abs(delta) - 0.1) < 1e-6
             assert np.sign(delta) == -np.sign(g)
@@ -35,8 +34,8 @@ class TestAdam:
         w = _vector(1.0)
         state = AdamState(weight_decay=0.0)
         trace = [1.0]
-        for _ in range(10):
-            adam_step(w, 2.0 * w, state, lr=0.1)
+        for step in range(1, 11):
+            adam_step(w, 2.0 * w, state, lr=0.1, step=step)
             trace.append(abs(float(w[0])))
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
@@ -44,7 +43,7 @@ class TestAdam:
         # zero gradient + weight decay shrinks weights directly by lr*wd*w
         w = _vector(2.0)
         state = AdamState(weight_decay=0.01)
-        adam_step(w, np.zeros(1), state, lr=0.5)
+        adam_step(w, np.zeros(1), state, lr=0.5, step=1)
         np.testing.assert_allclose(w, [2.0 - 0.5 * 0.01 * 2.0])
 
     def test_shape_mismatch(self):
@@ -52,21 +51,21 @@ class TestAdam:
         state = AdamState()
         message = r"gradient shape \(3,\) does not match parameter shape \(2,\)"
         with pytest.raises(ShapeError, match=message):
-            adam_step(w, np.zeros(3), state, lr=0.1)
-        assert state.step == 0 and state.first_moment is None
+            adam_step(w, np.zeros(3), state, lr=0.1, step=1)
+        assert state.first_moment is None
         np.testing.assert_array_equal(w, [1.0, 2.0])
 
     def test_moments_allocated_once(self, monkeypatch):
         w = _vector(1.0, -2.0)
         state = AdamState()
-        adam_step(w, np.array([0.5, 0.25]), state, lr=0.1)
+        adam_step(w, np.array([0.5, 0.25]), state, lr=0.1, step=1)
         first, second = state.first_moment, state.second_moment
 
         def no_allocation(*args, **kwargs):
             raise AssertionError("moments re-allocated on a later step")
 
         monkeypatch.setattr(np, "zeros_like", no_allocation)
-        adam_step(w, np.array([0.5, 0.25]), state, lr=0.1)
+        adam_step(w, np.array([0.5, 0.25]), state, lr=0.1, step=2)
         assert state.first_moment is first and state.second_moment is second
 
     def test_two_step_values(self):
@@ -74,24 +73,29 @@ class TestAdam:
         state = AdamState(weight_decay=0.01)
         w, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
         for t, g in enumerate((np.array([0.5, -1.5]), np.array([-0.25, 2.0])), start=1):
-            adam_step(params, g, state, lr=0.1)
+            adam_step(params, g, state, lr=0.1, step=t)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             update = (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
             w = w - 0.1 * (update + 0.01 * w)
         np.testing.assert_allclose(params, w, rtol=0, atol=1e-15)
 
-    def test_step_strictly_increments(self):
-        w = _vector(1.0)
+    @pytest.mark.parametrize("lr, step, message", [
+        (float("nan"), 1, "learning rate"), (float("inf"), 1, "learning rate"),
+        (-0.1, 1, "learning rate"), (0.1, 0, "Adam step"), (0.1, -1, "Adam step"),
+    ], ids=["lr-nan", "lr-inf", "lr-negative", "step-zero", "step-negative"])
+    def test_bad_rate_or_step_raises_before_the_update(self, lr, step, message):
+        w = _vector(1.0, 2.0)
         state = AdamState()
-        for expected in (1, 2, 3):
-            adam_step(w, np.ones(1), state, lr=0.0)
-            assert state.step == expected
+        with pytest.raises(ConfigError, match=message):
+            adam_step(w, np.ones(2), state, lr=lr, step=step)
+        assert state.first_moment is None
+        np.testing.assert_array_equal(w, [1.0, 2.0])
 
     def test_moment_shapes_match_params(self):
         w = np.ones(10)
         state = AdamState()
-        adam_step(w, np.ones_like(w), state, lr=0.01)
+        adam_step(w, np.ones_like(w), state, lr=0.01, step=1)
         assert state.first_moment.shape == w.shape
         assert state.second_moment.shape == w.shape
 
@@ -106,7 +110,8 @@ class TestAdam:
         state = AdamState()
         for t in range(1, 6):
             grads = {n: rng.normal(size=s) for n, s in shapes.items()}
-            adam_step(flat, np.concatenate([grads[n].ravel() for n in shapes]), state, lr=0.01)
+            flat_grads = np.concatenate([grads[n].ravel() for n in shapes])
+            adam_step(flat, flat_grads, state, lr=0.01, step=t)
             bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for n, p in tensors.items():
                 m, v = moments[n]
@@ -155,6 +160,12 @@ class TestSchedule:
             LRSchedule(1e-4, 0, 0.1)
         with pytest.raises(ConfigError):
             LRSchedule(1e-4, 10, 1.0)
+
+    @pytest.mark.parametrize("base_lr", [float("nan"), float("inf"), -1e-4],
+                             ids=["nan", "inf", "negative"])
+    def test_a_non_finite_or_negative_rate_raises(self, base_lr):
+        with pytest.raises(ConfigError, match="base_lr must be finite and >= 0"):
+            LRSchedule(base_lr, 10)
 
 
 class TestGradCheck:

@@ -85,7 +85,7 @@ def _fresh_stage(cfg, stage):
 @pytest.fixture(scope="module")
 def tmlm_ckpt(corpus_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("tmlm")
-    return run_stage("tmlm", _config(corpus_path), out_dir=out)
+    return run_stage("tmlm", _config(corpus_path), None, out_dir=out)
 
 
 @pytest.fixture(scope="module")
@@ -107,38 +107,65 @@ def unseen_dev_corpus(corpus_path, tmp_path_factory):
 
 
 class TestGating:
-    def test_umlm_requires_tmlm(self, corpus_path):
+    def test_umlm_requires_tmlm(self, corpus_path, tmp_path):
         with pytest.raises(SequencingError):
-            run_stage("umlm", _config(corpus_path))
+            run_stage("umlm", _config(corpus_path), None, tmp_path)
 
-    def test_uop_rejects_tmlm_source(self, corpus_path, tmlm_ckpt):
+    def test_uop_rejects_tmlm_source(self, corpus_path, tmlm_ckpt, tmp_path):
         with pytest.raises(SequencingError):
-            run_stage("uop", _config(corpus_path), tmlm_ckpt)
+            run_stage("uop", _config(corpus_path), tmlm_ckpt, tmp_path)
 
-    def test_unknown_stage(self, corpus_path):
+    def test_unknown_stage(self, corpus_path, tmp_path):
         with pytest.raises(SequencingError):
-            run_stage("finetuned", _config(corpus_path))
+            run_stage("finetuned", _config(corpus_path), None, tmp_path)
 
-    def test_finetune_rejects_umlm_source(self, corpus_path, tmlm_ckpt):
-        umlm = run_stage("umlm", _config(corpus_path), tmlm_ckpt)
+    def test_finetune_rejects_umlm_source(self, corpus_path, tmlm_ckpt, tmp_path):
+        umlm = run_stage("umlm", _config(corpus_path), tmlm_ckpt, tmp_path)
         with pytest.raises(SequencingError):
-            run_finetune(_config(corpus_path), umlm)
+            run_finetune(_config(corpus_path), umlm, tmp_path)
 
-    def test_eval_requires_finetuned(self, corpus_path, tmlm_ckpt):
+    def test_eval_requires_finetuned(self, corpus_path, tmlm_ckpt, tmp_path):
         with pytest.raises(SequencingError):
-            run_eval(_config(corpus_path), tmlm_ckpt, "dev")
+            run_eval(_config(corpus_path), tmlm_ckpt, "dev", tmp_path)
 
-    def test_resume_requires_training_state(self, corpus_path, tmlm_ckpt):
+    def test_resume_requires_training_state(self, corpus_path, tmlm_ckpt, tmp_path):
         assert tmlm_ckpt.stage == "tmlm"
         assert not tmlm_ckpt.can_resume()  # best checkpoints are weights-only
         with pytest.raises(CheckpointError):
-            run_stage("tmlm", _config(corpus_path), tmlm_ckpt)
+            run_stage("tmlm", _config(corpus_path), tmlm_ckpt, tmp_path)
 
 
 class TestUmlmWithoutDevInstances:
-    def test_run_stage_raises(self, unseen_dev_corpus, tmlm_ckpt):
+    def test_run_stage_raises(self, unseen_dev_corpus, tmlm_ckpt, tmp_path):
         with pytest.raises(CorpusError, match="maskable"):
-            run_stage("umlm", _config(unseen_dev_corpus), tmlm_ckpt)
+            run_stage("umlm", _config(unseen_dev_corpus), tmlm_ckpt, tmp_path)
+
+
+class TestTmlmSkipsDialoguesWithoutMaskableWords:
+    """Token MLM skips a dialogue with no maskable word, as utterance MLM
+    skips such an utterance, and fails only when a part has none left."""
+
+    def test_a_dev_dialogue_of_unseen_words_is_skipped(self, corpus_path, tmp_path):
+        corpus = load_corpus(corpus_path)
+        dev = [i for i, (d, _) in enumerate(corpus) if d.episode_id == 8]
+        d, _ = corpus[dev[0]]
+        utts = tuple(
+            replace(u, tokens=tuple(f"unseen{i}" for i in range(len(u.tokens))))
+            for u in d.utterances
+        )
+        corpus[dev[0]] = (replace(d, utterances=utts), [])
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        out = tmp_path / "run"
+        best = run_stage("tmlm", _config(path, tmlm_steps=4), None, out)
+        assert len(dev) == 2 and best.stage == "tmlm"
+        assert load_checkpoint(out / "tmlm-last.ckpt").global_step == 4
+
+    def test_no_dev_dialogue_left_raises_naming_the_stage(self, unseen_dev_corpus, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(CorpusError, match="no dev dialogue .* for token MLM"):
+            run_stage("tmlm", _config(unseen_dev_corpus), None, out)
+        assert not out.exists()
 
 
 class TestStageTable:
@@ -227,7 +254,7 @@ class TestStageTable:
         split = training.load_split(cfg)
         train, _ = training.pretrain_dialogues(cfg, split)
         assert [d.scene_id for d in train].count("extra") == 1
-        vocab = run_stage("tmlm", cfg, out_dir=tmp_path / "out").vocab
+        vocab = run_stage("tmlm", cfg, None, out_dir=tmp_path / "out").vocab
         new = {speaker_token("Zelda"), speaker_token("Quux"), "xyzzy", "plugh", "zork"}
         assert new <= set(vocab.id_to_token)
         assert new.isdisjoint(build_vocab(d for d, _ in split.training).id_to_token)
@@ -238,7 +265,7 @@ class TestTrainingProgress:
     def test_tmlm_dev_perplexity_improves(self, corpus_path, tmp_path):
         cfg = _config(corpus_path, tmlm_steps=60, base_lr=1e-3)
         out = tmp_path / "run"
-        run_stage("tmlm", cfg, out_dir=out)
+        run_stage("tmlm", cfg, None, out_dir=out)
         last = load_checkpoint(out / "tmlm-last.ckpt")
         history = last.train_state["history"]
         assert history[0]["epoch"] == -1
@@ -253,14 +280,16 @@ class TestTrainingProgress:
 
 
 class TestDivergence:
-    def test_nan_training_loss_raises_divergence_error(self, corpus_path, monkeypatch):
+    def test_nan_training_loss_raises_divergence_error(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setattr(
             training, "tmlm_batch_loss", lambda *a, **k: Tensor(np.array(np.nan))
         )
         with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1"):
-            run_stage("tmlm", _config(corpus_path))
+            run_stage("tmlm", _config(corpus_path), None, tmp_path)
 
-    def test_non_finite_gradient_raises_before_the_update(self, corpus_path, monkeypatch):
+    def test_non_finite_gradient_raises_before_the_update(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
         """A finite loss whose backward puts NaN into vocab_bias's gradient
         stops the stage before Adam touches a weight."""
         real_loss = training.tmlm_batch_loss
@@ -279,7 +308,7 @@ class TestDivergence:
         monkeypatch.setattr(training, "tmlm_batch_loss", loss_with_nan_gradient)
         monkeypatch.setattr(training, "adam_step", no_update)
         with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1.*vocab_bias"):
-            run_stage("tmlm", _config(corpus_path))
+            run_stage("tmlm", _config(corpus_path), None, tmp_path)
 
 
 def _assert_parameters_view_the_vector(weights):
@@ -301,10 +330,11 @@ class TestFlatStore:
         task = training._STAGES["tmlm"].task(cfg, state.vocab, state.config, train, dev)
         before = state.weights.vector.copy()
         best, _ = training.fit(cfg, state, task, 2, tmp_path)  # step 1's lr is 0
-        assert state.adam.step == 2 and not np.array_equal(state.weights.vector, before)
+        assert not np.array_equal(state.weights.vector, before)
         for weights in (state.weights, best.weights):
             _assert_parameters_view_the_vector(weights)
         loaded = load_checkpoint(tmp_path / "tmlm-last.ckpt")
+        assert loaded.global_step == 2
         _assert_parameters_view_the_vector(loaded.weights)
         assert loaded.weights.vector.tobytes() == state.weights.vector.tobytes()
         for stage in ("umlm", "finetuned"):
@@ -353,7 +383,7 @@ class TestResumeReplay:
         cfg = _config(corpus_path)
         init = None if stage == "tmlm" else tmlm_ckpt
         if stage == "uop":
-            init = run_stage("umlm", cfg, init)
+            init = run_stage("umlm", cfg, init, tmp_path / "umlm")
         # uninterrupted run
         dir_a = tmp_path / "a"
         run_stage(stage, cfg, init, out_dir=dir_a)
@@ -394,10 +424,10 @@ class TestResumeReplay:
         monkeypatch.setattr(training, "mlm_dev_perplexity", lambda *args: 7.0)
         cfg = _config(corpus_path)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        best_a = run_stage("tmlm", cfg, out_dir=dir_a)
+        best_a = run_stage("tmlm", cfg, None, out_dir=dir_a)
         _crash_after_first_last_checkpoint(monkeypatch)
         with pytest.raises(_Crash):
-            run_stage("tmlm", cfg, out_dir=dir_b)
+            run_stage("tmlm", cfg, None, out_dir=dir_b)
         best_b = run_stage("tmlm", cfg, load_checkpoint(dir_b / "tmlm-last.ckpt"), out_dir=dir_b)
         initial = {"epoch": -1, "metrics": {"perplexity": 7.0}}
         assert best_a.train_state == best_b.train_state == initial
@@ -430,7 +460,7 @@ class TestResumeReplay:
         assert [h["epoch"] for h in history_a] == [-1, 0, 1]
         _crash_after_first_last_checkpoint(monkeypatch)
         with pytest.raises(_Crash):
-            run_stage("tmlm", cfg, out_dir=dir_b)
+            run_stage("tmlm", cfg, None, out_dir=dir_b)
         mid = load_checkpoint(dir_b / "tmlm-last.ckpt")
         _, history_b = training._run("tmlm", cfg, mid, dir_b)
         assert history_b == history_a
@@ -441,20 +471,18 @@ class TestResumeReplay:
     def test_resume_without_a_best_checkpoint_raises(self, corpus_path, tmp_path):
         cfg = _config(corpus_path, tmlm_steps=4)
         out = tmp_path / "run"
-        run_stage("tmlm", cfg, out_dir=out)
+        run_stage("tmlm", cfg, None, out_dir=out)
         (out / "tmlm-best.ckpt").unlink()
         last = load_checkpoint(out / "tmlm-last.ckpt")
         with pytest.raises(CheckpointError, match="tmlm-best.ckpt"):
             run_stage("tmlm", cfg, last, out_dir=out)
-        with pytest.raises(CheckpointError, match="tmlm-best.ckpt"):
-            run_stage("tmlm", cfg, last)
 
 
 class TestResumeSettings:
     @pytest.fixture(scope="class")
     def last(self, corpus_path, tmp_path_factory):
         out = tmp_path_factory.mktemp("resume-settings")
-        run_stage("tmlm", _config(corpus_path, tmlm_steps=4), out_dir=out)
+        run_stage("tmlm", _config(corpus_path, tmlm_steps=4), None, out_dir=out)
         return out
 
     def test_other_model_or_adam_settings_raise_naming_each(self, corpus_path, last):
@@ -519,11 +547,13 @@ class TestEval:
         best, _ = run_finetune(_config(corpus_path), tmlm_ckpt, out)
         return best
 
-    def test_two_evals_identical(self, corpus_path, finetuned):
+    def test_two_evals_identical(self, corpus_path, finetuned, tmp_path):
         cfg = _config(corpus_path)
-        r1 = run_eval(cfg, finetuned, "dev")
-        r2 = run_eval(cfg, finetuned, "dev")
+        r1 = run_eval(cfg, finetuned, "dev", tmp_path / "1")
+        r2 = run_eval(cfg, finetuned, "dev", tmp_path / "2")
         assert r1.to_dict() == r2.to_dict()
+        for name in ("predictions-dev.jsonl", "report-dev.json", "report-dev.txt"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_prediction_qids_cover_split(self, corpus_path, finetuned, tmp_path):
         cfg = _config(corpus_path)
@@ -646,7 +676,7 @@ class TestStaticMlm:
     def test_static_mode_reuses_epoch_masks(self, corpus_path, tmp_path):
         cfg = _config(corpus_path, mlm_mode="static", tmlm_steps=12)
         out = tmp_path / "static"
-        ckpt = run_stage("tmlm", cfg, out_dir=out)
+        ckpt = run_stage("tmlm", cfg, None, out_dir=out)
         assert ckpt.stage == "tmlm"
 
 
@@ -846,29 +876,81 @@ class TestCli:
         assert code == 0, capsys.readouterr().err
         assert (out / "umlm-best.ckpt").exists()
 
-    @pytest.mark.parametrize("with_out, saves", [(True, 0), (False, 1)], ids=["out", "cwd"])
-    def test_best_checkpoint_saved_once(
-        self, corpus_path, tmp_path, capsys, monkeypatch, with_out, saves
-    ):
+    @pytest.mark.parametrize("with_out", [True, False], ids=["out", "cwd"])
+    def test_best_checkpoint_saved_once(self, corpus_path, tmp_path, capsys, monkeypatch, with_out):
+        """Each best snapshot is written once, by the stage loop, into
+        ``--out`` or, without it, the working directory."""
         path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
             "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
-            "batch_size = 8\ntmlm_steps = 2\nseed = 1\n"
+            "batch_size = 8\ntmlm_steps = 4\nbase_lr = 1e-3\nseed = 1\n"
         )
-        calls = []
-        real_save = cli.save_checkpoint
-        monkeypatch.setattr(
-            cli, "save_checkpoint", lambda ckpt, p: (calls.append(p), real_save(ckpt, p))
-        )
+        saves, real_save = [], training.save_checkpoint
+
+        def recording_save(ckpt, p):
+            saves.append((p, ckpt))
+            real_save(ckpt, p)
+
+        monkeypatch.setattr(training, "save_checkpoint", recording_save)
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "run" if with_out else tmp_path
         args = ["pretrain", "--stage", "tmlm", "--config", str(path)]
         if with_out:
             args += ["--out", str(out)]
         assert cli.main(args) == 0, capsys.readouterr().err
-        assert len(calls) == saves
-        assert load_checkpoint(out / "tmlm-best.ckpt").stage == "tmlm"
+        best_epochs = [ckpt.train_state["epoch"] for p, ckpt in saves if p.name == "tmlm-best.ckpt"]
+        assert {p.parent.resolve() for p, _ in saves} == {out.resolve()}
+        assert best_epochs[0] == -1 and best_epochs == sorted(set(best_epochs))
+        assert load_checkpoint(out / "tmlm-best.ckpt").train_state["epoch"] == best_epochs[-1]
+
+    def test_a_run_without_out_resumes_in_the_working_directory(
+        self, corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        """Without ``--out`` a stage writes its vocabulary and both checkpoints
+        into the working directory, so a run killed after its first epoch
+        resumes from ``--init tmlm-last.ckpt`` and ends byte for byte as an
+        uninterrupted run."""
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 6\nseed = 1\n"
+        )
+        cwd, uninterrupted = tmp_path / "cwd", tmp_path / "uninterrupted"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        args = ["pretrain", "--stage", "tmlm", "--config", str(path)]
+        _crash_after_first_last_checkpoint(monkeypatch)
+        with pytest.raises(_Crash):
+            cli.main(args)
+        names = ["tmlm-best.ckpt", "tmlm-last.ckpt", "vocab.txt"]
+        assert sorted(p.name for p in cwd.iterdir()) == names
+        assert load_checkpoint(cwd / "tmlm-last.ckpt").global_step < 6
+        assert cli.main([*args, "--init", "tmlm-last.ckpt"]) == 0, capsys.readouterr().err
+        assert cli.main([*args, "--out", str(uninterrupted)]) == 0, capsys.readouterr().err
+        assert load_checkpoint(cwd / "tmlm-last.ckpt").global_step == 6
+        for name in names:
+            assert (cwd / name).read_bytes() == (uninterrupted / name).read_bytes(), name
+
+    def test_a_stage_that_fails_building_its_data_leaves_no_out_dir(
+        self, corpus_path, tmp_path, capsys
+    ):
+        """With every word below ``min_freq`` no dialogue has a maskable word;
+        the stage fails before it writes anything, vocab.txt included."""
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "tmlm_steps = 2\nmin_freq = 100000\n"
+        )
+        out = tmp_path / "run"
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)
+        )
+        assert (code, err["error"]) == (1, "CorpusError")
+        assert "token MLM" in err["message"]
+        assert not out.exists()
 
     def test_umlm_without_dev_instances_is_json_error(
         self, unseen_dev_corpus, tmlm_ckpt, tmp_path, capsys

@@ -51,14 +51,6 @@ def vocab():
 
 
 class TestMaskTokens:
-    def test_ratio_zero_without_forcing(self, vocab):
-        ids = [vocab.cls, 10, 11, 12]
-        out, pos, labels = mask_tokens(
-            vocab, ids, [1, 2, 3], np.random.default_rng(0), ratio=0.0,
-            force_at_least_one=False,
-        )
-        assert out == ids and pos == [] and labels == []
-
     def test_forcing_guarantees_one(self, vocab):
         ids = [vocab.cls, 10, 11]
         _, pos, _ = mask_tokens(vocab, ids, [1, 2], np.random.default_rng(0), ratio=0.0)
@@ -261,11 +253,11 @@ class TestMemorization:
     def _overfit(self, vocab, loss_fn, weights, steps=200, lr=5e-3):
         state = AdamState(weight_decay=0.0)
         value = None
-        for _ in range(steps):
+        for step in range(1, steps + 1):
             weights.zero_grads()
             loss = loss_fn()
             loss.backward()
-            adam_step(weights.vector, weights.grads(), state, lr)
+            adam_step(weights.vector, weights.grads(), state, lr, step)
             value = loss.item()
         return value
 

@@ -607,11 +607,11 @@ weights = init_encoder_weights(model, STAGE_FINETUNED, np.random.default_rng(0))
 batch = [encode_for_qa(vocab, model, q, d) for d, qs in qa_entries(cfg, corpus) for q in qs][:32]
 adam, rng = cfg.adam_state(), np.random.default_rng(1)
 faults = []
-for _ in range(7):
+for step in range(1, 8):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     weights.zero_grads()
     qa_batch_loss(weights, batch, rng=rng).backward()
-    adam_step(weights.vector, weights.grads(), adam, cfg.base_lr)
+    adam_step(weights.vector, weights.grads(), adam, cfg.base_lr, step)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps({"questions": len(batch), "faults": faults}))
 """

@@ -83,7 +83,9 @@ def contents_digest(path: Path) -> str:
         "global_step": ckpt.global_step,
         "vocab": list(ckpt.vocab.id_to_token),
         "adam": None if adam is None else [
-            adam.beta1, adam.beta2, adam.epsilon, adam.weight_decay, adam.step
+            # the Adam step is the global step since checkpoint format 4
+            adam.beta1, adam.beta2, adam.epsilon, adam.weight_decay,
+            getattr(adam, "step", ckpt.global_step),
         ],
         "rng_state": ckpt.rng_state,
         "history": ckpt.train_state.get("history"),
