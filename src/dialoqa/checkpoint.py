@@ -1,23 +1,19 @@
 """Versioned binary checkpoints.
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
-(sorted keys), then the payload of little-endian float64 values. The header
-stores nothing that can be derived: the payload is the tensors of
-``encoder.stage_shapes`` and, with an Adam record, an ``adam.m.`` and an
-``adam.v.`` moment of each, in sorted name order. Those names sort as three
-blocks, so the payload is the first moment vector, the second and the weight
-vector (``EncoderWeights.vector``), which save writes and load splits.
-``save_checkpoint`` checks the header as load does and that each moment is
-as long as the weights, so it writes no file load refuses; it writes a
-temporary file that then replaces the target, so an interrupted save leaves
-the old file whole. ``load_checkpoint`` checks the header's fields and
-types, the payload length and every value for finiteness, and raises
-``CheckpointError`` for any file it cannot read. save -> load -> save is
-byte-identical. Format 3 dropped the tensor directory and the resume
-counters, which ``training.fit`` replays from the dev history; format 4
-dropped the Adam step, so the Adam record holds the four settings only and
-``global_step`` is the one step count. A file of another format raises
-``CheckpointError`` naming its version.
+(sorted keys), then the payload of little-endian float64 values: with an
+Adam record, the first moment vector, the second and the weight vector
+(``EncoderWeights.vector``), each in the stage table's order. The header
+stores nothing that can be derived: no tensor directory, no Adam step (it is
+``global_step``) and no vocabulary size (it is the vocabulary's length). Its
+``train_state`` is the dev history through the checkpoint's epoch, or empty.
+``save_checkpoint`` checks the header as load does and each moment's length,
+so it writes no file load refuses, and it replaces the target with a
+finished temporary file, so an interrupted save leaves the old file whole.
+``load_checkpoint`` checks the header's fields and types, the payload length
+and every value for finiteness, and raises ``CheckpointError`` for any file
+it cannot read, one of a format other than 5 included. save -> load -> save
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from .optim import AdamState
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -67,7 +63,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "stage": ckpt.stage,
         "global_step": ckpt.global_step,
-        "model_config": ckpt.config.to_dict(),
+        "model_config": {k: v for k, v in ckpt.config.to_dict().items() if k != "vocab_size"},
         "vocab": list(ckpt.vocab.id_to_token),
         "adam": None if adam is None else {k: getattr(adam, k) for k in _ADAM_FIELDS},
         "rng_state": ckpt.rng_state,
@@ -104,8 +100,8 @@ _HEADER_FIELDS = {
 _ADAM_FIELDS = {
     "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "weight_decay": _NUMBER,
 }
-# All optional: a best snapshot's epoch and metrics, a -last's dev history.
-_TRAIN_STATE_FIELDS = {"epoch": int, "metrics": dict, "history": list}
+# Optional: a weights-only checkpoint may hold no dev history.
+_TRAIN_STATE_FIELDS = {"history": list}
 
 
 def _is(value, types) -> bool:
@@ -132,8 +128,8 @@ def _check_fields(obj, fields: dict, where: str, optional: bool = False) -> None
 
 def _check_header(header, path) -> None:
     """Raises CheckpointError unless the header has the format version, every
-    field with its JSON type and no other, no step below 0 and no epoch below
-    -1; the model config and vocabulary are checked by their constructors."""
+    field with its JSON type and no other and no step below 0; the model
+    config and vocabulary are checked by their constructors."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -152,10 +148,8 @@ def _check_header(header, path) -> None:
         raise CheckpointError(f"{path}: train_state history holds a non-object")
     if header["adam"] is not None:
         _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
-    for where, value, low in (("global_step", header["global_step"], 0),
-                              ("train_state epoch", state.get("epoch", 0), -1)):
-        if value < low:
-            raise CheckpointError(f"{path}: {where} is {value}, below {low}")
+    if header["global_step"] < 0:
+        raise CheckpointError(f"{path}: global_step is {header['global_step']}, below 0")
     if header["rng_state"] is not None:
         try:
             np.random.PCG64(0).state = header["rng_state"]
@@ -181,15 +175,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
     _check_header(header, path)
     try:
-        config = ModelConfig(**header["model_config"])
         vocab = Vocab.from_tokens(header["vocab"])
+        config = ModelConfig(len(vocab), **header["model_config"])
         adam = None if header["adam"] is None else AdamState(**header["adam"])
     except (TypeError, ConfigError, CorpusError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
-    if len(vocab) != config.vocab_size:
-        raise CheckpointError(
-            f"{path}: vocabulary of {len(vocab)} tokens, config says {config.vocab_size}"
-        )
     stage = header["stage"]
     size = sum(math.prod(shape) for shape in stage_shapes(config, stage).values())
     prefixes = ("adam.m.", "adam.v.", "") if adam is not None else ("",)
@@ -206,7 +196,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not np.isfinite(values).all():
         bad = [prefix + name for prefix, vector in zip(prefixes, vectors)
                for name, arr in weights.views(vector).items() if not np.isfinite(arr).all()]
-        raise CheckpointError(f"{path}: tensor {min(bad)!r} holds a NaN or infinite value")
+        raise CheckpointError(f"{path}: tensor {bad[0]!r} holds a NaN or infinite value")
     if adam is not None:
         adam.first_moment, adam.second_moment = vectors[:2]
     return Checkpoint(

@@ -6,10 +6,10 @@ Subcommands: ``pretrain --stage {tmlm|umlm|uop}``, ``finetune``,
 ``--out <dir>``. Every command writes into ``--out``, which defaults to the
 working directory. ``pretrain`` and ``finetune`` leave the vocabulary, the
 best-dev checkpoint ``<stage>-best.ckpt`` (the ``--init`` of the next stage)
-and the resumable ``<stage>-last.ckpt`` there; ``evaluate`` leaves its
-predictions and report. Exit code 0 on success; on failure a
-machine-readable JSON error goes to stderr. DIALOQA_LOG controls log
-verbosity.
+and the resumable ``<stage>-last.ckpt`` there and print the best dev record;
+``evaluate`` leaves its predictions and report. Exit code 0 on success; on
+failure a machine-readable JSON error goes to stderr. DIALOQA_LOG controls
+log verbosity.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out or Path(".")
         if args.command == "pretrain":
             best = run_stage(args.stage, config, init, out)
-            print(f"{args.stage}: best dev {best.train_state.get('metrics')}")
+            print(f"{args.stage}: best dev {best.train_state['history'][-1]}")
         elif args.command == "finetune":
             if init is None:
                 raise _UsageError("finetune requires --init <checkpoint>")
             best, _ = run_finetune(config, init, out)
-            print(f"finetuned: best dev {best.train_state.get('metrics')}")
+            print(f"finetuned: best dev {best.train_state['history'][-1]}")
         elif args.command == "evaluate":
             if init is None:
                 raise _UsageError("evaluate requires --init <checkpoint>")

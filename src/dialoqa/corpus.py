@@ -109,6 +109,14 @@ def _validate_span(span: AnswerSpan, dialogue: Dialogue, qid: str) -> None:
         )
 
 
+def _integer(record: dict, key: str) -> int:
+    """``record[key]``, or a ``TypeError`` unless a JSON integer (no bool, float or str)."""
+    value = record[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
     """Parse and validate a corpus file; rejects violating records, and a
     qid used twice, with their location."""
@@ -127,7 +135,7 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
     for di, dd in enumerate(doc["dialogues"]):
         where = f"{path}: dialogues[{di}]"
         try:
-            episode_id = int(dd["episode_id"])
+            episode_id = _integer(dd, "episode_id")
             scene_id = str(dd["scene_id"])
             utterances = []
             for ud in dd["utterances"]:
@@ -151,9 +159,9 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
                 qid = str(qd["qid"])
                 spans = tuple(
                     AnswerSpan(
-                        int(ad["utterance_index"]),
-                        int(ad["token_start"]),
-                        int(ad["token_end"]),
+                        _integer(ad, "utterance_index"),
+                        _integer(ad, "token_start"),
+                        _integer(ad, "token_end"),
                         str(ad["text"]),
                     )
                     for ad in qd.get("answers", ())

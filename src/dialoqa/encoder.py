@@ -38,8 +38,8 @@ fine-tuning takes over both (Li & Choi 2020, section 3).
 ``init_encoder_weights`` applies the table: it copies from a source stage's
 weights each tensor of the ``TRANSFERRED_GROUPS`` that the source owns and
 draws every other tensor fresh. A stage's weights are one flat vector in
-sorted name order (``EncoderWeights``) that every parameter views; its
-gradient and Adam moments are vectors of that layout.
+table order (``EncoderWeights``) that every parameter views; its gradient
+and Adam moments are vectors of that layout.
 """
 
 from __future__ import annotations
@@ -208,10 +208,10 @@ def _init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
 @dataclass(eq=False)
 class EncoderWeights:
     """All learnable parameters for one pipeline stage, in one float64
-    ``vector`` (zeros unless given) that holds the stage's tensors in sorted
-    name order, as a checkpoint's payload does. ``params`` maps each name, in
-    table order, to a Tensor whose array is a view of the vector: code writes
-    into a parameter's array and never rebinds it. The vocabulary projection
+    ``vector`` (zeros unless given) that holds the stage's tensors in table
+    order, as a checkpoint's payload does. ``params`` maps each name, in that
+    order, to a Tensor whose array is a view of the vector: code writes into
+    a parameter's array and never rebinds it. The vocabulary projection
     weight is the transpose of ``token_emb`` (tied); only its bias is a
     separate tensor.
     """
@@ -223,8 +223,7 @@ class EncoderWeights:
 
     def __post_init__(self):
         self._shapes = stage_shapes(self.config, self.stage)
-        self._order = sorted(self._shapes)
-        ends = np.cumsum([math.prod(self._shapes[name]) for name in self._order])
+        ends = np.cumsum([math.prod(shape) for shape in self._shapes.values()])
         self._splits = ends[:-1]
         self.vector = np.zeros(ends[-1]) if self.vector is None else self.vector
         views = self.views(self.vector).items()
@@ -242,8 +241,8 @@ class EncoderWeights:
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each tensor's view, by name in table order, of a vector laid out
         like ``vector``: the weights, a gradient or an Adam moment."""
-        flat = dict(zip(self._order, np.split(vector, self._splits)))
-        return {name: flat[name].reshape(shape) for name, shape in self._shapes.items()}
+        parts = zip(self._shapes.items(), np.split(vector, self._splits))
+        return {name: part.reshape(shape) for (name, shape), part in parts}
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -261,7 +260,7 @@ class EncoderWeights:
         ``vector``, with zeros where backward left a parameter none."""
         return np.concatenate([
             np.zeros(p.size) if p.grad is None else p.grad
-            for p in map(self.params.__getitem__, self._order)
+            for p in self.params.values()
         ])
 
 

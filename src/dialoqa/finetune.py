@@ -82,7 +82,7 @@ def encode_for_qa(
 ) -> QAEncoding:
     """Encode question and utterances as separate CLS-led sequences and derive
     labels from the first gold span. The dialogue must already be truncated
-    to the config limits."""
+    to the config limits; the question is cut at TE's token positions."""
     if len(dialogue.utterances) > config.max_utterances:
         raise CapacityError(
             f"dialogue has {len(dialogue.utterances)} utterances, "
@@ -94,7 +94,8 @@ def encode_for_qa(
                 f"utterance has {len(utt.tokens)} tokens, config allows "
                 f"{config.max_tokens}; truncate first"
             )
-    question_ids = tuple([vocab.cls] + [vocab.word_id(t) for t in question.question_tokens])
+    question_ids = [vocab.cls] + [vocab.word_id(t) for t in question.question_tokens]
+    question_ids = tuple(question_ids[: config.token_position_capacity])
     utterance_ids = tuple(
         tuple([vocab.cls] + encode_utterance(vocab, u)) for u in dialogue.utterances
     )

@@ -16,11 +16,11 @@ tracked dev metrics with their direction, which ``_improve`` reads.
 A stage's state is one ``Checkpoint``: ``_init_stage_state`` makes the
 start state (a ``*-last`` checkpoint as it is, or fresh or transferred
 weights with a new optimizer and generator), and ``fit`` runs from it. Every
-stage run writes into an output directory: the best snapshot is on disk
-from the first dev eval on, so a resume reads it back instead of rebuilding
-it, and each epoch's ``*-last`` checkpoint can be resumed. The global step
-is the one step count: it drives the lr schedule and Adam's bias
-corrections and is the checkpoint's ``global_step``.
+stage run writes into an output directory: each epoch's ``*-last``
+checkpoint can be resumed, and the best snapshot (that state at its best
+epoch, without optimizer and generator) is on disk from the first dev eval
+on; both hold the dev history, by which a resume checks the best it reads.
+The global step, the one step count, drives the lr and Adam's corrections.
 
 Determinism contract: every random draw comes either from namespaced
 generators derived from (seed, stage, purpose) or from the single training
@@ -166,6 +166,9 @@ class RunConfig:
                      "synth_episodes", "synth_scenes_per_episode"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # an utterance's [CLS] s w_1..w_n takes max_tokens + 2 of TE's positions
+        if self.max_utterances < 2:
+            raise ConfigError(f"max_utterances must be >= 2, got {self.max_utterances}")
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ConfigError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
         self.model_config(1)  # the model settings fail here, not inside a stage
@@ -394,14 +397,25 @@ def _replay(stage: str, history: list[dict]) -> tuple[dict, int]:
     return best, bad
 
 
-def _save_best(state: Checkpoint, epoch: int, metrics: dict, out_dir: str | Path) -> Checkpoint:
-    """A weights-only copy of ``state``, written to ``<out_dir>/<stage>-best.ckpt``."""
+def _save_best(state: Checkpoint, history: list[dict], out_dir: str | Path) -> Checkpoint:
+    """``state`` without optimizer and generator, written to ``<out_dir>/<stage>-best.ckpt``."""
     best = Checkpoint(
         EncoderWeights(state.config, state.stage, state.weights.vector.copy()),
-        state.vocab, state.global_step,
-        train_state={"epoch": epoch, "metrics": metrics},
+        state.vocab, state.global_step, train_state={"history": list(history)},
     )
     save_checkpoint(best, Path(out_dir) / f"{state.stage}-best.ckpt")
+    return best
+
+
+def _load_best(stage: str, history: list[dict], out_dir: str | Path) -> Checkpoint:
+    """The ``-best`` of the run resumed with dev ``history``; a
+    ``CheckpointError`` unless its history is ``history`` through the last
+    improvement or one record more (``fit`` died between its two saves)."""
+    path = Path(out_dir) / f"{stage}-best.ckpt"
+    best, bad = load_checkpoint(path), _replay(stage, history)[1]
+    theirs = best.train_state.get("history", [])
+    if theirs != history[: len(history) - bad] and theirs[:-1] != history:
+        raise CheckpointError(f"{path}: its dev history is not the resumed run's")
     return best
 
 
@@ -417,13 +431,12 @@ def fit(
     patience-based early stopping, and best/last checkpointing.
 
     A fresh start evaluates the start weights, and that snapshot is the
-    first best: like each improving epoch's snapshot, it is written to
-    ``<out_dir>/<stage>-best.ckpt``. After each epoch the advanced state
-    goes to ``<out_dir>/<stage>-last.ckpt`` with the dev history as its
-    ``train_state``; both a fresh start and a resume replay the best
-    tracked metrics, the evals since the last improvement and the next
-    epoch from it. A resume (a state with dev history) reads its best back
-    from the ``-best`` file and raises ``CheckpointError`` without one. A
+    first best: like each improving epoch's snapshot, it goes to
+    ``<out_dir>/<stage>-best.ckpt`` without optimizer and generator, and
+    each epoch's advanced state to ``<out_dir>/<stage>-last.ckpt``; both
+    hold the dev history. A fresh start and a resume replay the best tracked
+    metrics, the evals since the last improvement and the next epoch from
+    it; a resume reads its best back and checks it (``_load_best``). A
     non-finite loss or gradient raises ``DivergenceError`` before the
     update. The global step, counted from 1, is Adam's step and sets the lr.
     Returns (best checkpoint, dev history)."""
@@ -434,11 +447,11 @@ def fit(
     history: list[dict] = list(state.train_state.get("history", []))
 
     if history:
-        best = load_checkpoint(Path(out_dir) / f"{stage}-best.ckpt")
+        best = _load_best(stage, history, out_dir)
     else:
         metrics = task.dev_eval(weights)
         history.append({"epoch": -1, "step": global_step, **metrics})
-        best = _save_best(state, -1, metrics, out_dir)
+        best = _save_best(state, history, out_dir)
         logger.info("[%s] initial dev: %s", stage, metrics)
     best_metrics, bad = _replay(stage, history)
 
@@ -478,7 +491,7 @@ def fit(
             train_state={"history": history},
         )
         if improved:
-            best = _save_best(state, epoch, metrics, out_dir)
+            best = _save_best(state, history, out_dir)
         save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         logger.info(
             "[%s] epoch %d step %d dev %s%s",

@@ -63,10 +63,7 @@ def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
         global_step=17 if with_state else 0,
         adam=adam,
         rng_state=rng_state,
-        train_state=(
-            {"history": [{"epoch": -1, "step": 0, "perplexity": 3.25}]} if with_state
-            else {"epoch": 2, "metrics": {"perplexity": 3.25}}
-        ),
+        train_state={"history": [{"epoch": -1, "step": 0, "perplexity": 3.25}]},
     )
 
 
@@ -121,7 +118,10 @@ class TestRoundTrip:
         else:
             assert loaded.adam is None
 
-    def test_header_stores_no_layout_and_payload_is_in_name_order(self, vocab, tmp_path):
+    def test_header_stores_no_layout_and_payload_is_in_table_order(self, vocab, tmp_path):
+        """The payload is the first moment, the second and the weights, each
+        tensor by tensor in the stage table's order; the header's model
+        config has no vocabulary size, which is the vocabulary's length."""
         ckpt = _checkpoint(vocab, **TINY)
         path = tmp_path / "c.ckpt"
         save_checkpoint(ckpt, path)
@@ -130,10 +130,11 @@ class TestRoundTrip:
             "adam", "format_version", "global_step", "model_config", "rng_state", "stage",
             "train_state", "vocab",
         ]
-        tensors = {name: p.array for name, p in ckpt.weights.named()}
-        for mv, moment in (("m", ckpt.adam.first_moment), ("v", ckpt.adam.second_moment)):
-            tensors.update({f"adam.{mv}.{n}": arr for n, arr in ckpt.weights.views(moment).items()})
-        assert payload == b"".join(tensors[n].astype("<f8").tobytes() for n in sorted(tensors))
+        assert "vocab_size" not in header["model_config"]
+        names = list(stage_shapes(ckpt.config, "tmlm"))
+        moments = [ckpt.weights.views(m) for m in (ckpt.adam.first_moment, ckpt.adam.second_moment)]
+        arrays = [m[n] for m in moments for n in names] + [ckpt.weights[n].array for n in names]
+        assert payload == b"".join(arr.astype("<f8").tobytes() for arr in arrays)
 
     def test_weights_only_checkpoint(self, vocab, tmp_path):
         ckpt = _checkpoint(vocab, with_state=False)
@@ -285,23 +286,6 @@ class TestHeaderValidation:
         save_checkpoint(load_checkpoint(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_a_best_snapshot_may_be_of_epoch_minus_one_only(self, vocab, tmp_path):
-        # fit's snapshot of the start weights is weights-only and of epoch -1
-        ckpt = _checkpoint(vocab, with_state=False)
-        ckpt.train_state = {"epoch": -1, "metrics": {}}
-        save_checkpoint(ckpt, tmp_path / "best-1.ckpt")
-        assert load_checkpoint(tmp_path / "best-1.ckpt").train_state["epoch"] == -1
-        ckpt.train_state = {"epoch": -2, "metrics": {}}
-        with pytest.raises(CheckpointError, match="train_state epoch is -2"):
-            save_checkpoint(ckpt, tmp_path / "best-2.ckpt")
-        path = tmp_path / "best-2.ckpt"
-        save_checkpoint(replace(ckpt, train_state={"epoch": -1, "metrics": {}}), path)
-        header, payload = _split_file(path.read_bytes())
-        header["train_state"]["epoch"] = -2
-        path.write_bytes(_with_header(header, payload))
-        with pytest.raises(CheckpointError, match="train_state epoch is -2"):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb"])
     def test_non_finite_payload_names_the_tensor(self, vocab, tmp_path, bad, name):
@@ -373,6 +357,22 @@ class TestStrictDirectory:
         with pytest.raises(CheckpointError, match="payload of .* tmlm tensors take"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("with_state", [True, False], ids=["adam", "weights-only"])
+    @pytest.mark.parametrize("tokens", [lambda v: v + ["omega"], lambda v: v[:-1]],
+                             ids=["longer", "shorter"])
+    def test_a_vocabulary_of_another_length_fails_the_payload_length_check(
+        self, vocab, tmp_path, tokens, with_state
+    ):
+        """The vocabulary size is the vocabulary's length, so a vocabulary of
+        another length sizes ``token_emb`` and ``vocab_bias`` otherwise and
+        the payload no longer fits."""
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(_checkpoint(vocab, with_state=with_state, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        path.write_bytes(_with_header({**header, "vocab": tokens(header["vocab"])}, payload))
+        with pytest.raises(CheckpointError, match=f"payload of {len(payload)} bytes, but the tmlm"):
+            load_checkpoint(path)
+
     def test_an_unknown_adam_field_is_rejected(self, vocab, tmp_path):
         path = tmp_path / "d.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
@@ -382,14 +382,15 @@ class TestStrictDirectory:
             load_checkpoint(path)
 
     def test_format_1_names_the_version(self, vocab, tmp_path):
-        """A file of format 1 or 2, whose headers held a tensor directory, or
-        of format 3, whose Adam record held a step, raises ``CheckpointError``
-        naming its version."""
+        """A file of format 1 or 2, whose headers held a tensor directory, of
+        format 3, whose Adam record held a step, or of format 4, whose best
+        snapshots held an epoch and metrics and whose payload was in sorted
+        name order, raises ``CheckpointError`` naming its version."""
         path = tmp_path / "d.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         header, payload = _split_file(path.read_bytes())
-        assert header["format_version"] == FORMAT_VERSION == 4
-        for version in (1, 2, 3):
+        assert header["format_version"] == FORMAT_VERSION == 5
+        for version in (1, 2, 3, 4):
             path.write_bytes(_with_header({**header, "format_version": version}, payload))
             with pytest.raises(CheckpointError, match=f"format_version {version} unsupported"):
                 load_checkpoint(path)

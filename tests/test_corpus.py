@@ -122,6 +122,25 @@ class TestLoad:
         with pytest.raises(CorpusError):
             load_corpus(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("episode_id", 20.9), ("episode_id", True), ("episode_id", "3"),
+        ("utterance_index", False), ("utterance_index", 1.0),
+        ("token_start", 0.5), ("token_start", "1"),
+        ("token_end", "1"), ("token_end", True),
+    ])
+    def test_a_non_integer_index_is_rejected_with_its_location(self, tmp_path, field, value):
+        """``episode_id`` and each answer's indices must be JSON integers: a
+        float, bool or string is refused, not rounded or read as 0 or 1."""
+        doc = json.loads(json.dumps(MINIMAL))
+        dialogue = doc["dialogues"][0]
+        if field == "episode_id":
+            dialogue[field], where = value, ""
+        else:
+            dialogue["questions"][0]["answers"][0][field] = value
+            where = "bad question record: "
+        with pytest.raises(CorpusError, match=rf"dialogues\[0\]: {where}{field} must be a JSON integer"):
+            load_corpus(_write(tmp_path, doc))
+
     def test_duplicate_qid_rejected_with_location(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["dialogues"].append(json.loads(json.dumps(MINIMAL["dialogues"][0])))

@@ -88,6 +88,19 @@ class TestEncodeForQA:
             assert seq[1] in vocab.speaker_ids
             assert len(seq) == len(utt.tokens) + 2
 
+    def test_an_over_long_question_is_cut_at_the_token_positions(self, vocab, cfg, weights):
+        """A question sequence is cut at TE's 25 positions, as the token MLM
+        sequences are, so TE can encode it."""
+        words = " ".join(f"tok{i % 4}{i % 6}" for i in range(40))
+        enc = encode_for_qa(vocab, cfg, make_example("q", f"what {words}", ()), _dialogue())
+        full = [vocab.cls, vocab.word_id("what")] + [
+            vocab.word_id(f"tok{i % 4}{i % 6}") for i in range(40)
+        ]
+        assert cfg.token_position_capacity == 25
+        assert enc.question_ids == tuple(full[:25])
+        scores, _ = predict(weights, enc)
+        assert scores.shape == (4,)
+
     def test_untruncated_dialogue_rejected(self, vocab, cfg):
         with pytest.raises(CapacityError):
             encode_for_qa(vocab, cfg, make_example("q", "what", ()), _dialogue(m=9))

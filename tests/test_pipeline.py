@@ -2,12 +2,15 @@
 config file format, and the CLI surface."""
 
 import functools
+import hashlib
 import json
 import math
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -375,6 +378,23 @@ def _crash_after_first_last_checkpoint(monkeypatch):
     monkeypatch.setattr(training, "save_checkpoint", save_then_crash)
 
 
+def _fail_the_last_save_after_an_improvement(monkeypatch):
+    """Make the next tmlm run die when it saves its ``-last`` right after an
+    improving epoch's best, once a ``-last`` is on disk, as a process killed
+    between the two saves would."""
+    real, names = training.save_checkpoint, []
+
+    def save_or_crash(ckpt, path):
+        # a -last saved before, and an improving epoch's best saved just now
+        if path.name.endswith("-last.ckpt") and names[-2:] == [path.name, "tmlm-best.ckpt"]:
+            monkeypatch.setattr(training, "save_checkpoint", real)
+            raise _Crash(path)
+        names.append(path.name)
+        real(ckpt, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", save_or_crash)
+
+
 class TestResumeReplay:
     @pytest.mark.parametrize("stage", ["tmlm", "umlm", "uop"])
     def test_pretrain_stage_resume_bit_exact(
@@ -429,7 +449,7 @@ class TestResumeReplay:
         with pytest.raises(_Crash):
             run_stage("tmlm", cfg, None, out_dir=dir_b)
         best_b = run_stage("tmlm", cfg, load_checkpoint(dir_b / "tmlm-last.ckpt"), out_dir=dir_b)
-        initial = {"epoch": -1, "metrics": {"perplexity": 7.0}}
+        initial = {"history": [{"epoch": -1, "step": 0, "perplexity": 7.0}]}
         assert best_a.train_state == best_b.train_state == initial
         assert best_a.global_step == best_b.global_step == 0
         final = load_checkpoint(dir_a / "tmlm-last.ckpt").weights
@@ -467,6 +487,58 @@ class TestResumeReplay:
         for kind in ("best", "last"):
             name = f"tmlm-{kind}.ckpt"
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_a_crash_between_the_best_and_the_last_save_resumes_bit_exact(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
+        """``fit`` saves an improving epoch's best before its ``-last``. A run
+        killed between the two leaves a best one epoch ahead of the ``-last``;
+        the resume accepts it, reruns that epoch and ends byte for byte as an
+        uninterrupted run."""
+        cfg = _config(corpus_path)
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        run_stage("tmlm", cfg, None, out_dir=dir_a)
+        _fail_the_last_save_after_an_improvement(monkeypatch)
+        with pytest.raises(_Crash):
+            run_stage("tmlm", cfg, None, out_dir=dir_b)
+        mid = load_checkpoint(dir_b / "tmlm-last.ckpt")
+        ahead = load_checkpoint(dir_b / "tmlm-best.ckpt").train_state["history"]
+        assert ahead[:-1] == mid.train_state["history"]
+        run_stage("tmlm", cfg, mid, out_dir=dir_b)
+        for kind in ("best", "last"):
+            name = f"tmlm-{kind}.ckpt"
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    _HISTORY = [
+        {"epoch": -1, "step": 0, "perplexity": 9.0},
+        {"epoch": 0, "step": 2, "perplexity": 8.0},  # the last improvement
+        {"epoch": 1, "step": 4, "perplexity": 8.5},
+    ]
+    _NEXT = {"epoch": 2, "step": 6, "perplexity": 7.5}
+
+    @pytest.mark.parametrize("theirs, accepted", [
+        (_HISTORY[:2], True),
+        (_HISTORY + [_NEXT], True),
+        (_HISTORY[:1], False),
+        (_HISTORY, False),
+        (_HISTORY + [_NEXT, {**_NEXT, "epoch": 3}], False),
+        ([_HISTORY[0], {**_HISTORY[1], "perplexity": 7.9}], False),
+        ([], False),
+    ], ids=["through-the-improvement", "one-ahead", "behind", "past-the-improvement",
+            "two-ahead", "another-run", "no-history"])
+    def test_a_resume_reads_back_only_the_best_of_its_history(
+        self, tmlm_ckpt, tmp_path, theirs, accepted
+    ):
+        """A resumed history's best must hold that history through its last
+        improvement, or one record more (the crash window above)."""
+        save_checkpoint(replace(tmlm_ckpt, train_state={"history": theirs}),
+                        tmp_path / "tmlm-best.ckpt")
+        if accepted:
+            best = training._load_best("tmlm", self._HISTORY, tmp_path)
+            assert best.train_state["history"] == theirs
+        else:
+            with pytest.raises(CheckpointError, match="tmlm-best.ckpt: its dev history"):
+                training._load_best("tmlm", self._HISTORY, tmp_path)
 
     def test_resume_without_a_best_checkpoint_raises(self, corpus_path, tmp_path):
         cfg = _config(corpus_path, tmlm_steps=4)
@@ -643,7 +715,7 @@ class TestRunConfigParsing:
             ("umlm_samples_per_utterance", 0),
             ("warmup_fraction", 0.0), ("warmup_fraction", 1.0), ("warmup_fraction", math.nan),
             ("tmlm_steps", 0), ("umlm_steps", 0), ("uop_steps", -1), ("finetune_steps", 0),
-            ("num_heads", 3), ("dropout_p", 1.0),
+            ("num_heads", 3), ("dropout_p", 1.0), ("max_utterances", 1),
             ("synth_episodes", 0), ("synth_scenes_per_episode", -1),
             ("synth_unanswerable_fraction", 1.5), ("synth_unanswerable_fraction", math.nan),
         ],
@@ -845,6 +917,68 @@ class TestCli:
         assert (code, err["error"]) == (1, "CheckpointError")
         assert "tmlm-best.ckpt" in err["message"]
 
+    def test_resume_with_the_best_of_another_run_is_json_error(
+        self, corpus_path, tmp_path, capsys
+    ):
+        """A ``-best`` swapped for one of another seed's run fails the resume
+        before it trains: no epoch could better that best at lr 0, so the
+        run would otherwise return it."""
+        path = tmp_path / "run.cfg"
+        base = (
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\nbatch_size = 8\n"
+        )
+        own, other = tmp_path / "own", tmp_path / "other"
+        for seed, out in ((1, own), (5, other)):
+            path.write_text(base + f"tmlm_steps = 2\nseed = {seed}\n")
+            args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
+            assert cli.main(args) == 0, capsys.readouterr().err
+        (own / "tmlm-best.ckpt").write_bytes((other / "tmlm-best.ckpt").read_bytes())
+        last = (own / "tmlm-last.ckpt").read_bytes()
+        path.write_text(base + "tmlm_steps = 4\nbase_lr = 0\nseed = 1\n")
+        capsys.readouterr()
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", "tmlm", "--config", str(path),
+            "--init", str(own / "tmlm-last.ckpt"), "--out", str(own),
+        )
+        assert (code, err["error"]) == (1, "CheckpointError")
+        assert f"{own / 'tmlm-best.ckpt'}: its dev history" in err["message"]
+        assert (own / "tmlm-last.ckpt").read_bytes() == last
+
+    def test_a_killed_run_resumes_byte_identical(self, corpus_path, tmp_path, capsys):
+        """A CLI run killed by SIGKILL once its first ``-last`` is on disk
+        resumes from it and leaves the files of an uninterrupted run, byte
+        for byte. The kill must land while the run still trains."""
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\ntmlm_steps = 40\npatience = 100\nseed = 1\n"
+        )
+        killed, whole = tmp_path / "killed", tmp_path / "whole"
+        args = ["pretrain", "--stage", "tmlm", "--config", str(path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dialoqa.cli", *args, "--out", str(killed)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not (killed / "tmlm-last.ckpt").exists():
+                assert proc.poll() is None, "the run ended before its first -last checkpoint"
+                assert time.monotonic() < deadline, "no -last checkpoint within 120 s"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGKILL)
+        finally:
+            proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL, "the run ended before the kill"
+        assert load_checkpoint(killed / "tmlm-last.ckpt").global_step < 40
+        resume = [*args, "--out", str(killed), "--init", str(killed / "tmlm-last.ckpt")]
+        assert cli.main(resume) == 0, capsys.readouterr().err
+        assert cli.main([*args, "--out", str(whole)]) == 0, capsys.readouterr().err
+        for name in ("vocab.txt", "tmlm-best.ckpt", "tmlm-last.ckpt"):
+            digests = [hashlib.sha256((d / name).read_bytes()).hexdigest() for d in (killed, whole)]
+            assert digests[0] == digests[1], name
+
     def test_diverging_pretrain_exits_cleanly(self, corpus_path, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -899,10 +1033,12 @@ class TestCli:
         if with_out:
             args += ["--out", str(out)]
         assert cli.main(args) == 0, capsys.readouterr().err
-        best_epochs = [ckpt.train_state["epoch"] for p, ckpt in saves if p.name == "tmlm-best.ckpt"]
+        best_epochs = [ckpt.train_state["history"][-1]["epoch"]
+                       for p, ckpt in saves if p.name == "tmlm-best.ckpt"]
         assert {p.parent.resolve() for p, _ in saves} == {out.resolve()}
         assert best_epochs[0] == -1 and best_epochs == sorted(set(best_epochs))
-        assert load_checkpoint(out / "tmlm-best.ckpt").train_state["epoch"] == best_epochs[-1]
+        best = load_checkpoint(out / "tmlm-best.ckpt").train_state["history"]
+        assert best[-1]["epoch"] == best_epochs[-1]
 
     def test_a_run_without_out_resumes_in_the_working_directory(
         self, corpus_path, tmp_path, capsys, monkeypatch
@@ -984,6 +1120,29 @@ class TestCli:
         assert (code, err["error"]) == (1, "CorpusError")
         assert f"dialogues[0].questions[0]: question {qid!r}" in err["message"]
         assert not out.exists()
+
+    def test_finetune_cuts_an_over_long_question_at_the_token_positions(
+        self, corpus_path, tmlm_ckpt, tmp_path, capsys
+    ):
+        """A dev question of 120 words more than TE's 97 token positions is
+        cut there, so fine-tuning and its dev evals run."""
+        doc = json.loads(corpus_path.read_text(encoding="utf-8"))
+        dialogue = next(d for d in doc["dialogues"] if d["episode_id"] == 8 and d["questions"])
+        dialogue["questions"][0]["question"] += " and then" * 60
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        init = tmp_path / "tmlm-best.ckpt"
+        save_checkpoint(tmlm_ckpt, init)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\nfinetune_steps = 2\nseed = 1\n"
+        )
+        out = tmp_path / "run"
+        args = ["finetune", "--config", str(path), "--init", str(init), "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        assert load_checkpoint(out / "finetuned-last.ckpt").global_step == 2
 
     def test_tmlm_cuts_a_dialogue_at_the_token_positions(self, corpus_path, tmp_path, capsys):
         """With 2 words per utterance the token-level sequence of a dialogue

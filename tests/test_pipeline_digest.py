@@ -6,6 +6,7 @@ already in use."""
 import contextlib
 import importlib.util
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,9 +74,9 @@ def test_contents_digest_covers_every_moment_and_not_the_file_layout(tmp_path):
     base = pipeline_digest.contents_digest(out / "uop-last.ckpt")
     save_checkpoint(ckpt, tmp_path / "same.ckpt")
     assert pipeline_digest.contents_digest(tmp_path / "same.ckpt") == base
-    ckpt.train_state["epoch"] = 0  # a header field outside the contents
-    save_checkpoint(ckpt, tmp_path / "epoch.ckpt")
-    assert pipeline_digest.contents_digest(tmp_path / "epoch.ckpt") == base
+    ckpt.weights.config = replace(ckpt.config, dropout_p=0.5)  # outside the contents
+    save_checkpoint(ckpt, tmp_path / "dropout.ckpt")
+    assert pipeline_digest.contents_digest(tmp_path / "dropout.ckpt") == base
     ckpt.weights.views(ckpt.adam.second_moment)["uop_b"][0] += 1e-12
     save_checkpoint(ckpt, tmp_path / "moment.ckpt")
     assert pipeline_digest.contents_digest(tmp_path / "moment.ckpt") != base
