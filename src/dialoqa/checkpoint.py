@@ -19,7 +19,6 @@ is byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import STAGE_GROUPS, EncoderWeights, ModelConfig, stage_shapes
+from .encoder import STAGE_GROUPS, EncoderWeights, ModelConfig, stage_layout
 from .errors import CheckpointError, ConfigError, CorpusError
 from .optim import AdamState
 from .vocab import Vocab
@@ -181,7 +180,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (TypeError, ConfigError, CorpusError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
     stage = header["stage"]
-    size = sum(math.prod(shape) for shape in stage_shapes(config, stage).values())
+    size = stage_layout(config, stage)[1][-1]
     prefixes = ("adam.m.", "adam.v.", "") if adam is not None else ("",)
     payload = raw[16 + hlen :]
     if len(payload) != 8 * size * len(prefixes):

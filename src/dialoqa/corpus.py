@@ -117,9 +117,17 @@ def _integer(record: dict, key: str) -> int:
     return value
 
 
+def _string(record: dict, key: str) -> str:
+    """``record[key]``, or a ``TypeError`` unless a JSON string (no null, number or list)."""
+    value = record[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
 def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
     """Parse and validate a corpus file; rejects violating records, and a
-    qid used twice, with their location."""
+    qid used twice, with their location (formatted only on failure)."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -131,54 +139,56 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
     if not isinstance(doc, dict) or not isinstance(doc.get("dialogues"), list):
         raise CorpusError(f"{path}: expected a top-level object with a 'dialogues' list")
     out: list[tuple[Dialogue, list[QAExample]]] = []
-    first_seen: dict[str, str] = {}
+    first_seen: dict[str, tuple[int, int]] = {}
     for di, dd in enumerate(doc["dialogues"]):
-        where = f"{path}: dialogues[{di}]"
         try:
             episode_id = _integer(dd, "episode_id")
-            scene_id = str(dd["scene_id"])
+            scene_id = _string(dd, "scene_id")
             utterances = []
             for ud in dd["utterances"]:
-                toks = tuple(tokenize(str(ud["text"])))
+                toks = tuple(tokenize(_string(ud, "text")))
                 if not toks:
-                    raise CorpusError(f"{where}: utterance with empty text")
-                utterances.append(Utterance(str(ud["speaker"]), toks))
+                    raise ValueError("utterance with empty text")
+                utterances.append(Utterance(_string(ud, "speaker"), toks))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise CorpusError(f"{where}: {e}") from e
+            raise CorpusError(f"{path}: dialogues[{di}]: {e}") from e
         if episode_id < 1:
-            raise CorpusError(f"{where}: episode_id must be positive")
+            raise CorpusError(f"{path}: dialogues[{di}]: episode_id must be positive")
         if not utterances:
-            raise CorpusError(f"{where}: dialogue has no utterances")
+            raise CorpusError(f"{path}: dialogues[{di}]: dialogue has no utterances")
         dialogue = Dialogue(episode_id, scene_id, tuple(utterances))
         questions = []
         records = dd.get("questions", [])
         if not isinstance(records, list):
-            raise CorpusError(f"{where}: 'questions' is not a list")
+            raise CorpusError(f"{path}: dialogues[{di}]: 'questions' is not a list")
         for qi, qd in enumerate(records):
             try:
-                qid = str(qd["qid"])
+                qid = _string(qd, "qid")
                 spans = tuple(
                     AnswerSpan(
                         _integer(ad, "utterance_index"),
                         _integer(ad, "token_start"),
                         _integer(ad, "token_end"),
-                        str(ad["text"]),
+                        _string(ad, "text"),
                     )
                     for ad in qd.get("answers", ())
                 )
-                ex = make_example(qid, str(qd["question"]), spans)
+                ex = make_example(qid, _string(qd, "question"), spans)
             except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise CorpusError(f"{where}: bad question record: {e}") from e
+                raise CorpusError(f"{path}: dialogues[{di}]: bad question record: {e}") from e
             if not ex.question_tokens:
-                raise CorpusError(f"{where}.questions[{qi}]: question {qid!r} has no token")
+                raise CorpusError(
+                    f"{path}: dialogues[{di}].questions[{qi}]: question {qid!r} has no token"
+                )
             for span in ex.answers:
                 _validate_span(span, dialogue, ex.qid)
             if ex.qid in first_seen:
+                first_di, first_qi = first_seen[ex.qid]
                 raise CorpusError(
-                    f"{where}.questions[{qi}]: duplicate qid {ex.qid!r}, "
-                    f"first used at {first_seen[ex.qid]}"
+                    f"{path}: dialogues[{di}].questions[{qi}]: duplicate qid {ex.qid!r}, "
+                    f"first used at {path}: dialogues[{first_di}].questions[{first_qi}]"
                 )
-            first_seen[ex.qid] = f"{where}.questions[{qi}]"
+            first_seen[ex.qid] = (di, qi)
             questions.append(ex)
         out.append((dialogue, questions))
     return out

@@ -31,7 +31,8 @@ encoder, "tl" the utterance transformer, and one task head, "mlm" (the bias
 of the vocabulary projection tied to ``token_emb``), "uop" or "qa" (MHA and
 the UID/span heads). ``group_shapes`` and ``stage_shapes`` give the tensor
 names and shapes in init order, which is also the order of the init rng
-draws; TL's position table ``utt_pos_emb`` exists only with utterance
+draws, and ``stage_layout`` caches a stage's shapes and vector offsets per
+model config; TL's position table ``utt_pos_emb`` exists only with utterance
 positions on. ``STAGE_SOURCES`` lists the stages whose checkpoint may start
 each stage: token and utterance MLM train TE, order prediction adds TL, and
 fine-tuning takes over both (Li & Choi 2020, section 3).
@@ -45,6 +46,8 @@ and Adam moments are vectors of that layout.
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
@@ -196,6 +199,18 @@ def stage_shapes(config: ModelConfig, stage: str) -> dict[str, tuple[int, ...]]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def stage_layout(
+    config: ModelConfig, stage: str
+) -> tuple[Mapping[str, tuple[int, ...]], tuple[int, ...]]:
+    """A stage's ``stage_shapes``, read-only, and the offsets of its tensors
+    in a vector of table order: 0, then each tensor's end, so the last is the
+    vector's length. Computed once per model config and stage."""
+    shapes = stage_shapes(config, stage)
+    sizes = (math.prod(shape) for shape in shapes.values())
+    return MappingProxyType(shapes), tuple(itertools.accumulate(sizes, initial=0))
+
+
 def _init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     base = name.rsplit(".", 1)[-1]
     if base.startswith("ln") and base.endswith("_g"):
@@ -222,10 +237,12 @@ class EncoderWeights:
     params: Mapping[str, Tensor] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._shapes = stage_shapes(self.config, self.stage)
-        ends = np.cumsum([math.prod(shape) for shape in self._shapes.values()])
-        self._splits = ends[:-1]
-        self.vector = np.zeros(ends[-1]) if self.vector is None else self.vector
+        self._shapes, self._offsets = stage_layout(self.config, self.stage)
+        self.vector = np.zeros(self._offsets[-1]) if self.vector is None else self.vector
+        if self.vector.shape != self._offsets[-1:]:
+            raise ShapeError(
+                f"a {self.stage} vector holds {self._offsets[-1]} values, not {self.vector.shape}"
+            )
         views = self.views(self.vector).items()
         self.params = MappingProxyType({n: Tensor(v, requires_grad=True) for n, v in views})
 
@@ -241,8 +258,8 @@ class EncoderWeights:
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each tensor's view, by name in table order, of a vector laid out
         like ``vector``: the weights, a gradient or an Adam moment."""
-        parts = zip(self._shapes.items(), np.split(vector, self._splits))
-        return {name: part.reshape(shape) for (name, shape), part in parts}
+        spans = zip(self._shapes.items(), self._offsets, self._offsets[1:])
+        return {name: vector[a:b].reshape(shape) for (name, shape), a, b in spans}
 
     def zero_grads(self) -> None:
         for p in self.params.values():

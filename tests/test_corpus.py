@@ -141,6 +141,25 @@ class TestLoad:
         with pytest.raises(CorpusError, match=rf"dialogues\[0\]: {where}{field} must be a JSON integer"):
             load_corpus(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize("value", [None, ["at", "central", "perk"], 3], ids=["null", "list", "int"])
+    @pytest.mark.parametrize("field", ["scene_id", "speaker", "text", "qid", "question", "answer-text"])
+    def test_a_non_string_field_is_rejected_with_its_location(self, tmp_path, field, value):
+        """Each text field must be a JSON string: a null, list or number is
+        refused, not loaded as its repr (``"text": null`` as the word ``none``)."""
+        doc = json.loads(json.dumps(MINIMAL))
+        dialogue = doc["dialogues"][0]
+        question = dialogue["questions"][0]
+        record, where = {
+            "scene_id": (dialogue, ""), "speaker": (dialogue["utterances"][1], ""),
+            "text": (dialogue["utterances"][1], ""), "qid": (question, "bad question record: "),
+            "question": (question, "bad question record: "),
+            "answer-text": (question["answers"][0], "bad question record: "),
+        }[field]
+        key = "text" if field == "answer-text" else field
+        record[key] = value
+        with pytest.raises(CorpusError, match=rf"dialogues\[0\]: {where}{key} must be a JSON string"):
+            load_corpus(_write(tmp_path, doc))
+
     def test_duplicate_qid_rejected_with_location(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["dialogues"].append(json.loads(json.dumps(MINIMAL["dialogues"][0])))

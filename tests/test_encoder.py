@@ -10,10 +10,12 @@ from dialoqa.encoder import (
     STAGE_FINETUNED,
     STAGE_GROUPS,
     STAGE_UOP,
+    EncoderWeights,
     ModelConfig,
     group_shapes,
     init_encoder_weights,
     mha_forward,
+    stage_layout,
     stage_shapes,
     te_forward,
     tl_forward,
@@ -86,6 +88,30 @@ def test_stage_shapes_follow_the_groups():
     assert len(group_shapes(TOY, "tl")) == 1 + 15 * 2
     with pytest.raises(ConfigError):
         stage_shapes(TOY, "bogus")
+
+
+def test_stage_layout_is_the_stage_table_computed_once():
+    """Weights, checkpoint loads and their views read one layout per model
+    config and stage: its shapes are ``stage_shapes`` and its offsets the
+    running sizes, so every parameter views its own slice of the vector."""
+    for stage in STAGE_GROUPS:
+        shapes, offsets = stage_layout(TOY, stage)
+        assert dict(shapes) == stage_shapes(TOY, stage)
+        assert offsets == tuple(np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()]))
+        assert stage_layout(ModelConfig(**TOY.to_dict()), stage) is stage_layout(TOY, stage)
+        weights = EncoderWeights(TOY, stage, np.arange(offsets[-1], dtype=np.float64))
+        for (name, p), start in zip(weights.named(), offsets):
+            assert p.array.reshape(-1)[0] == start and np.shares_memory(p.array, weights.vector)
+    with pytest.raises(TypeError):
+        stage_layout(TOY, STAGE_UOP)[0]["uop_w"] = (1, 1)
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "2-d"])
+def test_a_vector_of_another_shape_is_refused(shape):
+    n = stage_layout(TOY, STAGE_UOP)[1][-1]
+    vector = np.zeros({"short": (n - 1,), "long": (n + 1,), "2-d": (1, n)}[shape])
+    with pytest.raises(ShapeError, match="uop vector"):
+        EncoderWeights(TOY, STAGE_UOP, vector)
 
 
 class TestTeForward:

@@ -1,6 +1,8 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,10 +262,12 @@ def test_dropout_is_switched_by_the_generator_alone(path):
 
 
 def array_rebindings(source: str) -> list[str]:
-    """Assignments to an ``array`` attribute outside ``Tensor.__init__``: a
-    parameter's array is a view of its weights' vector, and rebinding it
-    would silently cut the parameter off the vector that Adam updates and
-    checkpoints save. Writes go into the array (``p.array[...] = x``)."""
+    """Assignments to an ``array`` or ``shape`` attribute outside
+    ``Tensor.__init__``: a parameter's array is a view of its weights'
+    vector, and rebinding it would silently cut the parameter off the vector
+    that Adam updates and checkpoints save; a Tensor's ``shape`` is set once
+    from its array, and a store to it (or an in-place reshape of an array)
+    would make the two disagree. Writes go into the array (``p.array[...] = x``)."""
     tree = ast.parse(source)
     allowed = {
         id(inner) for node in ast.walk(tree)
@@ -282,8 +286,8 @@ def array_rebindings(source: str) -> list[str]:
             targets = [node.target]
         else:
             continue
-        if any(isinstance(t, ast.Attribute) and t.attr == "array" and isinstance(t.ctx, ast.Store)
-               for t in targets):
+        if any(isinstance(t, ast.Attribute) and t.attr in ("array", "shape")
+               and isinstance(t.ctx, ast.Store) for t in targets):
             found.append(node.lineno)
     return [f"line {n}" for n in sorted(found)]
 
@@ -297,8 +301,13 @@ def test_checker_flags_an_array_rebinding():
         "a, w.array = 1, 2\n"
         "p.array.flat[0] = 0.0\n"
         "q.array: object = y\n"
+        "t.shape = (2, 3)\n"
+        "t.array.shape = (6,)\n"
+        "n = t.shape[0]\n"
     )
-    assert array_rebindings(source) == ["line 5", "line 6", "line 8", "line 10"]
+    assert array_rebindings(source) == [
+        "line 5", "line 6", "line 8", "line 10", "line 11", "line 12"
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -336,3 +345,41 @@ def test_checker_flags_a_private_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_name_is_imported(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy or a scipy submodule: the package runs on numpy alone
+    (GELU's erf is ``tensor.erf``), and scipy is a test dependency only."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_a_scipy_import():
+    source = (
+        "import scipy\nfrom scipy.special import erf\nimport scipyx\n"
+        "from .scipy import y\nimport numpy as np, scipy.linalg as la\n"
+    )
+    assert scipy_imports(source) == ["line 1", "line 2", "line 5"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The whole program's imports, seen in a fresh process: none of them
+    (numpy's included) brings scipy in."""
+    code = "import sys, dialoqa.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import types
+import warnings
 import zlib
 
 import numpy as np
@@ -213,6 +214,46 @@ class TestResidualLayerNorm:
                                   p, rng, eps)
 
 
+@pytest.fixture(scope="module")
+def scipy_erf():
+    """The oracle of ``tensor.erf``: scipy runs the same Cephes algorithm."""
+    return pytest.importorskip("scipy.special").erf
+
+
+class TestErf:
+    @pytest.mark.parametrize("scale", [0.05, 0.3, 1.0, 3.0, 30.0])
+    def test_equals_scipy_bit_for_bit_on_normal_draws(self, scipy_erf, scale):
+        x = np.random.default_rng(zlib.crc32(repr(scale).encode())).normal(0.0, scale, 10**6)
+        np.testing.assert_array_equal(T.erf(x).view(np.int64), scipy_erf(x).view(np.int64))
+
+    def test_equals_scipy_bit_for_bit_on_the_edges(self, scipy_erf):
+        """Both branches' ends, Cephes' underflow cut at sqrt(709.78) (26
+        and 27.3 straddle it), subnormals, infinities and nan; the sign of
+        a zero is kept."""
+        edges = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 8.0, np.nextafter(8.0, 0.0),
+                          26.0, 27.3, 5e-324, np.inf])
+        x = np.concatenate([edges, -edges, [np.nan]])
+        out = T.erf(x)
+        np.testing.assert_array_equal(out.view(np.int64), scipy_erf(x).view(np.int64))
+        assert np.signbit(out[len(edges)]) and not np.signbit(out[0])
+
+    def test_keeps_the_shape(self, scipy_erf):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert T.erf(x).shape == (2, 3, 4)
+        np.testing.assert_array_equal(T.erf(x), scipy_erf(x))
+        assert T.erf(np.zeros((0, 4))).shape == (0, 4)
+
+    def test_huge_inputs_raise_no_warning(self):
+        """Squaring 1e155 overflows, so such inputs never reach x*x."""
+        big = np.array([1e154, 1.4e154, 1e300, np.finfo(np.float64).max, np.inf])
+        x = np.concatenate([big, -big, [0.5, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.erf(x)
+        np.testing.assert_array_equal(out[:10], np.sign(x[:10]))
+        assert np.isnan(out[-1])
+
+
 class TestGelu:
     def test_zero(self):
         assert T.gelu(T.Tensor([0.0])).array[0] == 0.0
@@ -222,6 +263,16 @@ class TestGelu:
 
     def test_erf_oracle(self):
         assert abs(T.gelu(T.Tensor([1.0])).array[0] - GELU_1) < 1e-9
+
+    def test_gradient_past_both_erf_branch_points(self):
+        """Inputs beyond ±sqrt(2), where erf(x/sqrt(2)) leaves its |x| <= 1
+        formula, and beyond ±8 sqrt(2), where its erfc term is 0; the
+        model's activations rarely reach either."""
+        x = T.Tensor([[-13.0, -11.0, -2.5, -1.5, -0.3], [0.4, 1.5, 3.0, 11.5, 14.0]],
+                     requires_grad=True)
+        probe = T.Tensor(np.random.default_rng(3).normal(size=(2, 5)))
+        report = grad_check(lambda: T.tsum(T.gelu(x) * probe), [x], h=1e-5)
+        assert report.max_rel_err < 1e-6, report
 
 
 class TestCrossEntropy:
