@@ -78,6 +78,13 @@ def _configure_logging() -> None:
     )
 
 
+def _best_dev(stage: str, best) -> str:
+    """The best dev record, marked when it is the initial eval."""
+    record = best.train_state["history"][-1]
+    note = " (the initial eval: no epoch improved on it)" if record["epoch"] == -1 else ""
+    return f"{stage}: best dev {record}{note}"
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = _build_parser()
@@ -87,13 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         init = load_checkpoint(args.init) if args.init is not None else None
         out = args.out or Path(".")
         if args.command == "pretrain":
-            best = run_stage(args.stage, config, init, out)
-            print(f"{args.stage}: best dev {best.train_state['history'][-1]}")
+            print(_best_dev(args.stage, run_stage(args.stage, config, init, out)))
         elif args.command == "finetune":
             if init is None:
                 raise _UsageError("finetune requires --init <checkpoint>")
-            best, _ = run_finetune(config, init, out)
-            print(f"finetuned: best dev {best.train_state['history'][-1]}")
+            print(_best_dev("finetuned", run_finetune(config, init, out)[0]))
         elif args.command == "evaluate":
             if init is None:
                 raise _UsageError("evaluate requires --init <checkpoint>")

@@ -149,7 +149,11 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
                 toks = tuple(tokenize(_string(ud, "text")))
                 if not toks:
                     raise ValueError("utterance with empty text")
-                utterances.append(Utterance(_string(ud, "speaker"), toks))
+                speaker = _string(ud, "speaker")
+                if "".join(speaker.splitlines()) != speaker:
+                    # vocab.txt holds one token per line
+                    raise ValueError(f"speaker {speaker!r} contains a line break")
+                utterances.append(Utterance(speaker, toks))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CorpusError(f"{path}: dialogues[{di}]: {e}") from e
         if episode_id < 1:

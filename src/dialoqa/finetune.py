@@ -21,6 +21,11 @@ each with its bool mask. Every logit slot past a question's utterances or
 past an utterance's width holds MASK_SCORE, so softmax gives it exactly zero
 probability and the per-question results equal those of a batch of one.
 
+Inference keeps that layout: ``predict`` returns one question's softmax
+arrays, uid (m+1,) and left/right (m, S), and ``select_answer`` reads them
+with the utterances' word counts in one vectorized pass, returning the
+0-based (utterance, token start, token end) of ``PredictionRecord``.
+
 The forwards and losses read the model config from ``weights.config``; only
 ``encode_for_qa``, which has no weights, takes a ``ModelConfig``. They draw
 dropout only from an ``rng`` they are given, so inference passes none.
@@ -67,14 +72,6 @@ class QAEncoding:
     @property
     def num_utterances(self) -> int:
         return len(self.utterance_ids)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    utterance_index: int  # 0 = no answer, i = utterance U_i
-    token_start: int | None  # 0-based within the utterance; None for no answer
-    token_end: int | None
-    uid_scores: tuple[float, ...]
 
 
 def encode_for_qa(
@@ -199,52 +196,51 @@ def joint_loss(
 
 def predict(
     weights: EncoderWeights, encoding: QAEncoding
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Inference scores: (uid softmax (m+1,), per-utterance (left, right)
-    softmax arrays of width n_i+1, slot 0 the null slot). Deterministic;
-    dropout off."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inference scores of one question, ``qa_batch_logits``' layout for a
+    batch of one: the uid softmax (m+1,) and the left and right softmax
+    arrays (m, S), slot 0 of each row the null slot; every slot past an
+    utterance's width holds exactly 0. Deterministic; dropout off."""
     uid, left, right = qa_batch_logits(weights, [encoding])
-    ls = softmax(left, axis=-1).array[0]
-    rs = softmax(right, axis=-1).array[0]
-    spans = [
-        (ls[i, : len(u) - 1], rs[i, : len(u) - 1])
-        for i, u in enumerate(encoding.utterance_ids)
-    ]
-    return softmax(uid, axis=-1).array[0], spans
+    return tuple(softmax(t, axis=-1).array[0] for t in (uid, left, right))
 
 
-def select_answer(uid_scores, span_scores) -> Prediction:
-    """Pick the answer: per utterance the best (l, r) with 1 <= l <= r, an
-    utterance bears a span when that sum beats its null slots, the highest
-    UID score among span-bearing utterances wins; no answer when nothing
-    bears a span or the UID argmax is label 0. Ties break toward the lowest
-    utterance index, then lowest l, then lowest r."""
-    uid = np.asarray(uid_scores, dtype=np.float64)
-    if uid.ndim != 1 or uid.shape[0] != len(span_scores) + 1:
+def select_answer(
+    uid: np.ndarray, left: np.ndarray, right: np.ndarray, widths: Sequence[int]
+) -> tuple[int | None, int | None, int | None]:
+    """Pick the answer from ``predict``'s arrays, ``widths[i]`` the word count
+    of utterance i (its slots 1..widths[i]; a real slot may score 0). Per
+    utterance the best (l, r) with 1 <= l <= r <= width; an utterance bears
+    a span when that sum beats its null slots, and the highest UID score
+    among span-bearing utterances wins. No answer when nothing bears a span
+    or the UID argmax is label 0. Ties break toward the lowest utterance,
+    then the lowest l, then the lowest r. Returns the 0-based
+    (utterance_index, token_start, token_end), or (None, None, None)."""
+    uid, left, right = (np.asarray(a, dtype=np.float64) for a in (uid, left, right))
+    widths = np.asarray(widths)
+    if (
+        uid.ndim != 1 or left.ndim != 2 or left.shape != right.shape
+        or left.shape[0] != uid.shape[0] - 1 or left.shape[1] < 1
+        or widths.shape != left.shape[:1]
+        or not np.all((widths >= 0) & (widths < left.shape[1]))
+    ):
         raise ShapeError(
-            f"uid scores of length {uid.shape} do not match "
-            f"{len(span_scores)} utterances"
+            "select_answer needs uid (m+1,), left and right (m, S) and m widths in "
+            f"[0, S-1]; got uid {uid.shape}, left {left.shape}, right {right.shape}, "
+            f"widths {widths.tolist()}"
         )
-    candidates: list[tuple[int, int, int]] = []
-    for i, (ls, rs) in enumerate(span_scores):
-        ls = np.asarray(ls, dtype=np.float64)
-        rs = np.asarray(rs, dtype=np.float64)
-        if ls.shape != rs.shape or ls.ndim != 1 or ls.shape[0] < 1:
-            raise ShapeError(f"bad span score shapes for utterance {i}")
-        if ls.shape[0] == 1:
-            continue
-        # Over the word slots, sums[r] is the best score of a span ending at
-        # r. The first l reaching best_left[r] never moves left as r grows,
-        # so the first best r and its first l are the lowest tied (l, r).
-        left, right = ls[1:], rs[1:]
-        best_left = np.maximum.accumulate(left)
-        sums = best_left + right
-        r = int(np.argmax(sums))
-        if sums[r] > ls[0] + rs[0]:
-            l = int(np.argmax(left[: r + 1] == best_left[r]))
-            candidates.append((i, l + 1, r + 1))
-    top = int(np.argmax(uid))
-    if top == 0 or not candidates:
-        return Prediction(0, None, None, tuple(float(x) for x in uid))
-    i, l, r = max(candidates, key=lambda c: uid[c[0] + 1])
-    return Prediction(i + 1, l - 1, r - 1, tuple(float(x) for x in uid))
+    slots = np.arange(left.shape[1])
+    word = (slots >= 1) & (slots <= widths[:, None])
+    left_w = np.where(word, left, -np.inf)
+    # sums[i, r] is the best score of a span of utterance i ending at r. The
+    # first l reaching best_left[i, r] never moves left as r grows, so the
+    # first best r and its first l are the lowest tied (l, r).
+    best_left = np.maximum.accumulate(left_w, axis=1)
+    sums = best_left + np.where(word, right, -np.inf)
+    bearers = np.flatnonzero(sums.max(axis=1) > left[:, 0] + right[:, 0])
+    if np.argmax(uid) == 0 or not bearers.size:
+        return None, None, None
+    i = int(bearers[np.argmax(uid[1:][bearers])])
+    r = int(np.argmax(sums[i]))
+    l = int(np.argmax(left_w[i, : r + 1] == best_left[i, r]))
+    return i, l - 1, r - 1

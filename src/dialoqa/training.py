@@ -497,6 +497,11 @@ def fit(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch, global_step, metrics, " *" if improved else "",
         )
+    if best.train_state["history"][-1]["epoch"] == -1:
+        logger.warning(
+            "[%s] no epoch of %d improved on the initial dev eval; the best is the start weights",
+            stage, len(history) - 1,
+        )
     return best, history
 
 
@@ -650,9 +655,10 @@ def _uop_task(config, vocab, model_cfg, train, dev):
 
 def _qa_task(config, vocab, model_cfg, train, dev):
     encoded = [enc for enc, _, _ in _encode_entries(vocab, model_cfg, train)]
+    dev_encoded = _encode_entries(vocab, model_cfg, dev)
 
     def dev_eval(w):
-        report = evaluate_entries(w, vocab, dev)
+        report = evaluate_entries(w, dev_encoded)
         return {"em": report.em, "sm": report.sm, "um": report.um}
 
     return _Task(lambda rng_: encoded, qa_batch_loss, dev_eval)
@@ -727,43 +733,32 @@ def _encode_entries(
     model_cfg: ModelConfig,
     entries: Sequence[tuple[Dialogue, Sequence[QAExample]]],
 ) -> list[tuple[QAEncoding, QAExample, Dialogue]]:
-    out = []
-    for d, qs in entries:
-        for q in qs:
-            out.append((encode_for_qa(vocab, model_cfg, q, d), q, d))
-    return out
+    return [(encode_for_qa(vocab, model_cfg, q, d), q, d) for d, qs in entries for q in qs]
 
 
 def predict_entries(
     weights: EncoderWeights,
-    vocab: Vocab,
-    entries: Sequence[tuple[Dialogue, Sequence[QAExample]]],
+    encoded: Sequence[tuple[QAEncoding, QAExample, Dialogue]],
 ) -> tuple[list[PredictionRecord], list[QAExample]]:
+    """One prediction record per (encoding, question, dialogue) triple, and
+    the questions as golds."""
     weights = weights.frozen()
     records: list[PredictionRecord] = []
-    golds: list[QAExample] = []
-    for encoding, q, d in _encode_entries(vocab, weights.config, entries):
-        uid, spans = predict(weights, encoding=encoding)  # by keyword for the benchmark's tracer
-        p = select_answer(uid, spans)
-        if p.utterance_index == 0:
-            records.append(PredictionRecord(q.qid, None, None, None, None))
-        else:
-            ui = p.utterance_index - 1
-            text = " ".join(d.utterances[ui].tokens[p.token_start : p.token_end + 1])
-            records.append(
-                PredictionRecord(q.qid, ui, p.token_start, p.token_end, text)
-            )
-        golds.append(q)
-    return records, golds
+    for encoding, q, d in encoded:
+        uid, left, right = predict(weights, encoding=encoding)  # by keyword for the benchmark's tracer
+        ui, start, end = select_answer(
+            uid, left, right, [len(u) - 2 for u in encoding.utterance_ids]
+        )
+        text = None if ui is None else " ".join(d.utterances[ui].tokens[start : end + 1])
+        records.append(PredictionRecord(q.qid, ui, start, end, text))
+    return records, [q for _, q, _ in encoded]
 
 
 def evaluate_entries(
     weights: EncoderWeights,
-    vocab: Vocab,
-    entries: Sequence[tuple[Dialogue, Sequence[QAExample]]],
+    encoded: Sequence[tuple[QAEncoding, QAExample, Dialogue]],
 ) -> MetricReport:
-    records, golds = predict_entries(weights, vocab, entries)
-    return evaluate(records, golds)
+    return evaluate(*predict_entries(weights, encoded))
 
 
 def run_finetune(
@@ -802,7 +797,9 @@ def run_eval(
     entries = qa_entries(config, part)
     if not entries:
         raise CorpusError(f"split {split_name!r} has no questions")
-    records, golds = predict_entries(checkpoint.weights, checkpoint.vocab, entries)
+    records, golds = predict_entries(
+        checkpoint.weights, _encode_entries(checkpoint.vocab, checkpoint.config, entries)
+    )
     report = evaluate(records, golds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dialoqa.corpus import (
@@ -20,6 +20,7 @@ from dialoqa.corpus import (
     truncate_pair,
 )
 from dialoqa.errors import CorpusError
+from dialoqa.vocab import Vocab, build_vocab
 
 MINIMAL = {
     "dialogues": [
@@ -50,6 +51,9 @@ def _write(tmp_path, doc, name="c.json"):
     p.write_text(json.dumps(doc), encoding="utf-8")
     return p
 
+
+# Every separator ``str.splitlines`` breaks a line at.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -159,6 +163,40 @@ class TestLoad:
         record[key] = value
         with pytest.raises(CorpusError, match=rf"dialogues\[0\]: {where}{key} must be a JSON string"):
             load_corpus(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("separator", LINE_BREAKS, ids=lambda sep: "-".join(f"U+{ord(c):04X}" for c in sep))
+    def test_a_speaker_with_a_line_break_is_rejected(self, tmp_path, separator):
+        """``vocab.txt`` holds one token per line, so a speaker token split
+        there would shift every later id when the vocabulary is read back."""
+        assert len(f"a{separator}b".splitlines()) == 2
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["dialogues"][0]["utterances"][1]["speaker"] = f"Joey{separator}Tribbiani"
+        with pytest.raises(
+            CorpusError, match=r"dialogues\[0\]: speaker 'Joey.+Tribbiani' contains a line break"
+        ):
+            load_corpus(_write(tmp_path, doc))
+
+    @settings(
+        max_examples=50, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(names=st.lists(st.text(max_size=6), min_size=1, max_size=4))
+    @example(names=["Joey Tribbiani", "Mr.\tGeller", "Zoë", "\x1f", "\xa0", ""])
+    def test_accepted_speakers_round_trip_through_the_vocab_file(self, tmp_path, names):
+        doc = json.loads(json.dumps(MINIMAL))
+        dialogue = doc["dialogues"][0]
+        dialogue["utterances"] = [{"speaker": n, "text": "hi there"} for n in names]
+        dialogue["questions"] = []
+        breaks = any("".join(n.splitlines()) != n for n in names)
+        try:
+            loaded = load_corpus(_write(tmp_path, doc))
+        except CorpusError as e:
+            assert breaks and "contains a line break" in str(e)
+            return
+        assert not breaks
+        vocab = build_vocab([d for d, _ in loaded])
+        vocab.save(tmp_path / "vocab.txt")
+        assert Vocab.load(tmp_path / "vocab.txt") == vocab
 
     def test_duplicate_qid_rejected_with_location(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))

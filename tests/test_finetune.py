@@ -6,15 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_force_select, random_score_grids
+from conftest import oracle_record, padded, random_score_grids
 
 from dialoqa import finetune
 from dialoqa import tensor as T
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
 from dialoqa.encoder import STAGE_FINETUNED, ModelConfig, init_encoder_weights
-from dialoqa.errors import CapacityError
+from dialoqa.errors import CapacityError, ShapeError
 from dialoqa.finetune import (
-    Prediction,
     encode_for_qa,
     joint_loss,
     predict,
@@ -98,8 +97,8 @@ class TestEncodeForQA:
         ]
         assert cfg.token_position_capacity == 25
         assert enc.question_ids == tuple(full[:25])
-        scores, _ = predict(weights, enc)
-        assert scores.shape == (4,)
+        uid, _, _ = predict(weights, enc)
+        assert uid.shape == (4,)
 
     def test_untruncated_dialogue_rejected(self, vocab, cfg):
         with pytest.raises(CapacityError):
@@ -109,7 +108,7 @@ class TestEncodeForQA:
 class TestUidForward:
     def test_shape_and_normalization(self, vocab, cfg, weights):
         enc = encode_for_qa(vocab, cfg, make_example("q", "what", ()), _dialogue())
-        scores, _ = predict(weights, enc)
+        scores, _, _ = predict(weights, enc)
         assert scores.shape == (4,)  # m + 1
         assert abs(scores.sum() - 1.0) < 1e-9
 
@@ -120,7 +119,7 @@ class TestUidForward:
         saved = weights["utt_pos_emb"].array.copy()
         weights["utt_pos_emb"].array[:] = 0.0
         try:
-            scores, _ = predict(weights, enc)
+            scores, _, _ = predict(weights, enc)
         finally:
             weights["utt_pos_emb"].array[:] = saved
         assert abs(scores[1] - scores[2]) < 1e-9
@@ -135,15 +134,20 @@ class TestUidForward:
 
 class TestSpanForward:
     def test_widths_and_normalization(self, vocab, cfg, weights):
-        d = _dialogue(3, 4)
-        enc = encode_for_qa(vocab, cfg, make_example("q", "what is it", ()), d)
-        _, outs = predict(weights, enc)
-        assert len(outs) == 3
-        for (ls, rs), utt in zip(outs, d.utterances):
-            assert ls.shape == (len(utt.tokens) + 1,)
-            assert rs.shape == (len(utt.tokens) + 1,)
-            assert abs(ls.sum() - 1.0) < 1e-9
-            assert abs(rs.sum() - 1.0) < 1e-9
+        """Rows are the utterances, S the widest head; each row sums to 1 over
+        its null slot and words, and every slot past its width holds 0."""
+        utts = tuple(
+            Utterance("spk0", tuple(f"tok{i}{j}" for j in range(n)))
+            for i, n in enumerate((4, 2, 3))
+        )
+        enc = encode_for_qa(vocab, cfg, make_example("q", "what is it", ()), Dialogue(1, "s0", utts))
+        _, left, right = predict(weights, enc)
+        assert left.shape == right.shape == (3, 5)
+        for scores in (left, right):
+            for row, utt in zip(scores, utts):
+                width = len(utt.tokens)
+                assert abs(row[: width + 1].sum() - 1.0) < 1e-9
+                assert np.all(row[width + 1 :] == 0.0)
 
 
 class TestJointLoss:
@@ -248,15 +252,12 @@ class TestBatchedQA:
         left_p = T.softmax(left, axis=-1).array
         right_p = T.softmax(right, axis=-1).array
         for b, enc in enumerate(encs):
-            m = enc.num_utterances
+            want = predict(weights, enc)
+            m, s = want[1].shape
             assert np.all(uid_p[b, m + 1 :] == 0.0)
-            want_uid, want_spans = predict(weights, enc)
-            np.testing.assert_allclose(uid_p[b, : m + 1], want_uid, rtol=0, atol=1e-10)
-            for i, (ls, rs) in enumerate(want_spans):
-                width = ls.shape[0]
-                assert np.all(left_p[b, i, width:] == 0.0)
-                np.testing.assert_allclose(left_p[b, i, :width], ls, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(right_p[b, i, :width], rs, rtol=0, atol=1e-10)
+            assert np.all(left_p[b, :m, s:] == 0.0) and np.all(right_p[b, :m, s:] == 0.0)
+            for got, scores in zip((uid_p[b, : m + 1], left_p[b, :m, :s], right_p[b, :m, :s]), want):
+                np.testing.assert_allclose(got, scores, rtol=0, atol=1e-10)
 
     def test_gradcheck_batch_of_three(self, vocab, cfg):
         w = init_encoder_weights(cfg, STAGE_FINETUNED, np.random.default_rng(11))
@@ -274,17 +275,19 @@ class TestFrozenWeights:
         frozen = w.frozen()
         assert all(frozen[name].array is p.array for name, p in w.named())
         for enc in _mixed_batch(vocab, cfg):
-            want_uid, want_spans = predict(w, enc)
-            got_uid, got_spans = predict(frozen, enc)
-            np.testing.assert_allclose(got_uid, want_uid, rtol=0, atol=1e-12)
-            for (gl, gr), (wl, wr) in zip(got_spans, want_spans):
-                np.testing.assert_allclose(gl, wl, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(gr, wr, rtol=0, atol=1e-12)
+            for got, want in zip(predict(frozen, enc), predict(w, enc)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         outputs = qa_batch_logits(frozen, _mixed_batch(vocab, cfg))
         assert all(t._parents == () and t._backward is None for t in outputs)
         T.tsum(outputs[0]).backward()
         assert all(p.grad is None for _, p in w.named())
         assert all(p.grad is None for _, p in frozen.named())
+
+
+def _select(uid, spans, fill=0.0):
+    """``select_answer`` on ragged per-utterance (left, right) arrays, padded
+    to ``predict``'s layout with ``fill``."""
+    return select_answer(uid, *padded(spans, fill))
 
 
 class TestSelectAnswer:
@@ -294,9 +297,7 @@ class TestSelectAnswer:
             (np.array([10.0, 0.0, 0.0]), np.array([10.0, 0.0, 0.0])),
             (np.array([10.0, 1.0]), np.array([10.0, 1.0])),
         ]
-        p = select_answer(uid, spans)
-        assert p.utterance_index == 0
-        assert p.token_start is None and p.token_end is None
+        assert _select(uid, spans) == (None, None, None)
 
     def test_dominant_span_with_top_uid(self):
         uid = [0.05, 0.2, 0.75]
@@ -304,9 +305,7 @@ class TestSelectAnswer:
             (np.array([5.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0])),
             (np.array([0.0, 9.0, 0.1]), np.array([0.0, 0.1, 9.0])),
         ]
-        p = select_answer(uid, spans)
-        assert p.utterance_index == 2
-        assert (p.token_start, p.token_end) == (0, 1)
+        assert _select(uid, spans) == (1, 0, 1)
 
     def test_uid_argmax_zero_forces_no_answer(self):
         uid = [0.9, 0.05, 0.05]
@@ -314,40 +313,80 @@ class TestSelectAnswer:
             (np.array([0.0, 9.0]), np.array([0.0, 9.0])),
             (np.array([0.0, 9.0]), np.array([0.0, 9.0])),
         ]
-        assert select_answer(uid, spans).utterance_index == 0
+        assert _select(uid, spans) == (None, None, None)
 
     def test_l_never_exceeds_r(self):
         # right scores peak before left scores: constrained argmax keeps l <= r
         uid = [0.0, 1.0]
         spans = [(np.array([0.0, 0.0, 9.0]), np.array([0.0, 9.0, 0.0]))]
-        p = select_answer(uid, spans)
-        assert p.token_start <= p.token_end
+        _, start, end = _select(uid, spans)
+        assert start <= end
+
+    def test_a_width_of_zero_bears_no_span(self):
+        """An utterance with no word slot never answers, even when its padding
+        would outscore its null slots and its UID score is the highest."""
+        uid = [0.1, 0.6, 0.3]
+        spans = [
+            (np.array([1.0]), np.array([1.0])),
+            (np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 2.0])),
+        ]
+        assert _select(uid, spans, fill=9.0) == (1, 0, 1)
+        assert _select(uid[:2], spans[:1], fill=9.0) == (None, None, None)
+
+    def test_one_utterance(self):
+        spans = [(np.array([0.0, 3.0, 1.0, 3.0]), np.array([0.0, 1.0, 3.0, 3.0]))]
+        assert _select([0.2, 0.8], spans) == (0, 0, 1)
+        assert _select([0.8, 0.2], spans) == (None, None, None)
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_matches_brute_force_oracle(self, integer):
         rng = np.random.default_rng(1234 if integer else 4321)
         for _ in range(2000):
             uid, spans = random_score_grids(rng, integer=integer)
-            got = select_answer(uid, spans)
-            want = brute_force_select(uid, spans)
-            assert (got.utterance_index, got.token_start, got.token_end) == want
+            assert _select(uid, spans) == oracle_record(uid, spans)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_matches_brute_force_oracle_with_wordless_utterances(self, integer):
+        """Utterances of width 0 too, padded with a score that would win
+        wherever ``select_answer`` read a slot past a width."""
+        rng = np.random.default_rng(1235 if integer else 4322)
+        for _ in range(2000):
+            uid, spans = random_score_grids(rng, integer=integer, min_width=0)
+            assert _select(uid, spans, fill=9.0) == oracle_record(uid, spans)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         uid, spans = random_score_grids(rng, integer=False)
-        a = select_answer(uid, spans)
-        b = select_answer(uid, spans)
-        assert a == b
+        assert _select(uid, spans) == _select(uid, spans)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            dict(uid=(3, 1)),
+            dict(uid=(4,)),
+            dict(right=(2, 5)),
+            dict(left=(2, 4, 1), right=(2, 4, 1)),
+            dict(left=(2, 0), right=(2, 0), widths=[0, 0]),
+            dict(widths=[1]),
+            dict(widths=[1, 4]),
+            dict(widths=[-1, 2]),
+        ],
+        ids=["uid-2d", "uid-length", "right-width", "3d", "no-slot", "widths-short",
+             "width-over", "width-negative"],
+    )
+    def test_disagreeing_shapes_raise(self, shapes):
+        args = {"uid": (3,), "left": (2, 4), "right": (2, 4), "widths": [1, 3], **shapes}
+        with pytest.raises(ShapeError):
+            select_answer(
+                *(np.zeros(args[k]) for k in ("uid", "left", "right")), args["widths"]
+            )
 
 
 def test_predict_shapes(vocab, cfg, weights):
     d = _dialogue(3, 4)
     enc = encode_for_qa(vocab, cfg, make_example("q", "what is tok21", ()), d)
-    uid, spans = predict(weights, enc)
-    assert uid.shape == (4,)
-    assert len(spans) == 3
-    p = select_answer(uid, spans)
-    assert isinstance(p, Prediction)
-    if p.utterance_index > 0:
-        n = len(d.utterances[p.utterance_index - 1].tokens)
-        assert 0 <= p.token_start <= p.token_end < n
+    uid, left, right = predict(weights, enc)
+    assert uid.shape == (4,) and left.shape == right.shape == (3, 5)
+    ui, start, end = select_answer(uid, left, right, [4, 4, 4])
+    if ui is not None:
+        assert 0 <= ui < 3 and 0 <= start <= end < 4

@@ -4,6 +4,7 @@ config file format, and the CLI surface."""
 import functools
 import hashlib
 import json
+import logging
 import math
 import re
 import signal
@@ -357,6 +358,17 @@ class TestFlatStore:
         monkeypatch.setattr(pretrain, "encode_utterance", lambda *a: calls.append(a) or real(*a))
         epochs = [task.build_epoch(np.random.default_rng(5)) for _ in range(2)]
         assert epochs[0] and epochs[0] == epochs[1]
+        assert calls == []
+
+    def test_a_qa_dev_eval_encodes_no_question(self, corpus_path, monkeypatch):
+        """The QA task encodes its training and dev questions once, when it is
+        built; each dev eval only predicts and scores."""
+        weights, task = _fresh_stage(_config(corpus_path), "finetuned")
+        calls = []
+        real = training.encode_for_qa
+        monkeypatch.setattr(training, "encode_for_qa", lambda *a: calls.append(a) or real(*a))
+        assert task.dev_eval(weights) == task.dev_eval(weights)
+        assert task.build_epoch(np.random.default_rng(5))
         assert calls == []
 
 
@@ -1009,6 +1021,31 @@ class TestCli:
         code = cli.main(["pretrain", "--stage", "umlm", "--init", str(best), *args])
         assert code == 0, capsys.readouterr().err
         assert (out / "umlm-best.ckpt").exists()
+
+    def test_a_stage_that_never_improves_says_so(self, corpus_path, tmp_path, capsys, caplog):
+        """At lr 0 the weights cannot move, so no epoch betters the initial
+        eval: ``fit`` warns with the stage and its epoch count, and the CLI's
+        best dev line is marked; a stage that improves gets neither."""
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+            "batch_size = 8\nbase_lr = 0\ntmlm_steps = 4\nseed = 1\n"
+        )
+        note = "(the initial eval: no epoch improved on it)"
+        args = ["pretrain", "--stage", "tmlm", "--config", str(path)]
+        caplog.set_level(logging.WARNING, logger="dialoqa")
+        assert cli.main([*args, "--out", str(tmp_path / "still")]) == 0
+        assert capsys.readouterr().out.strip().endswith(note)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "[tmlm] no epoch of 2 improved on the initial dev eval; the best is the start weights"
+        ]
+        caplog.clear()
+        path.write_text(path.read_text().replace("base_lr = 0", "base_lr = 0.001"))
+        assert cli.main([*args, "--out", str(tmp_path / "moving")]) == 0
+        assert note not in capsys.readouterr().out
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     @pytest.mark.parametrize("with_out", [True, False], ids=["out", "cwd"])
     def test_best_checkpoint_saved_once(self, corpus_path, tmp_path, capsys, monkeypatch, with_out):
