@@ -109,25 +109,44 @@ def _validate_span(span: AnswerSpan, dialogue: Dialogue, qid: str) -> None:
         )
 
 
-def _integer(record: dict, key: str) -> int:
-    """``record[key]``, or a ``TypeError`` unless a JSON integer (no bool, float or str)."""
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
+def _got(value) -> str:
+    """``value`` in JSON's words: its type for an object or array, else its text."""
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    return json.dumps(value)
+
+
+def _field(record: dict, key: str, typ: type, default=None):
+    """``record[key]``, or ``default`` when the key is absent and a default
+    is given; a ``TypeError`` naming the key unless the value has the JSON
+    type of ``typ`` (an integer is no bool or float)."""
+    if key not in record:
+        if default is None:
+            raise ValueError(f"{key} is missing")
+        return default
     value = record[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    if type(value) is not typ:
+        raise TypeError(f"{key} must be a JSON {_JSON_TYPES[typ]}, got {_got(value)}")
     return value
 
 
-def _string(record: dict, key: str) -> str:
-    """``record[key]``, or a ``TypeError`` unless a JSON string (no null, number or list)."""
-    value = record[key]
-    if type(value) is not str:
-        raise TypeError(f"{key} must be a JSON string, got {value!r}")
-    return value
+def _records(record: dict, key: str, default=None) -> list[dict]:
+    """The array ``record[key]``, by ``_field``, with a ``TypeError`` naming
+    each item that is no JSON object."""
+    items = _field(record, key, list, default)
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise TypeError(f"{key}[{i}] must be a JSON object, got {_got(item)}")
+    return items
 
 
 def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
     """Parse and validate a corpus file; rejects violating records, and a
-    qid used twice, with their location (formatted only on failure)."""
+    qid used twice, with their location (formatted only on failure). A value
+    of the wrong JSON type is named with the type it needs."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -136,25 +155,30 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise CorpusError(f"{path}: malformed JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(doc, dict) or not isinstance(doc.get("dialogues"), list):
+    if not isinstance(doc, dict):
         raise CorpusError(f"{path}: expected a top-level object with a 'dialogues' list")
+    try:
+        dialogues = _records(doc, "dialogues")
+    except (TypeError, ValueError) as e:
+        raise CorpusError(f"{path}: {e}") from e
     out: list[tuple[Dialogue, list[QAExample]]] = []
     first_seen: dict[str, tuple[int, int]] = {}
-    for di, dd in enumerate(doc["dialogues"]):
+    for di, dd in enumerate(dialogues):
         try:
-            episode_id = _integer(dd, "episode_id")
-            scene_id = _string(dd, "scene_id")
+            episode_id = _field(dd, "episode_id", int)
+            scene_id = _field(dd, "scene_id", str)
             utterances = []
-            for ud in dd["utterances"]:
-                toks = tuple(tokenize(_string(ud, "text")))
+            for ud in _records(dd, "utterances"):
+                toks = tuple(tokenize(_field(ud, "text", str)))
                 if not toks:
                     raise ValueError("utterance with empty text")
-                speaker = _string(ud, "speaker")
+                speaker = _field(ud, "speaker", str)
                 if "".join(speaker.splitlines()) != speaker:
                     # vocab.txt holds one token per line
                     raise ValueError(f"speaker {speaker!r} contains a line break")
                 utterances.append(Utterance(speaker, toks))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            records = _records(dd, "questions", [])
+        except (TypeError, ValueError) as e:
             raise CorpusError(f"{path}: dialogues[{di}]: {e}") from e
         if episode_id < 1:
             raise CorpusError(f"{path}: dialogues[{di}]: episode_id must be positive")
@@ -162,23 +186,20 @@ def load_corpus(path: str | Path) -> list[tuple[Dialogue, list[QAExample]]]:
             raise CorpusError(f"{path}: dialogues[{di}]: dialogue has no utterances")
         dialogue = Dialogue(episode_id, scene_id, tuple(utterances))
         questions = []
-        records = dd.get("questions", [])
-        if not isinstance(records, list):
-            raise CorpusError(f"{path}: dialogues[{di}]: 'questions' is not a list")
         for qi, qd in enumerate(records):
             try:
-                qid = _string(qd, "qid")
+                qid = _field(qd, "qid", str)
                 spans = tuple(
                     AnswerSpan(
-                        _integer(ad, "utterance_index"),
-                        _integer(ad, "token_start"),
-                        _integer(ad, "token_end"),
-                        _string(ad, "text"),
+                        _field(ad, "utterance_index", int),
+                        _field(ad, "token_start", int),
+                        _field(ad, "token_end", int),
+                        _field(ad, "text", str),
                     )
-                    for ad in qd.get("answers", ())
+                    for ad in _records(qd, "answers", [])
                 )
-                ex = make_example(qid, _string(qd, "question"), spans)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                ex = make_example(qid, _field(qd, "question", str), spans)
+            except (TypeError, ValueError) as e:
                 raise CorpusError(f"{path}: dialogues[{di}]: bad question record: {e}") from e
             if not ex.question_tokens:
                 raise CorpusError(
@@ -266,23 +287,3 @@ def truncate(dialogue: Dialogue, m_max: int, n_max: int) -> Dialogue:
         replace(u, tokens=u.tokens[:n_max]) for u in dialogue.utterances[:m_max]
     )
     return replace(dialogue, utterances=utts)
-
-
-def truncate_pair(
-    dialogue: Dialogue,
-    questions: Sequence[QAExample],
-    m_max: int,
-    n_max: int,
-) -> tuple[Dialogue, list[QAExample]]:
-    """Truncate a dialogue and drop gold spans that fall outside the kept
-    region; a question whose spans all drop becomes unanswerable."""
-    d = truncate(dialogue, m_max, n_max)
-    kept_questions = []
-    for q in questions:
-        kept = tuple(
-            a
-            for a in q.answers
-            if a.utterance_index < m_max and a.token_end < n_max
-        )
-        kept_questions.append(replace(q, answers=kept))
-    return d, kept_questions

@@ -78,8 +78,10 @@ def encode_for_qa(
     vocab: Vocab, config: ModelConfig, question: QAExample, dialogue: Dialogue
 ) -> QAEncoding:
     """Encode question and utterances as separate CLS-led sequences and derive
-    labels from the first gold span. The dialogue must already be truncated
-    to the config limits; the question is cut at TE's token positions."""
+    labels from the first gold span inside the dialogue, which must already
+    be truncated to the config limits: a span the truncation cut off is no
+    label, and a question with none left is labelled unanswerable. The
+    question is cut at TE's token positions."""
     if len(dialogue.utterances) > config.max_utterances:
         raise CapacityError(
             f"dialogue has {len(dialogue.utterances)} utterances, "
@@ -98,8 +100,11 @@ def encode_for_qa(
     )
     span_labels = [(0, 0)] * len(dialogue.utterances)
     uid_label = 0
-    if question.answers:
-        gold = question.answers[0]
+    utts = dialogue.utterances
+    inside = [a for a in question.answers
+              if a.utterance_index < len(utts) and a.token_end < len(utts[a.utterance_index].tokens)]
+    if inside:
+        gold = inside[0]
         uid_label = gold.utterance_index + 1
         span_labels[gold.utterance_index] = (gold.token_start + 1, gold.token_end + 1)
     return QAEncoding(question_ids, utterance_ids, uid_label, tuple(span_labels))

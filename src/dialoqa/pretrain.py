@@ -3,6 +3,10 @@ tasks: token-level MLM over the concatenated dialogue, utterance-level MLM
 predicting a single masked word from the utterance CLS, and utterance order
 prediction over the shuffled-or-not second half.
 
+The two MLM tasks share one instance type and one loss. An ``MlmInstance``
+names the rows whose TE outputs predict its labels: the masked slots
+themselves for token MLM, the [CLS] slot (row 0) for utterance MLM.
+
 Sequence layouts:
     token-level  : [CLS] s_1 w_11 .. w_1n  s_2 w_21 ..   (one sequence per dialogue)
     per-utterance: [CLS] s_i w_i1 .. w_in               (u-MLM, UOP, fine-tuning)
@@ -39,17 +43,10 @@ UOP_IN_ORDER = 1
 
 
 @dataclass(frozen=True)
-class TmlmInstance:
+class MlmInstance:
     token_ids: tuple[int, ...]
-    mask_positions: tuple[int, ...]
-    mask_labels: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class UmlmInstance:
-    token_ids: tuple[int, ...]
-    mask_position: int
-    mask_label: int
+    rows: tuple[int, ...]  # the slots whose outputs predict ``labels``, in order
+    labels: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ def build_tmlm_instance(
     dialogue: EncodedDialogue,
     rng: np.random.Generator,
     ratio: float = 0.15,
-) -> TmlmInstance:
+) -> MlmInstance:
     ids = dialogue.token_ids
     if len(ids) > config.token_position_capacity:
         raise CapacityError(
@@ -134,7 +131,7 @@ def build_tmlm_instance(
             f"{config.token_position_capacity}; truncate first"
         )
     masked, positions, labels = mask_tokens(vocab, ids, dialogue.maskable, rng, ratio)
-    return TmlmInstance(tuple(masked), tuple(positions), tuple(labels))
+    return MlmInstance(tuple(masked), tuple(positions), tuple(labels))
 
 
 def build_umlm_instances(
@@ -142,10 +139,11 @@ def build_umlm_instances(
     dialogue: EncodedDialogue,
     rng: np.random.Generator,
     samples_per_utterance: int = 1,
-) -> list[UmlmInstance]:
+) -> list[MlmInstance]:
     """Per utterance, sample distinct word positions without replacement (all
     of them when fewer exist); each yields one single-MASK instance over
-    [CLS] s_i w_i1..w_in. Utterances with no maskable word are skipped."""
+    [CLS] s_i w_i1..w_in, its word predicted from row 0, the [CLS].
+    Utterances with no maskable word are skipped."""
     if samples_per_utterance < 1:
         raise CorpusError("samples_per_utterance must be >= 1")
     out = []
@@ -158,7 +156,7 @@ def build_umlm_instances(
             masked = list(ids)
             label = masked[j]
             masked[j] = vocab.mask
-            out.append(UmlmInstance(tuple(masked), j, label))
+            out.append(MlmInstance(tuple(masked), (0,), (label,)))
     return out
 
 
@@ -197,39 +195,25 @@ def vocab_logits(weights: EncoderWeights, rows: Tensor) -> Tensor:
     return linear(rows, transpose(weights["token_emb"], (1, 0)), weights["vocab_bias"])
 
 
-def tmlm_batch_loss(
+def mlm_batch_loss(
     weights: EncoderWeights,
-    instances: Sequence[TmlmInstance],
+    instances: Sequence[MlmInstance],
     *,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean cross-entropy over every masked position in the batch, each
-    predicted from its own output embedding through the tied projection."""
+    """Mean cross-entropy over every label in the batch, each predicted from
+    its row's output embedding through the tied projection."""
     ids, mask = pad_batch([inst.token_ids for inst in instances])
     out = te_forward(weights, ids, mask, rng=rng)
     width = ids.shape[1]
-    flat_idx = [
-        b * width + p for b, inst in enumerate(instances) for p in inst.mask_positions
-    ]
-    labels = [lab for inst in instances for lab in inst.mask_labels]
+    flat_idx = [b * width + r for b, inst in enumerate(instances) for r in inst.rows]
+    labels = [lab for inst in instances for lab in inst.labels]
     logits = vocab_logits(weights, gather_rows(out, flat_idx))
     return mean_cross_entropy(logits, labels)
 
 
-def umlm_batch_loss(
-    weights: EncoderWeights,
-    instances: Sequence[UmlmInstance],
-    *,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Cross-entropy of each instance's single mask label predicted from the
-    CLS output embedding, averaged over the batch."""
-    ids, mask = pad_batch([inst.token_ids for inst in instances])
-    out = te_forward(weights, ids, mask, rng=rng)
-    width = ids.shape[1]
-    cls_rows = gather_rows(out, [b * width for b in range(len(instances))])
-    logits = vocab_logits(weights, cls_rows)
-    return mean_cross_entropy(logits, [inst.mask_label for inst in instances])
+# The per-task names stay while perfbench/tracing.py's layer table lists them.
+tmlm_batch_loss = umlm_batch_loss = mlm_batch_loss
 
 
 def uop_batch_logits(

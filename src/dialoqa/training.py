@@ -51,7 +51,6 @@ from .corpus import (
     load_corpus,
     split_by_episode,
     truncate,
-    truncate_pair,
 )
 from .encoder import (
     STAGE_FINETUNED,
@@ -69,16 +68,14 @@ from .metrics import MetricReport, PredictionRecord, evaluate
 from .optim import AdamState, LRSchedule, adam_step, lr_at_step
 from .pretrain import (
     EncodedDialogue,
-    TmlmInstance,
-    UmlmInstance,
+    MlmInstance,
     UopInstance,
     build_tmlm_instance,
     build_umlm_instances,
     build_uop_instance,
     encode_dialogue,
+    mlm_batch_loss,
     mlm_perplexity,
-    tmlm_batch_loss,
-    umlm_batch_loss,
     uop_batch_logits,
     uop_batch_loss,
 )
@@ -286,12 +283,11 @@ def pretrain_dialogues(
 def qa_entries(
     config: RunConfig, part: Sequence[tuple[Dialogue, Sequence[QAExample]]]
 ) -> list[tuple[Dialogue, list[QAExample]]]:
-    out = []
-    for d, qs in part:
-        td, tqs = truncate_pair(d, qs, config.max_utterances, config.max_tokens)
-        if tqs:
-            out.append((td, tqs))
-    return out
+    """Each dialogue with questions, truncated to the model limits, and its
+    questions as the corpus gives them: they stay the gold answers, and
+    ``encode_for_qa`` labels only a span the truncation kept."""
+    lim = (config.max_utterances, config.max_tokens)
+    return [(truncate(d, *lim), list(qs)) for d, qs in part if qs]
 
 
 # -- dev evaluation -----------------------------------------------------------
@@ -304,20 +300,14 @@ def _chunks(items: Sequence, size: int):
 
 def mlm_dev_perplexity(
     weights: EncoderWeights,
-    instances: Sequence[TmlmInstance] | Sequence[UmlmInstance],
+    instances: Sequence[MlmInstance],
     batch_size: int,
 ) -> float:
     weights = weights.frozen()
-    pairs = []
-    for chunk in _chunks(instances, batch_size):
-        if isinstance(chunk[0], TmlmInstance):
-            loss = tmlm_batch_loss(weights, chunk)
-            count = sum(len(inst.mask_positions) for inst in chunk)
-        else:
-            loss = umlm_batch_loss(weights, chunk)
-            count = len(chunk)
-        pairs.append((loss.item(), count))
-    return mlm_perplexity(pairs)
+    return mlm_perplexity([
+        (mlm_batch_loss(weights, chunk).item(), sum(len(inst.labels) for inst in chunk))
+        for chunk in _chunks(instances, batch_size)
+    ])
 
 
 def uop_dev_metrics(
@@ -613,8 +603,7 @@ def _tmlm_task(config, vocab, model_cfg, train, dev):
     if config.mlm_mode == "static":
         cached = instances(train, derive_rng(config.seed, STAGE_TMLM, "static-masks"))
         build_epoch = lambda rng_: cached
-    return _Task(build_epoch, tmlm_batch_loss,
-                 _perplexity_dev_eval(config, dev_instances))
+    return _Task(build_epoch, mlm_batch_loss, _perplexity_dev_eval(config, dev_instances))
 
 
 def _umlm_task(config, vocab, model_cfg, train, dev):
@@ -629,18 +618,21 @@ def _umlm_task(config, vocab, model_cfg, train, dev):
             )
         ]
 
+    for name, part in (("training", train), ("dev", dev)):
+        if not any(slots for d in part for slots in d.word_slots):
+            raise CorpusError(f"no {name} utterance has a maskable word for utterance MLM")
     dev_instances = instances(dev, derive_rng(config.seed, STAGE_UMLM, "dev"))
-    if not dev_instances:
-        raise CorpusError("no dev utterance has a maskable word for utterance MLM")
-    return _Task(functools.partial(instances, train), umlm_batch_loss,
+    return _Task(functools.partial(instances, train), mlm_batch_loss,
                  _perplexity_dev_eval(config, dev_instances))
 
 
 def _uop_task(config, vocab, model_cfg, train, dev):
     train, dev = _encoded(vocab, train, dev)
+    for name, part in (("training", train), ("dev", dev)):
+        # an instance permutes the second half, so that half needs 2 utterances
+        if not any(len(d.utterances) >= 4 for d in part):
+            raise CorpusError(f"no {name} dialogues are long enough for order prediction")
     dev_instances = build_uop_dev_instances(dev, derive_rng(config.seed, STAGE_UOP, "dev"))
-    if not dev_instances:
-        raise CorpusError("no dev dialogues are long enough for order prediction")
 
     def build_epoch(rng_):
         built = (build_uop_instance(d, rng_, config.uop_shuffle_prob) for d in train)

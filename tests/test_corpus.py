@@ -1,6 +1,7 @@
 """Corpus loading/validation, episode splitting, and truncation."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -17,7 +18,6 @@ from dialoqa.corpus import (
     save_corpus,
     split_by_episode,
     truncate,
-    truncate_pair,
 )
 from dialoqa.errors import CorpusError
 from dialoqa.vocab import Vocab, build_vocab
@@ -60,6 +60,14 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,
+)
+
+
+# Python's own wording for a value of the wrong type, which a corpus error
+# must not leak: every message names the field and the JSON type it needs.
+PYTHON_WORDING = re.compile(
+    r"NoneType|subscriptable|iterable|indices must be|has no attribute|unhashable"
+    r"|object is not|'(int|float|str|bool|list|dict)'|\bgot (None|True|False)\b"
 )
 
 
@@ -228,6 +236,46 @@ class TestLoad:
         except CorpusError:
             pass
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["dialogues"].__setitem__(0, None), "dialogues[0] must be a JSON object, got null"),
+        (lambda doc: doc["dialogues"][0]["utterances"].__setitem__(1, "At Central Perk"),
+         'dialogues[0]: utterances[1] must be a JSON object, got "At Central Perk"'),
+        (lambda doc: doc["dialogues"][0]["questions"][0].__setitem__("answers", None),
+         "dialogues[0]: bad question record: answers must be a JSON array, got null"),
+        (lambda doc: doc.__setitem__("dialogues", {}), "dialogues must be a JSON array, got an object"),
+    ], ids=["null-dialogue", "string-utterance", "null-answers", "object-dialogues"])
+    def test_a_mistyped_record_is_named_with_the_type_it_needs(self, tmp_path, mutate, message):
+        doc = json.loads(json.dumps(MINIMAL))
+        mutate(doc)
+        with pytest.raises(CorpusError) as err:
+            load_corpus(_write(tmp_path, doc))
+        assert str(err.value).endswith(f": {message}")
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_a_value_of_another_json_type_is_named_at_every_path(self, tmp_path, data):
+        """A value swapped for one of another JSON type, anywhere in the
+        file, either loads or raises a ``CorpusError`` naming the dialogue,
+        the field and the JSON type it needs, never in Python's words."""
+        doc = json.loads(json.dumps(MINIMAL))
+        *parent_keys, key = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        parent = doc
+        for k in parent_keys:
+            parent = parent[k]
+        old = parent[key]
+        parent[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)), label="value")
+        try:
+            load_corpus(_write(tmp_path, doc))
+        except CorpusError as e:
+            message = str(e)
+            assert not PYTHON_WORDING.search(message), message
+            assert re.search(r" must be a JSON (object|array|string|integer), got ", message), message
+            if len(parent_keys) >= 2:  # below dialogues[0]
+                assert ": dialogues[0]: " in message, message
+
     def test_save_load_round_trip(self, tmp_path):
         fixture = []
         for ep in (1, 2, 3):
@@ -316,24 +364,6 @@ class TestTruncate:
         d = self._dialogue(6, 8)
         once = truncate(d, 4, 5)
         assert truncate(once, 4, 5) == once
-
-    def test_spans_outside_kept_region_dropped(self):
-        d = self._dialogue(5, 5)
-        qs = [
-            make_example("keep", "what a", (AnswerSpan(1, 0, 1, "w10 w11"),)),
-            make_example("drop-utt", "what b", (AnswerSpan(4, 0, 0, "w40"),)),
-            make_example("drop-tok", "what c", (AnswerSpan(0, 3, 4, "w03 w04"),)),
-            make_example(
-                "partial", "what d",
-                (AnswerSpan(4, 0, 0, "w40"), AnswerSpan(2, 1, 1, "w21")),
-            ),
-        ]
-        td, tqs = truncate_pair(d, qs, 3, 3)
-        by_qid = {q.qid: q for q in tqs}
-        assert len(by_qid["keep"].answers) == 1
-        assert by_qid["drop-utt"].answers == ()  # became unanswerable
-        assert by_qid["drop-tok"].answers == ()
-        assert [a.utterance_index for a in by_qid["partial"].answers] == [2]
 
     def test_bad_limits(self):
         with pytest.raises(CorpusError):

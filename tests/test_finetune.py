@@ -10,7 +10,7 @@ from conftest import oracle_record, padded, random_score_grids
 
 from dialoqa import finetune
 from dialoqa import tensor as T
-from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
+from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example, truncate
 from dialoqa.encoder import STAGE_FINETUNED, ModelConfig, init_encoder_weights
 from dialoqa.errors import CapacityError, ShapeError
 from dialoqa.finetune import (
@@ -99,6 +99,25 @@ class TestEncodeForQA:
         assert enc.question_ids == tuple(full[:25])
         uid, _, _ = predict(weights, enc)
         assert uid.shape == (4,)
+
+    def test_a_span_the_truncation_cut_is_no_label(self, vocab, cfg):
+        """The labels come from the first gold span inside the truncated
+        dialogue; a question with no span left there is labelled
+        unanswerable, while its gold answers stay as the corpus gives them."""
+        d = truncate(_dialogue(5, 5), 3, 3)
+        cases = {
+            "keep": ((AnswerSpan(1, 0, 1, "tok10 tok11"),), 2, (1, 2)),
+            "drop-utt": ((AnswerSpan(4, 0, 0, "tok40"),), 0, None),
+            "drop-tok": ((AnswerSpan(0, 3, 4, "tok03 tok04"),), 0, None),
+            "partial": ((AnswerSpan(4, 0, 0, "tok40"), AnswerSpan(2, 1, 1, "tok21")), 3, (2, 2)),
+        }
+        for qid, (answers, uid_label, span) in cases.items():
+            enc = encode_for_qa(vocab, cfg, make_example(qid, "what", answers), d)
+            assert enc.uid_label == uid_label, qid
+            expected = [(0, 0)] * 3
+            if span is not None:
+                expected[uid_label - 1] = span
+            assert list(enc.span_labels) == expected, qid
 
     def test_untruncated_dialogue_rejected(self, vocab, cfg):
         with pytest.raises(CapacityError):

@@ -20,8 +20,8 @@ import pytest
 
 from dialoqa import cli, pretrain, training
 from dialoqa import tensor as T
-from dialoqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from dialoqa.corpus import Dialogue, Utterance, load_corpus, save_corpus
+from dialoqa.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, load_corpus, make_example, save_corpus
 from dialoqa.encoder import ModelConfig, init_encoder_weights, stage_shapes
 from dialoqa.errors import (
     CheckpointError,
@@ -286,7 +286,7 @@ class TestTrainingProgress:
 class TestDivergence:
     def test_nan_training_loss_raises_divergence_error(self, corpus_path, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            training, "tmlm_batch_loss", lambda *a, **k: Tensor(np.array(np.nan))
+            training, "mlm_batch_loss", lambda *a, **k: Tensor(np.array(np.nan))
         )
         with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1"):
             run_stage("tmlm", _config(corpus_path), None, tmp_path)
@@ -296,7 +296,7 @@ class TestDivergence:
     ):
         """A finite loss whose backward puts NaN into vocab_bias's gradient
         stops the stage before Adam touches a weight."""
-        real_loss = training.tmlm_batch_loss
+        real_loss = training.mlm_batch_loss
 
         def loss_with_nan_gradient(weights, *args, **kwargs):
             bias = weights["vocab_bias"]
@@ -309,7 +309,7 @@ class TestDivergence:
         def no_update(*args, **kwargs):
             raise AssertionError("adam_step ran on a non-finite gradient")
 
-        monkeypatch.setattr(training, "tmlm_batch_loss", loss_with_nan_gradient)
+        monkeypatch.setattr(training, "mlm_batch_loss", loss_with_nan_gradient)
         monkeypatch.setattr(training, "adam_step", no_update)
         with pytest.raises(DivergenceError, match=r"'tmlm'.*step 1.*vocab_bias"):
             run_stage("tmlm", _config(corpus_path), None, tmp_path)
@@ -655,6 +655,31 @@ class TestEval:
         parsed = json.loads((tmp_path / "report-dev.json").read_text())
         assert parsed["total"] == report.total
         assert "all" in (tmp_path / "report-dev.txt").read_text()
+
+
+class TestEvalScoresTheCorpusGold:
+    def test_an_answer_past_the_utterance_limit_stays_gold(self, tmp_path):
+        """Each question's only answer lies in utterance 3, past
+        ``max_utterances = 3``: it stays the gold, so a model that answers
+        nothing misses both test questions rather than scoring them as
+        unanswerable."""
+        corpus = []
+        for ep in range(1, 25):
+            utts = tuple(Utterance(f"spk{i}", (f"word{i}", "and", f"thing{ep}")) for i in range(4))
+            answer = AnswerSpan(3, 2, 2, f"thing{ep}")
+            corpus.append((Dialogue(ep, "s0", utts), [make_example(f"e{ep}", "what thing", (answer,))]))
+        save_corpus(corpus, tmp_path / "corpus.json")
+        cfg = _config(tmp_path / "corpus.json", max_utterances=3,
+                      train_max_episode=20, dev_max_episode=22)
+        vocab = build_vocab(d for d, _ in corpus)
+        weights = init_encoder_weights(
+            cfg.model_config(len(vocab)), "finetuned", np.random.default_rng(0)
+        )
+        weights["uid_w"].array[:] = 0.0  # every UID score ties, so the argmax is "no answer"
+        report = run_eval(cfg, Checkpoint(weights, vocab), "test", tmp_path / "eval")
+        lines = (tmp_path / "eval" / "predictions-test.jsonl").read_text().splitlines()
+        assert [json.loads(line)["utterance_index"] for line in lines] == [-1, -1]
+        assert (report.total, report.em, report.sm, report.um) == (2, 0.0, 0.0, 0.0)
 
 
 class TestRunConfigParsing:
@@ -1123,6 +1148,45 @@ class TestCli:
         )
         assert (code, err["error"]) == (1, "CorpusError")
         assert "token MLM" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["umlm", "uop"])
+    def test_a_stage_without_training_instances_leaves_no_out_dir(
+        self, tmp_path, capsys, stage
+    ):
+        """Training dialogues of 3 utterances give no order-prediction
+        instance, and training words outside the start checkpoint's
+        vocabulary no utterance-MLM instance; the dev dialogues give both.
+        The stage fails before it writes anything, so no start-weights best
+        is left for the next stage to start from."""
+        corpus = []
+        for ep in range(1, 9):
+            dev = ep == 8
+            utts = tuple(
+                Utterance(f"spk{i}", tuple(f"{'dev' if dev else 'train'}{i}{j}" for j in range(3)))
+                for i in range(4 if dev else 3)
+            )
+            corpus.append((Dialogue(ep, "s0", utts), []))
+        save_corpus(corpus, tmp_path / "corpus.json")
+        cfg = _config(tmp_path / "corpus.json")
+        # umlm starts from a tmlm checkpoint, uop from a umlm one
+        source, words = ("tmlm", [corpus[-1][0]]) if stage == "umlm" else ("umlm", [d for d, _ in corpus])
+        vocab = build_vocab(words)
+        weights = init_encoder_weights(cfg.model_config(len(vocab)), source, np.random.default_rng(0))
+        init = tmp_path / f"{source}-best.ckpt"
+        save_checkpoint(Checkpoint(weights, vocab), init)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {tmp_path / 'corpus.json'}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
+        )
+        out = tmp_path / "run"
+        code, err = self._main_error(
+            capsys, "pretrain", "--stage", stage, "--config", str(path),
+            "--init", str(init), "--out", str(out),
+        )
+        assert (code, err["error"]) == (1, "CorpusError")
+        assert "no training" in err["message"]
         assert not out.exists()
 
     def test_umlm_without_dev_instances_is_json_error(

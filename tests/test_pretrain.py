@@ -20,11 +20,11 @@ from dialoqa.pretrain import (
     build_uop_instance,
     encode_dialogue,
     mask_tokens,
-    tmlm_batch_loss,
-    umlm_batch_loss,
+    mlm_batch_loss,
     uop_batch_logits,
     uop_batch_loss,
 )
+from dialoqa.training import mlm_dev_perplexity
 from dialoqa.vocab import build_vocab, decode
 
 TOY = ModelConfig(
@@ -96,7 +96,8 @@ class TestMaskTokens:
             ids = encode_dialogue(vocab, d).token_ids
             speaker_slots = {i for i, t in enumerate(ids) if t in vocab.speaker_ids}
             inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), rng)
-            for p, lab in zip(inst.mask_positions, inst.mask_labels):
+            assert len(inst.rows) == len(inst.labels)
+            for p, lab in zip(inst.rows, inst.labels):
                 assert p != 0 and p not in speaker_slots
                 assert lab >= 4
 
@@ -134,7 +135,7 @@ class TestUmlmInstances:
         d = Dialogue(1, "s", (Utterance("spk0", ("w00", "w01", "w02")),))
         insts = build_umlm_instances(vocab, encode_dialogue(vocab, d), np.random.default_rng(0), 3)
         assert len(insts) == 3
-        assert sorted(i.mask_position for i in insts) == [2, 3, 4]
+        assert sorted(i.token_ids.index(vocab.mask) for i in insts) == [2, 3, 4]
 
     def test_instance_length_n_plus_2(self, vocab):
         d = Dialogue(1, "s", (Utterance("spk0", tuple(WORDS[:5])),))
@@ -146,9 +147,11 @@ class TestUmlmInstances:
         for _ in range(30):
             insts = build_umlm_instances(vocab, _encoded(vocab, 3, 4), rng, 2)
             for inst in insts:
-                assert inst.mask_position >= 2
-                assert inst.token_ids[inst.mask_position] == vocab.mask
-                assert inst.mask_label >= 4
+                assert inst.token_ids.count(vocab.mask) == 1
+                assert inst.token_ids.index(vocab.mask) >= 2
+                assert inst.rows == (0,)  # predicted from the [CLS]
+                (label,) = inst.labels
+                assert label >= 4
 
     def test_epoch_coverage(self, vocab):
         d = Dialogue(1, "s", (Utterance("spk0", tuple(WORDS[:6])),))
@@ -156,7 +159,7 @@ class TestUmlmInstances:
         covered = set()
         for _ in range(40):
             for inst in build_umlm_instances(vocab, encode_dialogue(vocab, d), rng, 1):
-                covered.add(inst.mask_position)
+                covered.add(inst.token_ids.index(vocab.mask))
         assert covered == {2, 3, 4, 5, 6, 7}
 
     def test_bad_samples(self, vocab):
@@ -224,7 +227,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(seed))
             inst = build_tmlm_instance(vocab, cfg, d, np.random.default_rng(seed))
-            losses.append(tmlm_batch_loss(w, [inst]).item())
+            losses.append(mlm_batch_loss(w, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
 
@@ -235,7 +238,7 @@ class TestLossSanity:
         for seed in range(5):
             w = init_encoder_weights(cfg, "umlm", np.random.default_rng(seed))
             insts = build_umlm_instances(vocab, d, np.random.default_rng(seed), 1)
-            losses.append(umlm_batch_loss(w, [insts[0]]).item())
+            losses.append(mlm_batch_loss(w, [insts[0]]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
 
@@ -267,14 +270,14 @@ class TestMemorization:
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
         inst = build_tmlm_instance(vocab, cfg, _encoded(vocab, 2, 3), np.random.default_rng(1))
-        final = self._overfit(vocab, lambda: tmlm_batch_loss(w, [inst]), w)
+        final = self._overfit(vocab, lambda: mlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
     def test_umlm_overfits_single_instance(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(0))
         inst = build_umlm_instances(vocab, _encoded(vocab, 1, 4), np.random.default_rng(1), 1)[0]
-        final = self._overfit(vocab, lambda: umlm_batch_loss(w, [inst]), w)
+        final = self._overfit(vocab, lambda: mlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
     def test_uop_overfits_an_in_order_and_a_shuffled_instance(self, vocab):
@@ -310,7 +313,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(3))
         inst = build_tmlm_instance(vocab, cfg, _encoded(vocab, 2, 3), np.random.default_rng(4))
         report = grad_check(
-            lambda: tmlm_batch_loss(w, [inst]), dict(w.named()),
+            lambda: mlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(5), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -320,7 +323,7 @@ class TestGradChecks:
         w = init_encoder_weights(cfg, "umlm", np.random.default_rng(6))
         inst = build_umlm_instances(vocab, _encoded(vocab, 1, 4), np.random.default_rng(7), 1)[0]
         report = grad_check(
-            lambda: umlm_batch_loss(w, [inst]), dict(w.named()),
+            lambda: mlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(8), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
@@ -334,6 +337,27 @@ class TestGradChecks:
             rng=np.random.default_rng(11), max_coords_per_param=4,
         )
         assert report.max_rel_err < 1e-4, report
+
+
+class TestMlmDevPerplexity:
+    def test_weights_each_label_alike_at_every_batch_size(self, vocab):
+        """Over token-MLM instances with unequal mask counts, the dev
+        perplexity is exp of the mean cross-entropy over their labels, each
+        label weighted alike, whatever the batch size."""
+        cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
+        w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        insts = [
+            build_tmlm_instance(vocab, cfg, _encoded(vocab, n, k), rng, ratio)
+            for n, k, ratio in ((1, 2, 0.0), (3, 4, 0.6), (2, 5, 0.3), (3, 3, 0.9), (2, 2, 0.0))
+        ]
+        counts = [len(inst.labels) for inst in insts]
+        assert len(set(counts)) >= 3
+        total_ce = sum(mlm_batch_loss(w, [inst]).item() * n for inst, n in zip(insts, counts))
+        expected = math.exp(total_ce / sum(counts))
+        for batch_size in (1, 2, 3, len(insts)):
+            got = mlm_dev_perplexity(w, insts, batch_size)
+            assert abs(got - expected) <= 1e-12 * expected, batch_size
 
 
 class TestUopBatch:

@@ -21,7 +21,7 @@ from dialoqa.encoder import STAGE_FINETUNED, STAGE_TMLM, ModelConfig, init_encod
 from dialoqa.errors import ConfigError, ShapeError
 from dialoqa.finetune import encode_for_qa, qa_batch_loss
 from dialoqa.optim import grad_check
-from dialoqa.pretrain import build_tmlm_instance, encode_dialogue, tmlm_batch_loss
+from dialoqa.pretrain import build_tmlm_instance, encode_dialogue, mlm_batch_loss
 from dialoqa.vocab import build_vocab
 
 # High-precision reference values (50-digit erf/exp evaluation, frozen).
@@ -618,7 +618,7 @@ def test_training_graphs_are_freed_by_reference_counting():
     try:
         loss = qa_batch_loss(qa_w, encodings, rng=rng)
         loss.backward()
-        loss = tmlm_batch_loss(mlm_w, tmlm, rng=rng)
+        loss = mlm_batch_loss(mlm_w, tmlm, rng=rng)
         loss.backward()
         del loss
         assert gc.collect() == 0
