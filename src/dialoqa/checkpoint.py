@@ -8,8 +8,7 @@ stores nothing that can be derived: no tensor directory, no Adam step (it is
 ``global_step``) and no vocabulary size (it is the vocabulary's length). Its
 ``train_state`` is the dev history through the checkpoint's epoch, or empty.
 ``save_checkpoint`` checks the header as load does and each moment's length,
-so it writes no file load refuses, and it replaces the target with a
-finished temporary file, so an interrupted save leaves the old file whole.
+so it writes no file load refuses, and writes through ``files.write_file``.
 ``load_checkpoint`` checks the header's fields and types, the payload length
 and every value for finiteness, and raises ``CheckpointError`` for any file
 it cannot read, one of a format other than 5 included. save -> load -> save
@@ -19,7 +18,6 @@ is byte-identical.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +26,7 @@ import numpy as np
 
 from .encoder import STAGE_GROUPS, EncoderWeights, ModelConfig, stage_layout
 from .errors import CheckpointError, ConfigError, CorpusError
+from .files import write_file
 from .optim import AdamState
 from .vocab import Vocab
 
@@ -75,17 +74,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         if any(m is None or m.shape != weights.vector.shape for m in vectors[:2]):
             raise CheckpointError(f"{path}: an Adam moment is not a vector as long as the weights")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            for vector in vectors:
-                f.write(np.ascontiguousarray(vector, dtype="<f8").data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    head = MAGIC + struct.pack("<Q", len(blob)) + blob
+    write_file(path, [head, *(np.ascontiguousarray(v, dtype="<f8").data for v in vectors)])
 
 
 _NUMBER = (int, float)

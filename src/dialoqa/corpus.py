@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CorpusError
+from .files import write_file
 from .vocab import tokenize
 
 QUESTION_TYPES = ("what", "who", "when", "where", "why", "how")
@@ -251,7 +252,7 @@ def save_corpus(
             for d, qs in corpus
         ]
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+    write_file(path, [json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")])
 
 
 def split_by_episode(

@@ -27,6 +27,15 @@ class AdamState:
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
 
+    def __post_init__(self):
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:  # False for nan
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, step: int) -> None:
     """Adam update number ``step`` (from 1, for the bias corrections) of the

@@ -63,6 +63,7 @@ from .encoder import (
     init_encoder_weights,
 )
 from .errors import CheckpointError, ConfigError, CorpusError, DivergenceError, SequencingError
+from .files import write_file
 from .finetune import QAEncoding, encode_for_qa, predict, qa_batch_loss, select_answer
 from .metrics import MetricReport, PredictionRecord, evaluate
 from .optim import AdamState, LRSchedule, adam_step, lr_at_step
@@ -140,16 +141,6 @@ class RunConfig:
     def __post_init__(self):
         if min(self.batch_size, self.patience, self.umlm_samples_per_utterance) < 1:
             raise ConfigError("batch_size, patience and umlm_samples_per_utterance must be >= 1")
-        # each comparison chain is False for nan
-        if not (0.0 <= self.base_lr < np.inf and 0.0 <= self.weight_decay < np.inf):
-            raise ConfigError(
-                f"base_lr and weight_decay must be finite and >= 0, "
-                f"got {self.base_lr}, {self.weight_decay}"
-            )
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.mlm_mode not in ("static", "dynamic"):
             raise ConfigError(f"mlm_mode must be static|dynamic, got {self.mlm_mode!r}")
         if not 0.0 <= self.mlm_ratio < 1.0:
@@ -166,21 +157,17 @@ class RunConfig:
         # an utterance's [CLS] s w_1..w_n takes max_tokens + 2 of TE's positions
         if self.max_utterances < 2:
             raise ConfigError(f"max_utterances must be >= 2, got {self.max_utterances}")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ConfigError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
-        self.model_config(1)  # the model settings fail here, not inside a stage
+        self.model_config(1)  # model, Adam and schedule settings fail here, not in a stage
+        self.adam_state()
+        LRSchedule(self.base_lr, 1, self.warmup_fraction)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         shared = (f.name for f in fields(ModelConfig) if f.name != "vocab_size")
         return ModelConfig(vocab_size, **{name: getattr(self, name) for name in shared})
 
     def adam_state(self) -> AdamState:
-        return AdamState(
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            weight_decay=self.weight_decay,
-        )
+        shared = (f.name for f in fields(AdamState) if hasattr(self, f.name))
+        return AdamState(**{name: getattr(self, name) for name in shared})
 
 
 def _coerce(raw: str, typ) -> object:
@@ -793,11 +780,13 @@ def run_eval(
         checkpoint.weights, _encode_entries(checkpoint.vocab, checkpoint.config, entries)
     )
     report = evaluate(records, golds)
+    texts = {  # all built before any is written, so a failure leaves the old files
+        f"predictions-{split_name}.jsonl": "".join(r.to_json() + "\n" for r in records),
+        f"report-{split_name}.json": report.to_json(),
+        f"report-{split_name}.txt": report.format_table() + "\n",
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"predictions-{split_name}.jsonl", "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(r.to_json() + "\n")
-    (out / f"report-{split_name}.json").write_text(report.to_json(), encoding="utf-8")
-    (out / f"report-{split_name}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+    for name, text in texts.items():
+        write_file(out / name, [text.encode("utf-8")])
     return report

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CorpusError
+from .files import write_file
 
 PAD, CLS, MASK, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("[PAD]", "[CLS]", "[MASK]", "[UNK]")
@@ -65,7 +66,7 @@ class Vocab:
 
     def save(self, path: str | Path) -> None:
         """One token per line; line number == id."""
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        write_file(path, [("\n".join(self.id_to_token) + "\n").encode("utf-8")])
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

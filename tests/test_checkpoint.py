@@ -381,6 +381,15 @@ class TestStrictDirectory:
         with pytest.raises(CheckpointError, match="amsgrad"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [("beta1", 1.5), ("epsilon", 0)])
+    def test_an_adam_setting_out_of_range_is_rejected(self, vocab, tmp_path, field, value):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        header, payload = _split_file(path.read_bytes())
+        path.write_bytes(_with_header({**header, "adam": {**header["adam"], field: value}}, payload))
+        with pytest.raises(CheckpointError, match=f"bad header: {field} must be"):
+            load_checkpoint(path)
+
     def test_format_1_names_the_version(self, vocab, tmp_path):
         """A file of format 1 or 2, whose headers held a tensor directory, of
         format 3, whose Adam record held a step, or of format 4, whose best

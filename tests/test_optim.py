@@ -92,6 +92,14 @@ class TestAdam:
         assert state.first_moment is None
         np.testing.assert_array_equal(w, [1.0, 2.0])
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", float("nan")), ("epsilon", 0.0),
+        ("epsilon", float("inf")), ("weight_decay", -0.01), ("weight_decay", float("nan")),
+    ])
+    def test_a_setting_out_of_range_raises_naming_it(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            AdamState(**{field: value})
+
     def test_moment_shapes_match_params(self):
         w = np.ones(10)
         state = AdamState()

@@ -347,6 +347,69 @@ def test_no_private_name_is_imported(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
+def file_writes(source: str) -> list[str]:
+    """Calls that can write a file: ``open`` (builtin, ``io``'s or a path's)
+    with a mode that writes, appends, creates or updates, or one that is not
+    a constant; ``write_text`` and ``write_bytes``; and ``os.open`` (whatever
+    its flags), ``os.replace`` and ``os.rename``. Only ``files.write_file``
+    may make them, so every output reaches disk atomically and durably, one
+    way."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, func = _call_name(node), node.func
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if owner == "os":
+            writes = name in ("open", "replace", "rename")
+        elif name == "open":
+            # open(file, mode) and io.open(file, mode); path.open(mode)
+            index = 0 if isinstance(func, ast.Attribute) and owner != "io" else 1
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[index] if len(node.args) > index else None)
+            writes = mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")
+            )
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_a_file_write():
+    source = (
+        "f = open(p, 'w')\n"
+        "g = open(p)\n"
+        "h = open(p, mode='ab')\n"
+        "Path(p).open('wb')\n"
+        "Path(p).open()\n"
+        "open(p, 'rb').read()\n"
+        "p.write_text(s)\n"
+        "p.write_bytes(b)\n"
+        "os.replace(a, b)\n"
+        "s.replace('a', 'b')\n"
+        "fd = os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+        "fd = os.open(d, os.O_RDONLY)\n"
+        "io.open(p, mode)\n"
+        "c = replace(cfg, seed=1)\n"
+        "os.rename(a, b)\n"
+        "open(p, 'r+')\n"
+    )
+    assert file_writes(source) == [
+        "line 1: open", "line 3: open", "line 4: open", "line 7: write_text",
+        "line 8: write_bytes", "line 9: replace", "line 11: open", "line 12: open",
+        "line 13: open", "line 15: rename", "line 16: open",
+    ]
+
+
+def test_only_the_writer_writes_files():
+    found = {path.name: file_writes(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found.pop("files.py")  # the writer's own open and os.replace are seen
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def scipy_imports(source: str) -> list[str]:
     """Imports of scipy or a scipy submodule: the package runs on numpy alone
     (GELU's erf is ``tensor.erf``), and scipy is a test dependency only."""
