@@ -7,12 +7,14 @@ Adam record, the first moment vector, the second and the weight vector
 stores nothing that can be derived: no tensor directory, no Adam step (it is
 ``global_step``) and no vocabulary size (it is the vocabulary's length). Its
 ``train_state`` is the dev history through the checkpoint's epoch, or empty.
-``save_checkpoint`` checks the header as load does and each moment's length,
-so it writes no file load refuses, and writes through ``files.write_file``.
-``load_checkpoint`` checks the header's fields and types, the payload length
-and every value for finiteness, and raises ``CheckpointError`` for any file
-it cannot read, one of a format other than 5 included. save -> load -> save
-is byte-identical.
+``save_checkpoint`` runs load's checks on what it is about to write, so it
+writes no file load refuses: the header's fields and types, its Adam record
+built into an ``AdamState`` (which checks the settings' ranges), each
+moment's length and every value for finiteness. It writes through
+``files.write_file``. ``load_checkpoint`` runs the same checks and the
+payload length's, and raises ``CheckpointError`` for any file it cannot
+read, one of a format other than 5 included. save -> load -> save is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         vectors = [adam.first_moment, adam.second_moment, weights.vector]
         if any(m is None or m.shape != weights.vector.shape for m in vectors[:2]):
             raise CheckpointError(f"{path}: an Adam moment is not a vector as long as the weights")
+    _check_finite(weights, vectors, path)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     head = MAGIC + struct.pack("<Q", len(blob)) + blob
     write_file(path, [head, *(np.ascontiguousarray(v, dtype="<f8").data for v in vectors)])
@@ -115,10 +118,12 @@ def _check_fields(obj, fields: dict, where: str, optional: bool = False) -> None
             )
 
 
-def _check_header(header, path) -> None:
+def _check_header(header, path) -> AdamState | None:
     """Raises CheckpointError unless the header has the format version, every
-    field with its JSON type and no other and no step below 0; the model
-    config and vocabulary are checked by their constructors."""
+    field with its JSON type and no other, no step below 0 and Adam settings
+    that ``AdamState`` accepts; returns that ``AdamState`` (None without an
+    Adam record). The model config and vocabulary are checked by their
+    constructors."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -135,8 +140,6 @@ def _check_header(header, path) -> None:
     _check_fields(state, _TRAIN_STATE_FIELDS, f"{path}: train_state", optional=True)
     if not all(isinstance(rec, dict) for rec in state.get("history", [])):
         raise CheckpointError(f"{path}: train_state history holds a non-object")
-    if header["adam"] is not None:
-        _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
     if header["global_step"] < 0:
         raise CheckpointError(f"{path}: global_step is {header['global_step']}, below 0")
     if header["rng_state"] is not None:
@@ -144,6 +147,25 @@ def _check_header(header, path) -> None:
             np.random.PCG64(0).state = header["rng_state"]
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(f"{path}: bad rng_state: {e!r}") from e
+    if header["adam"] is None:
+        return None
+    _check_fields(header["adam"], _ADAM_FIELDS, f"{path}: header adam")
+    try:
+        return AdamState(**header["adam"])
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: bad header: {e}") from e
+
+
+def _check_finite(weights: EncoderWeights, vectors: list[np.ndarray], path) -> None:
+    """Raises CheckpointError naming the first tensor of the payload
+    ``vectors`` (the moments, if any, then the weights, each laid out like
+    ``weights.vector``) that holds a NaN or infinite value."""
+    if all(np.isfinite(v).all() for v in vectors):
+        return
+    prefixes = ("adam.m.", "adam.v.", "")[-len(vectors):]
+    bad = [prefix + name for prefix, vector in zip(prefixes, vectors)
+           for name, arr in weights.views(vector).items() if not np.isfinite(arr).all()]
+    raise CheckpointError(f"{path}: tensor {bad[0]!r} holds a NaN or infinite value")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -162,30 +184,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
-    _check_header(header, path)
+    adam = _check_header(header, path)
     try:
         vocab = Vocab.from_tokens(header["vocab"])
         config = ModelConfig(len(vocab), **header["model_config"])
-        adam = None if header["adam"] is None else AdamState(**header["adam"])
     except (TypeError, ConfigError, CorpusError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
     stage = header["stage"]
     size = stage_layout(config, stage)[1][-1]
-    prefixes = ("adam.m.", "adam.v.", "") if adam is not None else ("",)
+    parts = 1 if adam is None else 3
     payload = raw[16 + hlen :]
-    if len(payload) != 8 * size * len(prefixes):
+    if len(payload) != 8 * size * parts:
         moments = "and their Adam moments " if adam is not None else ""
         raise CheckpointError(
             f"{path}: payload of {len(payload)} bytes, but the {stage} tensors "
-            f"{moments}take {8 * size * len(prefixes)} bytes"
+            f"{moments}take {8 * size * parts} bytes"
         )
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    vectors = [values[i * size : (i + 1) * size] for i in range(len(prefixes))]
+    vectors = [values[i * size : (i + 1) * size] for i in range(parts)]
     weights = EncoderWeights(config, stage, vectors[-1])
-    if not np.isfinite(values).all():
-        bad = [prefix + name for prefix, vector in zip(prefixes, vectors)
-               for name, arr in weights.views(vector).items() if not np.isfinite(arr).all()]
-        raise CheckpointError(f"{path}: tensor {bad[0]!r} holds a NaN or infinite value")
+    _check_finite(weights, vectors, path)
     if adam is not None:
         adam.first_moment, adam.second_moment = vectors[:2]
     return Checkpoint(

@@ -13,6 +13,12 @@ On-disk schema (UTF-8 JSON):
 
 Token indices refer to whitespace tokenization of the lowercased utterance
 text. Answer spans never cross utterance boundaries.
+
+``save_corpus`` writes the document on one line, with sorted keys and
+non-ASCII characters as ``\\u`` escapes, since ``json`` encodes that form in
+C and an indented one in Python. ``load_corpus`` accepts any JSON
+whitespace, so a corpus written indented loads the same; ``python -m
+json.tool corpus.json`` pretty-prints one.
 """
 
 from __future__ import annotations
@@ -252,7 +258,7 @@ def save_corpus(
             for d, qs in corpus
         ]
     }
-    write_file(path, [json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")])
+    write_file(path, [json.dumps(doc, sort_keys=True).encode("utf-8")])
 
 
 def split_by_episode(

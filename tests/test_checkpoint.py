@@ -198,6 +198,16 @@ def _with_header(header, payload: bytes) -> bytes:
     return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
 
 
+def _poison(ckpt: Checkpoint, name: str, value: float) -> None:
+    """Sets the first value of tensor ``name`` of the weights, or of an Adam
+    moment for a name with the prefix ``adam.m.`` or ``adam.v.``."""
+    vector = ckpt.weights.vector
+    for prefix, moment in (("adam.m.", ckpt.adam.first_moment), ("adam.v.", ckpt.adam.second_moment)):
+        if name.startswith(prefix):
+            name, vector = name[len(prefix):], moment
+    ckpt.weights.views(vector)[name].flat[0] = value
+
+
 TINY = dict(hidden_size=2, num_heads=1, intermediate_size=2, max_tokens=2, max_utterances=1)
 
 
@@ -289,15 +299,31 @@ class TestHeaderValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb"])
     def test_non_finite_payload_names_the_tensor(self, vocab, tmp_path, bad, name):
+        """Load's own check, on a payload written past save's."""
         ckpt = _checkpoint(vocab, **TINY)
-        if name.startswith("adam.v."):
-            ckpt.weights.views(ckpt.adam.second_moment)[name[len("adam.v."):]].flat[0] = bad
-        else:
-            ckpt.weights[name].array.flat[0] = bad
         path = tmp_path / "n.ckpt"
         save_checkpoint(ckpt, path)
+        header, _ = _split_file(path.read_bytes())
+        _poison(ckpt, name, bad)
+        vectors = (ckpt.adam.first_moment, ckpt.adam.second_moment, ckpt.weights.vector)
+        path.write_bytes(_with_header(header, b"".join(v.astype("<f8").tobytes() for v in vectors)))
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda ckpt: setattr(ckpt.adam, "beta1", 1.5),
+         "bad header: beta1 must be in [0, 1), got 1.5"),
+        (lambda ckpt: _poison(ckpt, "te.0.attn_wq", np.nan),
+         "tensor 'te.0.attn_wq' holds a NaN or infinite value"),
+        (lambda ckpt: _poison(ckpt, "adam.m.token_emb", np.nan),
+         "tensor 'adam.m.token_emb' holds a NaN or infinite value"),
+    ], ids=["adam-beta1-set-after-construction", "nan-weight", "nan-moment"])
+    def test_save_refuses_a_state_that_load_refuses(self, vocab, tmp_path, mutate, message):
+        ckpt = _checkpoint(vocab, **TINY)
+        mutate(ckpt)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            save_checkpoint(ckpt, tmp_path / "h.ckpt")
+        assert list(tmp_path.iterdir()) == []  # neither h.ckpt nor h.ckpt.tmp
 
     @settings(
         max_examples=150, deadline=None,

@@ -20,7 +20,8 @@ from dialoqa.corpus import (
     truncate,
 )
 from dialoqa.errors import CorpusError
-from dialoqa.vocab import Vocab, build_vocab
+from dialoqa.synth import generate_corpus
+from dialoqa.vocab import Vocab, build_vocab, tokenize
 
 MINIMAL = {
     "dialogues": [
@@ -296,6 +297,49 @@ class TestLoad:
         save_corpus(fixture, p)
         loaded = load_corpus(p)
         assert loaded == [(d, list(qs)) for d, qs in fixture]
+
+
+class TestFormat:
+    """``save_corpus`` writes one line of sorted, ASCII-escaped JSON;
+    ``load_corpus`` reads any JSON layout of the same value."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_corpus(num_episodes=4, scenes_per_episode=2, seed=5)
+
+    def test_the_file_is_one_line_of_sorted_ascii_json(self, tmp_path, corpus):
+        path = tmp_path / "c.json"
+        save_corpus(corpus, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        assert "\n" not in text and text.isascii()
+
+    def test_an_indented_file_loads_to_the_same_corpus(self, tmp_path, corpus):
+        """Corpora written indented, as ``save_corpus`` once did, still load."""
+        path, indented = tmp_path / "c.json", tmp_path / "indented.json"
+        save_corpus(corpus, path)
+        value = json.loads(path.read_text(encoding="utf-8"))
+        indented.write_text(json.dumps(value, indent=1, sort_keys=True), encoding="utf-8")
+        assert indented.read_bytes() != path.read_bytes()
+        assert load_corpus(indented) == load_corpus(path) == [(d, list(qs)) for d, qs in corpus]
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, corpus):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_corpus(corpus, first)
+        save_corpus(load_corpus(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_quotes_backslashes_tabs_and_non_ascii_letters_survive(self, tmp_path):
+        words = 'Zoë said "café\\crème"\tnaïve Ångström 中文'
+        d = Dialogue(
+            7, 'scene "été"\\1', (Utterance("Zoë", tuple(tokenize(words))), Utterance("Chând", ("ok",)))
+        )
+        answer = AnswerSpan(0, 2, 3, '"Café\\crème"\tNaïve')
+        q = make_example('q"\\\té', 'who said "café\\crème"\tfirst', (answer,))
+        path = tmp_path / "c.json"
+        save_corpus([(d, [q])], path)
+        assert path.read_bytes().isascii()
+        assert load_corpus(path) == [(d, [q])]
 
 
 class TestQuestionTypes:

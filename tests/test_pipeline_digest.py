@@ -1,11 +1,12 @@
 """``tools/pipeline_digest.py``, the byte-identity check of the CLI pipeline:
 its digests repeat run to run, follow the MLM mode, cover each checkpoint's
-contents apart from its file, and it writes into no directory that is
-already in use."""
+contents and the corpus's JSON value apart from their files, and it writes
+into no directory that is already in use."""
 
 import contextlib
 import importlib.util
 import io
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,13 +39,17 @@ def dynamic(tmp_path_factory) -> list[str]:
     return _run(tmp_path_factory.mktemp("dynamic") / "out")
 
 
-def test_two_dynamic_runs_print_the_same_21_lines(dynamic, tmp_path):
-    """13 files, and a contents line after each of the 8 checkpoints."""
-    assert len(dynamic) == 21
+def test_two_dynamic_runs_print_the_same_22_lines(dynamic, tmp_path):
+    """13 files, and a contents line after corpus.json and after each of
+    the 8 checkpoints."""
+    assert len(dynamic) == 22
     names = [line.split("  ", 1)[1] for line in dynamic]
     contents = [name for name in names if name.endswith(":contents")]
-    assert contents == [f"{name}:contents" for name in names if name.endswith(".ckpt")]
-    assert len(contents) == 8
+    assert contents == [
+        f"{name}:contents" for name in names if name == "corpus.json" or name.endswith(".ckpt")
+    ]
+    assert len(contents) == 9
+    assert names[names.index("corpus.json") + 1] == "corpus.json:contents"
     assert _run(tmp_path / "out") == dynamic
 
 
@@ -54,7 +59,7 @@ def test_static_masks_change_the_checkpoints_but_not_the_data(dynamic, tmp_path)
     assert static.keys() == dynamic.keys()
     assert static["tmlm-last.ckpt"] != dynamic["tmlm-last.ckpt"]
     assert static["tmlm-last.ckpt:contents"] != dynamic["tmlm-last.ckpt:contents"]
-    for name in ("corpus.json", "vocab.txt"):
+    for name in ("corpus.json", "corpus.json:contents", "vocab.txt"):
         assert static[name] == dynamic[name]
 
 
@@ -80,3 +85,19 @@ def test_contents_digest_covers_every_moment_and_not_the_file_layout(tmp_path):
     ckpt.weights.views(ckpt.adam.second_moment)["uop_b"][0] += 1e-12
     save_checkpoint(ckpt, tmp_path / "moment.ckpt")
     assert pipeline_digest.contents_digest(tmp_path / "moment.ckpt") != base
+
+
+def test_corpus_contents_digest_ignores_the_layout_and_not_the_value(tmp_path):
+    value = {"dialogues": [{"scene_id": "sé", "episode_id": 1, "utterances": []}]}
+    layouts = {
+        "compact": json.dumps(value, sort_keys=True),
+        "indented": json.dumps(value, indent=1, sort_keys=True),
+        "unsorted": json.dumps(value, indent=4, ensure_ascii=False),
+    }
+    for name, text in layouts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert len({pipeline_digest.corpus_contents_digest(tmp_path / name) for name in layouts}) == 1
+    value["dialogues"][0]["episode_id"] = 2
+    (tmp_path / "other").write_text(json.dumps(value, sort_keys=True), encoding="utf-8")
+    assert (pipeline_digest.corpus_contents_digest(tmp_path / "other")
+            != pipeline_digest.corpus_contents_digest(tmp_path / "compact"))

@@ -15,10 +15,12 @@ OUT_DIR must be absent or empty. The CLI's own output goes to stderr; stdout
 holds one ``<sha256>  <file>`` line per output file, sorted by name, so two
 runs compare with ``diff``. Each checkpoint also gets a
 ``<sha256>  <file>:contents`` line, a digest of the state it holds read
-through the ``load_checkpoint`` on the path (see ``contents_digest``), so a
-tree that changes the checkpoint format can be compared with one that does
-not: their file lines differ, their ``:contents`` lines must not. Exits with
-the CLI's code if a step fails.
+through the ``load_checkpoint`` on the path (see ``contents_digest``), and
+``corpus.json`` one of its JSON value dumped again in a fixed form (see
+``corpus_contents_digest``). So a tree that changes the checkpoint format or
+the corpus file's layout can be compared with one that does not: their file
+lines differ, their ``:contents`` lines must not. Exits with the CLI's code
+if a step fails.
 """
 
 from __future__ import annotations
@@ -105,6 +107,15 @@ def contents_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
+def corpus_contents_digest(path: Path) -> str:
+    """sha256 of a corpus file's JSON value with sorted keys and no
+    whitespace, so files that differ only in layout digest the same."""
+    value = json.loads(path.read_text(encoding="utf-8"))
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+
+
 def digests(out: Path) -> list[str]:
     lines = []
     for path in sorted(out.rglob("*")):
@@ -113,6 +124,8 @@ def digests(out: Path) -> list[str]:
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
             if path.suffix == ".ckpt":
                 lines.append(f"{contents_digest(path)}  {name}:contents")
+            elif str(name) == "corpus.json":
+                lines.append(f"{corpus_contents_digest(path)}  {name}:contents")
     return lines
 
 
