@@ -7,9 +7,12 @@ Subcommands: ``pretrain --stage {tmlm|umlm|uop}``, ``finetune``,
 working directory. ``pretrain`` and ``finetune`` leave the vocabulary, the
 best-dev checkpoint ``<stage>-best.ckpt`` (the ``--init`` of the next stage)
 and the resumable ``<stage>-last.ckpt`` there and print the best dev record;
-``evaluate`` leaves its predictions and report. Exit code 0 on success; on
-failure a machine-readable JSON error goes to stderr. DIALOQA_LOG controls
-log verbosity.
+``evaluate`` leaves its predictions and report. For ``pretrain``,
+``finetune`` and ``evaluate``, ``--config`` must describe the ``--init``
+checkpoint's model (every model setting but ``dropout_p``); a resume, from
+a ``<stage>-last.ckpt`` of the same stage, must also match its ``dropout_p``
+and Adam settings. Exit code 0 on success; on failure a machine-readable
+JSON error goes to stderr. DIALOQA_LOG controls log verbosity.
 """
 
 from __future__ import annotations

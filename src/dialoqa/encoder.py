@@ -50,7 +50,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -289,10 +289,12 @@ def init_encoder_weights(
 ) -> EncoderWeights:
     """A stage's start weights, in table order: each tensor of a
     ``TRANSFERRED_GROUPS`` group that ``source`` (weights of one of the
-    stage's ``STAGE_SOURCES``) owns is copied exactly, and every other
-    tensor, task heads included, is drawn from ``rng``. A source of another
-    stage raises ``SequencingError``; a copied tensor that the source lacks
-    or shapes otherwise raises ``CheckpointError`` naming each."""
+    stage's ``STAGE_SOURCES``) owns is copied exactly, by name, and every
+    other tensor, task heads included, is drawn from ``rng``. A source of
+    another stage raises ``SequencingError``. The table makes every name and
+    shape a function of the model config, so the source must hold
+    ``config``'s model, up to the training setting ``dropout_p``; one of
+    another model raises ``CheckpointError``."""
     copied = {}
     if source is not None:
         sources = STAGE_SOURCES.get(stage, ())
@@ -301,25 +303,17 @@ def init_encoder_weights(
                 f"cannot transfer from stage {source.stage!r} to {stage!r}; "
                 f"it starts from one of {list(sources)}"
             )
+        if replace(source.config, dropout_p=config.dropout_p) != config:
+            raise CheckpointError(
+                f"cannot transfer {source.stage!r} weights of model {source.config} "
+                f"into model {config}"
+            )
         for group in TRANSFERRED_GROUPS:
             if group in STAGE_GROUPS[source.stage]:
                 copied.update(group_shapes(config, group))
     weights = EncoderWeights(config, stage)
-    mismatched: list[str] = []
     for name, p in weights.named():
-        if name not in copied:
-            p.array[...] = _init_array(name, p.shape, rng)
-        elif name not in source:
-            mismatched.append(f"{name} (absent in source)")
-        elif source[name].shape != p.shape:
-            mismatched.append(f"{name} (source {source[name].shape} vs target {p.shape})")
-        else:
-            p.array[...] = source[name].array
-    if mismatched:
-        raise CheckpointError(
-            "incompatible checkpoint for transfer; offending tensors: "
-            + ", ".join(mismatched)
-        )
+        p.array[...] = source[name].array if name in copied else _init_array(name, p.shape, rng)
     return weights
 
 

@@ -9,7 +9,7 @@ in ``encoder`` (``STAGE_SOURCES``, ``STAGE_GROUPS``), applied by
 that sets them apart: the ``RunConfig`` field with its step budget, how its
 train/dev data comes from the corpus split, a task builder returning
 ``fit``'s ``_Task`` (instance builder, batch loss, dev evaluation), and the
-tracked dev metrics with their direction, which ``_improve`` reads.
+tracked dev metrics with their direction, which ``_progress`` reads.
 ``_run`` does the rest the same way for every stage; ``run_stage`` and
 ``run_finetune`` are its public entry points.
 
@@ -21,6 +21,10 @@ checkpoint can be resumed, and the best snapshot (that state at its best
 epoch, without optimizer and generator) is on disk from the first dev eval
 on; both hold the dev history, by which a resume checks the best it reads.
 The global step, the one step count, drives the lr and Adam's corrections.
+
+One rule, ``_check_settings``, holds for every run from a checkpoint: a
+resume, a transfer and ``run_eval`` use its model, every ``ModelConfig``
+setting but ``dropout_p``, and a resume also its ``dropout_p`` and Adam settings.
 
 Determinism contract: every random draw comes either from namespaced
 generators derived from (seed, stage, purpose) or from the single training
@@ -346,32 +350,26 @@ class _Task:
     dev_eval: Callable[[EncoderWeights], dict]  # dev metrics, dropout off
 
 
-def _improve(stage: str, metrics: dict, best: dict | None) -> tuple[bool, dict]:
-    """Whether ``metrics`` betters the running ``best`` in any of the stage's
-    tracked dev metrics (the first eval always does, an equal value never),
-    and the merged best, which keeps each tracked metric's better value."""
-    tracked = _STAGES[stage].tracked
-    if best is None:
-        return True, {name: metrics[name] for name in tracked}
-    better = {name for name, beats in tracked.items() if beats(metrics[name], best[name])}
-    return bool(better), {n: metrics[n] if n in better else best[n] for n in tracked}
-
-
-def _replay(stage: str, history: list[dict]) -> tuple[dict, int]:
-    """The best tracked metrics over a dev ``history`` and the count of evals
-    since the last improvement, as ``fit`` keeps them; raises
-    ``CheckpointError`` naming a record without each one as a number."""
-    tracked, best, bad = list(_STAGES[stage].tracked), None, 0
-    for record in history:
+def _progress(stage: str, history: list[dict]) -> tuple[int, int]:
+    """(kept, bad) of a dev ``history``: its length through its last
+    improving record, and the number of evals since. A record improves when
+    it betters the best so far of any of the stage's tracked metrics (the
+    first always does, an equal value never). Raises ``CheckpointError``
+    naming a record without each tracked metric as a number."""
+    tracked, best, kept = _STAGES[stage].tracked, {}, 0
+    for i, record in enumerate(history, 1):
         values = [record.get(name) for name in tracked]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise CheckpointError(
                 f"stage {stage!r}: dev history record {record} needs a number for "
-                f"each of {tracked}"
+                f"each of {list(tracked)}"
             )
-        improved, best = _improve(stage, record, best)
-        bad = 0 if improved else bad + 1
-    return best, bad
+        better = {name: record[name] for name, beats in tracked.items()
+                  if name not in best or beats(record[name], best[name])}
+        if better:
+            best.update(better)
+            kept = i
+    return kept, len(history) - kept
 
 
 def _save_best(state: Checkpoint, history: list[dict], out_dir: str | Path) -> Checkpoint:
@@ -389,9 +387,9 @@ def _load_best(stage: str, history: list[dict], out_dir: str | Path) -> Checkpoi
     ``CheckpointError`` unless its history is ``history`` through the last
     improvement or one record more (``fit`` died between its two saves)."""
     path = Path(out_dir) / f"{stage}-best.ckpt"
-    best, bad = load_checkpoint(path), _replay(stage, history)[1]
+    best, kept = load_checkpoint(path), _progress(stage, history)[0]
     theirs = best.train_state.get("history", [])
-    if theirs != history[: len(history) - bad] and theirs[:-1] != history:
+    if theirs != history[:kept] and theirs[:-1] != history:
         raise CheckpointError(f"{path}: its dev history is not the resumed run's")
     return best
 
@@ -411,9 +409,9 @@ def fit(
     first best: like each improving epoch's snapshot, it goes to
     ``<out_dir>/<stage>-best.ckpt`` without optimizer and generator, and
     each epoch's advanced state to ``<out_dir>/<stage>-last.ckpt``; both
-    hold the dev history. A fresh start and a resume replay the best tracked
-    metrics, the evals since the last improvement and the next epoch from
-    it; a resume reads its best back and checks it (``_load_best``). A
+    hold the dev history, from which ``_progress`` gives, after each eval,
+    the evals since the last improvement; a resume takes them and the next
+    epoch from it, and reads its best back and checks it (``_load_best``). A
     non-finite loss or gradient raises ``DivergenceError`` before the
     update. The global step, counted from 1, is Adam's step and sets the lr.
     Returns (best checkpoint, dev history)."""
@@ -430,7 +428,7 @@ def fit(
         history.append({"epoch": -1, "step": global_step, **metrics})
         best = _save_best(state, history, out_dir)
         logger.info("[%s] initial dev: %s", stage, metrics)
-    best_metrics, bad = _replay(stage, history)
+    bad = _progress(stage, history)[1]
 
     while global_step < max_steps and bad < run_config.patience:
         epoch = len(history) - 1
@@ -461,18 +459,17 @@ def fit(
             adam_step(weights.vector, grads, adam, lr_at_step(schedule, global_step), global_step)
         metrics = task.dev_eval(weights)
         history.append({"epoch": epoch, "step": global_step, **metrics})
-        improved, best_metrics = _improve(stage, metrics, best_metrics)
-        bad = 0 if improved else bad + 1
+        bad = _progress(stage, history)[1]
         state = replace(
             state, global_step=global_step, rng_state=rng.bit_generator.state,
             train_state={"history": history},
         )
-        if improved:
+        if not bad:  # this epoch improved
             best = _save_best(state, history, out_dir)
         save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
-            stage, epoch, global_step, metrics, " *" if improved else "",
+            stage, epoch, global_step, metrics, "" if bad else " *",
         )
     if best.train_state["history"][-1]["epoch"] == -1:
         logger.warning(
@@ -485,19 +482,21 @@ def fit(
 # -- stage wiring ---------------------------------------------------------
 
 
-def _check_resume_settings(config: RunConfig, state: Checkpoint) -> None:
-    """Raises ConfigError naming every model or Adam setting of ``config``
-    that differs from the resumed ``state``'s; step budgets and the lr
-    schedule may change, so a budget can be extended."""
-    adam = [f.name for f in fields(AdamState) if hasattr(config, f.name)]
-    ours = {**config.model_config(len(state.vocab)).to_dict(),
-            **{name: getattr(config, name) for name in adam}}
-    theirs = {**state.config.to_dict(), **{name: getattr(state.adam, name) for name in adam}}
+def _check_settings(config: RunConfig, checkpoint: Checkpoint, what: str, resume: bool) -> None:
+    """Raises ConfigError naming each setting of ``config`` that differs from
+    ``checkpoint``'s, for ``what``, a run from it: every model setting but
+    ``dropout_p``, and for a resume also ``dropout_p`` and the Adam settings."""
+    ours = config.model_config(len(checkpoint.vocab)).to_dict()
+    theirs = checkpoint.config.to_dict()
+    if resume:
+        for name in (f.name for f in fields(AdamState) if hasattr(config, f.name)):
+            ours[name], theirs[name] = getattr(config, name), getattr(checkpoint.adam, name)
+    else:
+        del ours["dropout_p"], theirs["dropout_p"]
     differ = [f"{k} {ours[k]!r} (checkpoint {theirs[k]!r})" for k in ours if ours[k] != theirs[k]]
     if differ:
         raise ConfigError(
-            f"resuming stage {state.stage!r} with settings its checkpoint was not "
-            f"trained with: {', '.join(differ)}"
+            f"{what} with settings its checkpoint was not trained with: {', '.join(differ)}"
         )
 
 
@@ -512,15 +511,15 @@ def _init_stage_state(
     ``init_encoder_weights`` transfers the weights from it (and checks its
     stage) or, only for a stage without sources, draws them fresh, with a
     new Adam state, the stage's training generator, step 0 and an empty
-    ``train_state``. A resume must run with the checkpoint's model and Adam
-    settings."""
+    ``train_state``. A start from a checkpoint must run with its model, and
+    a resume also with its dropout and Adam settings (``_check_settings``)."""
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
                 f"checkpoint for stage {stage!r} lacks optimizer/rng state; "
                 "resume requires a *-last checkpoint"
             )
-        _check_resume_settings(config, init_checkpoint)
+        _check_settings(config, init_checkpoint, f"resuming stage {stage!r}", resume=True)
         return init_checkpoint
     if init_checkpoint is None:
         if STAGE_SOURCES[stage]:
@@ -530,6 +529,8 @@ def _init_stage_state(
             )
         vocab, source = fallback_vocab(), None
     else:
+        what = f"starting stage {stage!r} from a {init_checkpoint.stage!r} checkpoint"
+        _check_settings(config, init_checkpoint, what, resume=False)
         vocab, source = init_checkpoint.vocab, init_checkpoint.weights
     weights = init_encoder_weights(
         config.model_config(len(vocab)), stage, derive_rng(config.seed, stage, "init"), source
@@ -767,6 +768,7 @@ def run_eval(
         )
     if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of {SPLIT_NAMES}, got {split_name!r}")
+    _check_settings(config, checkpoint, f"evaluating on {split_name!r}", resume=False)
     split = load_split(config)
     part = {
         "train": split.training,

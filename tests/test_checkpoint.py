@@ -467,12 +467,18 @@ class TestTransfer:
         assert np.array_equal(out["te.0.ff_w2"].array, src.weights["te.0.ff_w2"].array)
         assert np.all(out["vocab_bias"].array == 0.0)  # task head freshly initialized
 
-    def test_hidden_size_change_names_tensors(self, vocab):
+    def test_only_dropout_may_differ_from_the_source_model(self, vocab):
+        """Every tensor's name and shape follows from the model config, so a
+        source of another model is refused as a whole, before any copy."""
         src = _checkpoint(vocab, stage="umlm", seed=6, with_state=False)
         bigger = ModelConfig(**{**src.config.to_dict(), "hidden_size": 16,
                                 "intermediate_size": 32})
-        with pytest.raises(CheckpointError, match="token_emb"):
+        with pytest.raises(CheckpointError, match="cannot transfer 'umlm' weights of model"):
             init_encoder_weights(bigger, "uop", np.random.default_rng(12), src.weights)
+        other_dropout = replace(src.config, dropout_p=0.3)
+        out = init_encoder_weights(other_dropout, "uop", np.random.default_rng(12), src.weights)
+        assert out.config.dropout_p == 0.3
+        assert np.array_equal(out["token_emb"].array, src.weights["token_emb"].array)
 
     def test_stage_order_enforced(self, vocab):
         src = _checkpoint(vocab, stage="uop", seed=7, with_state=False)

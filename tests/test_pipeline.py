@@ -22,7 +22,7 @@ from dialoqa import cli, pretrain, training
 from dialoqa import tensor as T
 from dialoqa.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, load_corpus, make_example, save_corpus
-from dialoqa.encoder import ModelConfig, init_encoder_weights, stage_shapes
+from dialoqa.encoder import STAGE_SOURCES, ModelConfig, init_encoder_weights, stage_shapes
 from dialoqa.errors import (
     CheckpointError,
     ConfigError,
@@ -589,6 +589,9 @@ class TestResumeSettings:
 
 
 class TestImprove:
+    """``_progress`` over short dev histories: (length through the last
+    improving record, evals since)."""
+
     @pytest.mark.parametrize("stage, metrics, tracked", [
         ("tmlm", {"perplexity": math.inf}, {"perplexity": math.inf}),
         ("umlm", {"perplexity": 9.0}, {"perplexity": 9.0}),
@@ -596,7 +599,8 @@ class TestImprove:
         ("finetuned", {"em": 0.0, "sm": 0.0, "um": 0.0}, {"sm": 0.0}),
     ])
     def test_first_eval_always_improves(self, stage, metrics, tracked):
-        assert training._improve(stage, metrics, None) == (True, tracked)
+        assert training._progress(stage, [metrics]) == (1, 0)
+        assert training._progress(stage, [tracked]) == (1, 0)  # the tracked metrics suffice
 
     @pytest.mark.parametrize("stage, metrics", [
         ("tmlm", {"perplexity": 9.0}),
@@ -605,23 +609,105 @@ class TestImprove:
         ("finetuned", {"em": 10.0, "sm": 20.0, "um": 30.0}),
     ])
     def test_an_equal_metric_is_no_improvement(self, stage, metrics):
-        _, best = training._improve(stage, metrics, None)
-        assert training._improve(stage, dict(metrics), best) == (False, best)
+        assert training._progress(stage, [metrics, dict(metrics)]) == (1, 1)
 
     def test_directions(self):
-        assert training._improve("tmlm", {"perplexity": 8.0}, {"perplexity": 9.0})[0]
-        assert not training._improve("umlm", {"perplexity": 10.0}, {"perplexity": 9.0})[0]
-        sm_best = {"sm": 20.0}
-        assert training._improve("finetuned", {"em": 0.0, "sm": 21.0, "um": 0.0}, sm_best)[0]
-        assert not training._improve("finetuned", {"em": 99.0, "sm": 19.0, "um": 99.0}, sm_best)[0]
+        assert training._progress("tmlm", [{"perplexity": 9.0}, {"perplexity": 8.0}]) == (2, 0)
+        assert training._progress("umlm", [{"perplexity": 9.0}, {"perplexity": 10.0}]) == (1, 1)
+        sm_best = {"em": 0.0, "sm": 20.0, "um": 0.0}
+        assert training._progress("finetuned", [sm_best, {"em": 0.0, "sm": 21.0, "um": 0.0}]) \
+            == (2, 0)
+        assert training._progress("finetuned", [sm_best, {"em": 99.0, "sm": 19.0, "um": 99.0}]) \
+            == (1, 1)
+        perplexities = [{"perplexity": p} for p in (9.0, 8.0, 8.5, 8.0)]
+        assert training._progress("tmlm", perplexities) == (2, 2)
 
     def test_uop_improves_on_either_metric_and_merges_the_better_values(self):
-        best = {"loss": 0.6, "accuracy": 0.5}
-        improve = functools.partial(training._improve, "uop", best=best)
-        assert improve({"loss": 0.5, "accuracy": 0.4}) == (True, {"loss": 0.5, "accuracy": 0.5})
-        assert improve({"loss": 0.7, "accuracy": 0.6}) == (True, {"loss": 0.6, "accuracy": 0.6})
-        assert improve({"loss": 0.4, "accuracy": 0.9}) == (True, {"loss": 0.4, "accuracy": 0.9})
-        assert improve({"loss": 0.7, "accuracy": 0.4}) == (False, best)
+        def progress(*records):
+            return training._progress("uop", [{"loss": 0.6, "accuracy": 0.5}, *records])
+
+        for record, merged in [
+            ({"loss": 0.5, "accuracy": 0.4}, {"loss": 0.5, "accuracy": 0.5}),
+            ({"loss": 0.7, "accuracy": 0.6}, {"loss": 0.6, "accuracy": 0.6}),
+            ({"loss": 0.4, "accuracy": 0.9}, {"loss": 0.4, "accuracy": 0.9}),
+        ]:
+            assert progress(record) == (2, 0)
+            # the merged best holds each metric's better value, so a record
+            # equal to it betters neither
+            assert progress(record, merged) == (2, 1)
+        assert progress({"loss": 0.7, "accuracy": 0.4}) == (1, 1)
+
+
+# A valid value other than ``_config``'s for each model field.
+_OTHER_MODEL = {
+    "num_layers": 2, "num_heads": 4, "hidden_size": 32, "intermediate_size": 16,
+    "max_tokens": 6, "max_utterances": 6, "dropout_p": 0.3, "use_utterance_positions": False,
+}
+_TRANSFERS = [(source, target) for target, sources in STAGE_SOURCES.items() for source in sources]
+
+
+def _named_settings(message: str) -> list[str]:
+    """The settings a ``_check_settings`` error names."""
+    return re.findall(r"(\w+) \S+ \(checkpoint ", message)
+
+
+class TestStartSettings:
+    """Every run from a checkpoint reads it with the checkpoint's model: a
+    resume, each transfer and an eval refuse a config that differs in any
+    model field, naming that field; only a resume refuses another
+    ``dropout_p``, a training setting."""
+
+    @pytest.fixture(scope="class")
+    def vocab(self, corpus_path):
+        cfg = _config(corpus_path)
+        return build_vocab(training.pretrain_dialogues(cfg, training.load_split(cfg))[0])
+
+    @staticmethod
+    def _weights_only(cfg, vocab, stage):
+        model = cfg.model_config(len(vocab))
+        return Checkpoint(init_encoder_weights(model, stage, np.random.default_rng(0)), vocab)
+
+    def test_every_model_field_is_covered(self):
+        assert set(_OTHER_MODEL) == {f.name for f in fields(ModelConfig)} - {"vocab_size"}
+        assert sorted(_TRANSFERS) == sorted([
+            ("tmlm", "umlm"), ("umlm", "uop"), ("uop", "finetuned"), ("tmlm", "finetuned"),
+        ])
+
+    @pytest.mark.parametrize("field", list(_OTHER_MODEL))
+    def test_a_resume(self, corpus_path, vocab, field):
+        state = training._init_stage_state(_config(corpus_path), "tmlm", None, lambda: vocab)
+        other = _config(corpus_path, **{field: _OTHER_MODEL[field]})
+        with pytest.raises(ConfigError, match="resuming stage 'tmlm'") as err:
+            training._init_stage_state(other, "tmlm", state, lambda: vocab)
+        assert _named_settings(str(err.value)) == [field]
+
+    @pytest.mark.parametrize("field", list(_OTHER_MODEL))
+    @pytest.mark.parametrize("source, target", _TRANSFERS)
+    def test_a_transfer(self, corpus_path, vocab, source, target, field):
+        ckpt = self._weights_only(_config(corpus_path), vocab, source)
+        other = _config(corpus_path, **{field: _OTHER_MODEL[field]})
+        start = functools.partial(training._init_stage_state, other, target, ckpt, lambda: vocab)
+        if field == "dropout_p":
+            assert start().config == other.model_config(len(vocab))
+            return
+        with pytest.raises(ConfigError, match=f"starting stage '{target}' from a '{source}'") as err:
+            start()
+        assert _named_settings(str(err.value)) == [field]
+
+    @pytest.mark.parametrize("field", list(_OTHER_MODEL))
+    def test_an_eval(self, corpus_path, vocab, tmp_path, field):
+        ckpt = self._weights_only(_config(corpus_path), vocab, "finetuned")
+        other = _config(corpus_path, **{field: _OTHER_MODEL[field]})
+        if field == "dropout_p":  # inference draws no dropout
+            run_eval(_config(corpus_path), ckpt, "dev", tmp_path / "same")
+            run_eval(other, ckpt, "dev", tmp_path / "other")
+            name = "predictions-dev.jsonl"
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+            return
+        with pytest.raises(ConfigError, match="evaluating on 'dev'") as err:
+            run_eval(other, ckpt, "dev", tmp_path / "other")
+        assert _named_settings(str(err.value)) == [field]
+        assert not (tmp_path / "other").exists()
 
 
 class TestEval:
@@ -1330,6 +1416,49 @@ class TestCli:
         )
         assert (code, err["error"]) == (1, "ConfigError")
         assert "hidden_size 64 (checkpoint 16)" in err["message"]
+
+    _MODEL_SETTINGS = (
+        "train_max_episode = 7\ndev_max_episode = 8\nhidden_size = 16\n"
+        "intermediate_size = 32\nnum_layers = 1\nbatch_size = 8\nseed = 1\n"
+    )
+
+    def test_a_transfer_to_another_model_is_json_error(
+        self, corpus_path, tmlm_ckpt, tmp_path, capsys
+    ):
+        """A 2-head tmlm checkpoint cannot start a 4-head fine-tuning run."""
+        init = tmp_path / "tmlm-best.ckpt"
+        save_checkpoint(tmlm_ckpt, init)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"corpus = {corpus_path}\n{self._MODEL_SETTINGS}num_heads = 4\n")
+        out = tmp_path / "run"
+        code, err = self._main_error(capsys, "finetune", "--config", str(path),
+                                     "--init", str(init), "--out", str(out))
+        assert (code, err["error"]) == (1, "ConfigError")
+        assert _named_settings(err["message"]) == ["num_heads"]
+        assert "num_heads 4 (checkpoint 2)" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_tokens", [4, 12])
+    def test_an_eval_with_another_model_is_json_error(
+        self, corpus_path, tmp_path, capsys, max_tokens
+    ):
+        """A checkpoint of ``max_tokens = 6`` is evaluated with its own
+        limits only: neither a smaller limit, which would cut the split
+        shorter than the model reads, nor a larger one."""
+        model = _config(corpus_path, max_tokens=6).model_config
+        vocab = build_vocab(d for d, _ in load_corpus(corpus_path))
+        weights = init_encoder_weights(model(len(vocab)), "finetuned", np.random.default_rng(0))
+        init = tmp_path / "finetuned-best.ckpt"
+        save_checkpoint(Checkpoint(weights, vocab), init)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"corpus = {corpus_path}\n{self._MODEL_SETTINGS}max_tokens = {max_tokens}\n")
+        out = tmp_path / "eval"
+        code, err = self._main_error(capsys, "evaluate", "--split", "test", "--config", str(path),
+                                     "--init", str(init), "--out", str(out))
+        assert (code, err["error"]) == (1, "ConfigError")
+        assert _named_settings(err["message"]) == ["max_tokens"]
+        assert f"max_tokens {max_tokens} (checkpoint 6)" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("settings, error, named", [
         ("synth_min_utterances = 9\nsynth_max_utterances = 9\n", "ConfigError", "utterances"),

@@ -85,9 +85,8 @@ def contents_digest(path: Path) -> str:
         "global_step": ckpt.global_step,
         "vocab": list(ckpt.vocab.id_to_token),
         "adam": None if adam is None else [
-            # the Adam step is the global step since checkpoint format 4
-            adam.beta1, adam.beta2, adam.epsilon, adam.weight_decay,
-            getattr(adam, "step", ckpt.global_step),
+            # Adam's step is the global step
+            adam.beta1, adam.beta2, adam.epsilon, adam.weight_decay, ckpt.global_step,
         ],
         "rng_state": ckpt.rng_state,
         "history": ckpt.train_state.get("history"),
@@ -95,10 +94,8 @@ def contents_digest(path: Path) -> str:
     tensors = {name: p.array for name, p in ckpt.weights.named()}
     if adam is not None:
         for prefix, moment in (("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment)):
-            # a dict by tensor name in older trees; one vector laid out like
-            # the weight vector since the flat parameter store
-            named = moment if isinstance(moment, dict) else ckpt.weights.views(moment)
-            tensors.update({prefix + name: arr for name, arr in named.items()})
+            # one vector laid out like the weight vector
+            tensors.update({prefix + n: arr for n, arr in ckpt.weights.views(moment).items()})
     digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8"))
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
