@@ -7,6 +7,10 @@ Adam record, the first moment vector, the second and the weight vector
 stores nothing that can be derived: no tensor directory, no Adam step (it is
 ``global_step``) and no vocabulary size (it is the vocabulary's length). Its
 ``train_state`` is the dev history through the checkpoint's epoch, or empty.
+A resume pairs a stage's ``-last`` with its ``-best`` by that history
+(``training.fit``): a ``-last`` whose last record improved is its own best
+and replaces the ``-best``, and any other needs a ``-best`` whose history is
+its own through the last improvement.
 ``save_checkpoint`` runs load's checks on what it is about to write, so it
 writes no file load refuses: the header's fields and types, its Adam record
 built into an ``AdamState`` (which checks the settings' ranges), each

@@ -11,8 +11,11 @@ and the resumable ``<stage>-last.ckpt`` there and print the best dev record;
 ``finetune`` and ``evaluate``, ``--config`` must describe the ``--init``
 checkpoint's model (every model setting but ``dropout_p``); a resume, from
 a ``<stage>-last.ckpt`` of the same stage, must also match its ``dropout_p``
-and Adam settings. Exit code 0 on success; on failure a machine-readable
-JSON error goes to stderr. DIALOQA_LOG controls log verbosity.
+and Adam settings. A resume whose ``-last`` ended on an improving epoch
+writes ``<stage>-best.ckpt`` again from it; any other needs the
+``<stage>-best.ckpt`` of its own run in ``--out``. Exit code 0 on success;
+on failure a machine-readable JSON error goes to stderr. DIALOQA_LOG
+controls log verbosity.
 """
 
 from __future__ import annotations

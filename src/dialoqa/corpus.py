@@ -64,10 +64,6 @@ class QAExample:
     answers: tuple[AnswerSpan, ...]
     question_type: str
 
-    @property
-    def answerable(self) -> bool:
-        return bool(self.answers)
-
 
 @dataclass(frozen=True)
 class CorpusSplit:

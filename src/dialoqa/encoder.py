@@ -249,9 +249,6 @@ class EncoderWeights:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def named(self) -> Iterable[tuple[str, Tensor]]:
         return self.params.items()
 

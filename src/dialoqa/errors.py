@@ -29,10 +29,6 @@ class CheckpointError(DialoQAError):
     """Checkpoint file is malformed or incompatible with the requested config."""
 
 
-class DeterminismError(DialoQAError):
-    """A loss function expected to be deterministic produced differing values."""
-
-
 class AlignmentError(DialoQAError):
     """Prediction and gold question ids do not line up one-to-one."""
 

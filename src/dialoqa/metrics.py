@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .corpus import AnswerSpan, QAExample, normalize_text
@@ -36,18 +36,6 @@ class PredictionRecord:
                 "text": self.text or "",
             },
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "PredictionRecord":
-        d = json.loads(line)
-        no_answer = d["utterance_index"] == -1
-        return cls(
-            qid=d["qid"],
-            utterance_index=None if no_answer else d["utterance_index"],
-            token_start=None if no_answer else d["token_start"],
-            token_end=None if no_answer else d["token_end"],
-            text=None if no_answer else d["text"],
         )
 
 
@@ -114,16 +102,7 @@ class MetricReport:
     per_type: Mapping[str, TypeRow]
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "sm": self.sm,
-            "um": self.um,
-            "total": self.total,
-            "per_type": {
-                t: {"em": r.em, "sm": r.sm, "um": r.um, "count": r.count}
-                for t, r in self.per_type.items()
-            },
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

@@ -116,8 +116,8 @@ _keep_freed_memory_mapped()
 class Tensor:
     """A float64 array plus optional gradient and autodiff graph linkage.
 
-    ``data`` and ``grad`` are exposed as flat views over the underlying
-    storage so that ``len(data) == prod(shape)`` always holds.
+    ``grad`` is exposed as a flat view of the gradient, so that
+    ``len(grad) == prod(shape)`` always holds.
     """
 
     __slots__ = ("array", "shape", "requires_grad", "_grad", "_parents", "_backward")
@@ -142,21 +142,12 @@ class Tensor:
         return self.array.size
 
     @property
-    def data(self) -> np.ndarray:
-        """Flat float64 view of the stored values."""
-        return self.array.reshape(-1)
-
-    @property
     def grad(self) -> np.ndarray | None:
         """Flat view of a leaf's accumulated gradient, or None before
         backward (an op node's is released by the sweep)."""
         if self._grad is None:
             return None
         return self._grad.reshape(-1)
-
-    def grad_array(self) -> np.ndarray | None:
-        """Gradient with the same shape as ``array`` (None before backward)."""
-        return self._grad
 
     def zero_grad(self) -> None:
         self._grad = None
@@ -209,13 +200,7 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
 

@@ -19,7 +19,10 @@ weights with a new optimizer and generator), and ``fit`` runs from it. Every
 stage run writes into an output directory: each epoch's ``*-last``
 checkpoint can be resumed, and the best snapshot (that state at its best
 epoch, without optimizer and generator) is on disk from the first dev eval
-on; both hold the dev history, by which a resume checks the best it reads.
+on, written after the ``*-last`` of its epoch. Both hold the dev history. A
+resume from a ``*-last`` whose last epoch improved writes the best again
+from it; any other resume reads the best and requires its history to be
+the resumed one through its last improvement.
 The global step, the one step count, drives the lr and Adam's corrections.
 
 One rule, ``_check_settings``, holds for every run from a checkpoint: a
@@ -383,13 +386,12 @@ def _save_best(state: Checkpoint, history: list[dict], out_dir: str | Path) -> C
 
 
 def _load_best(stage: str, history: list[dict], out_dir: str | Path) -> Checkpoint:
-    """The ``-best`` of the run resumed with dev ``history``; a
-    ``CheckpointError`` unless its history is ``history`` through the last
-    improvement or one record more (``fit`` died between its two saves)."""
+    """The ``-best`` of the run resumed with dev ``history``, whose last
+    record did not improve; a ``CheckpointError`` unless its history is
+    ``history`` through the last improvement."""
     path = Path(out_dir) / f"{stage}-best.ckpt"
     best, kept = load_checkpoint(path), _progress(stage, history)[0]
-    theirs = best.train_state.get("history", [])
-    if theirs != history[:kept] and theirs[:-1] != history:
+    if best.train_state.get("history", []) != history[:kept]:
         raise CheckpointError(f"{path}: its dev history is not the resumed run's")
     return best
 
@@ -406,12 +408,15 @@ def fit(
     patience-based early stopping, and best/last checkpointing.
 
     A fresh start evaluates the start weights, and that snapshot is the
-    first best: like each improving epoch's snapshot, it goes to
-    ``<out_dir>/<stage>-best.ckpt`` without optimizer and generator, and
-    each epoch's advanced state to ``<out_dir>/<stage>-last.ckpt``; both
-    hold the dev history, from which ``_progress`` gives, after each eval,
-    the evals since the last improvement; a resume takes them and the next
-    epoch from it, and reads its best back and checks it (``_load_best``). A
+    first best. Each epoch's advanced state goes to
+    ``<out_dir>/<stage>-last.ckpt`` and then, if the epoch improved, its
+    snapshot without optimizer and generator to ``<out_dir>/<stage>-best.ckpt``,
+    so a ``-best`` is never ahead of its ``-last``. Both hold the dev
+    history, from which ``_progress`` gives, after each eval, the evals
+    since the last improvement; a resume takes them and the next epoch from
+    it. A resume whose last record improved is its own best and writes the
+    ``-best`` again (a run killed between the two saves left an older one);
+    any other reads the ``-best`` back and checks it (``_load_best``). A
     non-finite loss or gradient raises ``DivergenceError`` before the
     update. The global step, counted from 1, is Adam's step and sets the lr.
     Returns (best checkpoint, dev history)."""
@@ -421,14 +426,13 @@ def fit(
     schedule = LRSchedule(run_config.base_lr, max_steps, run_config.warmup_fraction)
     history: list[dict] = list(state.train_state.get("history", []))
 
-    if history:
-        best = _load_best(stage, history, out_dir)
-    else:
+    if not history:
         metrics = task.dev_eval(weights)
         history.append({"epoch": -1, "step": global_step, **metrics})
-        best = _save_best(state, history, out_dir)
         logger.info("[%s] initial dev: %s", stage, metrics)
     bad = _progress(stage, history)[1]
+    # a start whose last eval improved (a fresh start's always does) is its own best
+    best = _load_best(stage, history, out_dir) if bad else _save_best(state, history, out_dir)
 
     while global_step < max_steps and bad < run_config.patience:
         epoch = len(history) - 1
@@ -464,9 +468,9 @@ def fit(
             state, global_step=global_step, rng_state=rng.bit_generator.state,
             train_state={"history": history},
         )
+        save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         if not bad:  # this epoch improved
             best = _save_best(state, history, out_dir)
-        save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch, global_step, metrics, "" if bad else " *",

@@ -34,14 +34,9 @@ def speaker_token(name: str) -> str:
 class Vocab:
     token_to_id: dict[str, int]
     id_to_token: tuple[str, ...]
-    speaker_ids: frozenset[int]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    @property
-    def pad(self) -> int:
-        return PAD
 
     @property
     def cls(self) -> int:
@@ -50,10 +45,6 @@ class Vocab:
     @property
     def mask(self) -> int:
         return MASK
-
-    @property
-    def unk(self) -> int:
-        return UNK
 
     def word_id(self, word: str) -> int:
         return self.token_to_id.get(word.lower(), UNK)
@@ -69,11 +60,6 @@ class Vocab:
         write_file(path, [("\n".join(self.id_to_token) + "\n").encode("utf-8")])
 
     @classmethod
-    def load(cls, path: str | Path) -> "Vocab":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls.from_tokens(tokens)
-
-    @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocab":
         if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise CorpusError(
@@ -82,10 +68,7 @@ class Vocab:
         token_to_id = {tok: i for i, tok in enumerate(tokens)}
         if len(token_to_id) != len(tokens):
             raise CorpusError("vocabulary contains duplicate tokens")
-        speakers = frozenset(
-            i for i, tok in enumerate(tokens) if tok.startswith(_SPEAKER_PREFIX)
-        )
-        return cls(token_to_id, tuple(tokens), speakers)
+        return cls(token_to_id, tuple(tokens))
 
 
 def build_vocab(corpus: Iterable, min_freq: int = 1) -> Vocab:
@@ -115,13 +98,3 @@ def encode_utterance(vocab: Vocab, utterance) -> list[int]:
     ids = [vocab.speaker_id(utterance.speaker)]
     ids.extend(vocab.word_id(w) for w in utterance.tokens)
     return ids
-
-
-def decode(vocab: Vocab, ids: Sequence[int]) -> list[str]:
-    """Inverse of encoding; specials render as their bracketed names."""
-    out = []
-    for i in ids:
-        if not 0 <= i < len(vocab):
-            raise IndexError(f"token id {i} out of range for vocab of {len(vocab)}")
-        out.append(vocab.id_to_token[i])
-    return out

@@ -1,8 +1,106 @@
-"""Shared test helpers: the independent brute-force answer-selection oracle,
-random score grids for it and their padded form, and small fixture
-builders."""
+"""Shared test helpers: the two oracles, finite-difference gradient checking
+for the autodiff engine and brute-force answer selection, random score grids
+for the latter and their padded form."""
+
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from dialoqa.errors import ConfigError, DialoQAError
+from dialoqa.tensor import Tensor
+
+
+class DeterminismError(DialoQAError):
+    """A loss function expected to be deterministic produced differing values."""
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_err: float
+    worst_param: str
+    worst_index: int
+    worst_analytic: float
+    worst_numeric: float
+    checked: int
+
+    def passed(self, tolerance: float) -> bool:
+        return self.max_rel_err < tolerance
+
+
+def grad_check(
+    loss_fn: Callable[[], Tensor],
+    params: Mapping[str, Tensor] | Sequence[Tensor],
+    h: float = 1e-4,
+    tolerance: float = 1e-4,
+    *,
+    rng: np.random.Generator | None = None,
+    max_coords_per_param: int | None = None,
+) -> GradCheckReport:
+    """Compare autodiff gradients of ``loss_fn`` against central differences.
+
+    ``loss_fn`` must be deterministic (dropout disabled); it is evaluated
+    twice up front and a mismatch raises DeterminismError. When
+    ``max_coords_per_param`` is set, that many coordinates per parameter are
+    sampled with ``rng`` instead of sweeping every coordinate.
+    """
+    if h <= 0:
+        raise ConfigError(f"finite-difference step h must be > 0, got {h}")
+    if isinstance(params, Mapping):
+        named = list(params.items())
+    else:
+        named = [(f"param{i}", p) for i, p in enumerate(params)]
+
+    first = loss_fn()
+    second = loss_fn()
+    if float(first.array) != float(second.array):
+        raise DeterminismError(
+            f"loss_fn not deterministic: {float(first.array)!r} vs {float(second.array)!r}"
+        )
+
+    for _, p in named:
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    analytic = {
+        name: (np.zeros(p.size) if p.grad is None else p.grad.copy())
+        for name, p in named
+    }
+
+    if max_coords_per_param is not None and rng is None:
+        rng = np.random.default_rng(0)
+
+    report = GradCheckReport(0.0, "", -1, 0.0, 0.0, 0)
+    for name, p in named:
+        flat = p.array.reshape(-1)  # view: in-place perturbations reach the model
+        n = flat.shape[0]
+        if max_coords_per_param is not None and n > max_coords_per_param:
+            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+        else:
+            coords = range(n)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = float(loss_fn().array)
+            flat[i] = orig - h
+            f_minus = float(loss_fn().array)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            a = analytic[name][i]
+            # Absolute floor keeps O(h^2) truncation noise on small-gradient
+            # coordinates from registering; real defects show up as O(1).
+            denom = max(abs(a), abs(numeric), 1e-2)
+            rel = abs(a - numeric) / denom
+            report.checked += 1
+            if rel > report.max_rel_err:
+                report.max_rel_err = rel
+                report.worst_param = name
+                report.worst_index = int(i)
+                report.worst_analytic = float(a)
+                report.worst_numeric = float(numeric)
+    return report
+
+
 
 
 def brute_force_select(uid_scores, span_scores):

@@ -451,14 +451,14 @@ class TestTransfer:
         for name in ("tl.0.attn_wq", "tl.1.ff_w1", "utt_pos_emb", "token_emb",
                      "te.0.attn_wo", "token_pos_emb"):
             assert np.array_equal(out[name].array, src.weights[name].array)
-        assert "mha.wq" in out and "uid_w" in out
+        assert "mha.wq" in out.params and "uid_w" in out.params
 
     def test_umlm_to_uop_initializes_tl_fresh(self, vocab):
         src = _checkpoint(vocab, stage="umlm", seed=4, with_state=False)
-        assert "tl.0.attn_wq" not in src.weights
+        assert "tl.0.attn_wq" not in src.weights.params
         out = init_encoder_weights(src.config, "uop", np.random.default_rng(10), src.weights)
         assert np.array_equal(out["token_emb"].array, src.weights["token_emb"].array)
-        assert "tl.0.attn_wq" in out and "uop_w" in out
+        assert "tl.0.attn_wq" in out.params and "uop_w" in out.params
 
     def test_tmlm_to_umlm_head_fresh_encoder_copied(self, vocab):
         src = _checkpoint(vocab, stage="tmlm", seed=5, with_state=False)

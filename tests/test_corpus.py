@@ -205,7 +205,8 @@ class TestLoad:
         assert not breaks
         vocab = build_vocab([d for d, _ in loaded])
         vocab.save(tmp_path / "vocab.txt")
-        assert Vocab.load(tmp_path / "vocab.txt") == vocab
+        lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        assert Vocab.from_tokens(lines) == vocab
 
     def test_duplicate_qid_rejected_with_location(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))

@@ -3,6 +3,7 @@ and a full gradient check at toy scale."""
 
 import numpy as np
 import pytest
+from conftest import grad_check
 
 from dialoqa import encoder
 from dialoqa import tensor as T
@@ -21,7 +22,6 @@ from dialoqa.encoder import (
     tl_forward,
 )
 from dialoqa.errors import CapacityError, ConfigError, ShapeError
-from dialoqa.optim import grad_check
 
 TOY = ModelConfig(
     vocab_size=50, num_layers=2, num_heads=2, hidden_size=8,

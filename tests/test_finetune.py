@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle_record, padded, random_score_grids
+from conftest import grad_check, oracle_record, padded, random_score_grids
 
 from dialoqa import finetune
 from dialoqa import tensor as T
@@ -21,7 +21,6 @@ from dialoqa.finetune import (
     qa_batch_loss,
     select_answer,
 )
-from dialoqa.optim import grad_check
 from dialoqa.vocab import build_vocab
 
 TOY = ModelConfig(
@@ -84,7 +83,7 @@ class TestEncodeForQA:
         assert len(enc.question_ids) == 4
         for seq, utt in zip(enc.utterance_ids, _dialogue().utterances):
             assert seq[0] == vocab.cls
-            assert seq[1] in vocab.speaker_ids
+            assert vocab.id_to_token[seq[1]].startswith("SPK:")
             assert len(seq) == len(utt.tokens) + 2
 
     def test_an_over_long_question_is_cut_at_the_token_positions(self, vocab, cfg, weights):

@@ -198,6 +198,16 @@ class TestSerialization:
         assert parsed["total"] == 6
         assert parsed["per_type"]["where"]["count"] == 2
 
+    def test_report_dict_holds_every_field_and_type_row(self):
+        report = evaluate(*_fixture())
+        assert report.to_dict() == {
+            "em": report.em, "sm": report.sm, "um": report.um, "total": report.total,
+            "per_type": {
+                t: {"em": r.em, "sm": r.sm, "um": r.um, "count": r.count}
+                for t, r in report.per_type.items()
+            },
+        }
+
     def test_table_contains_all_row(self):
         preds, golds = _fixture()
         table = evaluate(preds, golds).format_table()
@@ -208,7 +218,8 @@ class TestSerialization:
             PredictionRecord("a", 2, 1, 3, "x y z"),
             PredictionRecord("b", None, None, None, None),
         ]
-        lines = [r.to_json() for r in records]
-        back = [PredictionRecord.from_json(l) for l in lines]
-        assert back == records
-        assert json.loads(lines[1])["utterance_index"] == -1
+        back = [json.loads(r.to_json()) for r in records]
+        assert back == [
+            {"qid": "a", "utterance_index": 2, "token_start": 1, "token_end": 3, "text": "x y z"},
+            {"qid": "b", "utterance_index": -1, "token_start": -1, "token_end": -1, "text": ""},
+        ]

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import DeterminismError, GradCheckReport, grad_check
 
 from dialoqa import tensor as T
-from dialoqa.errors import ConfigError, DeterminismError, ShapeError
-from dialoqa.optim import AdamState, GradCheckReport, LRSchedule, adam_step, grad_check, lr_at_step
+from dialoqa.errors import ConfigError, ShapeError
+from dialoqa.optim import AdamState, LRSchedule, adam_step, lr_at_step
 
 
 def _vector(*values):

@@ -182,7 +182,7 @@ class TestStageTable:
         rng = np.random.default_rng(1)
         batch = task.build_epoch(rng)[: cfg.batch_size]
         task.batch_loss(weights, batch, rng=rng).backward()
-        reached = {name for name, p in weights.named() if p.grad_array() is not None}
+        reached = {name for name, p in weights.named() if p.grad is not None}
         assert reached == set(stage_shapes(weights.config, stage))
         assert len(reached) == count
 
@@ -244,7 +244,7 @@ class TestStageTable:
             after, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        leaf_grads = sum(p.grad_array().nbytes for _, p in weights.named())
+        leaf_grads = sum(p.grad.nbytes for _, p in weights.named())
         assert peak <= 1.15 * forward
         assert after <= leaf_grads + 64 * 1024
 
@@ -279,7 +279,7 @@ class TestTrainingProgress:
         # tmlm -> finetune skips TL pretraining; TL weights initialize fresh
         best, history = run_finetune(_config(corpus_path), tmlm_ckpt, tmp_path / "ft")
         assert best.stage == "finetuned"
-        assert "tl.0.attn_wq" in best.weights
+        assert "tl.0.attn_wq" in best.weights.params
         assert len(history) >= 2
 
 
@@ -390,15 +390,16 @@ def _crash_after_first_last_checkpoint(monkeypatch):
     monkeypatch.setattr(training, "save_checkpoint", save_then_crash)
 
 
-def _fail_the_last_save_after_an_improvement(monkeypatch):
-    """Make the next tmlm run die when it saves its ``-last`` right after an
-    improving epoch's best, once a ``-last`` is on disk, as a process killed
-    between the two saves would."""
+def _fail_the_best_save_after_a_second_last(monkeypatch):
+    """Make the next tmlm run die when it saves an improving epoch's best
+    right after that epoch's ``-last``, once an earlier ``-last`` is on disk,
+    as a process killed between the two saves would."""
     real, names = training.save_checkpoint, []
 
     def save_or_crash(ckpt, path):
-        # a -last saved before, and an improving epoch's best saved just now
-        if path.name.endswith("-last.ckpt") and names[-2:] == [path.name, "tmlm-best.ckpt"]:
+        # an improving epoch's -last saved just now, and another one before
+        if path.name == "tmlm-best.ckpt" and names[-1:] == ["tmlm-last.ckpt"] \
+                and names.count("tmlm-last.ckpt") > 1:
             monkeypatch.setattr(training, "save_checkpoint", real)
             raise _Crash(path)
         names.append(path.name)
@@ -503,19 +504,21 @@ class TestResumeReplay:
     def test_a_crash_between_the_best_and_the_last_save_resumes_bit_exact(
         self, corpus_path, tmp_path, monkeypatch
     ):
-        """``fit`` saves an improving epoch's best before its ``-last``. A run
-        killed between the two leaves a best one epoch ahead of the ``-last``;
-        the resume accepts it, reruns that epoch and ends byte for byte as an
-        uninterrupted run."""
+        """``fit`` saves an improving epoch's ``-last`` before its best. A run
+        killed between the two leaves a best behind a ``-last`` whose last
+        epoch improved; the resume writes the best again from that ``-last``
+        and ends byte for byte as an uninterrupted run."""
         cfg = _config(corpus_path)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         run_stage("tmlm", cfg, None, out_dir=dir_a)
-        _fail_the_last_save_after_an_improvement(monkeypatch)
+        _fail_the_best_save_after_a_second_last(monkeypatch)
         with pytest.raises(_Crash):
             run_stage("tmlm", cfg, None, out_dir=dir_b)
         mid = load_checkpoint(dir_b / "tmlm-last.ckpt")
-        ahead = load_checkpoint(dir_b / "tmlm-best.ckpt").train_state["history"]
-        assert ahead[:-1] == mid.train_state["history"]
+        history = mid.train_state["history"]
+        behind = load_checkpoint(dir_b / "tmlm-best.ckpt").train_state["history"]
+        assert training._progress("tmlm", history)[1] == 0
+        assert len(behind) < len(history) and behind == history[: len(behind)]
         run_stage("tmlm", cfg, mid, out_dir=dir_b)
         for kind in ("best", "last"):
             name = f"tmlm-{kind}.ckpt"
@@ -530,7 +533,7 @@ class TestResumeReplay:
 
     @pytest.mark.parametrize("theirs, accepted", [
         (_HISTORY[:2], True),
-        (_HISTORY + [_NEXT], True),
+        (_HISTORY + [_NEXT], False),
         (_HISTORY[:1], False),
         (_HISTORY, False),
         (_HISTORY + [_NEXT, {**_NEXT, "epoch": 3}], False),
@@ -541,8 +544,9 @@ class TestResumeReplay:
     def test_a_resume_reads_back_only_the_best_of_its_history(
         self, tmlm_ckpt, tmp_path, theirs, accepted
     ):
-        """A resumed history's best must hold that history through its last
-        improvement, or one record more (the crash window above)."""
+        """A resumed history that did not improve last needs a best that holds
+        it through its last improvement exactly: ``fit`` never saves a best
+        ahead of its ``-last``, so one that is ahead is another run's."""
         save_checkpoint(replace(tmlm_ckpt, train_state={"history": theirs}),
                         tmp_path / "tmlm-best.ckpt")
         if accepted:
@@ -552,8 +556,33 @@ class TestResumeReplay:
             with pytest.raises(CheckpointError, match="tmlm-best.ckpt: its dev history"):
                 training._load_best("tmlm", self._HISTORY, tmp_path)
 
+    def test_a_resume_returns_no_best_from_past_its_own_end(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
+        """A 40-step run that dies saving its step-6 ``-last``, resumed with a
+        5-step budget, ends at step 5; the best it returns and leaves is from
+        its own history, not the killed run's step 6."""
+        out, real = tmp_path / "run", training.save_checkpoint
+
+        def save_or_crash(ckpt, path):
+            if path.name == "tmlm-last.ckpt" and ckpt.global_step == 6:
+                raise _Crash(path)
+            real(ckpt, path)
+
+        monkeypatch.setattr(training, "save_checkpoint", save_or_crash)
+        with pytest.raises(_Crash):
+            run_stage("tmlm", _config(corpus_path, tmlm_steps=40), None, out_dir=out)
+        monkeypatch.setattr(training, "save_checkpoint", real)
+        mid = load_checkpoint(out / "tmlm-last.ckpt")
+        best, history = training._run("tmlm", _config(corpus_path, tmlm_steps=5), mid, out)
+        assert history[-1]["step"] == 5
+        assert best.global_step <= 5
+        assert best.train_state["history"] == history[: training._progress("tmlm", history)[0]]
+        assert load_checkpoint(out / "tmlm-best.ckpt").train_state == best.train_state
+
     def test_resume_without_a_best_checkpoint_raises(self, corpus_path, tmp_path):
-        cfg = _config(corpus_path, tmlm_steps=4)
+        """At lr 0 no epoch improves, so the resume reads the ``-best``."""
+        cfg = _config(corpus_path, tmlm_steps=4, base_lr=0.0)
         out = tmp_path / "run"
         run_stage("tmlm", cfg, None, out_dir=out)
         (out / "tmlm-best.ckpt").unlink()
@@ -1025,11 +1054,12 @@ class TestCli:
         assert re.search(r"record .*'epoch': -1.*each of \['perplexity'\]", err["message"])
 
     def test_resume_without_a_best_checkpoint_is_json_error(self, corpus_path, tmp_path, capsys):
+        """At lr 0 the epoch does not improve, so the resume reads the ``-best``."""
         path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
             "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
-            "batch_size = 8\ntmlm_steps = 2\nseed = 1\n"
+            "batch_size = 8\ntmlm_steps = 2\nbase_lr = 0\nseed = 1\n"
         )
         out = tmp_path / "run"
         args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
@@ -1044,8 +1074,9 @@ class TestCli:
         self, corpus_path, tmp_path, capsys
     ):
         """A ``-best`` swapped for one of another seed's run fails the resume
-        before it trains: no epoch could better that best at lr 0, so the
-        run would otherwise return it."""
+        before it trains. Both runs train at lr 0, so their epoch does not
+        improve and the resume reads the ``-best``; no epoch could better
+        that best, so the run would otherwise return it."""
         path = tmp_path / "run.cfg"
         base = (
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
@@ -1053,7 +1084,7 @@ class TestCli:
         )
         own, other = tmp_path / "own", tmp_path / "other"
         for seed, out in ((1, own), (5, other)):
-            path.write_text(base + f"tmlm_steps = 2\nseed = {seed}\n")
+            path.write_text(base + f"tmlm_steps = 2\nbase_lr = 0\nseed = {seed}\n")
             args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
             assert cli.main(args) == 0, capsys.readouterr().err
         (own / "tmlm-best.ckpt").write_bytes((other / "tmlm-best.ckpt").read_bytes())

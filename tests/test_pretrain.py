@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grad_check
 
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
 from dialoqa.encoder import ModelConfig, init_encoder_weights
 from dialoqa.errors import CapacityError, CorpusError
 from dialoqa.finetune import encode_for_qa, qa_batch_loss
-from dialoqa.optim import AdamState, adam_step, grad_check
+from dialoqa.optim import AdamState, adam_step
 from dialoqa.pretrain import (
     UOP_IN_ORDER,
     UOP_SHUFFLED,
@@ -25,7 +26,7 @@ from dialoqa.pretrain import (
     uop_batch_loss,
 )
 from dialoqa.training import mlm_dev_perplexity
-from dialoqa.vocab import build_vocab, decode
+from dialoqa.vocab import build_vocab
 
 TOY = ModelConfig(
     vocab_size=50, num_layers=2, num_heads=2, hidden_size=8,
@@ -94,7 +95,7 @@ class TestMaskTokens:
         for _ in range(50):
             d = _dialogue(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             ids = encode_dialogue(vocab, d).token_ids
-            speaker_slots = {i for i, t in enumerate(ids) if t in vocab.speaker_ids}
+            speaker_slots = {i for i, t in enumerate(ids) if vocab.id_to_token[t].startswith("SPK:")}
             inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), rng)
             assert len(inst.rows) == len(inst.labels)
             for p, lab in zip(inst.rows, inst.labels):
@@ -111,13 +112,13 @@ class TestTmlmInstance:
         d = _dialogue(3, 2)
         inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), np.random.default_rng(1))
         assert inst.token_ids[0] == vocab.cls
-        assert inst.token_ids[1] in vocab.speaker_ids
-        assert inst.token_ids[4] in vocab.speaker_ids
+        assert vocab.id_to_token[inst.token_ids[1]].startswith("SPK:")
+        assert vocab.id_to_token[inst.token_ids[4]].startswith("SPK:")
 
     def test_unmasked_build_decodes_to_dialogue(self, vocab):
         d = _dialogue(3, 3)
         ids = encode_dialogue(vocab, d).token_ids
-        text = decode(vocab, ids)
+        text = [vocab.id_to_token[i] for i in ids]
         expected = ["[CLS]"]
         for u in d.utterances:
             expected.append(f"SPK:{u.speaker}")

@@ -130,6 +130,56 @@ def test_every_tensor_function_is_used():
     assert unused_tensor_functions(sources) == []
 
 
+def unreferenced_functions(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and methods (``Class.method``) whose name
+    no module reads, as a name or an attribute. An import does not count,
+    so a function that only tests or tools use is flagged."""
+    defined, referenced = [], set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (f"{node.name}.{item.name}", item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [
+        qualified for qualified, name in defined
+        if not name.startswith("_") and name not in referenced
+    ]
+
+
+def test_checker_flags_an_unreferenced_function():
+    sources = {
+        "a.py": (
+            "def used(): pass\ndef imported(): pass\ndef _private(): pass\n"
+            "class C:\n    def method(self): pass\n    def called(self): pass\n"
+            "    def __len__(self): return 0\n"
+        ),
+        "b.py": "from .a import used, imported\nused()\nC().called()\n",
+    }
+    assert unreferenced_functions(sources) == ["imported", "C.method"]
+
+
+# Public names that no module of the package reads, each with why it stays.
+UNREFERENCED_ALLOWED = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "joint_loss": "perfbench/tracing.py wraps it by name",
+}
+
+
+def test_every_public_function_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert sorted(unreferenced_functions(sources)) == sorted(UNREFERENCED_ALLOWED)
+
+
 def called_names(source: str) -> set[str]:
     """Names of the functions a module calls, plain or as an attribute."""
     return {

@@ -46,7 +46,7 @@ def test_every_bound_setting_builds(utterances, questions, unanswerable):
         for dialogue, examples in corpus:
             words = {t for u in dialogue.utterances for t in u.tokens}
             for qa in examples:
-                if not qa.answerable:  # keyed on an entity the dialogue never mentions
+                if not qa.answers:  # keyed on an entity the dialogue never mentions
                     assert qa.question_tokens[-1] not in words
 
 

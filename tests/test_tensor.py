@@ -14,13 +14,13 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import grad_check
 
 from dialoqa import tensor as T
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
 from dialoqa.encoder import STAGE_FINETUNED, STAGE_TMLM, ModelConfig, init_encoder_weights
 from dialoqa.errors import ConfigError, ShapeError
 from dialoqa.finetune import encode_for_qa, qa_batch_loss
-from dialoqa.optim import grad_check
 from dialoqa.pretrain import build_tmlm_instance, encode_dialogue, mlm_batch_loss
 from dialoqa.vocab import build_vocab
 
@@ -36,11 +36,11 @@ PAD_LAST_TWO = np.array([[True] * 5, [True, True, True, False, False]])
 def test_tensor_views_and_invariants():
     t = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     assert t.shape == (2, 3)
-    assert len(t.data) == 6
+    assert t.size == 6
     assert t.grad is None
     T.tsum(t).backward()
     assert len(t.grad) == 6
-    assert np.all(np.isfinite(t.data))
+    assert np.all(np.isfinite(t.array))
 
 
 class TestLinear:
@@ -55,8 +55,8 @@ class TestLinear:
         T.tsum(out * T.Tensor(probe)).backward()
         rows, g = x.reshape(-1, 4), probe.reshape(-1, 3)
         for param, ref in zip(params, (probe @ w.T, rows.T @ g, g.sum(axis=0))):
-            assert param.grad_array().shape == ref.shape
-            np.testing.assert_allclose(param.grad_array(), ref, rtol=0, atol=1e-12)
+            assert len(param.grad) == ref.size
+            np.testing.assert_allclose(param.grad.reshape(ref.shape), ref, rtol=0, atol=1e-12)
 
     def test_without_bias_is_matmul_with_no_bias_parent(self):
         rng = np.random.default_rng(8)
@@ -65,7 +65,7 @@ class TestLinear:
         np.testing.assert_array_equal(out.array, (x.array.reshape(-1, 4) @ w.array).reshape(2, 5, 3))
         assert out._parents == (x, w)
         T.tsum(out).backward()
-        np.testing.assert_allclose(w.grad_array(), x.array.reshape(-1, 4).sum(0)[:, None].repeat(3, 1))
+        np.testing.assert_allclose(w.grad.reshape(w.shape), x.array.reshape(-1, 4).sum(0)[:, None].repeat(3, 1))
 
     def test_against_triple_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -85,11 +85,11 @@ class TestLinear:
         w = T.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         b = T.Tensor(np.zeros(6), requires_grad=True)
         T.tsum(T.linear(x, w, b)).backward()
-        assert x.grad_array().shape == (3, 2, 4, 5)
+        assert len(x.grad) == x.size
         # oracle: d(sum(X@W))/dW[k,j] = sum over every leading axis of X[..,k]
         expected_w = np.einsum("xypk->k", x.array)[:, None].repeat(6, axis=1)
-        np.testing.assert_allclose(w.grad_array(), expected_w, atol=1e-12)
-        np.testing.assert_array_equal(b.grad_array(), np.full(6, 24.0))
+        np.testing.assert_allclose(w.grad.reshape(w.shape), expected_w, atol=1e-12)
+        np.testing.assert_array_equal(b.grad, np.full(6, 24.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -178,7 +178,7 @@ class TestResidualLayerNorm:
         T.tsum(fused * T.Tensor(dout)).backward()
         T.tsum(chain * T.Tensor(dout)).backward()
         for a, c in zip((x, y, g, b), twin):
-            np.testing.assert_array_equal(a.grad_array(), c.grad_array())
+            np.testing.assert_array_equal(a.grad, c.grad)
 
     def test_no_branch_is_layer_norm(self):
         (x, _, g, b), _ = self._inputs(5)
@@ -331,7 +331,7 @@ class TestDropout:
         T.tsum(out * T.Tensor(dout)).backward()
         keep = (twin.random(x.shape) >= 0.1) / (1 - 0.1)
         np.testing.assert_array_equal(out.array, x.array * keep)
-        np.testing.assert_array_equal(x.grad_array(), dout * keep)
+        np.testing.assert_array_equal(x.grad.reshape(x.shape), dout * keep)
         assert draw.bit_generator.state == twin.bit_generator.state
 
     def test_identical_seed_identical_mask(self):
@@ -520,7 +520,7 @@ class TestAutodiff:
         x = T.Tensor(np.arange(4.0).reshape(4, 1), requires_grad=True)
         out = T.index_select(x, [1, 1, 3])
         T.tsum(out).backward()
-        np.testing.assert_array_equal(x.grad_array()[:, 0], [0.0, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(x.grad.reshape(x.shape)[:, 0], [0.0, 2.0, 0.0, 1.0])
 
     def test_index_select_scatter_equals_add_at(self):
         rng = np.random.default_rng(21)
@@ -531,7 +531,7 @@ class TestAutodiff:
             T.tsum(T.index_select(x, idx) * T.Tensor(dout)).backward()
             expected = np.zeros(shape)
             np.add.at(expected, idx, dout)
-            np.testing.assert_array_equal(x.grad_array(), expected)
+            np.testing.assert_array_equal(x.grad.reshape(x.shape), expected)
 
     def test_shared_node_gradient(self):
         # x used twice: d(x*x)/dx = 2x
@@ -546,8 +546,8 @@ class TestAutodiff:
         a, b, c = (T.Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3))
         loss = T.tsum((a + b) * c) + T.tsum(a * a)
         loss.backward()
-        np.testing.assert_array_equal(b.grad_array(), c.array)
-        np.testing.assert_allclose(a.grad_array(), c.array + 2 * a.array, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(b.grad, c.array)
+        np.testing.assert_allclose(a.grad, c.array + 2 * a.array, rtol=0, atol=1e-15)
 
     def test_backward_releases_every_op_node(self):
         """Only leaves keep a gradient; the sweep drops each op node's
@@ -569,14 +569,14 @@ class TestAutodiff:
             assert node._grad is None
             assert node._parents == () and node._backward is None
         for leaf in (x, w, b, g, beta):
-            assert leaf.grad_array() is not None and leaf.grad_array().shape == leaf.shape
+            assert leaf._grad is not None and leaf._grad.shape == leaf.shape
 
     def test_constant_operands_get_no_gradient(self):
         x = T.Tensor(np.ones((2, 3)), requires_grad=True)
         mask, scale = T.Tensor(np.zeros((1, 3))), T.Tensor(2.0)
         T.tsum((x + mask) * scale).backward()
         assert mask.grad is None and scale.grad is None
-        np.testing.assert_array_equal(x.grad_array(), np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(x.grad.reshape(x.shape), np.full((2, 3), 2.0))
 
 
 def test_finite_outputs_on_finite_inputs():

@@ -7,9 +7,9 @@ from dialoqa.corpus import Dialogue, Utterance
 from dialoqa.errors import CorpusError
 from dialoqa.vocab import (
     SPECIAL_TOKENS,
+    UNK,
     Vocab,
     build_vocab,
-    decode,
     encode_utterance,
     tokenize,
 )
@@ -31,13 +31,14 @@ def test_min_freq_threshold_leaves_specials_and_speakers():
     d = _dialogue(("A", "one two three"), ("B", "four five six"))
     v = build_vocab([d], min_freq=2)
     assert len(v) == 4 + 2
-    assert v.word_id("one") == v.unk
+    assert v.word_id("one") == UNK
 
 
 def test_specials_occupy_lowest_ids():
     v = build_vocab([_dialogue(("A", "x"))])
     assert tuple(v.id_to_token[:4]) == SPECIAL_TOKENS
-    assert {v.pad, v.cls, v.mask, v.unk} == {0, 1, 2, 3}
+    assert [v.token_to_id[t] for t in SPECIAL_TOKENS] == [0, 1, 2, 3]
+    assert (v.cls, v.mask, UNK) == (1, 2, 3)
 
 
 def test_id_assignment_order():
@@ -72,28 +73,16 @@ def test_unknown_word_maps_to_unk():
     v = build_vocab([_dialogue(("Ross", "hi"))])
     utt = Utterance("Ross", ("hi", "zzz"))
     ids = encode_utterance(v, utt)
-    assert ids[-1] == v.unk
+    assert ids[-1] == UNK
 
 
 def test_round_trip_with_unk_substitution():
     v = build_vocab([_dialogue(("Ross", "we were on a break"))])
     utt = Utterance("Ross", tuple(tokenize("We were ON a yacht")))
     ids = encode_utterance(v, utt)
-    decoded = decode(v, ids)
-    assert decoded[0] == "SPK:ross"
-    assert decoded[1:] == ["we", "were", "on", "a", "[UNK]"]
-
-
-def test_decode_specials_bracketed():
-    v = build_vocab([_dialogue(("A", "x"))])
-    assert decode(v, [v.cls]) == ["[CLS]"]
-    assert decode(v, [v.pad, v.mask, v.unk]) == ["[PAD]", "[MASK]", "[UNK]"]
-
-
-def test_decode_out_of_range():
-    v = build_vocab([_dialogue(("A", "x"))])
-    with pytest.raises(IndexError):
-        decode(v, [len(v)])
+    tokens = [v.id_to_token[i] for i in ids]
+    assert tokens[0] == "SPK:ross"
+    assert tokens[1:] == ["we", "were", "on", "a", "[UNK]"]
 
 
 def test_speaker_and_word_ids_distinct():
@@ -108,8 +97,8 @@ def test_random_round_trip_decode_encode_compatible():
     v = build_vocab(corpus)
     rng = np.random.default_rng(0)
     ids = rng.integers(4, len(v), size=20).tolist()
-    words = decode(v, ids)
-    # every decoded non-speaker word encodes back to the same id
+    words = [v.id_to_token[i] for i in ids]
+    # every non-speaker token decoded from an id encodes back to that id
     for i, w in zip(ids, words):
         if not w.startswith("SPK:"):
             assert v.word_id(w) == i
@@ -119,9 +108,8 @@ def test_save_load_round_trip(tmp_path):
     v = build_vocab([_dialogue(("Ann", "to be or not to be"))])
     path = tmp_path / "vocab.txt"
     v.save(path)
-    loaded = Vocab.load(path)
-    assert loaded.id_to_token == v.id_to_token
-    assert loaded.speaker_ids == v.speaker_ids
+    loaded = Vocab.from_tokens(path.read_text(encoding="utf-8").splitlines())
+    assert loaded == v
     # one token per line, line number = id
     lines = path.read_text().splitlines()
     assert lines[v.word_id("be")] == "be"
