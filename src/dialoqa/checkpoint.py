@@ -2,29 +2,29 @@
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the payload of little-endian float64 values: with an
-Adam record, the first moment vector, the second and the weight vector
-(``EncoderWeights.vector``), each in the stage table's order. The header
-stores nothing that can be derived: no tensor directory, no Adam step (it is
-``global_step``) and no vocabulary size (it is the vocabulary's length). Its
-``train_state`` is the dev history through the checkpoint's epoch, or empty.
-A resume pairs a stage's ``-last`` with its ``-best`` by that history
-(``training.fit``): a ``-last`` whose last record improved is its own best
-and replaces the ``-best``, and any other needs a ``-best`` whose history is
-its own through the last improvement.
+Adam record, the first moment vector, the second, the best weights and the
+weights (``EncoderWeights.vector``), each in the stage table's order; without
+one, the weights alone. The header stores nothing that can be derived: no
+tensor directory, no Adam step (it is ``global_step``) and no vocabulary size
+(it is the vocabulary's length). It holds the ``zlib.crc32`` of the payload.
+Its ``train_state`` is the dev history through the checkpoint's epoch, or
+empty; each record holds its integer step. A ``-last`` holds the best
+weights; a resume reads it alone and writes the ``-best`` again.
 ``save_checkpoint`` runs load's checks on what it is about to write, so it
 writes no file load refuses: the header's fields and types, its Adam record
-built into an ``AdamState`` (which checks the settings' ranges), each
-moment's length and every value for finiteness. It writes through
-``files.write_file``. ``load_checkpoint`` runs the same checks and the
-payload length's, and raises ``CheckpointError`` for any file it cannot
-read, one of a format other than 5 included. save -> load -> save is
-byte-identical.
+built into an ``AdamState`` (which checks the settings' ranges), the length
+of each moment and of the best vector, and every value for finiteness. It
+writes through ``files.write_file``. ``load_checkpoint`` runs the same checks
+and those of the payload's length and digest, and raises ``CheckpointError``
+for any file it cannot read, one of a format other than 6 included.
+save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .optim import AdamState
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 @dataclass
@@ -48,6 +48,7 @@ class Checkpoint:
     adam: AdamState | None = None
     rng_state: dict | None = None
     train_state: dict = field(default_factory=dict)
+    best: np.ndarray | None = None  # the best weights so far; saved with an Adam record only
 
     @property
     def config(self) -> ModelConfig:
@@ -58,11 +59,22 @@ class Checkpoint:
         return self.weights.stage
 
     def can_resume(self) -> bool:
-        return self.adam is not None and self.rng_state is not None
+        return self.adam is not None and self.rng_state is not None and self.best is not None
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     weights, adam = ckpt.weights, ckpt.adam
+    vectors = [weights.vector]
+    if adam is not None:
+        vectors = [adam.first_moment, adam.second_moment, ckpt.best, weights.vector]
+        if any(v is None or v.shape != weights.vector.shape for v in vectors[:3]):
+            raise CheckpointError(
+                f"{path}: an Adam moment or the best vector is not a vector as long as the weights"
+            )
+    payload = [np.ascontiguousarray(v, dtype="<f8").data for v in vectors]
+    crc = 0
+    for part in payload:
+        crc = zlib.crc32(part, crc)
     header = {
         "format_version": FORMAT_VERSION,
         "stage": ckpt.stage,
@@ -72,17 +84,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "adam": None if adam is None else {k: getattr(adam, k) for k in _ADAM_FIELDS},
         "rng_state": ckpt.rng_state,
         "train_state": ckpt.train_state,
+        "payload_crc32": crc,
     }
     _check_header(header, path)
-    vectors = [weights.vector]
-    if adam is not None:
-        vectors = [adam.first_moment, adam.second_moment, weights.vector]
-        if any(m is None or m.shape != weights.vector.shape for m in vectors[:2]):
-            raise CheckpointError(f"{path}: an Adam moment is not a vector as long as the weights")
     _check_finite(weights, vectors, path)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    head = MAGIC + struct.pack("<Q", len(blob)) + blob
-    write_file(path, [head, *(np.ascontiguousarray(v, dtype="<f8").data for v in vectors)])
+    write_file(path, [MAGIC + struct.pack("<Q", len(blob)) + blob, *payload])
 
 
 _NUMBER = (int, float)
@@ -91,7 +98,7 @@ _OPTIONAL_OBJECT = (dict, type(None))
 _HEADER_FIELDS = {
     "format_version": int, "stage": str, "global_step": int, "model_config": dict,
     "vocab": list, "adam": _OPTIONAL_OBJECT, "rng_state": _OPTIONAL_OBJECT,
-    "train_state": dict,
+    "train_state": dict, "payload_crc32": int,
 }
 _ADAM_FIELDS = {
     "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "weight_decay": _NUMBER,
@@ -142,8 +149,9 @@ def _check_header(header, path) -> AdamState | None:
         raise CheckpointError(f"{path}: vocabulary holds a non-string token")
     state = header["train_state"]
     _check_fields(state, _TRAIN_STATE_FIELDS, f"{path}: train_state", optional=True)
-    if not all(isinstance(rec, dict) for rec in state.get("history", [])):
-        raise CheckpointError(f"{path}: train_state history holds a non-object")
+    if not all(isinstance(rec, dict) and _is(rec.get("step"), int)
+               for rec in state.get("history", [])):
+        raise CheckpointError(f"{path}: train_state history holds a record without an integer step")
     if header["global_step"] < 0:
         raise CheckpointError(f"{path}: global_step is {header['global_step']}, below 0")
     if header["rng_state"] is not None:
@@ -162,11 +170,11 @@ def _check_header(header, path) -> AdamState | None:
 
 def _check_finite(weights: EncoderWeights, vectors: list[np.ndarray], path) -> None:
     """Raises CheckpointError naming the first tensor of the payload
-    ``vectors`` (the moments, if any, then the weights, each laid out like
-    ``weights.vector``) that holds a NaN or infinite value."""
+    ``vectors`` (the moments and the best weights, if any, then the weights,
+    each laid out like ``weights.vector``) that holds a NaN or infinite value."""
     if all(np.isfinite(v).all() for v in vectors):
         return
-    prefixes = ("adam.m.", "adam.v.", "")[-len(vectors):]
+    prefixes = ("adam.m.", "adam.v.", "best.", "")[-len(vectors):]
     bad = [prefix + name for prefix, vector in zip(prefixes, vectors)
            for name, arr in weights.views(vector).items() if not np.isfinite(arr).all()]
     raise CheckpointError(f"{path}: tensor {bad[0]!r} holds a NaN or infinite value")
@@ -196,14 +204,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: bad header: {e}") from e
     stage = header["stage"]
     size = stage_layout(config, stage)[1][-1]
-    parts = 1 if adam is None else 3
+    parts = 1 if adam is None else 4
     payload = raw[16 + hlen :]
     if len(payload) != 8 * size * parts:
-        moments = "and their Adam moments " if adam is not None else ""
+        moments = "with their Adam moments and best weights " if adam is not None else ""
         raise CheckpointError(
             f"{path}: payload of {len(payload)} bytes, but the {stage} tensors "
             f"{moments}take {8 * size * parts} bytes"
         )
+    if zlib.crc32(payload) != header["payload_crc32"]:
+        raise CheckpointError(f"{path}: the payload does not match its crc32")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     vectors = [values[i * size : (i + 1) * size] for i in range(parts)]
     weights = EncoderWeights(config, stage, vectors[-1])
@@ -217,5 +227,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         adam=adam,
         rng_state=header["rng_state"],
         train_state=header["train_state"],
+        best=None if adam is None else vectors[2],
     )
 

@@ -11,9 +11,8 @@ and the resumable ``<stage>-last.ckpt`` there and print the best dev record;
 ``finetune`` and ``evaluate``, ``--config`` must describe the ``--init``
 checkpoint's model (every model setting but ``dropout_p``); a resume, from
 a ``<stage>-last.ckpt`` of the same stage, must also match its ``dropout_p``
-and Adam settings. A resume whose ``-last`` ended on an improving epoch
-writes ``<stage>-best.ckpt`` again from it; any other needs the
-``<stage>-best.ckpt`` of its own run in ``--out``. Exit code 0 on success;
+and Adam settings. A ``-last`` holds the best weights; a resume reads it
+alone and writes the ``-best`` again. Exit code 0 on success;
 on failure a machine-readable JSON error goes to stderr. DIALOQA_LOG
 controls log verbosity.
 """

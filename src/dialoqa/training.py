@@ -17,12 +17,10 @@ A stage's state is one ``Checkpoint``: ``_init_stage_state`` makes the
 start state (a ``*-last`` checkpoint as it is, or fresh or transferred
 weights with a new optimizer and generator), and ``fit`` runs from it. Every
 stage run writes into an output directory: each epoch's ``*-last``
-checkpoint can be resumed, and the best snapshot (that state at its best
+checkpoint can be resumed, and the best snapshot (the weights of the best
 epoch, without optimizer and generator) is on disk from the first dev eval
-on, written after the ``*-last`` of its epoch. Both hold the dev history. A
-resume from a ``*-last`` whose last epoch improved writes the best again
-from it; any other resume reads the best and requires its history to be
-the resumed one through its last improvement.
+on. Both hold the dev history. A ``-last`` holds the best weights; a resume
+reads it alone and writes the ``-best`` again.
 The global step, the one step count, drives the lr and Adam's corrections.
 
 One rule, ``_check_settings``, holds for every run from a checkpoint: a
@@ -50,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .corpus import (
     CorpusSplit,
     Dialogue,
@@ -376,23 +374,13 @@ def _progress(stage: str, history: list[dict]) -> tuple[int, int]:
 
 
 def _save_best(state: Checkpoint, history: list[dict], out_dir: str | Path) -> Checkpoint:
-    """``state`` without optimizer and generator, written to ``<out_dir>/<stage>-best.ckpt``."""
+    """``state``'s best weights, with the dev ``history`` through their eval
+    and its step, written to ``<out_dir>/<stage>-best.ckpt``."""
     best = Checkpoint(
-        EncoderWeights(state.config, state.stage, state.weights.vector.copy()),
-        state.vocab, state.global_step, train_state={"history": list(history)},
+        EncoderWeights(state.config, state.stage, state.best),
+        state.vocab, history[-1]["step"], train_state={"history": history},
     )
     save_checkpoint(best, Path(out_dir) / f"{state.stage}-best.ckpt")
-    return best
-
-
-def _load_best(stage: str, history: list[dict], out_dir: str | Path) -> Checkpoint:
-    """The ``-best`` of the run resumed with dev ``history``, whose last
-    record did not improve; a ``CheckpointError`` unless its history is
-    ``history`` through the last improvement."""
-    path = Path(out_dir) / f"{stage}-best.ckpt"
-    best, kept = load_checkpoint(path), _progress(stage, history)[0]
-    if best.train_state.get("history", []) != history[:kept]:
-        raise CheckpointError(f"{path}: its dev history is not the resumed run's")
     return best
 
 
@@ -404,22 +392,19 @@ def fit(
     out_dir: str | Path,
 ) -> tuple[Checkpoint, list[dict]]:
     """Epoch loop from the start ``state`` (weights, vocab, Adam and rng
-    state, step, ``train_state``) with per-epoch dev evaluation,
-    patience-based early stopping, and best/last checkpointing.
+    state, step, ``train_state``, best weights) with per-epoch dev
+    evaluation, patience-based early stopping, and best/last checkpointing.
 
-    A fresh start evaluates the start weights, and that snapshot is the
-    first best. Each epoch's advanced state goes to
-    ``<out_dir>/<stage>-last.ckpt`` and then, if the epoch improved, its
-    snapshot without optimizer and generator to ``<out_dir>/<stage>-best.ckpt``,
-    so a ``-best`` is never ahead of its ``-last``. Both hold the dev
-    history, from which ``_progress`` gives, after each eval, the evals
-    since the last improvement; a resume takes them and the next epoch from
-    it. A resume whose last record improved is its own best and writes the
-    ``-best`` again (a run killed between the two saves left an older one);
-    any other reads the ``-best`` back and checks it (``_load_best``). A
-    non-finite loss or gradient raises ``DivergenceError`` before the
-    update. The global step, counted from 1, is Adam's step and sets the lr.
-    Returns (best checkpoint, dev history)."""
+    A fresh start evaluates its start weights, the first best. Every start
+    writes the best to ``<out_dir>/<stage>-best.ckpt``, and each epoch its
+    state to ``<out_dir>/<stage>-last.ckpt`` and then, if it improved, its
+    weights, the new best, to the ``-best``. Both hold the dev history, from
+    which ``_progress`` gives, after each eval, the evals since the last
+    improvement; a resume takes them and the next epoch from it. A ``-last``
+    holds the best weights; a resume reads it alone and writes the ``-best``
+    again. A non-finite loss or gradient raises ``DivergenceError`` before
+    the update. The global step, counted from 1, is Adam's step and sets the
+    lr. Returns (best checkpoint, dev history)."""
     weights, adam, stage = state.weights, state.adam, state.stage
     rng = restore_rng(state.rng_state)
     global_step = state.global_step
@@ -430,9 +415,9 @@ def fit(
         metrics = task.dev_eval(weights)
         history.append({"epoch": -1, "step": global_step, **metrics})
         logger.info("[%s] initial dev: %s", stage, metrics)
-    bad = _progress(stage, history)[1]
-    # a start whose last eval improved (a fresh start's always does) is its own best
-    best = _load_best(stage, history, out_dir) if bad else _save_best(state, history, out_dir)
+        state = replace(state, best=weights.vector.copy())
+    kept, bad = _progress(stage, history)
+    best = _save_best(state, history[:kept], out_dir)
 
     while global_step < max_steps and bad < run_config.patience:
         epoch = len(history) - 1
@@ -467,10 +452,11 @@ def fit(
         state = replace(
             state, global_step=global_step, rng_state=rng.bit_generator.state,
             train_state={"history": history},
+            best=state.best if bad else weights.vector.copy(),
         )
         save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
         if not bad:  # this epoch improved
-            best = _save_best(state, history, out_dir)
+            best = _save_best(state, list(history), out_dir)
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch, global_step, metrics, "" if bad else " *",
@@ -520,7 +506,7 @@ def _init_stage_state(
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
-                f"checkpoint for stage {stage!r} lacks optimizer/rng state; "
+                f"checkpoint for stage {stage!r} lacks optimizer, rng state or best weights; "
                 "resume requires a *-last checkpoint"
             )
         _check_settings(config, init_checkpoint, f"resuming stage {stage!r}", resume=True)

@@ -1,10 +1,11 @@
-"""Checkpoint byte-identity, the derived payload layout, header validation,
-and staged weight transfer."""
+"""Checkpoint byte-identity, the derived payload layout and its digest,
+header validation, and staged weight transfer."""
 
 import json
 import operator
 import re
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -48,8 +49,7 @@ def vocab():
 def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
     cfg = ModelConfig(**{**CFG.to_dict(), "vocab_size": len(vocab), **model})
     weights = init_encoder_weights(cfg, stage, np.random.default_rng(seed))
-    adam = None
-    rng_state = None
+    adam = rng_state = best = None
     if with_state:
         size = weights.vector.shape
         adam = AdamState(
@@ -57,6 +57,7 @@ def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
             second_moment=np.abs(np.random.default_rng(2).normal(size=size)),
         )
         rng_state = np.random.default_rng(33).bit_generator.state
+        best = np.random.default_rng(3).normal(size=size)
     return Checkpoint(
         weights=weights,
         vocab=vocab,
@@ -64,6 +65,7 @@ def _checkpoint(vocab, stage="tmlm", seed=0, with_state=True, **model):
         adam=adam,
         rng_state=rng_state,
         train_state={"history": [{"epoch": -1, "step": 0, "perplexity": 3.25}]},
+        best=best,
     )
 
 
@@ -93,6 +95,17 @@ class TestRoundTrip:
                 ckpt.weights.views(ckpt.adam.first_moment)[name],
             )
 
+    def test_the_best_vector_round_trips_bit_exact(self, vocab, tmp_path):
+        """A ``-last`` holds the best weights, so a resume needs no ``-best``."""
+        ckpt = _checkpoint(vocab)
+        ckpt.best[:3] = [np.nextafter(1.0, 2.0), -0.0, 5e-324]  # last-bit, signed-zero, subnormal
+        path = tmp_path / "b.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.best.dtype == np.float64
+        assert loaded.best.tobytes() == ckpt.best.tobytes()
+        assert loaded.can_resume()
+
     @pytest.mark.parametrize("positions", [True, False], ids=["positions", "no-positions"])
     @pytest.mark.parametrize("with_state", [True, False], ids=["adam", "weights-only"])
     @pytest.mark.parametrize("stage", list(STAGE_SOURCES))
@@ -101,7 +114,8 @@ class TestRoundTrip:
     ):
         """Each stage, with and without an Adam record and with utterance
         positions on and off, saves, loads and saves again byte for byte,
-        and loads the stage's tensors and, with Adam, both moments of each."""
+        and loads the stage's tensors and, with Adam, both moments and the
+        best weights of each."""
         ckpt = _checkpoint(vocab, stage, with_state=with_state, use_utterance_positions=positions)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(ckpt, p1)
@@ -112,36 +126,38 @@ class TestRoundTrip:
         assert ("utt_pos_emb" in want) == (positions and stage in ("uop", "finetuned"))
         assert {name: p.shape for name, p in loaded.weights.named()} == want
         if with_state:
-            for moment in (loaded.adam.first_moment, loaded.adam.second_moment):
+            for moment in (loaded.adam.first_moment, loaded.adam.second_moment, loaded.best):
                 named = loaded.weights.views(moment)
                 assert {name: m.shape for name, m in named.items()} == want
         else:
-            assert loaded.adam is None
+            assert loaded.adam is None and loaded.best is None
 
     def test_header_stores_no_layout_and_payload_is_in_table_order(self, vocab, tmp_path):
-        """The payload is the first moment, the second and the weights, each
-        tensor by tensor in the stage table's order; the header's model
-        config has no vocabulary size, which is the vocabulary's length."""
+        """The payload is the first moment, the second, the best weights and
+        the weights, each tensor by tensor in the stage table's order, and
+        the header holds its crc32; the header's model config has no
+        vocabulary size, which is the vocabulary's length."""
         ckpt = _checkpoint(vocab, **TINY)
         path = tmp_path / "c.ckpt"
         save_checkpoint(ckpt, path)
         header, payload = _split_file(path.read_bytes())
         assert sorted(header) == [
-            "adam", "format_version", "global_step", "model_config", "rng_state", "stage",
-            "train_state", "vocab",
+            "adam", "format_version", "global_step", "model_config", "payload_crc32",
+            "rng_state", "stage", "train_state", "vocab",
         ]
         assert "vocab_size" not in header["model_config"]
         names = list(stage_shapes(ckpt.config, "tmlm"))
-        moments = [ckpt.weights.views(m) for m in (ckpt.adam.first_moment, ckpt.adam.second_moment)]
-        arrays = [m[n] for m in moments for n in names] + [ckpt.weights[n].array for n in names]
+        vectors = (ckpt.adam.first_moment, ckpt.adam.second_moment, ckpt.best, ckpt.weights.vector)
+        arrays = [ckpt.weights.views(v)[n] for v in vectors for n in names]
         assert payload == b"".join(arr.astype("<f8").tobytes() for arr in arrays)
+        assert header["payload_crc32"] == zlib.crc32(payload)
 
     def test_weights_only_checkpoint(self, vocab, tmp_path):
         ckpt = _checkpoint(vocab, with_state=False)
         path = tmp_path / "w.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        assert loaded.adam is None and loaded.rng_state is None
+        assert loaded.adam is None and loaded.rng_state is None and loaded.best is None
         assert not loaded.can_resume()
 
     def test_bad_magic(self, vocab, tmp_path):
@@ -199,12 +215,14 @@ def _with_header(header, payload: bytes) -> bytes:
 
 
 def _poison(ckpt: Checkpoint, name: str, value: float) -> None:
-    """Sets the first value of tensor ``name`` of the weights, or of an Adam
-    moment for a name with the prefix ``adam.m.`` or ``adam.v.``."""
+    """Sets the first value of tensor ``name`` of the weights, of an Adam
+    moment for a name with the prefix ``adam.m.`` or ``adam.v.``, or of the
+    best weights for one with the prefix ``best.``."""
     vector = ckpt.weights.vector
-    for prefix, moment in (("adam.m.", ckpt.adam.first_moment), ("adam.v.", ckpt.adam.second_moment)):
+    for prefix, other in (("adam.m.", ckpt.adam.first_moment),
+                          ("adam.v.", ckpt.adam.second_moment), ("best.", ckpt.best)):
         if name.startswith(prefix):
-            name, vector = name[len(prefix):], moment
+            name, vector = name[len(prefix):], other
     ckpt.weights.views(vector)[name].flat[0] = value
 
 
@@ -236,6 +254,10 @@ class TestHeaderValidation:
             lambda h: {**h, "bogus_field": 0},
             lambda h: {**h, "train_state": {**h["train_state"], "metrics": 3.25}},
             lambda h: {**h, "tensors": []},
+            lambda h: {**h, "train_state": {"history": [{"epoch": -1, "perplexity": 3.25}]}},
+            lambda h: {**h, "train_state": {"history": [{"epoch": -1, "step": 0.0}]}},
+            lambda h: {**h, "payload_crc32": h["payload_crc32"] ^ 1},
+            lambda h: {k: v for k, v in h.items() if k != "payload_crc32"},
         ],
         ids=[
             "only-version", "list", "vocab-size-str", "vocab-size-float", "step-str",
@@ -243,7 +265,8 @@ class TestHeaderValidation:
             "epoch-str", "bad-evals-bool", "history-object", "history-record-list",
             "best-metrics-number", "step-negative", "adam-step-negative",
             "epoch-negative", "bad-evals-negative", "unknown-field", "metrics-number",
-            "format-2-directory",
+            "format-2-directory", "history-record-without-step", "history-step-float",
+            "crc-other", "crc-missing",
         ],
     )
     def test_bad_header_raises_checkpoint_error(self, vocab, tmp_path, mutate):
@@ -297,17 +320,18 @@ class TestHeaderValidation:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb"])
+    @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb", "best.te.0.attn_wq"])
     def test_non_finite_payload_names_the_tensor(self, vocab, tmp_path, bad, name):
-        """Load's own check, on a payload written past save's."""
+        """Load's own check, on a payload written past save's with its digest."""
         ckpt = _checkpoint(vocab, **TINY)
         path = tmp_path / "n.ckpt"
         save_checkpoint(ckpt, path)
         header, _ = _split_file(path.read_bytes())
         _poison(ckpt, name, bad)
-        vectors = (ckpt.adam.first_moment, ckpt.adam.second_moment, ckpt.weights.vector)
-        path.write_bytes(_with_header(header, b"".join(v.astype("<f8").tobytes() for v in vectors)))
-        with pytest.raises(CheckpointError, match=name):
+        vectors = (ckpt.adam.first_moment, ckpt.adam.second_moment, ckpt.best, ckpt.weights.vector)
+        payload = b"".join(v.astype("<f8").tobytes() for v in vectors)
+        path.write_bytes(_with_header({**header, "payload_crc32": zlib.crc32(payload)}, payload))
+        with pytest.raises(CheckpointError, match=re.escape(f"tensor {name!r}")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mutate, message", [
@@ -317,7 +341,9 @@ class TestHeaderValidation:
          "tensor 'te.0.attn_wq' holds a NaN or infinite value"),
         (lambda ckpt: _poison(ckpt, "adam.m.token_emb", np.nan),
          "tensor 'adam.m.token_emb' holds a NaN or infinite value"),
-    ], ids=["adam-beta1-set-after-construction", "nan-weight", "nan-moment"])
+        (lambda ckpt: _poison(ckpt, "best.token_emb", np.nan),
+         "tensor 'best.token_emb' holds a NaN or infinite value"),
+    ], ids=["adam-beta1-set-after-construction", "nan-weight", "nan-moment", "nan-best"])
     def test_save_refuses_a_state_that_load_refuses(self, vocab, tmp_path, mutate, message):
         ckpt = _checkpoint(vocab, **TINY)
         mutate(ckpt)
@@ -333,26 +359,54 @@ class TestHeaderValidation:
     def test_truncated_or_bit_flipped_loads_or_raises_checkpoint_error(
         self, vocab, tmp_path, data
     ):
+        """Up to three distinct bits flipped anywhere, and a cut: the load
+        raises ``CheckpointError`` or succeeds, and it raises whenever the
+        file is cut or a flipped bit is in the payload, which its crc32
+        covers (CRC-32 catches every error of three bits or fewer in a
+        message this short)."""
         path = tmp_path / "f.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         raw = bytearray(path.read_bytes())
-        raw = raw[: data.draw(st.integers(len(raw) // 2, len(raw)), label="length")]
-        for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=4), label="flips"):
-            raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        payload_start = 16 + struct.unpack("<Q", raw[8:16])[0]
+        assert 8 * (len(raw) - payload_start) < 91_000  # crc32's 3-bit guarantee
+        length = data.draw(st.integers(len(raw) // 2, len(raw)), label="length")
+        anywhere = st.integers(0, length - 1)
+        in_payload = st.integers(min(payload_start, length - 1), length - 1)
+        positions = data.draw(st.sampled_from([anywhere, in_payload]), label="where")
+        flips = data.draw(
+            st.sets(st.tuples(positions, st.integers(0, 7)), max_size=3), label="flips"
+        )
+        for pos, bit in flips:
+            raw[pos] ^= 1 << bit
+        path.write_bytes(bytes(raw[:length]))
+        if length < len(raw) or any(pos >= payload_start for pos, _ in flips):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        else:
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+
+    def test_a_payload_that_does_not_match_its_digest_raises(self, vocab, tmp_path):
+        """One flipped bit in the last weight's mantissa still loads as a
+        finite number; the digest refuses it."""
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(_checkpoint(vocab, **TINY), path)
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 1
         path.write_bytes(bytes(raw))
-        try:
+        with pytest.raises(CheckpointError, match="the payload does not match its crc32"):
             load_checkpoint(path)
-        except CheckpointError:
-            pass
 
 
 class TestStrictDirectory:
     """A checkpoint holds exactly its stage's tensors and, with an Adam
-    record, both moments of each: the weights are one vector of the stage's
-    layout under a read-only map of names, so no tensor can be added,
-    dropped or reshaped, and a save whose moment vectors are not as long as
-    the weight vector raises. A load checks the payload against that
-    layout's length."""
+    record, both moments and the best weights of each: the weights are one
+    vector of the stage's layout under a read-only map of names, so no
+    tensor can be added, dropped or reshaped, and a save whose moment or best
+    vectors are not as long as the weight vector raises. A load checks the
+    payload against that layout's length."""
 
     @pytest.mark.parametrize("mutate, error, named", [
         (lambda c: c.weights.params.update(bogus=Tensor(np.zeros(3))), AttributeError, "update"),
@@ -366,8 +420,11 @@ class TestStrictDirectory:
          CheckpointError, "Adam moment"),
         (lambda c: setattr(c.adam, "first_moment", np.append(c.adam.first_moment, 0.0)),
          CheckpointError, "Adam moment"),
+        (lambda c: setattr(c, "best", None), CheckpointError, "best vector"),
+        (lambda c: setattr(c, "best", c.best[1:]), CheckpointError, "best vector"),
+        (lambda c: setattr(c, "best", np.append(c.best, 0.0)), CheckpointError, "best vector"),
     ], ids=["extra", "missing", "shape", "one-moment", "missing-moment", "moment-shape",
-            "extra-moment"])
+            "extra-moment", "no-best", "short-best", "long-best"])
     def test_rejected_directory_names_the_tensor(self, vocab, tmp_path, mutate, error, named):
         ckpt = _checkpoint(vocab, stage="finetuned", **TINY)
         with pytest.raises(error, match=re.escape(named)):
@@ -418,14 +475,16 @@ class TestStrictDirectory:
 
     def test_format_1_names_the_version(self, vocab, tmp_path):
         """A file of format 1 or 2, whose headers held a tensor directory, of
-        format 3, whose Adam record held a step, or of format 4, whose best
+        format 3, whose Adam record held a step, of format 4, whose best
         snapshots held an epoch and metrics and whose payload was in sorted
-        name order, raises ``CheckpointError`` naming its version."""
+        name order, or of format 5, whose ``-last`` held no best weights and
+        whose header no payload digest, raises ``CheckpointError`` naming its
+        version."""
         path = tmp_path / "d.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         header, payload = _split_file(path.read_bytes())
-        assert header["format_version"] == FORMAT_VERSION == 5
-        for version in (1, 2, 3, 4):
+        assert header["format_version"] == FORMAT_VERSION == 6
+        for version in (1, 2, 3, 4, 5):
             path.write_bytes(_with_header({**header, "format_version": version}, payload))
             with pytest.raises(CheckpointError, match=f"format_version {version} unsupported"):
                 load_checkpoint(path)

@@ -531,30 +531,44 @@ class TestResumeReplay:
     ]
     _NEXT = {"epoch": 2, "step": 6, "perplexity": 7.5}
 
-    @pytest.mark.parametrize("theirs, accepted", [
-        (_HISTORY[:2], True),
-        (_HISTORY + [_NEXT], False),
-        (_HISTORY[:1], False),
-        (_HISTORY, False),
-        (_HISTORY + [_NEXT, {**_NEXT, "epoch": 3}], False),
-        ([_HISTORY[0], {**_HISTORY[1], "perplexity": 7.9}], False),
-        ([], False),
+    @pytest.fixture(scope="class")
+    def still(self, corpus_path, tmp_path_factory):
+        """A 4-step tmlm run at lr 0, where no epoch improves: the
+        uninterrupted run's directory, and the ``-last`` of one killed after
+        its first epoch, whose last record did not improve."""
+        cfg = _config(corpus_path, tmlm_steps=4, base_lr=0.0)
+        whole, killed = tmp_path_factory.mktemp("whole"), tmp_path_factory.mktemp("killed")
+        run_stage("tmlm", cfg, None, out_dir=whole)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _crash_after_first_last_checkpoint(monkeypatch)
+            with pytest.raises(_Crash):
+                run_stage("tmlm", cfg, None, out_dir=killed)
+        last = load_checkpoint(killed / "tmlm-last.ckpt")
+        assert last.global_step == 2 and training._progress("tmlm", last.train_state["history"])[1]
+        return cfg, whole, killed / "tmlm-last.ckpt"
+
+    @pytest.mark.parametrize("theirs", [
+        _HISTORY[:2], _HISTORY + [_NEXT], _HISTORY[:1], _HISTORY,
+        _HISTORY + [_NEXT, {**_NEXT, "epoch": 3}], [_HISTORY[0], {**_HISTORY[1], "perplexity": 7.9}],
+        [],
     ], ids=["through-the-improvement", "one-ahead", "behind", "past-the-improvement",
             "two-ahead", "another-run", "no-history"])
     def test_a_resume_reads_back_only_the_best_of_its_history(
-        self, tmlm_ckpt, tmp_path, theirs, accepted
+        self, tmlm_ckpt, still, tmp_path, theirs
     ):
-        """A resumed history that did not improve last needs a best that holds
-        it through its last improvement exactly: ``fit`` never saves a best
-        ahead of its ``-last``, so one that is ahead is another run's."""
+        """A resume takes its best from its ``-last`` alone: whatever
+        ``-best`` is on disk (here another run's weights with a history
+        through, ahead of, behind or beside the resumed one), the resume of a
+        ``-last`` whose last epoch did not improve ends with the
+        uninterrupted run's ``-best`` and ``-last``, byte for byte."""
+        cfg, whole, last = still
+        (tmp_path / "tmlm-last.ckpt").write_bytes(last.read_bytes())
         save_checkpoint(replace(tmlm_ckpt, train_state={"history": theirs}),
                         tmp_path / "tmlm-best.ckpt")
-        if accepted:
-            best = training._load_best("tmlm", self._HISTORY, tmp_path)
-            assert best.train_state["history"] == theirs
-        else:
-            with pytest.raises(CheckpointError, match="tmlm-best.ckpt: its dev history"):
-                training._load_best("tmlm", self._HISTORY, tmp_path)
+        run_stage("tmlm", cfg, load_checkpoint(tmp_path / "tmlm-last.ckpt"), out_dir=tmp_path)
+        for kind in ("best", "last"):
+            name = f"tmlm-{kind}.ckpt"
+            assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_a_resume_returns_no_best_from_past_its_own_end(
         self, corpus_path, tmp_path, monkeypatch
@@ -580,15 +594,17 @@ class TestResumeReplay:
         assert best.train_state["history"] == history[: training._progress("tmlm", history)[0]]
         assert load_checkpoint(out / "tmlm-best.ckpt").train_state == best.train_state
 
-    def test_resume_without_a_best_checkpoint_raises(self, corpus_path, tmp_path):
-        """At lr 0 no epoch improves, so the resume reads the ``-best``."""
-        cfg = _config(corpus_path, tmlm_steps=4, base_lr=0.0)
-        out = tmp_path / "run"
-        run_stage("tmlm", cfg, None, out_dir=out)
-        (out / "tmlm-best.ckpt").unlink()
-        last = load_checkpoint(out / "tmlm-last.ckpt")
-        with pytest.raises(CheckpointError, match="tmlm-best.ckpt"):
-            run_stage("tmlm", cfg, last, out_dir=out)
+    def test_a_resume_without_a_best_checkpoint_writes_it_again(self, still, tmp_path):
+        """At lr 0 no epoch improves, so the resumed ``-last``'s best is from
+        an earlier epoch; with no ``-best`` on disk the resume ends with the
+        uninterrupted run's ``-best``, byte for byte."""
+        cfg, whole, last = still
+        (tmp_path / "tmlm-last.ckpt").write_bytes(last.read_bytes())
+        best = run_stage("tmlm", cfg, load_checkpoint(tmp_path / "tmlm-last.ckpt"), out_dir=tmp_path)
+        assert best.train_state == load_checkpoint(whole / "tmlm-best.ckpt").train_state
+        for kind in ("best", "last"):
+            name = f"tmlm-{kind}.ckpt"
+            assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 class TestResumeSettings:
@@ -705,6 +721,7 @@ class TestStartSettings:
     @pytest.mark.parametrize("field", list(_OTHER_MODEL))
     def test_a_resume(self, corpus_path, vocab, field):
         state = training._init_stage_state(_config(corpus_path), "tmlm", None, lambda: vocab)
+        state = replace(state, best=state.weights.vector.copy())  # as a -last holds it
         other = _config(corpus_path, **{field: _OTHER_MODEL[field]})
         with pytest.raises(ConfigError, match="resuming stage 'tmlm'") as err:
             training._init_stage_state(other, "tmlm", state, lambda: vocab)
@@ -1053,51 +1070,69 @@ class TestCli:
         assert err["error"] == "CheckpointError"
         assert re.search(r"record .*'epoch': -1.*each of \['perplexity'\]", err["message"])
 
-    def test_resume_without_a_best_checkpoint_is_json_error(self, corpus_path, tmp_path, capsys):
-        """At lr 0 the epoch does not improve, so the resume reads the ``-best``."""
-        path = tmp_path / "run.cfg"
+    def _still_config(self, corpus_path, tmp_path, seed=1, steps=4):
+        """A config file for a tmlm run at lr 0, where no epoch improves."""
+        path = tmp_path / f"run-{seed}-{steps}.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
-            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\n"
-            "batch_size = 8\ntmlm_steps = 2\nbase_lr = 0\nseed = 1\n"
-        )
-        out = tmp_path / "run"
-        args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
-        assert cli.main(args) == 0, capsys.readouterr().err
-        (out / "tmlm-best.ckpt").unlink()
-        capsys.readouterr()
-        code, err = self._main_error(capsys, *args, "--init", str(out / "tmlm-last.ckpt"))
-        assert (code, err["error"]) == (1, "CheckpointError")
-        assert "tmlm-best.ckpt" in err["message"]
-
-    def test_resume_with_the_best_of_another_run_is_json_error(
-        self, corpus_path, tmp_path, capsys
-    ):
-        """A ``-best`` swapped for one of another seed's run fails the resume
-        before it trains. Both runs train at lr 0, so their epoch does not
-        improve and the resume reads the ``-best``; no epoch could better
-        that best, so the run would otherwise return it."""
-        path = tmp_path / "run.cfg"
-        base = (
-            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
             "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\nbatch_size = 8\n"
+            f"tmlm_steps = {steps}\nbase_lr = 0\nseed = {seed}\n"
         )
-        own, other = tmp_path / "own", tmp_path / "other"
-        for seed, out in ((1, own), (5, other)):
-            path.write_text(base + f"tmlm_steps = 2\nbase_lr = 0\nseed = {seed}\n")
-            args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
+        return path
+
+    def test_a_resume_without_a_best_checkpoint_exits_0(self, corpus_path, tmp_path, capsys):
+        """At lr 0 the epochs do not improve, so the ``-last``'s best is the
+        start weights; with the ``-best`` deleted, the resume writes it again
+        byte for byte."""
+        out = tmp_path / "run"
+        args = ["pretrain", "--stage", "tmlm", "--config", str(self._still_config(corpus_path, tmp_path)),
+                "--out", str(out)]
+        assert cli.main(args) == 0, capsys.readouterr().err
+        best = (out / "tmlm-best.ckpt").read_bytes()
+        (out / "tmlm-best.ckpt").unlink()
+        assert cli.main([*args, "--init", str(out / "tmlm-last.ckpt")]) == 0, capsys.readouterr().err
+        assert (out / "tmlm-best.ckpt").read_bytes() == best
+
+    def test_a_resume_overwrites_the_best_of_another_run(self, corpus_path, tmp_path, capsys):
+        """A ``-best`` swapped for one of another seed's run is not read: the
+        2-step run resumed with a 4-step budget ends with the ``-best`` and
+        ``-last`` of an uninterrupted 4-step run, byte for byte. At lr 0 the
+        budget changes no value, and no epoch could better that other best."""
+        own, other, whole = tmp_path / "own", tmp_path / "other", tmp_path / "whole"
+        for seed, steps, out in ((1, 2, own), (5, 2, other), (1, 4, whole)):
+            config = self._still_config(corpus_path, tmp_path, seed, steps)
+            args = ["pretrain", "--stage", "tmlm", "--config", str(config), "--out", str(out)]
             assert cli.main(args) == 0, capsys.readouterr().err
         (own / "tmlm-best.ckpt").write_bytes((other / "tmlm-best.ckpt").read_bytes())
-        last = (own / "tmlm-last.ckpt").read_bytes()
-        path.write_text(base + "tmlm_steps = 4\nbase_lr = 0\nseed = 1\n")
-        capsys.readouterr()
-        code, err = self._main_error(
-            capsys, "pretrain", "--stage", "tmlm", "--config", str(path),
+        resume = [
+            "pretrain", "--stage", "tmlm", "--config", str(self._still_config(corpus_path, tmp_path)),
             "--init", str(own / "tmlm-last.ckpt"), "--out", str(own),
-        )
-        assert (code, err["error"]) == (1, "CheckpointError")
-        assert f"{own / 'tmlm-best.ckpt'}: its dev history" in err["message"]
-        assert (own / "tmlm-last.ckpt").read_bytes() == last
+        ]
+        assert cli.main(resume) == 0, capsys.readouterr().err
+        for name in ("tmlm-best.ckpt", "tmlm-last.ckpt"):
+            assert (own / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_a_resume_into_a_fresh_out_matches_the_uninterrupted_run(
+        self, corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        """A run killed after its first epoch, whose last record did not
+        improve (lr 0), resumed into another ``--out`` that holds no
+        ``-best``, exits 0 and leaves the uninterrupted run's files there."""
+        config = self._still_config(corpus_path, tmp_path)
+        args = ["pretrain", "--stage", "tmlm", "--config", str(config)]
+        killed, resumed, whole = tmp_path / "killed", tmp_path / "resumed", tmp_path / "whole"
+        _crash_after_first_last_checkpoint(monkeypatch)
+        with pytest.raises(_Crash):
+            cli.main([*args, "--out", str(killed)])
+        assert load_checkpoint(killed / "tmlm-last.ckpt").global_step == 2
+        resume = [*args, "--init", str(killed / "tmlm-last.ckpt"), "--out", str(resumed)]
+        assert cli.main(resume) == 0, capsys.readouterr().err
+        assert cli.main([*args, "--out", str(whole)]) == 0, capsys.readouterr().err
+        assert sorted(p.name for p in resumed.iterdir()) == [
+            "tmlm-best.ckpt", "tmlm-last.ckpt", "vocab.txt"
+        ]
+        for name in ("vocab.txt", "tmlm-best.ckpt", "tmlm-last.ckpt"):
+            assert (resumed / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_a_killed_run_resumes_byte_identical(self, corpus_path, tmp_path, capsys):
         """A CLI run killed by SIGKILL once its first ``-last`` is on disk

@@ -460,6 +460,38 @@ def test_only_the_writer_writes_files():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def checkpoint_loads(source: str) -> list[str]:
+    """Calls of ``load_checkpoint``, plain or as an attribute, and imports of
+    it. Only the CLI reads a checkpoint, the one its user names, so no stage
+    reads back a file that it wrote itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _call_name(node) == "load_checkpoint":
+            found.append(f"line {node.lineno}: call")
+        elif isinstance(node, ast.ImportFrom) and any(
+            alias.name == "load_checkpoint" for alias in node.names
+        ):
+            found.append(f"line {node.lineno}: import")
+    return found
+
+
+def test_checker_flags_a_checkpoint_load():
+    source = (
+        "from .checkpoint import Checkpoint, load_checkpoint as load\n"
+        "best = load_checkpoint(path)\n"
+        "last = checkpoint.load_checkpoint(path)\n"
+        "save_checkpoint(best, path)\n"
+        "def load_checkpoint(path):\n    return path\n"
+    )
+    assert checkpoint_loads(source) == ["line 1: import", "line 2: call", "line 3: call"]
+
+
+def test_only_the_cli_loads_a_checkpoint():
+    found = {path.name: checkpoint_loads(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found.pop("cli.py")  # the --init it is given
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def scipy_imports(source: str) -> list[str]:
     """Imports of scipy or a scipy submodule: the package runs on numpy alone
     (GELU's erf is ``tensor.erf``), and scipy is a test dependency only."""
