@@ -1,12 +1,14 @@
 """Versioned binary checkpoints.
 
-Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
-(sorted keys), then the payload of little-endian float64 values: with an
-Adam record, the first moment vector, the second, the best weights and the
-weights (``EncoderWeights.vector``), each in the stage table's order; without
-one, the weights alone. The header stores nothing that can be derived: no
-tensor directory, no Adam step (it is ``global_step``) and no vocabulary size
-(it is the vocabulary's length). It holds the ``zlib.crc32`` of the payload.
+Layout (format 7): 8-byte magic, little-endian uint64 header length, UTF-8
+JSON header (sorted keys), the payload of little-endian float64 values, and
+a 4-byte little-endian trailer holding the ``zlib.crc32`` of every byte
+before it, so the digest covers magic, header and payload alike. With an
+Adam record the payload is the first moment vector, the second, the best
+weights and the weights (``EncoderWeights.vector``), each in the stage
+table's order; without one, the weights alone. The header stores nothing
+that can be derived: no tensor directory, no Adam step (it is
+``global_step``) and no vocabulary size (it is the vocabulary's length).
 Its ``train_state`` is the dev history through the checkpoint's epoch, or
 empty; each record holds its integer step. A ``-last`` holds the best
 weights; a resume reads it alone and writes the ``-best`` again.
@@ -15,8 +17,9 @@ writes no file load refuses: the header's fields and types, its Adam record
 built into an ``AdamState`` (which checks the settings' ranges), the length
 of each moment and of the best vector, and every value for finiteness. It
 writes through ``files.write_file``. ``load_checkpoint`` runs the same checks
-and those of the payload's length and digest, and raises ``CheckpointError``
-for any file it cannot read, one of a format other than 6 included.
+and those of the payload's length and the trailer's digest, and raises
+``CheckpointError`` for any file it cannot read, one of a format other than 7
+included.
 save -> load -> save is byte-identical.
 """
 
@@ -37,7 +40,7 @@ from .optim import AdamState
 from .vocab import Vocab
 
 MAGIC = b"DLQACKP1"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 @dataclass
@@ -72,9 +75,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
                 f"{path}: an Adam moment or the best vector is not a vector as long as the weights"
             )
     payload = [np.ascontiguousarray(v, dtype="<f8").data for v in vectors]
-    crc = 0
-    for part in payload:
-        crc = zlib.crc32(part, crc)
     header = {
         "format_version": FORMAT_VERSION,
         "stage": ckpt.stage,
@@ -84,12 +84,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "adam": None if adam is None else {k: getattr(adam, k) for k in _ADAM_FIELDS},
         "rng_state": ckpt.rng_state,
         "train_state": ckpt.train_state,
-        "payload_crc32": crc,
     }
     _check_header(header, path)
     _check_finite(weights, vectors, path)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_file(path, [MAGIC + struct.pack("<Q", len(blob)) + blob, *payload])
+    parts = [MAGIC + struct.pack("<Q", len(blob)) + blob, *payload]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    write_file(path, [*parts, struct.pack("<I", crc)])
 
 
 _NUMBER = (int, float)
@@ -98,7 +101,7 @@ _OPTIONAL_OBJECT = (dict, type(None))
 _HEADER_FIELDS = {
     "format_version": int, "stage": str, "global_step": int, "model_config": dict,
     "vocab": list, "adam": _OPTIONAL_OBJECT, "rng_state": _OPTIONAL_OBJECT,
-    "train_state": dict, "payload_crc32": int,
+    "train_state": dict,
 }
 _ADAM_FIELDS = {
     "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "weight_decay": _NUMBER,
@@ -205,15 +208,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     stage = header["stage"]
     size = stage_layout(config, stage)[1][-1]
     parts = 1 if adam is None else 4
-    payload = raw[16 + hlen :]
+    view = memoryview(raw)  # slices of it copy no bytes
+    payload = view[16 + hlen : -4]
     if len(payload) != 8 * size * parts:
         moments = "with their Adam moments and best weights " if adam is not None else ""
         raise CheckpointError(
             f"{path}: payload of {len(payload)} bytes, but the {stage} tensors "
             f"{moments}take {8 * size * parts} bytes"
         )
-    if zlib.crc32(payload) != header["payload_crc32"]:
-        raise CheckpointError(f"{path}: the payload does not match its crc32")
+    if zlib.crc32(view[:-4]) != int.from_bytes(raw[-4:], "little"):
+        raise CheckpointError(f"{path}: the file does not match its crc32")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     vectors = [values[i * size : (i + 1) * size] for i in range(parts)]
     weights = EncoderWeights(config, stage, vectors[-1])

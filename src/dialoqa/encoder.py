@@ -35,7 +35,8 @@ draws, and ``stage_layout`` caches a stage's shapes and vector offsets per
 model config; TL's position table ``utt_pos_emb`` exists only with utterance
 positions on. ``STAGE_SOURCES`` lists the stages whose checkpoint may start
 each stage: token and utterance MLM train TE, order prediction adds TL, and
-fine-tuning takes over both (Li & Choi 2020, section 3).
+fine-tuning takes over both (Li & Choi 2020, section 3);
+``training._init_stage_state`` enforces it.
 ``init_encoder_weights`` applies the table: it copies from a source stage's
 weights each tensor of the ``TRANSFERRED_GROUPS`` that the source owns and
 draws every other tensor fresh. A stage's weights are one flat vector in
@@ -50,13 +51,13 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, CheckpointError, ConfigError, SequencingError, ShapeError
+from .errors import CapacityError, ConfigError, ShapeError
 from .tensor import (
     Tensor,
     as_tensor,
@@ -285,26 +286,13 @@ def init_encoder_weights(
     source: EncoderWeights | None = None,
 ) -> EncoderWeights:
     """A stage's start weights, in table order: each tensor of a
-    ``TRANSFERRED_GROUPS`` group that ``source`` (weights of one of the
-    stage's ``STAGE_SOURCES``) owns is copied exactly, by name, and every
-    other tensor, task heads included, is drawn from ``rng``. A source of
-    another stage raises ``SequencingError``. The table makes every name and
-    shape a function of the model config, so the source must hold
-    ``config``'s model, up to the training setting ``dropout_p``; one of
-    another model raises ``CheckpointError``."""
+    ``TRANSFERRED_GROUPS`` group that ``source`` owns is copied exactly, by
+    name, and every other tensor, task heads included, is drawn from ``rng``.
+    ``training._init_stage_state`` checks the source first: its stage is one
+    of the stage's ``STAGE_SOURCES``, and its model is ``config``'s up to
+    ``dropout_p``."""
     copied = {}
     if source is not None:
-        sources = STAGE_SOURCES.get(stage, ())
-        if source.stage not in sources:
-            raise SequencingError(
-                f"cannot transfer from stage {source.stage!r} to {stage!r}; "
-                f"it starts from one of {list(sources)}"
-            )
-        if replace(source.config, dropout_p=config.dropout_p) != config:
-            raise CheckpointError(
-                f"cannot transfer {source.stage!r} weights of model {source.config} "
-                f"into model {config}"
-            )
         for group in TRANSFERRED_GROUPS:
             if group in STAGE_GROUPS[source.stage]:
                 copied.update(group_shapes(config, group))

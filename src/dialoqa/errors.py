@@ -29,9 +29,5 @@ class CheckpointError(DialoQAError):
     """Checkpoint file is malformed or incompatible with the requested config."""
 
 
-class AlignmentError(DialoQAError):
-    """Prediction and gold question ids do not line up one-to-one."""
-
-
 class DivergenceError(DialoQAError):
     """A training loss stopped being finite."""

@@ -1,5 +1,5 @@
 """Exact match, span matching (token-overlap F1), and utterance matching over
-prediction/gold pairs, with a per-question-type breakdown.
+(prediction, gold question) pairs, with a per-question-type breakdown.
 
 Normalization is lowercase plus whitespace collapsing; no article stripping,
 since the corpus tokenization is plain whitespace. A report-level exact match
@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .corpus import AnswerSpan, QAExample, normalize_text
-from .errors import AlignmentError
 
 
 @dataclass(frozen=True)
@@ -119,31 +118,11 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def evaluate(
-    predictions: Sequence[PredictionRecord], gold_examples: Sequence[QAExample]
-) -> MetricReport:
-    """Average the three metrics over all questions (scaled to percent) and
-    per question type. Every prediction qid must pair with exactly one gold."""
-    by_qid = {}
-    for p in predictions:
-        if p.qid in by_qid:
-            raise AlignmentError(f"duplicate prediction qid {p.qid!r}")
-        by_qid[p.qid] = p
-    gold_qids = [q.qid for q in gold_examples]
-    if len(set(gold_qids)) != len(gold_qids):
-        dupes = sorted({q for q in gold_qids if gold_qids.count(q) > 1})
-        raise AlignmentError(f"duplicate gold qids: {dupes}")
-    missing = sorted(set(gold_qids) - set(by_qid))
-    extra = sorted(set(by_qid) - set(gold_qids))
-    if missing or extra:
-        raise AlignmentError(
-            f"prediction/gold mismatch; missing predictions for {missing}, "
-            f"extra predictions {extra}"
-        )
-
+def evaluate(pairs: Sequence[tuple[PredictionRecord, QAExample]]) -> MetricReport:
+    """Average the three metrics over all (prediction, gold question) pairs
+    (scaled to percent) and per question type."""
     scored: dict[str, list[tuple[float, float, float]]] = {}
-    for q in gold_examples:
-        p = by_qid[q.qid]
+    for p, q in pairs:
         um = utterance_match(p.utterance_index, q.answers)
         em = exact_match(p.text, q.answers) * um
         sm = span_f1(p.text, q.answers)

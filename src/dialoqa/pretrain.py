@@ -13,8 +13,11 @@ Sequence layouts:
 
 A stage encodes each dialogue once (``encode_dialogue``), and the instance
 builders take that encoding, so an epoch only draws its masks and
-permutations. The losses read the model config from ``weights.config``;
-only ``build_tmlm_instance``, which has no weights, takes a ``ModelConfig``.
+permutations. The losses read the model config from ``weights.config``,
+and no function here takes a ``ModelConfig``. The stage builds in
+``training`` hand these functions only what they accept: a token-level
+sequence cut at TE's positions with a maskable word left, a positive
+sample count, and a dev part with a label.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ import numpy as np
 from .corpus import Dialogue
 from .encoder import (
     EncoderWeights,
-    ModelConfig,
     gather_rows,
     pad_batch,
     te_forward,
     tl_forward,
 )
-from .errors import CapacityError, CorpusError
 from .tensor import Tensor, linear, mean_cross_entropy, transpose, tsum
 from .vocab import SPECIAL_TOKENS, Vocab, encode_utterance
 
@@ -69,8 +70,6 @@ def mask_tokens(
     (one uniformly drawn position when none is selected); of the selected,
     80% become MASK, 10% a random non-special id, 10% stay unchanged.
     Returns (masked ids, positions, original labels)."""
-    if not maskable_positions:
-        raise CorpusError("mask_tokens: no maskable positions")
     ids = list(token_ids)
     positions = sorted(maskable_positions)
     draws = rng.random(len(positions))
@@ -119,18 +118,11 @@ def encode_dialogue(vocab: Vocab, dialogue: Dialogue) -> EncodedDialogue:
 
 def build_tmlm_instance(
     vocab: Vocab,
-    config: ModelConfig,
     dialogue: EncodedDialogue,
     rng: np.random.Generator,
     ratio: float = 0.15,
 ) -> MlmInstance:
-    ids = dialogue.token_ids
-    if len(ids) > config.token_position_capacity:
-        raise CapacityError(
-            f"dialogue encodes to {len(ids)} tokens, capacity is "
-            f"{config.token_position_capacity}; truncate first"
-        )
-    masked, positions, labels = mask_tokens(vocab, ids, dialogue.maskable, rng, ratio)
+    masked, positions, labels = mask_tokens(vocab, dialogue.token_ids, dialogue.maskable, rng, ratio)
     return MlmInstance(tuple(masked), tuple(positions), tuple(labels))
 
 
@@ -144,8 +136,6 @@ def build_umlm_instances(
     of them when fewer exist); each yields one single-MASK instance over
     [CLS] s_i w_i1..w_in, its word predicted from row 0, the [CLS].
     Utterances with no maskable word are skipped."""
-    if samples_per_utterance < 1:
-        raise CorpusError("samples_per_utterance must be >= 1")
     out = []
     for ids, word_slots in zip(dialogue.utterances, dialogue.word_slots):
         if not word_slots:
@@ -257,8 +247,6 @@ def mlm_perplexity(losses_and_counts: Sequence[tuple[float, int]]) -> float:
     """exp of the position-weighted mean cross-entropy; inf when that
     overflows."""
     total = sum(c for _, c in losses_and_counts)
-    if total == 0:
-        return math.nan
     try:
         return math.exp(sum(l * c for l, c in losses_and_counts) / total)
     except OverflowError:

@@ -4,12 +4,13 @@ checkpoint management.
 
 The four training stages (tmlm, umlm, uop, finetuned) run one recipe. Which
 stages may start each one, and which weights carry over, is the stage table
-in ``encoder`` (``STAGE_SOURCES``, ``STAGE_GROUPS``), applied by
-``encoder.init_encoder_weights``. The table ``_STAGES`` here holds the rest
-that sets them apart: the ``RunConfig`` field with its step budget, how its
-train/dev data comes from the corpus split, a task builder returning
-``fit``'s ``_Task`` (instance builder, batch loss, dev evaluation), and the
-tracked dev metrics with their direction, which ``_progress`` reads.
+in ``encoder`` (``STAGE_SOURCES``, ``STAGE_GROUPS``): ``_init_stage_state``
+checks a start against it, and ``encoder.init_encoder_weights`` applies it to
+the weights. The table ``_STAGES`` here holds the rest that sets them apart:
+the ``RunConfig`` field with its step budget, how its train/dev data comes
+from the corpus split, a task builder returning ``fit``'s ``_Task`` (instance
+builder, batch loss, dev evaluation), and the tracked dev metrics with their
+direction, which ``_progress`` reads.
 ``_run`` does the rest the same way for every stage; ``run_stage`` and
 ``run_finetune`` are its public entry points.
 
@@ -26,6 +27,8 @@ The global step, the one step count, drives the lr and Adam's corrections.
 One rule, ``_check_settings``, holds for every run from a checkpoint: a
 resume, a transfer and ``run_eval`` use its model, every ``ModelConfig``
 setting but ``dropout_p``, and a resume also its ``dropout_p`` and Adam settings.
+``_init_stage_state`` alone decides what may start a stage: it checks those
+settings first, then the source's stage.
 
 Determinism contract: every random draw comes either from namespaced
 generators derived from (seed, stage, purpose) or from the single training
@@ -498,11 +501,13 @@ def _init_stage_state(
 ) -> Checkpoint:
     """The stage's start state. A same-stage ``init_checkpoint`` is resumed
     as it is (it must be a ``*-last`` checkpoint); otherwise
-    ``init_encoder_weights`` transfers the weights from it (and checks its
-    stage) or, only for a stage without sources, draws them fresh, with a
-    new Adam state, the stage's training generator, step 0 and an empty
-    ``train_state``. A start from a checkpoint must run with its model, and
-    a resume also with its dropout and Adam settings (``_check_settings``)."""
+    ``init_encoder_weights`` transfers the weights from it, which must be of
+    one of the stage's ``STAGE_SOURCES``, or, only for a stage without
+    sources, draws them fresh, with a new Adam state, the stage's training
+    generator, step 0 and an empty ``train_state``. A start from a checkpoint
+    must run with its model, and a resume also with its dropout and Adam
+    settings (``_check_settings``); a transfer's settings are checked before
+    its stage."""
     if init_checkpoint is not None and init_checkpoint.stage == stage:
         if not init_checkpoint.can_resume():
             raise CheckpointError(
@@ -521,6 +526,11 @@ def _init_stage_state(
     else:
         what = f"starting stage {stage!r} from a {init_checkpoint.stage!r} checkpoint"
         _check_settings(config, init_checkpoint, what, resume=False)
+        if init_checkpoint.stage not in STAGE_SOURCES[stage]:
+            raise SequencingError(
+                f"cannot transfer from stage {init_checkpoint.stage!r} to {stage!r}; "
+                f"it starts from one of {list(STAGE_SOURCES[stage])}"
+            )
         vocab, source = init_checkpoint.vocab, init_checkpoint.weights
     weights = init_encoder_weights(
         config.model_config(len(vocab)), stage, derive_rng(config.seed, stage, "init"), source
@@ -571,10 +581,7 @@ def _tmlm_task(config, vocab, model_cfg, train, dev):
             )
 
     def instances(dialogues, rng_):
-        return [
-            build_tmlm_instance(vocab, model_cfg, d, rng_, config.mlm_ratio)
-            for d in dialogues
-        ]
+        return [build_tmlm_instance(vocab, d, rng_, config.mlm_ratio) for d in dialogues]
 
     dev_instances = instances(dev, derive_rng(config.seed, STAGE_TMLM, "dev"))
     build_epoch = functools.partial(instances, train)
@@ -709,26 +716,26 @@ def _encode_entries(
 def predict_entries(
     weights: EncoderWeights,
     encoded: Sequence[tuple[QAEncoding, QAExample, Dialogue]],
-) -> tuple[list[PredictionRecord], list[QAExample]]:
-    """One prediction record per (encoding, question, dialogue) triple, and
-    the questions as golds."""
+) -> list[tuple[PredictionRecord, QAExample]]:
+    """One (prediction record, gold question) pair per (encoding, question,
+    dialogue) triple."""
     weights = weights.frozen()
-    records: list[PredictionRecord] = []
+    pairs: list[tuple[PredictionRecord, QAExample]] = []
     for encoding, q, d in encoded:
         uid, left, right = predict(weights, encoding=encoding)  # by keyword for the benchmark's tracer
         ui, start, end = select_answer(
             uid, left, right, [len(u) - 2 for u in encoding.utterance_ids]
         )
         text = None if ui is None else " ".join(d.utterances[ui].tokens[start : end + 1])
-        records.append(PredictionRecord(q.qid, ui, start, end, text))
-    return records, [q for _, q, _ in encoded]
+        pairs.append((PredictionRecord(q.qid, ui, start, end, text), q))
+    return pairs
 
 
 def evaluate_entries(
     weights: EncoderWeights,
     encoded: Sequence[tuple[QAEncoding, QAExample, Dialogue]],
 ) -> MetricReport:
-    return evaluate(*predict_entries(weights, encoded))
+    return evaluate(predict_entries(weights, encoded))
 
 
 def run_finetune(
@@ -768,12 +775,12 @@ def run_eval(
     entries = qa_entries(config, part)
     if not entries:
         raise CorpusError(f"split {split_name!r} has no questions")
-    records, golds = predict_entries(
+    pairs = predict_entries(
         checkpoint.weights, _encode_entries(checkpoint.vocab, checkpoint.config, entries)
     )
-    report = evaluate(records, golds)
+    report = evaluate(pairs)
     texts = {  # all built before any is written, so a failure leaves the old files
-        f"predictions-{split_name}.jsonl": "".join(r.to_json() + "\n" for r in records),
+        f"predictions-{split_name}.jsonl": "".join(r.to_json() + "\n" for r, _ in pairs),
         f"report-{split_name}.json": report.to_json(),
         f"report-{split_name}.txt": report.format_table() + "\n",
     }

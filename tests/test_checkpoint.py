@@ -1,5 +1,5 @@
-"""Checkpoint byte-identity, the derived payload layout and its digest,
-header validation, and staged weight transfer."""
+"""Checkpoint byte-identity, the derived payload layout and the file's
+digest, header validation, and staged weight transfer."""
 
 import json
 import operator
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dialoqa import training
 from dialoqa.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -135,14 +136,16 @@ class TestRoundTrip:
     def test_header_stores_no_layout_and_payload_is_in_table_order(self, vocab, tmp_path):
         """The payload is the first moment, the second, the best weights and
         the weights, each tensor by tensor in the stage table's order, and
-        the header holds its crc32; the header's model config has no
-        vocabulary size, which is the vocabulary's length."""
+        the trailer holds the crc32 of every byte before it; the header's
+        model config has no vocabulary size, which is the vocabulary's
+        length."""
         ckpt = _checkpoint(vocab, **TINY)
         path = tmp_path / "c.ckpt"
         save_checkpoint(ckpt, path)
-        header, payload = _split_file(path.read_bytes())
+        raw = path.read_bytes()
+        header, payload = _split_file(raw)
         assert sorted(header) == [
-            "adam", "format_version", "global_step", "model_config", "payload_crc32",
+            "adam", "format_version", "global_step", "model_config",
             "rng_state", "stage", "train_state", "vocab",
         ]
         assert "vocab_size" not in header["model_config"]
@@ -150,7 +153,7 @@ class TestRoundTrip:
         vectors = (ckpt.adam.first_moment, ckpt.adam.second_moment, ckpt.best, ckpt.weights.vector)
         arrays = [ckpt.weights.views(v)[n] for v in vectors for n in names]
         assert payload == b"".join(arr.astype("<f8").tobytes() for arr in arrays)
-        assert header["payload_crc32"] == zlib.crc32(payload)
+        assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
 
     def test_weights_only_checkpoint(self, vocab, tmp_path):
         ckpt = _checkpoint(vocab, with_state=False)
@@ -205,13 +208,17 @@ class TestRoundTrip:
 
 
 def _split_file(raw: bytes) -> tuple[dict, bytes]:
+    """The header and the payload, without the trailer."""
     (hlen,) = struct.unpack("<Q", raw[8:16])
-    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen :]
+    return json.loads(raw[16 : 16 + hlen]), raw[16 + hlen : -4]
 
 
 def _with_header(header, payload: bytes) -> bytes:
+    """A file of ``header`` and ``payload`` with a matching trailer, so that
+    a load reaches the checks past the digest."""
     blob = json.dumps(header).encode("utf-8")
-    return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+    body = MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _poison(ckpt: Checkpoint, name: str, value: float) -> None:
@@ -256,8 +263,7 @@ class TestHeaderValidation:
             lambda h: {**h, "tensors": []},
             lambda h: {**h, "train_state": {"history": [{"epoch": -1, "perplexity": 3.25}]}},
             lambda h: {**h, "train_state": {"history": [{"epoch": -1, "step": 0.0}]}},
-            lambda h: {**h, "payload_crc32": h["payload_crc32"] ^ 1},
-            lambda h: {k: v for k, v in h.items() if k != "payload_crc32"},
+            lambda h: {**h, "payload_crc32": 0},
         ],
         ids=[
             "only-version", "list", "vocab-size-str", "vocab-size-float", "step-str",
@@ -266,7 +272,7 @@ class TestHeaderValidation:
             "best-metrics-number", "step-negative", "adam-step-negative",
             "epoch-negative", "bad-evals-negative", "unknown-field", "metrics-number",
             "format-2-directory", "history-record-without-step", "history-step-float",
-            "crc-other", "crc-missing",
+            "format-6-digest-field",
         ],
     )
     def test_bad_header_raises_checkpoint_error(self, vocab, tmp_path, mutate):
@@ -322,7 +328,8 @@ class TestHeaderValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["te.0.attn_wq", "adam.v.token_emb", "best.te.0.attn_wq"])
     def test_non_finite_payload_names_the_tensor(self, vocab, tmp_path, bad, name):
-        """Load's own check, on a payload written past save's with its digest."""
+        """Load's own check, on a payload written past save's with a matching
+        trailer."""
         ckpt = _checkpoint(vocab, **TINY)
         path = tmp_path / "n.ckpt"
         save_checkpoint(ckpt, path)
@@ -330,7 +337,7 @@ class TestHeaderValidation:
         _poison(ckpt, name, bad)
         vectors = (ckpt.adam.first_moment, ckpt.adam.second_moment, ckpt.best, ckpt.weights.vector)
         payload = b"".join(v.astype("<f8").tobytes() for v in vectors)
-        path.write_bytes(_with_header({**header, "payload_crc32": zlib.crc32(payload)}, payload))
+        path.write_bytes(_with_header(header, payload))
         with pytest.raises(CheckpointError, match=re.escape(f"tensor {name!r}")):
             load_checkpoint(path)
 
@@ -359,34 +366,32 @@ class TestHeaderValidation:
     def test_truncated_or_bit_flipped_loads_or_raises_checkpoint_error(
         self, vocab, tmp_path, data
     ):
-        """Up to three distinct bits flipped anywhere, and a cut: the load
-        raises ``CheckpointError`` or succeeds, and it raises whenever the
-        file is cut or a flipped bit is in the payload, which its crc32
-        covers (CRC-32 catches every error of three bits or fewer in a
-        message this short)."""
+        """Up to three distinct bits flipped anywhere, in a third of the
+        examples only inside the header and in a third only past it, and a
+        cut: the load raises ``CheckpointError`` whenever the file is cut or
+        a bit is flipped, and loads the file otherwise. The trailer's crc32
+        covers every byte, and CRC-32 catches every error of three bits or
+        fewer in a message of up to 91,607 bits."""
         path = tmp_path / "f.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         raw = bytearray(path.read_bytes())
+        assert 8 * (len(raw) - 4) <= 91_607  # crc32's 3-bit guarantee
         payload_start = 16 + struct.unpack("<Q", raw[8:16])[0]
-        assert 8 * (len(raw) - payload_start) < 91_000  # crc32's 3-bit guarantee
         length = data.draw(st.integers(len(raw) // 2, len(raw)), label="length")
-        anywhere = st.integers(0, length - 1)
-        in_payload = st.integers(min(payload_start, length - 1), length - 1)
-        positions = data.draw(st.sampled_from([anywhere, in_payload]), label="where")
-        flips = data.draw(
-            st.sets(st.tuples(positions, st.integers(0, 7)), max_size=3), label="flips"
-        )
+        where = data.draw(st.sampled_from([
+            st.integers(0, length - 1),
+            st.integers(16, min(payload_start, length) - 1),
+            st.integers(min(payload_start, length - 1), length - 1),
+        ]), label="where")
+        flips = data.draw(st.sets(st.tuples(where, st.integers(0, 7)), max_size=3), label="flips")
         for pos, bit in flips:
             raw[pos] ^= 1 << bit
         path.write_bytes(bytes(raw[:length]))
-        if length < len(raw) or any(pos >= payload_start for pos, _ in flips):
+        if length < len(raw) or flips:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
         else:
-            try:
-                load_checkpoint(path)
-            except CheckpointError:
-                pass
+            load_checkpoint(path)
 
     def test_a_payload_that_does_not_match_its_digest_raises(self, vocab, tmp_path):
         """One flipped bit in the last weight's mantissa still loads as a
@@ -394,9 +399,24 @@ class TestHeaderValidation:
         path = tmp_path / "f.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         raw = bytearray(path.read_bytes())
-        raw[-8] ^= 1
+        raw[-12] ^= 1  # the lowest byte of the last weight, before the trailer
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="the payload does not match its crc32"):
+        with pytest.raises(CheckpointError, match="the file does not match its crc32"):
+            load_checkpoint(path)
+
+    def test_a_header_that_does_not_match_its_digest_raises(self, vocab, tmp_path):
+        """The low bit of a dev-history digit flipped in a ``-last`` turns
+        the digit into another and keeps the header valid JSON, so only the
+        digest, which covers the header too, refuses it."""
+        path = tmp_path / "last.ckpt"
+        ckpt = _checkpoint(vocab, **TINY)
+        assert ckpt.can_resume()
+        save_checkpoint(ckpt, path)
+        raw = bytearray(path.read_bytes())
+        digit = raw.index(b'"perplexity":3.25') + len(b'"perplexity":')
+        raw[digit] ^= 1  # 3.25 -> 2.25
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="the file does not match its crc32"):
             load_checkpoint(path)
 
 
@@ -477,14 +497,15 @@ class TestStrictDirectory:
         """A file of format 1 or 2, whose headers held a tensor directory, of
         format 3, whose Adam record held a step, of format 4, whose best
         snapshots held an epoch and metrics and whose payload was in sorted
-        name order, or of format 5, whose ``-last`` held no best weights and
-        whose header no payload digest, raises ``CheckpointError`` naming its
-        version."""
+        name order, of format 5, whose ``-last`` held no best weights and
+        whose header no payload digest, or of format 6, whose header held the
+        payload's digest and whose file had no trailer, raises
+        ``CheckpointError`` naming its version."""
         path = tmp_path / "d.ckpt"
         save_checkpoint(_checkpoint(vocab, **TINY), path)
         header, payload = _split_file(path.read_bytes())
-        assert header["format_version"] == FORMAT_VERSION == 6
-        for version in (1, 2, 3, 4, 5):
+        assert header["format_version"] == FORMAT_VERSION == 7
+        for version in (1, 2, 3, 4, 5, 6):
             path.write_bytes(_with_header({**header, "format_version": version}, payload))
             with pytest.raises(CheckpointError, match=f"format_version {version} unsupported"):
                 load_checkpoint(path)
@@ -501,6 +522,13 @@ class TestStrictDirectory:
         loaded = load_checkpoint(path).adam
         assert {name: getattr(loaded, name) for name in adam_settings} == adam_settings
         assert not hasattr(loaded, "step")
+
+
+def _start(source: Checkpoint, stage: str, vocab) -> Checkpoint:
+    """``stage``'s start state from ``source``, under a run config of the
+    source's model."""
+    model = {k: v for k, v in source.config.to_dict().items() if k != "vocab_size"}
+    return training._init_stage_state(training.RunConfig(**model), stage, source, lambda: vocab)
 
 
 class TestTransfer:
@@ -527,13 +555,10 @@ class TestTransfer:
         assert np.all(out["vocab_bias"].array == 0.0)  # task head freshly initialized
 
     def test_only_dropout_may_differ_from_the_source_model(self, vocab):
-        """Every tensor's name and shape follows from the model config, so a
-        source of another model is refused as a whole, before any copy."""
+        """A source of another ``dropout_p`` transfers: dropout is a training
+        setting, not part of the model. ``_init_stage_state`` refuses a source
+        of another model before any copy (``TestStartSettings``)."""
         src = _checkpoint(vocab, stage="umlm", seed=6, with_state=False)
-        bigger = ModelConfig(**{**src.config.to_dict(), "hidden_size": 16,
-                                "intermediate_size": 32})
-        with pytest.raises(CheckpointError, match="cannot transfer 'umlm' weights of model"):
-            init_encoder_weights(bigger, "uop", np.random.default_rng(12), src.weights)
         other_dropout = replace(src.config, dropout_p=0.3)
         out = init_encoder_weights(other_dropout, "uop", np.random.default_rng(12), src.weights)
         assert out.config.dropout_p == 0.3
@@ -541,21 +566,25 @@ class TestTransfer:
 
     def test_stage_order_enforced(self, vocab):
         src = _checkpoint(vocab, stage="uop", seed=7, with_state=False)
-        with pytest.raises(SequencingError):
-            init_encoder_weights(src.config, "umlm", np.random.default_rng(13), src.weights)
-        with pytest.raises(SequencingError):
-            init_encoder_weights(src.config, "uop", np.random.default_rng(14), src.weights)
+        for earlier in ("umlm", "tmlm"):
+            with pytest.raises(SequencingError, match=f"from stage 'uop' to '{earlier}'"):
+                _start(src, earlier, vocab)
 
     @pytest.mark.parametrize("target", list(STAGE_SOURCES))
     @pytest.mark.parametrize("source", list(STAGE_SOURCES))
     def test_allowed_exactly_from_the_stage_sources(self, vocab, source, target):
+        """``_init_stage_state`` starts ``target`` from a weights-only
+        checkpoint of ``source`` exactly when the table lists it. A
+        checkpoint of the stage itself is a resume, which needs a ``-last``."""
         src = _checkpoint(vocab, stage=source, seed=16, with_state=False)
         if source in STAGE_SOURCES[target]:
-            out = init_encoder_weights(src.config, target, np.random.default_rng(17), src.weights)
-            assert out.stage == target
+            assert _start(src, target, vocab).stage == target
+        elif source == target:
+            with pytest.raises(CheckpointError, match="resume requires a"):
+                _start(src, target, vocab)
         else:
-            with pytest.raises(SequencingError):
-                init_encoder_weights(src.config, target, np.random.default_rng(17), src.weights)
+            with pytest.raises(SequencingError, match="cannot transfer from stage"):
+                _start(src, target, vocab)
 
     def test_tmlm_to_finetune_copies_te_and_starts_tl_fresh(self, vocab):
         src = _checkpoint(vocab, stage="tmlm", seed=18, with_state=False)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dialoqa.corpus import AnswerSpan, make_example
-from dialoqa.errors import AlignmentError
 from dialoqa.metrics import (
     MetricReport,
     PredictionRecord,
@@ -124,13 +123,13 @@ class TestEvaluate:
             PredictionRecord("a", 0, 0, 1, "central perk"),
             PredictionRecord("b", 0, 0, 0, "nowhere"),
         ]
-        report = evaluate(preds, golds)
+        report = evaluate(list(zip(preds, golds)))
         assert report.em == pytest.approx(50.0)
         assert report.um == pytest.approx(50.0)
 
     def test_hand_scored_fixture_exact(self):
         preds, golds = _fixture()
-        report = evaluate(preds, golds)
+        report = evaluate(list(zip(preds, golds)))
         assert report.total == 6
         assert report.em == pytest.approx(100.0 * 2 / 6, abs=1e-12)
         assert report.sm == pytest.approx(100.0 * (1 + 0.8 + 1 + 0 + 1 + 0.8) / 6, abs=1e-12)
@@ -138,7 +137,7 @@ class TestEvaluate:
 
     def test_per_type_rows_and_weighted_average(self):
         preds, golds = _fixture()
-        report = evaluate(preds, golds)
+        report = evaluate(list(zip(preds, golds)))
         assert sum(r.count for r in report.per_type.values()) == 6
         for metric in ("em", "sm", "um"):
             weighted = sum(
@@ -151,7 +150,7 @@ class TestEvaluate:
             make_example(f"q{i}", "where is it", (_gold("x", 0, 0),)) for i in range(3)
         ]
         preds = [PredictionRecord(f"q{i}", 0, 0, 0, "x") for i in range(3)]
-        report = evaluate(preds, golds)
+        report = evaluate(list(zip(preds, golds)))
         row = report.per_type["where"]
         assert (row.em, row.sm, row.um) == (report.em, report.sm, report.um)
 
@@ -169,7 +168,7 @@ class TestEvaluate:
             else:
                 t = texts[rng.integers(len(texts) - 1)]
                 preds.append(PredictionRecord(f"q{i}", int(rng.integers(3)), 0, 0, t))
-        report = evaluate(preds, golds)
+        report = evaluate(list(zip(preds, golds)))
         assert report.em <= report.sm + 1e-9
         assert report.em <= report.um + 1e-9
         for row in report.per_type.values():
@@ -178,28 +177,21 @@ class TestEvaluate:
 
     def test_permutation_invariance(self):
         preds, golds = _fixture()
-        a = evaluate(preds, golds)
-        b = evaluate(list(reversed(preds)), list(reversed(golds)))
+        a = evaluate(list(zip(preds, golds)))
+        b = evaluate(list(zip(reversed(preds), reversed(golds))))
         assert a.to_dict() == b.to_dict()
-
-    def test_alignment_errors_list_offenders(self):
-        preds, golds = _fixture()
-        with pytest.raises(AlignmentError, match="q6"):
-            evaluate(preds[:-1], golds)
-        with pytest.raises(AlignmentError, match="extra"):
-            evaluate(preds + [PredictionRecord("zz", None, None, None, None)], golds)
 
 
 class TestSerialization:
     def test_report_json_round_trip(self):
         preds, golds = _fixture()
-        report = evaluate(preds, golds)
+        report = evaluate(list(zip(preds, golds)))
         parsed = json.loads(report.to_json())
         assert parsed["total"] == 6
         assert parsed["per_type"]["where"]["count"] == 2
 
     def test_report_dict_holds_every_field_and_type_row(self):
-        report = evaluate(*_fixture())
+        report = evaluate(list(zip(*_fixture())))
         assert report.to_dict() == {
             "em": report.em, "sm": report.sm, "um": report.um, "total": report.total,
             "per_type": {
@@ -210,7 +202,7 @@ class TestSerialization:
 
     def test_table_contains_all_row(self):
         preds, golds = _fixture()
-        table = evaluate(preds, golds).format_table()
+        table = evaluate(list(zip(preds, golds))).format_table()
         assert "all" in table and "EM" in table
 
     def test_prediction_jsonl_round_trip(self):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1016,7 +1017,8 @@ class TestCli:
 
     def _pretrained_tmlm_last(self, corpus_path, tmp_path, rewrite):
         """A 2-step tmlm run's config file and ``-last`` checkpoint, whose
-        header's ``train_state`` is changed in place by ``rewrite``."""
+        header's ``train_state`` is changed in place by ``rewrite`` and whose
+        trailer digests the rewritten file."""
         path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
@@ -1031,7 +1033,8 @@ class TestCli:
         header = json.loads(raw[16 : 16 + hlen])
         rewrite(header["train_state"])
         blob = json.dumps(header).encode()
-        last.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        body = MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen : -4]
+        last.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         return path, last
 
     def test_mistyped_train_state_on_resume_is_json_error(self, corpus_path, tmp_path, capsys):

@@ -73,6 +73,8 @@ def test_a_non_empty_out_dir_is_refused(tmp_path, capsys):
 
 
 def test_contents_digest_covers_every_moment_and_not_the_file_layout(tmp_path):
+    """A change to an Adam moment or to the best weights of a ``-last``
+    changes its digest; a rewrite of the same state does not."""
     out = tmp_path / "out"
     _run(out)
     ckpt = load_checkpoint(out / "uop-last.ckpt")
@@ -84,7 +86,11 @@ def test_contents_digest_covers_every_moment_and_not_the_file_layout(tmp_path):
     assert pipeline_digest.contents_digest(tmp_path / "dropout.ckpt") == base
     ckpt.weights.views(ckpt.adam.second_moment)["uop_b"][0] += 1e-12
     save_checkpoint(ckpt, tmp_path / "moment.ckpt")
-    assert pipeline_digest.contents_digest(tmp_path / "moment.ckpt") != base
+    moment = pipeline_digest.contents_digest(tmp_path / "moment.ckpt")
+    assert moment != base
+    ckpt.weights.views(ckpt.best)["uop_b"][0] += 1e-12
+    save_checkpoint(ckpt, tmp_path / "best.ckpt")
+    assert pipeline_digest.contents_digest(tmp_path / "best.ckpt") not in (base, moment)
 
 
 def test_corpus_contents_digest_ignores_the_layout_and_not_the_value(tmp_path):

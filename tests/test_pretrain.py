@@ -9,7 +9,7 @@ from conftest import grad_check
 
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, make_example
 from dialoqa.encoder import ModelConfig, init_encoder_weights
-from dialoqa.errors import CapacityError, CorpusError
+from dialoqa.errors import CapacityError
 from dialoqa.finetune import encode_for_qa, qa_batch_loss
 from dialoqa.optim import AdamState, adam_step
 from dialoqa.pretrain import (
@@ -59,10 +59,6 @@ class TestMaskTokens:
         _, pos, _ = mask_tokens(vocab, ids, [1, 2], np.random.default_rng(0), ratio=0.0)
         assert len(pos) == 1
 
-    def test_no_maskable_positions_is_error(self, vocab):
-        with pytest.raises(CorpusError):
-            mask_tokens(vocab, [vocab.cls], [], np.random.default_rng(0))
-
     def test_monte_carlo_selection_and_substitution(self, vocab):
         n = 10**6
         ids = list(range(4, 4 + 30)) * (n // 30 + 1)
@@ -96,7 +92,7 @@ class TestMaskTokens:
             d = _dialogue(int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             ids = encode_dialogue(vocab, d).token_ids
             speaker_slots = {i for i, t in enumerate(ids) if vocab.id_to_token[t].startswith("SPK:")}
-            inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), rng)
+            inst = build_tmlm_instance(vocab, encode_dialogue(vocab, d), rng)
             assert len(inst.rows) == len(inst.labels)
             for p, lab in zip(inst.rows, inst.labels):
                 assert p != 0 and p not in speaker_slots
@@ -105,12 +101,12 @@ class TestMaskTokens:
 
 class TestTmlmInstance:
     def test_sequence_length_counting(self, vocab):
-        inst = build_tmlm_instance(vocab, TOY, _encoded(vocab, 2, 2), np.random.default_rng(0))
+        inst = build_tmlm_instance(vocab, _encoded(vocab, 2, 2), np.random.default_rng(0))
         assert len(inst.token_ids) == 1 + 2 * (1 + 2)
 
     def test_cls_first_speakers_in_place(self, vocab):
         d = _dialogue(3, 2)
-        inst = build_tmlm_instance(vocab, TOY, encode_dialogue(vocab, d), np.random.default_rng(1))
+        inst = build_tmlm_instance(vocab, encode_dialogue(vocab, d), np.random.default_rng(1))
         assert inst.token_ids[0] == vocab.cls
         assert vocab.id_to_token[inst.token_ids[1]].startswith("SPK:")
         assert vocab.id_to_token[inst.token_ids[4]].startswith("SPK:")
@@ -126,9 +122,14 @@ class TestTmlmInstance:
         assert text == expected
 
     def test_capacity_error(self, vocab):
+        """An instance longer than TE's positions is refused by the forward
+        that would read past them."""
         small = ModelConfig(**{**TOY.to_dict(), "max_tokens": 2, "max_utterances": 2})
+        w = init_encoder_weights(small, "tmlm", np.random.default_rng(0))
+        inst = build_tmlm_instance(vocab, _encoded(vocab, 4, 4), np.random.default_rng(0))
+        assert len(inst.token_ids) > small.token_position_capacity
         with pytest.raises(CapacityError):
-            build_tmlm_instance(vocab, small, _encoded(vocab, 4, 4), np.random.default_rng(0))
+            mlm_batch_loss(w, [inst])
 
 
 class TestUmlmInstances:
@@ -162,10 +163,6 @@ class TestUmlmInstances:
             for inst in build_umlm_instances(vocab, encode_dialogue(vocab, d), rng, 1):
                 covered.add(inst.token_ids.index(vocab.mask))
         assert covered == {2, 3, 4, 5, 6, 7}
-
-    def test_bad_samples(self, vocab):
-        with pytest.raises(CorpusError):
-            build_umlm_instances(vocab, _encoded(vocab), np.random.default_rng(0), 0)
 
 
 class TestUopInstance:
@@ -227,7 +224,7 @@ class TestLossSanity:
         losses = []
         for seed in range(5):
             w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(seed))
-            inst = build_tmlm_instance(vocab, cfg, d, np.random.default_rng(seed))
+            inst = build_tmlm_instance(vocab, d, np.random.default_rng(seed))
             losses.append(mlm_batch_loss(w, [inst]).item())
         mean_loss = np.mean(losses)
         assert abs(mean_loss - math.log(len(vocab))) / math.log(len(vocab)) < 0.15
@@ -270,7 +267,7 @@ class TestMemorization:
     def test_tmlm_overfits_single_instance(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(0))
-        inst = build_tmlm_instance(vocab, cfg, _encoded(vocab, 2, 3), np.random.default_rng(1))
+        inst = build_tmlm_instance(vocab, _encoded(vocab, 2, 3), np.random.default_rng(1))
         final = self._overfit(vocab, lambda: mlm_batch_loss(w, [inst]), w)
         assert final < 0.01
 
@@ -312,7 +309,7 @@ class TestGradChecks:
     def test_tmlm_loss_gradcheck(self, vocab):
         cfg = ModelConfig(**{**TOY.to_dict(), "vocab_size": len(vocab)})
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(3))
-        inst = build_tmlm_instance(vocab, cfg, _encoded(vocab, 2, 3), np.random.default_rng(4))
+        inst = build_tmlm_instance(vocab, _encoded(vocab, 2, 3), np.random.default_rng(4))
         report = grad_check(
             lambda: mlm_batch_loss(w, [inst]), dict(w.named()),
             rng=np.random.default_rng(5), max_coords_per_param=4,
@@ -349,7 +346,7 @@ class TestMlmDevPerplexity:
         w = init_encoder_weights(cfg, "tmlm", np.random.default_rng(14))
         rng = np.random.default_rng(15)
         insts = [
-            build_tmlm_instance(vocab, cfg, _encoded(vocab, n, k), rng, ratio)
+            build_tmlm_instance(vocab, _encoded(vocab, n, k), rng, ratio)
             for n, k, ratio in ((1, 2, 0.0), (3, 4, 0.6), (2, 5, 0.3), (3, 3, 0.9), (2, 2, 0.0))
         ]
         counts = [len(inst.labels) for inst in insts]

@@ -492,6 +492,39 @@ def test_only_the_cli_loads_a_checkpoint():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def sequencing_raises(source: str) -> list[str]:
+    """``raise`` statements of a ``SequencingError``, plain or as an
+    attribute, called or not. Which checkpoint may start a stage is decided
+    in ``training.py`` alone, so no module under the pipeline checks the
+    order of the stages a second time."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            if name == "SequencingError":
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_a_sequencing_error_raise():
+    source = (
+        "raise SequencingError('x')\n"
+        "raise errors.SequencingError(f'{a}')\n"
+        "raise SequencingError\n"
+        "raise ConfigError('x')\n"
+        "e = SequencingError('x')\n"
+        "raise\n"
+    )
+    assert sequencing_raises(source) == ["line 1", "line 2", "line 3"]
+
+
+def test_only_training_raises_a_sequencing_error():
+    found = {path.name: sequencing_raises(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert found.pop("training.py")  # the start rule, and run_stage's and run_eval's stages
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def scipy_imports(source: str) -> list[str]:
     """Imports of scipy or a scipy submodule: the package runs on numpy alone
     (GELU's erf is ``tensor.erf``), and scipy is a test dependency only."""

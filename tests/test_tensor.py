@@ -612,7 +612,7 @@ def test_training_graphs_are_freed_by_reference_counting():
     mlm_w = init_encoder_weights(cfg, STAGE_TMLM, rng)
     answerable = make_example("a", "what w01", (AnswerSpan(0, 1, 2, "w01 w02"),))
     encodings = [encode_for_qa(vocab, cfg, q, d) for q in (answerable, make_example("b", "who", ()))]
-    tmlm = [build_tmlm_instance(vocab, cfg, encode_dialogue(vocab, d), rng) for _ in range(2)]
+    tmlm = [build_tmlm_instance(vocab, encode_dialogue(vocab, d), rng) for _ in range(2)]
     gc.collect()
     gc.disable()
     try:

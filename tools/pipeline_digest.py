@@ -77,7 +77,8 @@ def run_pipeline(out: Path, mlm_mode: str) -> int:
 def contents_digest(path: Path) -> str:
     """sha256 of a checkpoint's state, in a fixed order: the stage, step and
     vocabulary tokens; the Adam settings and step; the rng state and dev
-    history; then every weight tensor and Adam moment by sorted name."""
+    history; then by sorted name every tensor of the weights, of the Adam
+    moments and of the best weights that a ``-last`` holds."""
     ckpt = load_checkpoint(path)
     adam = ckpt.adam
     state = {
@@ -92,10 +93,11 @@ def contents_digest(path: Path) -> str:
         "history": ckpt.train_state.get("history"),
     }
     tensors = {name: p.array for name, p in ckpt.weights.named()}
-    if adam is not None:
-        for prefix, moment in (("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment)):
-            # one vector laid out like the weight vector
-            tensors.update({prefix + n: arr for n, arr in ckpt.weights.views(moment).items()})
+    if adam is not None:  # a -last: moments and best weights, each laid out like the weights
+        vectors = (("adam.m.", adam.first_moment), ("adam.v.", adam.second_moment),
+                   ("best.", ckpt.best))
+        for prefix, vector in vectors:
+            tensors.update({prefix + n: arr for n, arr in ckpt.weights.views(vector).items()})
     digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8"))
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
