@@ -10,8 +10,9 @@ table's order; without one, the weights alone. The header stores nothing
 that can be derived: no tensor directory, no Adam step (it is
 ``global_step``) and no vocabulary size (it is the vocabulary's length).
 Its ``train_state`` is the dev history through the checkpoint's epoch, or
-empty; each record holds its integer step. A ``-last`` holds the best
-weights; a resume reads it alone and writes the ``-best`` again.
+empty; each record holds its integer step. A ``-last``, the one file a
+stage writes, holds the best weights: a resume reads it alone, and a
+transfer or an evaluation from it reads its best weights.
 ``save_checkpoint`` runs load's checks on what it is about to write, so it
 writes no file load refuses: the header's fields and types, its Adam record
 built into an ``AdamState`` (which checks the settings' ranges), the length

@@ -4,15 +4,15 @@ Subcommands: ``pretrain --stage {tmlm|umlm|uop}``, ``finetune``,
 ``evaluate --split {train|dev|test}``, and ``synth-corpus``, each taking
 ``--config`` (key = value file), ``--seed``, ``--init <checkpoint>`` and
 ``--out <dir>``. Every command writes into ``--out``, which defaults to the
-working directory. ``pretrain`` and ``finetune`` leave the vocabulary, the
-best-dev checkpoint ``<stage>-best.ckpt`` (the ``--init`` of the next stage)
-and the resumable ``<stage>-last.ckpt`` there and print the best dev record;
-``evaluate`` leaves its predictions and report. For ``pretrain``,
-``finetune`` and ``evaluate``, ``--config`` must describe the ``--init``
-checkpoint's model (every model setting but ``dropout_p``); a resume, from
-a ``<stage>-last.ckpt`` of the same stage, must also match its ``dropout_p``
-and Adam settings. A ``-last`` holds the best weights; a resume reads it
-alone and writes the ``-best`` again. Exit code 0 on success;
+working directory. ``pretrain`` and ``finetune`` leave the vocabulary and
+one checkpoint, ``<stage>-last.ckpt``, there and print the best dev record;
+that checkpoint is the ``--init`` of a resume, of the next stage and of
+``evaluate``, and holds the best dev weights, which a transfer and an
+evaluation read. ``evaluate`` leaves its predictions and report. For
+``pretrain``, ``finetune`` and ``evaluate``, ``--config`` must describe the
+``--init`` checkpoint's model (every model setting but ``dropout_p``); a
+resume, from a ``<stage>-last.ckpt`` of the same stage, must also match its
+``dropout_p`` and Adam settings. Exit code 0 on success;
 on failure a machine-readable JSON error goes to stderr. DIALOQA_LOG
 controls log verbosity.
 """

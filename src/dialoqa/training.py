@@ -17,11 +17,10 @@ direction, which ``_progress`` reads.
 A stage's state is one ``Checkpoint``: ``_init_stage_state`` makes the
 start state (a ``*-last`` checkpoint as it is, or fresh or transferred
 weights with a new optimizer and generator), and ``fit`` runs from it. Every
-stage run writes into an output directory: each epoch's ``*-last``
-checkpoint can be resumed, and the best snapshot (the weights of the best
-epoch, without optimizer and generator) is on disk from the first dev eval
-on. Both hold the dev history. A ``-last`` holds the best weights; a resume
-reads it alone and writes the ``-best`` again.
+stage run writes one file into an output directory, each epoch's
+``<stage>-last.ckpt``: it holds the dev history and the best weights, and
+it starts a resume, the next stage and an evaluation. A transfer and an
+evaluation read its best weights (``_best_weights``).
 The global step, the one step count, drives the lr and Adam's corrections.
 
 One rule, ``_check_settings``, holds for every run from a checkpoint: a
@@ -376,15 +375,12 @@ def _progress(stage: str, history: list[dict]) -> tuple[int, int]:
     return kept, len(history) - kept
 
 
-def _save_best(state: Checkpoint, history: list[dict], out_dir: str | Path) -> Checkpoint:
-    """``state``'s best weights, with the dev ``history`` through their eval
-    and its step, written to ``<out_dir>/<stage>-best.ckpt``."""
-    best = Checkpoint(
-        EncoderWeights(state.config, state.stage, state.best),
-        state.vocab, history[-1]["step"], train_state={"history": history},
-    )
-    save_checkpoint(best, Path(out_dir) / f"{state.stage}-best.ckpt")
-    return best
+def _best_weights(checkpoint: Checkpoint) -> EncoderWeights:
+    """The weights ``checkpoint`` hands on: a ``-last``'s best weights, or a
+    weights-only checkpoint's weights."""
+    if checkpoint.best is None:
+        return checkpoint.weights
+    return EncoderWeights(checkpoint.config, checkpoint.stage, checkpoint.best)
 
 
 def fit(
@@ -396,18 +392,17 @@ def fit(
 ) -> tuple[Checkpoint, list[dict]]:
     """Epoch loop from the start ``state`` (weights, vocab, Adam and rng
     state, step, ``train_state``, best weights) with per-epoch dev
-    evaluation, patience-based early stopping, and best/last checkpointing.
+    evaluation, patience-based early stopping, and one checkpoint per epoch.
 
-    A fresh start evaluates its start weights, the first best. Every start
-    writes the best to ``<out_dir>/<stage>-best.ckpt``, and each epoch its
-    state to ``<out_dir>/<stage>-last.ckpt`` and then, if it improved, its
-    weights, the new best, to the ``-best``. Both hold the dev history, from
-    which ``_progress`` gives, after each eval, the evals since the last
-    improvement; a resume takes them and the next epoch from it. A ``-last``
-    holds the best weights; a resume reads it alone and writes the ``-best``
-    again. A non-finite loss or gradient raises ``DivergenceError`` before
-    the update. The global step, counted from 1, is Adam's step and sets the
-    lr. Returns (best checkpoint, dev history)."""
+    A fresh start evaluates its start weights, the first best. Each epoch
+    writes its state, the best weights and the dev history included, to
+    ``<out_dir>/<stage>-last.ckpt``, the stage's only file. From the history
+    ``_progress`` gives, after each eval, the evals since the last
+    improvement; a resume takes them and the next epoch from it. A non-finite
+    loss or gradient raises ``DivergenceError`` before the update. The global
+    step, counted from 1, is Adam's step and sets the lr. Returns (best
+    checkpoint, dev history): the best weights, weights-only, with the
+    history through their eval and its step."""
     weights, adam, stage = state.weights, state.adam, state.stage
     rng = restore_rng(state.rng_state)
     global_step = state.global_step
@@ -419,14 +414,11 @@ def fit(
         history.append({"epoch": -1, "step": global_step, **metrics})
         logger.info("[%s] initial dev: %s", stage, metrics)
         state = replace(state, best=weights.vector.copy())
-    kept, bad = _progress(stage, history)
-    best = _save_best(state, history[:kept], out_dir)
+    bad = _progress(stage, history)[1]
 
     while global_step < max_steps and bad < run_config.patience:
         epoch = len(history) - 1
         instances = task.build_epoch(rng)
-        if not instances:
-            raise CorpusError(f"stage {stage}: no training instances")
         order = rng.permutation(len(instances))
         for chunk in _chunks(order, run_config.batch_size):
             if global_step >= max_steps:
@@ -458,17 +450,18 @@ def fit(
             best=state.best if bad else weights.vector.copy(),
         )
         save_checkpoint(state, Path(out_dir) / f"{stage}-last.ckpt")
-        if not bad:  # this epoch improved
-            best = _save_best(state, list(history), out_dir)
         logger.info(
             "[%s] epoch %d step %d dev %s%s",
             stage, epoch, global_step, metrics, "" if bad else " *",
         )
-    if best.train_state["history"][-1]["epoch"] == -1:
+    kept = _progress(stage, history)[0]
+    if kept == 1:
         logger.warning(
             "[%s] no epoch of %d improved on the initial dev eval; the best is the start weights",
             stage, len(history) - 1,
         )
+    best = Checkpoint(_best_weights(state), state.vocab, history[kept - 1]["step"],
+                      train_state={"history": history[:kept]})
     return best, history
 
 
@@ -501,10 +494,11 @@ def _init_stage_state(
 ) -> Checkpoint:
     """The stage's start state. A same-stage ``init_checkpoint`` is resumed
     as it is (it must be a ``*-last`` checkpoint); otherwise
-    ``init_encoder_weights`` transfers the weights from it, which must be of
-    one of the stage's ``STAGE_SOURCES``, or, only for a stage without
-    sources, draws them fresh, with a new Adam state, the stage's training
-    generator, step 0 and an empty ``train_state``. A start from a checkpoint
+    ``init_encoder_weights`` transfers the weights it hands on
+    (``_best_weights``), which must be of one of the stage's
+    ``STAGE_SOURCES``, or, only for a stage without sources, draws them
+    fresh, with a new Adam state, the stage's training generator, step 0 and
+    an empty ``train_state``. A start from a checkpoint
     must run with its model, and a resume also with its dropout and Adam
     settings (``_check_settings``); a transfer's settings are checked before
     its stage."""
@@ -531,7 +525,7 @@ def _init_stage_state(
                 f"cannot transfer from stage {init_checkpoint.stage!r} to {stage!r}; "
                 f"it starts from one of {list(STAGE_SOURCES[stage])}"
             )
-        vocab, source = init_checkpoint.vocab, init_checkpoint.weights
+        vocab, source = init_checkpoint.vocab, _best_weights(init_checkpoint)
     weights = init_encoder_weights(
         config.model_config(len(vocab)), stage, derive_rng(config.seed, stage, "init"), source
     )
@@ -673,7 +667,7 @@ def _run(
     out_dir: str | Path,
 ) -> tuple[Checkpoint, list[dict]]:
     """Builds the stage's start state and task, and only then writes into
-    ``out_dir``: its vocabulary, then ``fit``'s checkpoints."""
+    ``out_dir``: its vocabulary, then ``fit``'s ``-last``."""
     spec = _STAGES[stage]
     train, dev = spec.data(config, load_split(config))
     if not train or not dev:
@@ -693,7 +687,7 @@ def run_stage(
     init_checkpoint: Checkpoint | None,
     out_dir: str | Path,
 ) -> Checkpoint:
-    """Train one pre-training stage, writing its checkpoints into
+    """Train one pre-training stage, writing its ``-last`` checkpoint into
     ``out_dir``, and return the best-dev checkpoint."""
     if stage not in PRETRAIN_STAGES:
         raise SequencingError(
@@ -757,8 +751,9 @@ def run_eval(
     split_name: str,
     out_dir: str | Path,
 ) -> MetricReport:
-    """Batch inference + answer selection + metrics on one corpus split;
-    writes the predictions JSONL and the report into ``out_dir``."""
+    """Batch inference + answer selection + metrics on one corpus split with
+    the weights ``checkpoint`` hands on (a ``-last``'s best); writes the
+    predictions JSONL and the report into ``out_dir``."""
     if checkpoint.stage != STAGE_FINETUNED:
         raise SequencingError(
             f"evaluation requires a finetuned checkpoint, got {checkpoint.stage!r}"
@@ -776,7 +771,7 @@ def run_eval(
     if not entries:
         raise CorpusError(f"split {split_name!r} has no questions")
     pairs = predict_entries(
-        checkpoint.weights, _encode_entries(checkpoint.vocab, checkpoint.config, entries)
+        _best_weights(checkpoint), _encode_entries(checkpoint.vocab, checkpoint.config, entries)
     )
     report = evaluate(pairs)
     texts = {  # all built before any is written, so a failure leaves the old files

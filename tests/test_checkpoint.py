@@ -97,7 +97,8 @@ class TestRoundTrip:
             )
 
     def test_the_best_vector_round_trips_bit_exact(self, vocab, tmp_path):
-        """A ``-last`` holds the best weights, so a resume needs no ``-best``."""
+        """A ``-last`` holds the best weights, the ones a transfer or an
+        evaluation from it reads."""
         ckpt = _checkpoint(vocab)
         ckpt.best[:3] = [np.nextafter(1.0, 2.0), -0.0, 5e-324]  # last-bit, signed-zero, subnormal
         path = tmp_path / "b.ckpt"

@@ -23,7 +23,13 @@ from dialoqa import cli, pretrain, training
 from dialoqa import tensor as T
 from dialoqa.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from dialoqa.corpus import AnswerSpan, Dialogue, Utterance, load_corpus, make_example, save_corpus
-from dialoqa.encoder import STAGE_SOURCES, ModelConfig, init_encoder_weights, stage_shapes
+from dialoqa.encoder import (
+    STAGE_SOURCES,
+    ModelConfig,
+    group_shapes,
+    init_encoder_weights,
+    stage_shapes,
+)
 from dialoqa.errors import (
     CheckpointError,
     ConfigError,
@@ -135,7 +141,7 @@ class TestGating:
 
     def test_resume_requires_training_state(self, corpus_path, tmlm_ckpt, tmp_path):
         assert tmlm_ckpt.stage == "tmlm"
-        assert not tmlm_ckpt.can_resume()  # best checkpoints are weights-only
+        assert not tmlm_ckpt.can_resume()  # run_stage returns a weights-only best
         with pytest.raises(CheckpointError):
             run_stage("tmlm", _config(corpus_path), tmlm_ckpt, tmp_path)
 
@@ -391,22 +397,12 @@ def _crash_after_first_last_checkpoint(monkeypatch):
     monkeypatch.setattr(training, "save_checkpoint", save_then_crash)
 
 
-def _fail_the_best_save_after_a_second_last(monkeypatch):
-    """Make the next tmlm run die when it saves an improving epoch's best
-    right after that epoch's ``-last``, once an earlier ``-last`` is on disk,
-    as a process killed between the two saves would."""
-    real, names = training.save_checkpoint, []
-
-    def save_or_crash(ckpt, path):
-        # an improving epoch's -last saved just now, and another one before
-        if path.name == "tmlm-best.ckpt" and names[-1:] == ["tmlm-last.ckpt"] \
-                and names.count("tmlm-last.ckpt") > 1:
-            monkeypatch.setattr(training, "save_checkpoint", real)
-            raise _Crash(path)
-        names.append(path.name)
-        real(ckpt, path)
-
-    monkeypatch.setattr(training, "save_checkpoint", save_or_crash)
+def _assert_same_best(a: Checkpoint, b: Checkpoint) -> None:
+    """Two best checkpoints that a stage returned hold the same stage, step,
+    dev history, vocabulary and weights, bit for bit."""
+    assert (a.stage, a.global_step, a.train_state) == (b.stage, b.global_step, b.train_state)
+    assert a.vocab.id_to_token == b.vocab.id_to_token
+    assert a.weights.vector.tobytes() == b.weights.vector.tobytes()
 
 
 class TestResumeReplay:
@@ -420,41 +416,40 @@ class TestResumeReplay:
             init = run_stage("umlm", cfg, init, tmp_path / "umlm")
         # uninterrupted run
         dir_a = tmp_path / "a"
-        run_stage(stage, cfg, init, out_dir=dir_a)
-        # killed after the first epoch's checkpoints, then resumed
+        best_a = run_stage(stage, cfg, init, out_dir=dir_a)
+        # killed after the first epoch's checkpoint, then resumed
         dir_b = tmp_path / "b"
         _crash_after_first_last_checkpoint(monkeypatch)
         with pytest.raises(_Crash):
             run_stage(stage, cfg, init, out_dir=dir_b)
         mid = load_checkpoint(dir_b / f"{stage}-last.ckpt")
         assert mid.can_resume()
-        run_stage(stage, cfg, mid, out_dir=dir_b)
+        best_b = run_stage(stage, cfg, mid, out_dir=dir_b)
         a = (dir_a / f"{stage}-last.ckpt").read_bytes()
         b = (dir_b / f"{stage}-last.ckpt").read_bytes()
         assert a == b
-        assert (dir_a / f"{stage}-best.ckpt").read_bytes() == (
-            dir_b / f"{stage}-best.ckpt"
-        ).read_bytes()
+        _assert_same_best(best_a, best_b)
 
     def test_finetune_resume_bit_exact(self, corpus_path, tmlm_ckpt, tmp_path, monkeypatch):
         cfg = _config(corpus_path, finetune_steps=20)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        run_finetune(cfg, tmlm_ckpt, out_dir=dir_a)
+        best_a, _ = run_finetune(cfg, tmlm_ckpt, out_dir=dir_a)
         _crash_after_first_last_checkpoint(monkeypatch)
         with pytest.raises(_Crash):
             run_finetune(cfg, tmlm_ckpt, out_dir=dir_b)
         mid = load_checkpoint(dir_b / "finetuned-last.ckpt")
-        run_finetune(cfg, mid, out_dir=dir_b)
+        best_b, _ = run_finetune(cfg, mid, out_dir=dir_b)
         assert (dir_a / "finetuned-last.ckpt").read_bytes() == (
             dir_b / "finetuned-last.ckpt"
         ).read_bytes()
+        _assert_same_best(best_a, best_b)
 
     def test_resume_returns_the_initial_best_when_no_epoch_improves(
         self, corpus_path, tmp_path, monkeypatch
     ):
         """With a constant dev perplexity no epoch betters the initial eval, so
         the best is the start weights; a run killed after its first epoch and
-        resumed returns and leaves that same best."""
+        resumed returns that same best and leaves the same ``-last``."""
         monkeypatch.setattr(training, "mlm_dev_perplexity", lambda *args: 7.0)
         cfg = _config(corpus_path)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -470,9 +465,7 @@ class TestResumeReplay:
         for name, p in best_a.weights.named():
             np.testing.assert_array_equal(p.array, best_b.weights[name].array)
         assert any(not np.array_equal(p.array, final[n].array) for n, p in best_a.weights.named())
-        for kind in ("best", "last"):
-            name = f"tmlm-{kind}.ckpt"
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+        assert (dir_a / "tmlm-last.ckpt").read_bytes() == (dir_b / "tmlm-last.ckpt").read_bytes()
 
     def test_last_train_state_is_the_dev_history_alone(self, corpus_path, tmlm_ckpt, tmp_path):
         out = tmp_path / "run"
@@ -490,40 +483,16 @@ class TestResumeReplay:
         monkeypatch.setattr(training, "mlm_dev_perplexity", lambda *args: 7.0)
         cfg = _config(corpus_path, patience=2)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        _, history_a = training._run("tmlm", cfg, None, dir_a)
+        best_a, history_a = training._run("tmlm", cfg, None, dir_a)
         assert [h["epoch"] for h in history_a] == [-1, 0, 1]
         _crash_after_first_last_checkpoint(monkeypatch)
         with pytest.raises(_Crash):
             run_stage("tmlm", cfg, None, out_dir=dir_b)
         mid = load_checkpoint(dir_b / "tmlm-last.ckpt")
-        _, history_b = training._run("tmlm", cfg, mid, dir_b)
+        best_b, history_b = training._run("tmlm", cfg, mid, dir_b)
         assert history_b == history_a
-        for kind in ("best", "last"):
-            name = f"tmlm-{kind}.ckpt"
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-
-    def test_a_crash_between_the_best_and_the_last_save_resumes_bit_exact(
-        self, corpus_path, tmp_path, monkeypatch
-    ):
-        """``fit`` saves an improving epoch's ``-last`` before its best. A run
-        killed between the two leaves a best behind a ``-last`` whose last
-        epoch improved; the resume writes the best again from that ``-last``
-        and ends byte for byte as an uninterrupted run."""
-        cfg = _config(corpus_path)
-        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        run_stage("tmlm", cfg, None, out_dir=dir_a)
-        _fail_the_best_save_after_a_second_last(monkeypatch)
-        with pytest.raises(_Crash):
-            run_stage("tmlm", cfg, None, out_dir=dir_b)
-        mid = load_checkpoint(dir_b / "tmlm-last.ckpt")
-        history = mid.train_state["history"]
-        behind = load_checkpoint(dir_b / "tmlm-best.ckpt").train_state["history"]
-        assert training._progress("tmlm", history)[1] == 0
-        assert len(behind) < len(history) and behind == history[: len(behind)]
-        run_stage("tmlm", cfg, mid, out_dir=dir_b)
-        for kind in ("best", "last"):
-            name = f"tmlm-{kind}.ckpt"
-            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+        _assert_same_best(best_a, best_b)
+        assert (dir_a / "tmlm-last.ckpt").read_bytes() == (dir_b / "tmlm-last.ckpt").read_bytes()
 
     _HISTORY = [
         {"epoch": -1, "step": 0, "perplexity": 9.0},
@@ -535,18 +504,19 @@ class TestResumeReplay:
     @pytest.fixture(scope="class")
     def still(self, corpus_path, tmp_path_factory):
         """A 4-step tmlm run at lr 0, where no epoch improves: the
-        uninterrupted run's directory, and the ``-last`` of one killed after
-        its first epoch, whose last record did not improve."""
+        uninterrupted run's directory and returned best, and the ``-last``
+        of one killed after its first epoch, whose last record did not
+        improve."""
         cfg = _config(corpus_path, tmlm_steps=4, base_lr=0.0)
         whole, killed = tmp_path_factory.mktemp("whole"), tmp_path_factory.mktemp("killed")
-        run_stage("tmlm", cfg, None, out_dir=whole)
+        best = run_stage("tmlm", cfg, None, out_dir=whole)
         with pytest.MonkeyPatch.context() as monkeypatch:
             _crash_after_first_last_checkpoint(monkeypatch)
             with pytest.raises(_Crash):
                 run_stage("tmlm", cfg, None, out_dir=killed)
         last = load_checkpoint(killed / "tmlm-last.ckpt")
         assert last.global_step == 2 and training._progress("tmlm", last.train_state["history"])[1]
-        return cfg, whole, killed / "tmlm-last.ckpt"
+        return cfg, whole, best, killed / "tmlm-last.ckpt"
 
     @pytest.mark.parametrize("theirs", [
         _HISTORY[:2], _HISTORY + [_NEXT], _HISTORY[:1], _HISTORY,
@@ -557,26 +527,28 @@ class TestResumeReplay:
     def test_a_resume_reads_back_only_the_best_of_its_history(
         self, tmlm_ckpt, still, tmp_path, theirs
     ):
-        """A resume takes its best from its ``-last`` alone: whatever
-        ``-best`` is on disk (here another run's weights with a history
-        through, ahead of, behind or beside the resumed one), the resume of a
-        ``-last`` whose last epoch did not improve ends with the
-        uninterrupted run's ``-best`` and ``-last``, byte for byte."""
-        cfg, whole, last = still
+        """A resume takes its best from its ``-last`` alone: a ``-best`` file
+        of an older tree in its directory (here another run's weights with a
+        history through, ahead of, behind or beside the resumed one) is
+        neither read nor written. The resume of a ``-last`` whose last epoch
+        did not improve returns the uninterrupted run's best and ends with
+        its ``-last``, byte for byte."""
+        cfg, whole, whole_best, last = still
         (tmp_path / "tmlm-last.ckpt").write_bytes(last.read_bytes())
-        save_checkpoint(replace(tmlm_ckpt, train_state={"history": theirs}),
-                        tmp_path / "tmlm-best.ckpt")
-        run_stage("tmlm", cfg, load_checkpoint(tmp_path / "tmlm-last.ckpt"), out_dir=tmp_path)
-        for kind in ("best", "last"):
-            name = f"tmlm-{kind}.ckpt"
-            assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
+        stray = tmp_path / "tmlm-best.ckpt"
+        save_checkpoint(replace(tmlm_ckpt, train_state={"history": theirs}), stray)
+        before = stray.read_bytes()
+        best = run_stage("tmlm", cfg, load_checkpoint(tmp_path / "tmlm-last.ckpt"), tmp_path)
+        _assert_same_best(best, whole_best)
+        assert (tmp_path / "tmlm-last.ckpt").read_bytes() == (whole / "tmlm-last.ckpt").read_bytes()
+        assert stray.read_bytes() == before
 
     def test_a_resume_returns_no_best_from_past_its_own_end(
         self, corpus_path, tmp_path, monkeypatch
     ):
         """A 40-step run that dies saving its step-6 ``-last``, resumed with a
-        5-step budget, ends at step 5; the best it returns and leaves is from
-        its own history, not the killed run's step 6."""
+        5-step budget, ends at step 5; the best it returns and leaves in its
+        ``-last`` is from its own history, not the killed run's step 6."""
         out, real = tmp_path / "run", training.save_checkpoint
 
         def save_or_crash(ckpt, path):
@@ -593,19 +565,31 @@ class TestResumeReplay:
         assert history[-1]["step"] == 5
         assert best.global_step <= 5
         assert best.train_state["history"] == history[: training._progress("tmlm", history)[0]]
-        assert load_checkpoint(out / "tmlm-best.ckpt").train_state == best.train_state
+        last = load_checkpoint(out / "tmlm-last.ckpt")
+        assert last.train_state["history"] == history
+        assert last.best.tobytes() == best.weights.vector.tobytes()
 
-    def test_a_resume_without_a_best_checkpoint_writes_it_again(self, still, tmp_path):
-        """At lr 0 no epoch improves, so the resumed ``-last``'s best is from
-        an earlier epoch; with no ``-best`` on disk the resume ends with the
-        uninterrupted run's ``-best``, byte for byte."""
-        cfg, whole, last = still
-        (tmp_path / "tmlm-last.ckpt").write_bytes(last.read_bytes())
-        best = run_stage("tmlm", cfg, load_checkpoint(tmp_path / "tmlm-last.ckpt"), out_dir=tmp_path)
-        assert best.train_state == load_checkpoint(whole / "tmlm-best.ckpt").train_state
-        for kind in ("best", "last"):
-            name = f"tmlm-{kind}.ckpt"
-            assert (tmp_path / name).read_bytes() == (whole / name).read_bytes(), name
+    def test_a_resume_with_no_epoch_left_writes_only_the_vocabulary(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
+        """A ``-last`` that ended its budget, resumed into its own directory
+        and into a fresh one, runs no epoch: the resume writes no
+        checkpoint, leaves ``vocab.txt`` alone beside the ``-last`` it was
+        given, and returns the ``-last``'s best with the history through it."""
+        cfg, done = _config(corpus_path, tmlm_steps=4), tmp_path / "done"
+        best = run_stage("tmlm", cfg, None, out_dir=done)
+        last_bytes = (done / "tmlm-last.ckpt").read_bytes()
+        last = load_checkpoint(done / "tmlm-last.ckpt")
+        saves = []
+        monkeypatch.setattr(training, "save_checkpoint", lambda ckpt, path: saves.append(path))
+        for out in (done, tmp_path / "fresh"):
+            again = run_stage("tmlm", cfg, last, out_dir=out)
+            _assert_same_best(again, best)
+            assert again.weights.vector.tobytes() == last.best.tobytes()
+        assert saves == []
+        assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == ["vocab.txt"]
+        assert sorted(p.name for p in done.iterdir()) == ["tmlm-last.ckpt", "vocab.txt"]
+        assert (done / "tmlm-last.ckpt").read_bytes() == last_bytes
 
 
 class TestResumeSettings:
@@ -626,12 +610,60 @@ class TestResumeSettings:
         assert "intermediate_size" not in str(err.value)
 
     def test_budget_and_schedule_stay_free(self, corpus_path, last, tmp_path):
-        for name in ("tmlm-last.ckpt", "tmlm-best.ckpt"):
-            (tmp_path / name).write_bytes((last / name).read_bytes())
+        (tmp_path / "tmlm-last.ckpt").write_bytes((last / "tmlm-last.ckpt").read_bytes())
         ckpt = load_checkpoint(tmp_path / "tmlm-last.ckpt")
         cfg = _config(corpus_path, tmlm_steps=6, base_lr=1e-3, warmup_fraction=0.2, batch_size=4)
         run_stage("tmlm", cfg, ckpt, out_dir=tmp_path)
         assert load_checkpoint(tmp_path / "tmlm-last.ckpt").global_step == 6
+
+
+class TestALastHandsOnItsBest:
+    """A ``-last`` starts the next stage and an evaluation with its best
+    weights, not with its last epoch's."""
+
+    def test_a_transfer_starts_from_the_best_weights(self, corpus_path, tmp_path, monkeypatch):
+        """No epoch betters a constant dev perplexity, so the tmlm ``-last``'s
+        best is its start weights while training moved its weights; umlm
+        starts TE from that best."""
+        cfg = _config(corpus_path, tmlm_steps=4)
+        with monkeypatch.context() as patched:
+            patched.setattr(training, "mlm_dev_perplexity", lambda *args: 7.0)
+            run_stage("tmlm", cfg, None, out_dir=tmp_path)
+        last = load_checkpoint(tmp_path / "tmlm-last.ckpt")
+        best = last.weights.views(last.best)
+        state = training._init_stage_state(cfg, "umlm", last, lambda: last.vocab)
+        te = group_shapes(last.config, "te")
+        assert any(not np.array_equal(best[name], last.weights[name].array) for name in te)
+        for name in te:
+            np.testing.assert_array_equal(state.weights[name].array, best[name])
+
+    def test_an_eval_scores_the_best_weights(self, corpus_path, tmlm_ckpt, tmp_path, capsys):
+        """``evaluate --init finetuned-last.ckpt`` writes the predictions
+        and reports of a weights-only checkpoint of that ``-last``'s best
+        vector, here drawn apart from its weights so that the two predict
+        differently."""
+        cfg = _config(corpus_path, finetune_steps=4)
+        run_finetune(cfg, tmlm_ckpt, tmp_path / "ft")
+        last = load_checkpoint(tmp_path / "ft" / "finetuned-last.ckpt")
+        drawn = init_encoder_weights(last.config, "finetuned", np.random.default_rng(7))
+        save_checkpoint(replace(last, best=drawn.vector), tmp_path / "finetuned-last.ckpt")
+        save_checkpoint(Checkpoint(drawn, last.vocab), tmp_path / "best-only.ckpt")
+        save_checkpoint(Checkpoint(last.weights, last.vocab), tmp_path / "last-only.ckpt")
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
+            "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\nseed = 1\n"
+        )
+        for name in ("finetuned-last", "best-only", "last-only"):
+            args = ["evaluate", "--config", str(path), "--init", str(tmp_path / f"{name}.ckpt"),
+                    "--out", str(tmp_path / name)]
+            assert cli.main(args) == 0, capsys.readouterr().err
+        files = ("predictions-dev.jsonl", "report-dev.json", "report-dev.txt")
+        for name in files:
+            written = (tmp_path / "finetuned-last" / name).read_bytes()
+            assert written == (tmp_path / "best-only" / name).read_bytes(), name
+        predictions = [(tmp_path / d / files[0]).read_bytes() for d in ("best-only", "last-only")]
+        assert predictions[0] != predictions[1]
 
 
 class TestImprove:
@@ -955,8 +987,8 @@ class TestCli:
             "--out", str(tmp_path / "run"),
         )
         assert pre.returncode == 0, pre.stderr
-        assert (tmp_path / "run" / "tmlm-best.ckpt").exists()
-        assert (tmp_path / "run" / "vocab.txt").exists()
+        names = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert names == ["tmlm-last.ckpt", "vocab.txt"]
 
     def test_usage_error_is_json_exit_2(self):
         out = self._run("pretrain", "--stage", "bogus")
@@ -1073,54 +1105,22 @@ class TestCli:
         assert err["error"] == "CheckpointError"
         assert re.search(r"record .*'epoch': -1.*each of \['perplexity'\]", err["message"])
 
-    def _still_config(self, corpus_path, tmp_path, seed=1, steps=4):
-        """A config file for a tmlm run at lr 0, where no epoch improves."""
-        path = tmp_path / f"run-{seed}-{steps}.cfg"
+    def _still_config(self, corpus_path, tmp_path):
+        """A config file for a 4-step tmlm run at lr 0, where no epoch improves."""
+        path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
             "hidden_size = 16\nintermediate_size = 32\nnum_layers = 1\nbatch_size = 8\n"
-            f"tmlm_steps = {steps}\nbase_lr = 0\nseed = {seed}\n"
+            "tmlm_steps = 4\nbase_lr = 0\nseed = 1\n"
         )
         return path
-
-    def test_a_resume_without_a_best_checkpoint_exits_0(self, corpus_path, tmp_path, capsys):
-        """At lr 0 the epochs do not improve, so the ``-last``'s best is the
-        start weights; with the ``-best`` deleted, the resume writes it again
-        byte for byte."""
-        out = tmp_path / "run"
-        args = ["pretrain", "--stage", "tmlm", "--config", str(self._still_config(corpus_path, tmp_path)),
-                "--out", str(out)]
-        assert cli.main(args) == 0, capsys.readouterr().err
-        best = (out / "tmlm-best.ckpt").read_bytes()
-        (out / "tmlm-best.ckpt").unlink()
-        assert cli.main([*args, "--init", str(out / "tmlm-last.ckpt")]) == 0, capsys.readouterr().err
-        assert (out / "tmlm-best.ckpt").read_bytes() == best
-
-    def test_a_resume_overwrites_the_best_of_another_run(self, corpus_path, tmp_path, capsys):
-        """A ``-best`` swapped for one of another seed's run is not read: the
-        2-step run resumed with a 4-step budget ends with the ``-best`` and
-        ``-last`` of an uninterrupted 4-step run, byte for byte. At lr 0 the
-        budget changes no value, and no epoch could better that other best."""
-        own, other, whole = tmp_path / "own", tmp_path / "other", tmp_path / "whole"
-        for seed, steps, out in ((1, 2, own), (5, 2, other), (1, 4, whole)):
-            config = self._still_config(corpus_path, tmp_path, seed, steps)
-            args = ["pretrain", "--stage", "tmlm", "--config", str(config), "--out", str(out)]
-            assert cli.main(args) == 0, capsys.readouterr().err
-        (own / "tmlm-best.ckpt").write_bytes((other / "tmlm-best.ckpt").read_bytes())
-        resume = [
-            "pretrain", "--stage", "tmlm", "--config", str(self._still_config(corpus_path, tmp_path)),
-            "--init", str(own / "tmlm-last.ckpt"), "--out", str(own),
-        ]
-        assert cli.main(resume) == 0, capsys.readouterr().err
-        for name in ("tmlm-best.ckpt", "tmlm-last.ckpt"):
-            assert (own / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_a_resume_into_a_fresh_out_matches_the_uninterrupted_run(
         self, corpus_path, tmp_path, capsys, monkeypatch
     ):
         """A run killed after its first epoch, whose last record did not
-        improve (lr 0), resumed into another ``--out`` that holds no
-        ``-best``, exits 0 and leaves the uninterrupted run's files there."""
+        improve (lr 0), resumed into another ``--out``, exits 0 and leaves
+        the uninterrupted run's files there, the best in its ``-last``."""
         config = self._still_config(corpus_path, tmp_path)
         args = ["pretrain", "--stage", "tmlm", "--config", str(config)]
         killed, resumed, whole = tmp_path / "killed", tmp_path / "resumed", tmp_path / "whole"
@@ -1131,10 +1131,8 @@ class TestCli:
         resume = [*args, "--init", str(killed / "tmlm-last.ckpt"), "--out", str(resumed)]
         assert cli.main(resume) == 0, capsys.readouterr().err
         assert cli.main([*args, "--out", str(whole)]) == 0, capsys.readouterr().err
-        assert sorted(p.name for p in resumed.iterdir()) == [
-            "tmlm-best.ckpt", "tmlm-last.ckpt", "vocab.txt"
-        ]
-        for name in ("vocab.txt", "tmlm-best.ckpt", "tmlm-last.ckpt"):
+        assert sorted(p.name for p in resumed.iterdir()) == ["tmlm-last.ckpt", "vocab.txt"]
+        for name in ("vocab.txt", "tmlm-last.ckpt"):
             assert (resumed / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_a_killed_run_resumes_byte_identical(self, corpus_path, tmp_path, capsys):
@@ -1167,7 +1165,7 @@ class TestCli:
         resume = [*args, "--out", str(killed), "--init", str(killed / "tmlm-last.ckpt")]
         assert cli.main(resume) == 0, capsys.readouterr().err
         assert cli.main([*args, "--out", str(whole)]) == 0, capsys.readouterr().err
-        for name in ("vocab.txt", "tmlm-best.ckpt", "tmlm-last.ckpt"):
+        for name in ("vocab.txt", "tmlm-last.ckpt"):
             digests = [hashlib.sha256((d / name).read_bytes()).hexdigest() for d in (killed, whole)]
             assert digests[0] == digests[1], name
 
@@ -1185,6 +1183,8 @@ class TestCli:
         assert history[-1]["perplexity"] == math.inf  # the dev loss overflows exp
 
     def test_best_checkpoint_written_when_no_epoch_improves(self, corpus_path, tmp_path, capsys):
+        """At lr 0 no epoch improves: the ``-last`` still holds the best,
+        the start weights, and the next stage starts from it."""
         path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
@@ -1196,11 +1196,11 @@ class TestCli:
         assert cli.main(["pretrain", "--stage", "tmlm", *args]) == 0, capsys.readouterr().err
         history = load_checkpoint(out / "tmlm-last.ckpt").train_state["history"]
         assert [h["perplexity"] for h in history[1:]] == [history[0]["perplexity"]] * (len(history) - 1)
-        best = out / "tmlm-best.ckpt"
-        assert best.exists()
-        code = cli.main(["pretrain", "--stage", "umlm", "--init", str(best), *args])
+        last = out / "tmlm-last.ckpt"
+        assert load_checkpoint(last).best is not None
+        code = cli.main(["pretrain", "--stage", "umlm", "--init", str(last), *args])
         assert code == 0, capsys.readouterr().err
-        assert (out / "umlm-best.ckpt").exists()
+        assert (out / "umlm-last.ckpt").exists()
 
     def test_a_stage_that_never_improves_says_so(self, corpus_path, tmp_path, capsys, caplog):
         """At lr 0 the weights cannot move, so no epoch betters the initial
@@ -1228,9 +1228,12 @@ class TestCli:
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     @pytest.mark.parametrize("with_out", [True, False], ids=["out", "cwd"])
-    def test_best_checkpoint_saved_once(self, corpus_path, tmp_path, capsys, monkeypatch, with_out):
-        """Each best snapshot is written once, by the stage loop, into
-        ``--out`` or, without it, the working directory."""
+    def test_a_stage_writes_one_checkpoint_per_epoch(
+        self, corpus_path, tmp_path, capsys, monkeypatch, with_out
+    ):
+        """A stage writes one file, its ``-last``, once per epoch, into
+        ``--out`` or, without it, the working directory, and leaves it there
+        beside its vocabulary alone."""
         path = tmp_path / "run.cfg"
         path.write_text(
             f"corpus = {corpus_path}\ntrain_max_episode = 7\ndev_max_episode = 8\n"
@@ -1240,27 +1243,28 @@ class TestCli:
         saves, real_save = [], training.save_checkpoint
 
         def recording_save(ckpt, p):
-            saves.append((p, ckpt))
+            saves.append((p, ckpt.global_step))
             real_save(ckpt, p)
 
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
         monkeypatch.setattr(training, "save_checkpoint", recording_save)
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "run" if with_out else tmp_path
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "run" if with_out else cwd
         args = ["pretrain", "--stage", "tmlm", "--config", str(path)]
         if with_out:
             args += ["--out", str(out)]
         assert cli.main(args) == 0, capsys.readouterr().err
-        best_epochs = [ckpt.train_state["history"][-1]["epoch"]
-                       for p, ckpt in saves if p.name == "tmlm-best.ckpt"]
-        assert {p.parent.resolve() for p, _ in saves} == {out.resolve()}
-        assert best_epochs[0] == -1 and best_epochs == sorted(set(best_epochs))
-        best = load_checkpoint(out / "tmlm-best.ckpt").train_state["history"]
-        assert best[-1]["epoch"] == best_epochs[-1]
+        assert {p.resolve() for p, _ in saves} == {(out / "tmlm-last.ckpt").resolve()}
+        history = load_checkpoint(out / "tmlm-last.ckpt").train_state["history"]
+        assert [step for _, step in saves] == [h["step"] for h in history[1:]]
+        assert len(history) > 2  # more than one epoch
+        assert sorted(p.name for p in out.iterdir()) == ["tmlm-last.ckpt", "vocab.txt"]
 
     def test_a_run_without_out_resumes_in_the_working_directory(
         self, corpus_path, tmp_path, capsys, monkeypatch
     ):
-        """Without ``--out`` a stage writes its vocabulary and both checkpoints
+        """Without ``--out`` a stage writes its vocabulary and its ``-last``
         into the working directory, so a run killed after its first epoch
         resumes from ``--init tmlm-last.ckpt`` and ends byte for byte as an
         uninterrupted run."""
@@ -1277,7 +1281,7 @@ class TestCli:
         _crash_after_first_last_checkpoint(monkeypatch)
         with pytest.raises(_Crash):
             cli.main(args)
-        names = ["tmlm-best.ckpt", "tmlm-last.ckpt", "vocab.txt"]
+        names = ["tmlm-last.ckpt", "vocab.txt"]
         assert sorted(p.name for p in cwd.iterdir()) == names
         assert load_checkpoint(cwd / "tmlm-last.ckpt").global_step < 6
         assert cli.main([*args, "--init", "tmlm-last.ckpt"]) == 0, capsys.readouterr().err
@@ -1421,7 +1425,7 @@ class TestCli:
         out = tmp_path / "run"
         args = ["pretrain", "--stage", "tmlm", "--config", str(path), "--out", str(out)]
         assert cli.main(args) == 0, capsys.readouterr().err
-        assert load_checkpoint(out / "tmlm-best.ckpt").stage == "tmlm"
+        assert load_checkpoint(out / "tmlm-last.ckpt").stage == "tmlm"
 
     @pytest.mark.parametrize("content", [None, "seed = twelve\n"])
     def test_bad_config_file_is_json_error(self, tmp_path, capsys, content):

@@ -39,16 +39,19 @@ def dynamic(tmp_path_factory) -> list[str]:
     return _run(tmp_path_factory.mktemp("dynamic") / "out")
 
 
-def test_two_dynamic_runs_print_the_same_22_lines(dynamic, tmp_path):
-    """13 files, and a contents line after corpus.json and after each of
-    the 8 checkpoints."""
-    assert len(dynamic) == 22
+def test_two_dynamic_runs_print_the_same_14_lines(dynamic, tmp_path):
+    """9 files, and a contents line after corpus.json and after each of
+    the 4 checkpoints, one ``-last`` per stage."""
+    assert len(dynamic) == 14
     names = [line.split("  ", 1)[1] for line in dynamic]
     contents = [name for name in names if name.endswith(":contents")]
     assert contents == [
         f"{name}:contents" for name in names if name == "corpus.json" or name.endswith(".ckpt")
     ]
-    assert len(contents) == 9
+    assert len(contents) == 5
+    assert [n for n in names if n.endswith(".ckpt")] == [
+        f"{stage}-last.ckpt" for stage in ("finetuned", "tmlm", "umlm", "uop")
+    ]
     assert names[names.index("corpus.json") + 1] == "corpus.json:contents"
     assert _run(tmp_path / "out") == dynamic
 

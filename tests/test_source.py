@@ -492,6 +492,45 @@ def test_only_the_cli_loads_a_checkpoint():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def checkpoint_saves(source: str) -> list[str]:
+    """Calls of ``save_checkpoint``, plain or as an attribute, each with the
+    function it is made in. Only ``training.fit`` writes a checkpoint, the
+    stage's ``-last``, so no stage writes a second file, such as a copy of
+    its best weights."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and _call_name(node) == "save_checkpoint":
+            found.append(f"line {node.lineno}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_checkpoint_save():
+    source = (
+        "save_checkpoint(state, path)\n"
+        "def fit(state):\n"
+        "    save_checkpoint(state, last)\n"
+        "    def inner():\n"
+        "        checkpoint.save_checkpoint(best, path)\n"
+        "    return inner\n"
+        "def save_checkpoint(ckpt, path):\n"
+        "    load_checkpoint(path)\n"
+    )
+    assert checkpoint_saves(source) == ["line 1: <module>", "line 3: fit", "line 5: inner"]
+
+
+def test_only_fit_saves_a_checkpoint():
+    found = {path.name: checkpoint_saves(path.read_text(encoding="utf-8")) for path in SOURCES}
+    callers = {name: [c.split(": ")[1] for c in calls] for name, calls in found.items() if calls}
+    assert callers == {"training.py": ["fit"]}
+
+
 def sequencing_raises(source: str) -> list[str]:
     """``raise`` statements of a ``SequencingError``, plain or as an
     attribute, called or not. Which checkpoint may start a stage is decided

@@ -4,8 +4,9 @@ byte for byte as it was.
 
 The recipe: a synthetic corpus (seed 0, 26 episodes of 1 scene with 2
 questions each); tmlm 3 steps, umlm 4, uop 3 and fine-tuning 3, batch size 8,
-dropout 0.1, each stage started from the best checkpoint of the one before;
-then evaluation of the fine-tuned best on the test split. Everything goes
+dropout 0.1, each stage started with ``--init`` from the ``<stage>-last.ckpt``
+of the one before, whose best weights it takes; then evaluation of the
+``finetuned-last.ckpt`` on the test split. Everything goes
 through ``dialoqa.cli.main``, so the script runs unchanged against any
 checkout whose ``src`` is on the path:
 
@@ -57,10 +58,10 @@ def run_pipeline(out: Path, mlm_mode: str) -> int:
     steps = [
         ["synth-corpus"],
         ["pretrain", "--stage", "tmlm"],
-        ["pretrain", "--stage", "umlm", "--init", str(out / "tmlm-best.ckpt")],
-        ["pretrain", "--stage", "uop", "--init", str(out / "umlm-best.ckpt")],
-        ["finetune", "--init", str(out / "uop-best.ckpt")],
-        ["evaluate", "--split", "test", "--init", str(out / "finetuned-best.ckpt")],
+        ["pretrain", "--stage", "umlm", "--init", str(out / "tmlm-last.ckpt")],
+        ["pretrain", "--stage", "uop", "--init", str(out / "umlm-last.ckpt")],
+        ["finetune", "--init", str(out / "uop-last.ckpt")],
+        ["evaluate", "--split", "test", "--init", str(out / "finetuned-last.ckpt")],
     ]
     settings = {**RECIPE, "corpus": out / "corpus.json", "mlm_mode": mlm_mode}
     with tempfile.TemporaryDirectory() as tmp:
